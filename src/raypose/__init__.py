@@ -32,4 +32,4 @@ from .io import (load_correspondences, load_reconstruction,
                  parse_correspondences, parse_reconstruction,
                  save_correspondences, save_reconstruction)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

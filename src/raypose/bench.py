@@ -126,6 +126,31 @@ def generate_scene(config: SceneConfig,
     return corrs, truth
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """(n, 1) Euclidean norms of the rows of x.
+
+    Row-wise matrix products round like ``np.linalg.norm`` of one row, so
+    the vectorized generators reproduce per-row loops bit for bit.
+    """
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+
+
+def _perturb_directions(d: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Unit directions (n, 3) offset by N(0, sigma^2) along two tangent
+    directions each; the caller renormalizes.
+
+    Draws one (n, 2) block of normals, the same stream as two draws per
+    row in row order.
+    """
+    # Any fixed vector not parallel to d seeds the tangent basis.
+    a = np.where(np.abs(d[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    u = np.cross(d, a)
+    u /= _row_norms(u)
+    v = np.cross(d, u)
+    e = rng.normal(0.0, sigma, (d.shape[0], 2))
+    return d + e[:, :1] * u + e[:, 1:] * v
+
+
 def add_noise(correspondences: Sequence[Correspondence], sigma_px: float,
               focal_px: float = 800.0, seed: int = 0,
               rng: Optional[np.random.Generator] = None) -> List[Correspondence]:
@@ -137,19 +162,11 @@ def add_noise(correspondences: Sequence[Correspondence], sigma_px: float,
         return list(correspondences)
     if rng is None:
         rng = np.random.default_rng(seed)
-    sigma = sigma_px / focal_px
-    out = []
-    for c in correspondences:
-        d = c.ray.direction
-        # Any fixed vector not parallel to d seeds the tangent basis.
-        a = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        u = np.cross(d, a)
-        u /= np.linalg.norm(u)
-        v = np.cross(d, u)
-        e1, e2 = rng.normal(0.0, sigma, 2)
-        out.append(Correspondence(Ray(c.ray.origin, d + e1 * u + e2 * v),
-                                  c.point, score=c.score, point_id=c.point_id))
-    return out
+    dirs = np.array([c.ray.direction for c in correspondences])
+    dirs = _perturb_directions(dirs, sigma_px / focal_px, rng)
+    # Ray renormalizes each direction.
+    return [Correspondence(Ray(c.ray.origin, d), c.point, score=c.score, point_id=c.point_id)
+            for c, d in zip(correspondences, dirs)]
 
 
 def pose_errors(estimate: SimilarityTransform, truth: SimilarityTransform,
@@ -375,27 +392,20 @@ def generate_city(n_subsets: int, cameras_per_subset: int,
         centers_world[:, 0] += 3.0 * k
         cams = []
         obs = []
-        Rl = inv.rotation_matrix()
+        pids = [pid for pid, _ in pts_local]
+        xyz = np.array([xyz_local for _, xyz_local in pts_local])
         for j in range(cameras_per_subset):
             cid = f"{k}:{j}"
             center_local = apply_similarity(inv, centers_world[j])
             cams.append((cid, center_local, Quaternion.identity()))
-            for pid, xyz_local in pts_local:
-                d = xyz_local - center_local
-                nrm = np.linalg.norm(d)
-                if nrm < 1e-9:
-                    continue
-                d = d / nrm
-                if sigma > 0.0:
-                    a = (np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9
-                         else np.array([0.0, 1.0, 0.0]))
-                    u = np.cross(d, a)
-                    u /= np.linalg.norm(u)
-                    v = np.cross(d, u)
-                    e1, e2 = rng.normal(0.0, sigma, 2)
-                    d = d + e1 * u + e2 * v
-                    d /= np.linalg.norm(d)
-                obs.append((cid, pid, d))
+            d = xyz - center_local
+            nrm = _row_norms(d)
+            seen = np.flatnonzero(nrm[:, 0] >= 1e-9)
+            d = d[seen] / nrm[seen]
+            if sigma > 0.0:
+                d = _perturb_directions(d, sigma, rng)
+                d /= _row_norms(d)
+            obs.extend((cid, pids[i], di) for i, di in zip(seen, d))
         cameras.append(DistributedCamera(tuple(cams), tuple(pts_local), tuple(obs)))
         truths.append(frame)
     return cameras, truths

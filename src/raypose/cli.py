@@ -181,12 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "for distributed cameras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, seed=True, config=False):
         p.add_argument("--out", help="output file (default: stdout)")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", action="append", default=[],
-                       metavar="KEY=VALUE", help="configuration override")
+        if config:
+            p.add_argument("--config", action="append", default=[],
+                           metavar="KEY=VALUE", help="robust-estimation override")
 
     p = sub.add_parser("solve", help="pose-and-scale from a correspondence file")
     p.add_argument("--input", required=True, help="correspondence JSON file")
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="robustly align one reconstruction to another")
     p.add_argument("base", help="base reconstruction JSON file")
     p.add_argument("other", help="reconstruction to localize against the base")
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("merge", help="hierarchically merge reconstructions")
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true",
                    help="polish per-camera similarities after merging")
     p.add_argument("--report", help="merge report output path")
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("bench", help="run a benchmark protocol, emit CSV")

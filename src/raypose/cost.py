@@ -1,7 +1,7 @@
 """Reduced quartic cost in the quaternion after linear elimination.
 
 For noisy directions z_i, the per-correspondence constraint error
-refactors to ``eta_i = (z_i z_i^T - I)(R X_i - (S W b) c_i + V W b)``,
+refactors to ``eta_i = (z_i z_i^T - I)(R X_i - (S r) c_i + V r)``,
 which is quadratic in the quaternion entries.  The summed squared error
 is therefore a quartic form ``C'(q) = m(q)^T Q m(q)`` over the 10-vector
 of degree-2 quaternion monomials
@@ -121,22 +121,26 @@ class QuarticCost:
         return H
 
 
-def cost_gradient(cost: QuarticCost, q) -> np.ndarray:
-    """Analytic gradient of C'; each component is a cubic in q."""
-    return cost.gradient(np.asarray(q, dtype=float))
+def constraint_cost(origins: np.ndarray, directions: np.ndarray, points: np.ndarray,
+                    R: np.ndarray, s: float, t: np.ndarray) -> float:
+    """Summed squared constraint errors of the pose (R, s, t).
+
+    ``eta_i = (z_i z_i^T - I)(R X_i - s c_i + t)`` is the part of the ray
+    constraint's residual orthogonal to the observed direction z_i.
+    """
+    inner = points @ np.asarray(R).T - s * origins + t
+    eta = np.einsum("ia,ib,ib->ia", directions, directions, inner) - inner
+    return float(np.sum(eta * eta))
 
 
-def direct_cost(correspondences: Sequence[Correspondence], elim: EliminationMatrices, R: np.ndarray) -> float:
-    """Term-by-term evaluation of the summed squared constraint errors.
+def direct_cost(elim: EliminationMatrices, R: np.ndarray) -> float:
+    """Term-by-term evaluation of the summed squared constraint errors at
+    the eliminated scale and translation for rotation R.
 
-    Independent of the 10x10 representation; used as its oracle and for
-    candidate costs.
+    Independent of the 10x10 representation; used as its oracle.
     """
     _, s, t = elim.solve_linear(R)
-    c, z, X = elim.origins, elim.directions, elim.points
-    inner = X @ np.asarray(R).T - s * c + t
-    eta = np.einsum("ia,ib,ib->ia", z, z, inner) - inner
-    return float(np.sum(eta * eta))
+    return constraint_cost(elim.origins, elim.directions, elim.points, R, s, t)
 
 
 def build_quartic_cost(correspondences: Sequence[Correspondence], elim: EliminationMatrices) -> QuarticCost:

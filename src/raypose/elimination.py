@@ -1,17 +1,19 @@
 """Linear elimination of depths, scale, and translation.
 
 Stacking the ray constraints ``s*c_i + alpha_i*d_i = R*X_i + t`` over n
-correspondences gives ``A x = W b`` with ``x = (alpha_1..alpha_n, s, t)``,
-``b`` the stacked world points, and ``W`` block-diagonal in the unknown
-rotation.  The normal-equation solution ``x = (A^T A)^-1 A^T W b``
-partitions into constant matrices U (depths), S (scale), and V
-(translation), so every eliminated unknown is a linear function of the
-rotation.
+correspondences gives ``A x = r`` with ``x = (alpha_1..alpha_n, s, t)``
+and ``r`` the stacked rotated world points ``R X_i``.  Per correspondence
+the rows of A are ``[d_i, B_i]`` with ``B_i = [c_i, -I]``.  With unit
+directions the depth block of ``A^T A`` is the identity, so the normal
+equations reduce to the 4x4 Schur complement
+``K = sum_i B_i^T (I - d_i d_i^T) B_i`` on ``w = (s, t)``:
 
-Two routes compute U, S, V: a closed form that exploits the block
-sparsity of A (the depth block of A^T A is the identity for unit
-directions, leaving a 4x4 Schur complement), and a dense pseudo-inverse
-of the full A.  Both are exposed and must agree.
+    w = K^-1 sum_i B_i^T (I - d_i d_i^T) r_i = [S; V] r,
+    alpha_i = d_i . (r_i - B_i w).
+
+Only the rows S (3n) and V (3 x 3n) are stored, so memory and work grow
+linearly with n; the depths are recovered per rotation from the second
+identity.  The dense pseudo-inverse of A serves as the test oracle.
 
 With ``fix_scale=True`` the scale column is dropped and s is frozen at 1,
 re-posing the problem for geometries where the scale is unobservable
@@ -23,7 +25,7 @@ side by the stacked ray origins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -46,26 +48,25 @@ class EliminationMatrices:
     """Constant matrices expressing (alpha, s, t) as functions of the rotation.
 
     With ``r = stacked R X_i`` (shifted by the stacked ray origins in
-    fix-scale mode): ``alpha = U r``, ``s = S r + s0``, ``t = V r + t0``.
+    fix-scale mode): ``s = S r`` (1 in fix-scale mode), ``t = V r`` and
+    ``alpha_i = d_i . (r_i - B_i (s, t))``.
     """
 
-    U: np.ndarray          # (n, 3n)
-    S: np.ndarray          # (3n,)
+    S: np.ndarray          # (3n,), zero in fix-scale mode
     V: np.ndarray          # (3, 3n)
-    b: np.ndarray          # (3n,) stacked world points
     origins: np.ndarray    # (n, 3)
     directions: np.ndarray  # (n, 3)
     points: np.ndarray     # (n, 3)
-    fix_scale: bool = False
-    K: np.ndarray = None   # Schur complement of A^T A onto (s, t)
-    M: np.ndarray = None   # (n, k) coupling rows z_i^T B_i
+    fix_scale: bool
+    K: np.ndarray          # (k, k) Schur complement of A^T A onto (s, t)
+    M: np.ndarray          # (n, k) coupling rows d_i^T B_i
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
 
     def rhs(self, R: np.ndarray) -> np.ndarray:
-        """Right-hand side ``W b`` (shifted in fix-scale mode) for rotation R."""
+        """Right-hand side ``r`` (shifted in fix-scale mode) for rotation R."""
         r = (self.points @ np.asarray(R).T).reshape(-1)
         if self.fix_scale:
             r = r - self.origins.reshape(-1)
@@ -75,33 +76,33 @@ class EliminationMatrices:
         """Depths, scale, and translation for a given rotation matrix.
 
         One structured iterative-refinement step against the normal
-        equations removes the rounding left by the precomputed matrices
+        equations removes the rounding left by the precomputed rows
         (the Schur system reuses the stored K and coupling rows).
         """
         r = self.rhs(R)
-        alpha = self.U @ r
+        z = self.directions
+        y = r.reshape(-1, 3)
         s = 1.0 if self.fix_scale else float(self.S @ r)
         t = self.V @ r
-        if self.K is not None:
-            z = self.directions
-            y = r.reshape(-1, 3)
-            pred = alpha[:, None] * z - t[None, :]
-            if not self.fix_scale:
-                pred = pred + s * self.origins
-            resid = pred - y
-            g_alpha = np.sum(z * resid, axis=1)
-            g_t = -resid.sum(axis=0)
-            if self.fix_scale:
-                g_w = g_t
-            else:
-                g_w = np.concatenate([[np.sum(self.origins * resid)], g_t])
-            d_w = np.linalg.solve(self.K, g_w - self.M.T @ g_alpha)
-            alpha = alpha - (g_alpha - self.M @ d_w)
-            if self.fix_scale:
-                t = t - d_w
-            else:
-                s = s - float(d_w[0])
-                t = t - d_w[1:]
+        w = t if self.fix_scale else np.concatenate([[s], t])
+        alpha = np.sum(z * y, axis=1) - self.M @ w     # d_i . (r_i - B_i w)
+        pred = alpha[:, None] * z - t[None, :]
+        if not self.fix_scale:
+            pred = pred + s * self.origins
+        resid = pred - y
+        g_alpha = np.sum(z * resid, axis=1)
+        g_t = -resid.sum(axis=0)
+        if self.fix_scale:
+            g_w = g_t
+        else:
+            g_w = np.concatenate([[np.sum(self.origins * resid)], g_t])
+        d_w = np.linalg.solve(self.K, g_w - self.M.T @ g_alpha)
+        alpha = alpha - (g_alpha - self.M @ d_w)
+        if self.fix_scale:
+            t = t - d_w
+        else:
+            s = s - float(d_w[0])
+            t = t - d_w[1:]
         return alpha, s, t
 
 
@@ -112,35 +113,17 @@ def _validate(correspondences: Sequence[Correspondence]):
     return correspondence_arrays(correspondences)
 
 
-def _stack_A(c: np.ndarray, z: np.ndarray, fix_scale: bool) -> np.ndarray:
-    n = c.shape[0]
-    ncols = n + (0 if fix_scale else 1) + 3
-    A = np.zeros((3 * n, ncols))
-    for i in range(n):
-        A[3 * i:3 * i + 3, i] = z[i]
-        if not fix_scale:
-            A[3 * i:3 * i + 3, n] = c[i]
-        A[3 * i:3 * i + 3, -3:] = -np.eye(3)
-    return A
-
-
 def build_elimination(
     correspondences: Sequence[Correspondence],
     fix_scale: bool = False,
-    method: str = "closed",
 ) -> EliminationMatrices:
-    """Compute U, S, V from the normal equations of the stacked constraints.
-
-    ``method`` selects the sparse closed form ("closed", default) or the
-    dense pseudo-inverse route ("dense"); the two agree to rounding and
-    the dense route exists as an independent check.
+    """Compute S, V and the Schur complement K from the normal equations.
 
     Raises ``RankDeficiencyError`` (with a fix-scale hint when the scale
     column is the culprit) for degenerate geometry.
     """
     c, z, X = _validate(correspondences)
     n = c.shape[0]
-    b = X.reshape(-1)
 
     proj = np.eye(3)[None, :, :] - z[:, :, None] * z[:, None, :]   # (n, 3, 3)
     k = 3 if fix_scale else 4
@@ -150,25 +133,6 @@ def build_elimination(
     B[:, :, -3:] = -np.eye(3)
     K = np.einsum("iab,iac,icd->bd", B, proj, B)
     M = np.einsum("ib,iba->ia", z, B)                              # (n, k)
-
-    if method == "dense":
-        A = _stack_A(c, z, fix_scale)
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] < _RCOND * sv[0]:
-            _raise_rank_deficiency(c, z, fix_scale)
-        pinv = np.linalg.pinv(A, rcond=_RCOND)
-        if fix_scale:
-            U, S, V = pinv[:n], np.zeros(3 * n), pinv[n:]
-        else:
-            U, S, V = pinv[:n], pinv[n], pinv[n + 1:]
-        return EliminationMatrices(U, S, V, b, c, z, X, fix_scale, K, M)
-    if method != "closed":
-        raise InvalidInputError(f"unknown elimination method {method!r}")
-
-    # Closed form. Per-row blocks of A: B_i = [c_i, -I] (or [-I] when the
-    # scale is fixed). With unit directions the depth block of A^T A is
-    # the identity, so the (s, t) block reduces to the Schur complement
-    # K = sum_i B_i^T (I - d_i d_i^T) B_i, computed above.
     svals = np.linalg.svd(K, compute_uv=False)
     if svals[-1] < _RCOND * max(svals[0], 1.0):
         _raise_rank_deficiency(c, z, fix_scale)
@@ -176,16 +140,11 @@ def build_elimination(
     # [S; V] = K^-1 B^T (I - D D^T), assembled column-block by block.
     BtP = np.einsum("iba,ibc->iac", B, proj)                # (n, k, 3)
     SV = np.linalg.solve(K, np.moveaxis(BtP, 0, 1).reshape(k, 3 * n))
-    # U = D^T - (D^T B) [S; V]; D^T is block-diagonal in the directions.
-    U = -(M @ SV)
-    idx = np.arange(n)
-    for a in range(3):
-        U[idx, 3 * idx + a] += z[:, a]
     if fix_scale:
         S, V = np.zeros(3 * n), SV
     else:
         S, V = SV[0], SV[1:]
-    return EliminationMatrices(U, S, V, b, c, z, X, fix_scale, K, M)
+    return EliminationMatrices(S, V, c, z, X, fix_scale, K, M)
 
 
 def _raise_rank_deficiency(c, z, fix_scale):

@@ -19,7 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .cost import constraint_cost
+from .elimination import correspondence_arrays
+from .errors import InvalidInputError, RayposeError
 from .geometry import (Correspondence, DistributedCamera, Ray,
                        SimilarityTransform, alignment_from_pose,
                        compose_similarity, merge_distributed_cameras,
@@ -350,52 +352,33 @@ def hierarchical_merge(
 
 def _pose_cost(corrs: Sequence[Correspondence], T: SimilarityTransform) -> float:
     """Summed squared constraint error of a full similarity (no re-elimination)."""
-    R = T.rotation_matrix()
-    z = np.array([c.ray.direction for c in corrs])
-    inner = (np.array([c.point for c in corrs]) @ R.T
-             - T.scale * np.array([c.ray.origin for c in corrs]) + T.translation)
-    eta = np.einsum("ia,ib,ib->ia", z, z, inner) - inner
-    return float(np.sum(eta * eta))
+    return constraint_cost(*correspondence_arrays(corrs), T.rotation_matrix(),
+                           T.scale, T.translation)
 
 
 def refine_similarities(report: MergeReport, cameras: Sequence[DistributedCamera]) -> MergeReport:
     """Polish per-camera similarities against the frozen merged cloud.
 
-    Alternates per-camera pose refits (each a full solve on that camera's
-    rays vs the final point coordinates), accepting a refit only when it
-    lowers that camera's summed squared error; sweeps stop after 10
-    rounds or when the total cost decrease is below 1e-10 relative.
+    Each camera's pose is refit by a full solve on its rays vs the final
+    point coordinates, and the refit is accepted only when it lowers that
+    camera's summed squared error.  A refit depends on nothing but the
+    camera's rays and the frozen cloud, so one pass reaches the fixpoint.
     The merged point cloud itself is not moved.
     """
     cams = _namespace_all(cameras)
     cloud = report.final_camera.point_map
     log = dict(report.transform_log)
-    per_cam: Dict[int, List[Correspondence]] = {}
     for mid in log:
         cam = cams[mid]
         centers = {cid: c for cid, c, _ in cam.cameras}
         corrs = [Correspondence(Ray(centers[cid], d), cloud[pid], point_id=pid)
                  for cid, pid, d in cam.observations if pid in cloud]
-        if len(corrs) >= 4:
-            per_cam[mid] = corrs
-
-    total = sum(_pose_cost(per_cam[mid], pose_from_alignment(log[mid])) for mid in per_cam)
-    for _ in range(10):
-        new_total = 0.0
-        for mid, corrs in per_cam.items():
-            current = _pose_cost(corrs, pose_from_alignment(log[mid]))
-            try:
-                refit = gdls_solve(corrs).best
-            except Exception:
-                new_total += current
-                continue
-            if refit.cost < current:
-                log[mid] = alignment_from_pose(refit.transform)
-                new_total += refit.cost
-            else:
-                new_total += current
-        if total - new_total <= 1e-10 * max(total, 1.0):
-            total = new_total
-            break
-        total = new_total
+        if len(corrs) < 4:
+            continue
+        try:
+            refit = gdls_solve(corrs).best
+        except RayposeError:
+            continue
+        if refit.cost < _pose_cost(corrs, pose_from_alignment(log[mid])):
+            log[mid] = alignment_from_pose(refit.transform)
     return MergeReport(report.levels, dict(report.failed_members), report.final_camera, log)

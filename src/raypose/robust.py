@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptySolutionError, InvalidInputError, RankDeficiencyError
+from .errors import (EmptySolutionError, InvalidInputError, RankDeficiencyError,
+                     RayposeError)
 from .geometry import Correspondence, Quaternion, SimilarityTransform
 from .solver import gdls_solve
 
@@ -138,7 +139,8 @@ def ransac_gdls(
 
     best_count = 0
     best_mean = float("inf")
-    best_inliers: Optional[np.ndarray] = None
+    best_transform: Optional[SimilarityTransform] = None
+    best_angles: Optional[np.ndarray] = None
     max_iter = config.max_iterations
     t = 0
     while t < max_iter:
@@ -161,7 +163,7 @@ def ransac_gdls(
         if count > best_count or (count == best_count and mean_err < best_mean):
             best_count = count
             best_mean = mean_err
-            best_inliers = np.flatnonzero(mask)
+            best_transform, best_angles = report.best.transform, angles
             # Adaptive termination from the inlier ratio.
             w = count / n
             if w > 0:
@@ -172,36 +174,26 @@ def ransac_gdls(
                     needed = math.log(1.0 - config.confidence) / math.log(1.0 - p_good)
                 max_iter = min(config.max_iterations, max(t, int(math.ceil(needed))))
 
-    if best_inliers is None or best_count < config.min_inliers:
+    if best_transform is None or best_count < config.min_inliers:
         return RobustResult(False, None, np.array([], dtype=int), t, 0.0,
                             failure_reason=f"best model had {best_count} inliers "
                                            f"(< min_inliers={config.min_inliers})")
 
-    # Non-minimal re-estimate on all inliers, then re-score.
+    # Non-minimal re-estimate on all inliers, kept only if it loses none;
+    # otherwise the best minimal hypothesis stands.
+    transform, angles = best_transform, best_angles
+    inliers = np.flatnonzero(best_angles < config.angular_inlier_threshold)
     try:
-        report = gdls_solve([correspondences[i] for i in best_inliers])
-        transform = report.best.transform
-        angles = angular_residuals(transform, origins, directions, points)
-        mask = angles < config.angular_inlier_threshold
-        if int(mask.sum()) >= best_count:
-            best_inliers = np.flatnonzero(mask)
-        else:
-            # Refit lost inliers; keep the hypothesis inlier set but
-            # re-score it so the returned set is consistent.
-            transform = None
-    except (RankDeficiencyError, EmptySolutionError):
-        transform = None
-    if transform is None:
-        # Fall back to the best minimal hypothesis, rederiving its set.
-        report = gdls_solve([correspondences[i] for i in best_inliers])
-        transform = report.best.transform
-        angles = angular_residuals(transform, origins, directions, points)
-        best_inliers = np.flatnonzero(angles < config.angular_inlier_threshold)
-    if len(best_inliers) < config.min_inliers:
-        return RobustResult(False, None, np.array([], dtype=int), t, 0.0,
-                            failure_reason="inlier set collapsed during refinement")
-    mean_err = float(angles[best_inliers].mean()) if len(best_inliers) else float("nan")
-    return RobustResult(True, transform, best_inliers, t, len(best_inliers) / n, mean_err)
+        refit = gdls_solve([correspondences[i] for i in inliers]).best.transform
+    except RayposeError:
+        refit = None
+    if refit is not None:
+        refit_angles = angular_residuals(refit, origins, directions, points)
+        if int((refit_angles < config.angular_inlier_threshold).sum()) >= best_count:
+            transform, angles = refit, refit_angles
+    inliers = np.flatnonzero(angles < config.angular_inlier_threshold)
+    return RobustResult(True, transform, inliers, t, len(inliers) / n,
+                        float(angles[inliers].mean()))
 
 
 def umeyama_align(points_a: Sequence, points_b: Sequence) -> SimilarityTransform:

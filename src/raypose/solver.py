@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .cost import (MONOMIAL_HESSIANS, QuarticCost, build_quartic_cost,
-                   direct_cost, monomial_jacobian, monomials)
+                   constraint_cost, monomial_jacobian, monomials)
 from .elimination import EliminationMatrices, build_elimination
 from .errors import EmptySolutionError, InvalidInputError
 from .geometry import Correspondence, Quaternion, SimilarityTransform, quat_to_rotation
@@ -203,7 +203,6 @@ class SolverCandidate:
 def recover_candidates(
     qs: Sequence[Quaternion],
     elim: EliminationMatrices,
-    correspondences: Sequence[Correspondence],
     cost: Optional[QuarticCost] = None,
 ) -> List[SolverCandidate]:
     """Full similarity candidates from stationary quaternions.
@@ -218,7 +217,7 @@ def recover_candidates(
         alpha, s, t = elim.solve_linear(R)
         if s <= 0.0:
             continue
-        cval = direct_cost(correspondences, elim, R)
+        cval = constraint_cost(elim.origins, elim.directions, elim.points, R, s, t)
         if cost is not None:
             q = quat.array
             g = cost.gradient(q)
@@ -262,6 +261,6 @@ def gdls_solve(correspondences: Sequence[Correspondence], fix_scale: bool = Fals
     elim = build_elimination(correspondences, fix_scale=fix_scale)
     cost = build_quartic_cost(correspondences, elim)
     qs = solve_stationary(cost)
-    candidates = recover_candidates(qs, elim, correspondences, cost=cost)
+    candidates = recover_candidates(qs, elim, cost=cost)
     runtime = time.perf_counter() - start
     return SolveReport(candidates, runtime, len(correspondences), fix_scale, len(qs))

@@ -8,6 +8,7 @@ from raypose import (InvalidInputError, Quaternion, SimilarityTransform,
                      quat_to_rotation, rows_to_csv, run_noise_sweep,
                      run_scalability, run_stability)
 from raypose.bench import CSV_HEADER, SceneConfig, random_similarity, trial_rng
+from raypose.geometry import Ray
 
 
 def test_scene_determinism():
@@ -72,6 +73,28 @@ def test_add_noise_determinism():
     b = add_noise(corrs, 1.0, 800.0, seed=7)
     for ca, cb in zip(a, b):
         assert np.array_equal(ca.ray.direction, cb.ray.direction)
+
+
+
+@pytest.mark.parametrize("sigma_px", [0.01, 1.5])
+def test_add_noise_matches_per_row_reference(sigma_px):
+    # The loop the vectorized noise replaced: same draws, same bits.  At
+    # 0.01 px most perturbed directions are within Ray's 1e-9 unit
+    # tolerance and are kept unnormalized.
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=200, seed=9))
+    rng = np.random.default_rng(3)
+    expect = []
+    for c in corrs:
+        d = c.ray.direction
+        a = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        u = np.cross(d, a)
+        u /= np.linalg.norm(u)
+        v = np.cross(d, u)
+        e1, e2 = rng.normal(0.0, sigma_px / 800.0, 2)
+        expect.append(Ray(c.ray.origin, d + e1 * u + e2 * v).direction)
+    noisy = add_noise(corrs, sigma_px, 800.0, seed=3)
+    for c, d in zip(noisy, expect):
+        assert np.array_equal(c.ray.direction, d)
 
 
 def test_add_noise_mean_angle():

@@ -111,3 +111,13 @@ def test_config_overrides(tmp_path, capsys):
                  "--config", "use_prosac=true"]) == 0
     assert main(["align", paths[0], paths[1],
                  "--config", "bogus_key=1"]) == 2
+
+
+def test_config_only_on_robust_commands(tmp_path):
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=6, seed=2))
+    path = tmp_path / "c.json"
+    save_correspondences(corrs, str(path))
+    override = ["--config", "max_iterations=5"]
+    assert main(["solve", "--input", str(path)] + override) == 2
+    assert main(["bench", "--experiment", "noise", "--trials", "1"] + override) == 2
+    assert main(["stability", "--trials", "1"] + override) == 2

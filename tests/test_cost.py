@@ -55,7 +55,7 @@ def test_quartic_matches_direct_cost():
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
             quartic = float(cost.evaluate(q))
-            direct = direct_cost(noisy, elim, quat_to_rotation(q))
+            direct = direct_cost(elim, quat_to_rotation(q))
             assert np.isclose(quartic, direct, rtol=1e-10, atol=1e-14)
 
 
@@ -71,7 +71,7 @@ def test_fix_scale_quartic_matches_direct_cost():
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         assert np.isclose(float(cost.evaluate(q)),
-                          direct_cost(corrs, elim, quat_to_rotation(q)),
+                          direct_cost(elim, quat_to_rotation(q)),
                           rtol=1e-9, atol=1e-14)
 
 

@@ -3,7 +3,9 @@ import pytest
 
 from raypose import InvalidInputError, RankDeficiencyError, build_elimination
 from raypose.bench import SceneConfig, generate_scene, trial_rng
-from raypose.elimination import _stack_A
+from raypose.geometry import quat_to_rotation
+
+from dense_oracle import dense_solution, stack_A
 
 
 def _scene(n=6, seed=0, identity=False):
@@ -11,23 +13,47 @@ def _scene(n=6, seed=0, identity=False):
                                       identity_transform=identity), trial_rng(seed, 0))
 
 
+def _rotations(seed, count=5):
+    q = np.random.default_rng(seed).normal(size=(count, 4))
+    return [quat_to_rotation(qi / np.linalg.norm(qi)) for qi in q]
+
+
+def _assert_matches_dense(elim, R):
+    alpha, s, t = elim.solve_linear(R)
+    alpha_d, s_d, t_d = dense_solution(elim, R)
+    tol = 1e-8 * max(1.0, float(np.abs(elim.rhs(R)).max()))
+    assert np.allclose(alpha, alpha_d, rtol=0, atol=tol)
+    assert abs(s - s_d) <= tol
+    assert np.allclose(t, t_d, rtol=0, atol=tol)
+
+
 def test_closed_matches_dense():
     for seed in range(10):
-        corrs, _ = _scene(n=5, seed=seed)
-        closed = build_elimination(corrs, method="closed")
-        dense = build_elimination(corrs, method="dense")
-        assert np.allclose(closed.U, dense.U, atol=1e-8)
-        assert np.allclose(closed.S, dense.S, atol=1e-8)
-        assert np.allclose(closed.V, dense.V, atol=1e-8)
+        corrs, truth = _scene(n=5, seed=seed)
+        elim = build_elimination(corrs)
+        for R in [truth.rotation_matrix()] + _rotations(seed):
+            _assert_matches_dense(elim, R)
 
 
 def test_matrix_shapes():
     corrs, _ = _scene(n=4)
     elim = build_elimination(corrs)
-    assert elim.U.shape == (4, 12)
     assert elim.S.shape == (12,)
     assert elim.V.shape == (3, 12)
-    assert elim.b.shape == (12,)
+    assert elim.K.shape == (4, 4)
+    assert elim.M.shape == (4, 4)
+    fixed = build_elimination(corrs, fix_scale=True)
+    assert fixed.V.shape == (3, 12)
+    assert fixed.K.shape == (3, 3)
+    assert fixed.M.shape == (4, 3)
+
+
+def test_storage_is_linear_in_n():
+    n = 3000
+    corrs, _ = _scene(n=n, seed=8)
+    elim = build_elimination(corrs)
+    held = sum(v.nbytes for v in vars(elim).values() if isinstance(v, np.ndarray))
+    assert held <= 1024 * n
 
 
 def test_exact_recovery_at_true_rotation():
@@ -46,7 +72,7 @@ def test_normal_equations_residual():
     elim = build_elimination(corrs)
     R = truth.rotation_matrix()
     alpha, s, t = elim.solve_linear(R)
-    A = _stack_A(elim.origins, elim.directions, False)
+    A = stack_A(elim.origins, elim.directions, False)
     x = np.concatenate([alpha, [s], t])
     rhs = (elim.points @ R.T).reshape(-1)
     resid = A.T @ (A @ x - rhs)
@@ -82,14 +108,8 @@ def test_fix_scale_mode_handles_single_origin():
 
 
 def test_fix_scale_closed_matches_dense():
-    corrs, _ = _scene(n=6, seed=7)
-    closed = build_elimination(corrs, fix_scale=True, method="closed")
-    dense = build_elimination(corrs, fix_scale=True, method="dense")
-    assert np.allclose(closed.U, dense.U, atol=1e-8)
-    assert np.allclose(closed.V, dense.V, atol=1e-8)
-
-
-def test_unknown_method_rejected():
-    corrs, _ = _scene(n=4)
-    with pytest.raises(InvalidInputError):
-        build_elimination(corrs, method="magic")
+    for seed in (7, 8, 9):
+        corrs, truth = _scene(n=6, seed=seed)
+        elim = build_elimination(corrs, fix_scale=True)
+        for R in [truth.rotation_matrix()] + _rotations(seed):
+            _assert_matches_dense(elim, R)

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from raypose import (Correspondence, InvalidInputError, Quaternion,
-                     RankDeficiencyError, Ray, RobustConfig, apply_similarity,
-                     prosac_order, ransac_gdls, umeyama_align)
+import raypose.robust as robust
+from raypose import (Correspondence, EmptySolutionError, InvalidInputError,
+                     Quaternion, RankDeficiencyError, Ray, RobustConfig,
+                     SimilarityTransform, apply_similarity, prosac_order,
+                     ransac_gdls, umeyama_align)
 from raypose.bench import (SceneConfig, add_noise, generate_scene,
                            random_similarity, trial_rng)
 from raypose.robust import angular_residuals
+from raypose.solver import gdls_solve
 
 
 def _scene(n=30, seed=0):
@@ -62,6 +67,32 @@ def test_all_outliers_is_failure_not_exception():
     assert not result.success
     assert result.transform is None
     assert result.failure_reason
+
+
+@pytest.mark.parametrize("refit", ["raises", "loses_inliers"])
+def test_failed_refit_keeps_best_hypothesis(monkeypatch, refit):
+    (corrs, truth), rng = _scene(seed=9)
+    noisy = add_noise(corrs, 0.5, 800.0, rng=rng) + _outliers(rng, 6)
+    far = SimilarityTransform(Quaternion.identity(), np.full(3, 50.0), 1.0)
+    minimal_solves = []
+
+    def solve(sample):
+        if len(sample) == RobustConfig().sample_size:
+            report = gdls_solve(sample)
+            minimal_solves.append(report.best.transform)
+            return report
+        if refit == "raises":
+            raise EmptySolutionError("forced refit failure")
+        report = gdls_solve(sample)
+        best = dataclasses.replace(report.best, transform=far)
+        return dataclasses.replace(report, candidates=[best])
+
+    monkeypatch.setattr(robust, "gdls_solve", solve)
+    result = ransac_gdls(noisy, RobustConfig(), seed=0)
+    assert result.success
+    assert any(result.transform is T for T in minimal_solves)
+    assert result.transform.rotation.angle_deg_to(truth.rotation) < 1.0
+    assert len(result.inlier_indices) >= 25
 
 
 def test_too_few_correspondences_raise():
