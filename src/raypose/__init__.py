@@ -14,8 +14,7 @@ from .geometry import (Correspondence, DistributedCamera, Quaternion, Ray,
                        SimilarityTransform, alignment_from_pose,
                        apply_similarity, compose_similarity,
                        invert_similarity, merge_distributed_cameras,
-                       pose_from_alignment, quat_to_rotation,
-                       reprojection_residual)
+                       pose_from_alignment, quat_to_rotation)
 from .elimination import EliminationMatrices, build_elimination
 from .cost import QuarticCost, build_quartic_cost, direct_cost
 from .solver import (SolveReport, SolverCandidate, gdls_solve,

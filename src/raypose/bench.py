@@ -27,7 +27,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (Correspondence, DistributedCamera, Quaternion, Ray,
                        SimilarityTransform, apply_similarity,
-                       invert_similarity, pose_from_alignment, quat_to_rotation)
+                       invert_similarity, pose_from_alignment, quat_to_rotation,
+                       row_norms)
 from .robust import umeyama_align
 from .solver import gdls_solve
 
@@ -126,15 +127,6 @@ def generate_scene(config: SceneConfig,
     return corrs, truth
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """(n, 1) Euclidean norms of the rows of x.
-
-    Row-wise matrix products round like ``np.linalg.norm`` of one row, so
-    the vectorized generators reproduce per-row loops bit for bit.
-    """
-    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
-
-
 def _perturb_directions(d: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Unit directions (n, 3) offset by N(0, sigma^2) along two tangent
     directions each; the caller renormalizes.
@@ -145,7 +137,7 @@ def _perturb_directions(d: np.ndarray, sigma: float, rng: np.random.Generator) -
     # Any fixed vector not parallel to d seeds the tangent basis.
     a = np.where(np.abs(d[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     u = np.cross(d, a)
-    u /= _row_norms(u)
+    u /= row_norms(u)
     v = np.cross(d, u)
     e = rng.normal(0.0, sigma, (d.shape[0], 2))
     return d + e[:, :1] * u + e[:, 1:] * v
@@ -357,56 +349,49 @@ def generate_city(n_subsets: int, cameras_per_subset: int,
 
     # Global points along the x axis: each subset holds exactly
     # points_per_subset points, n_shared of them shared with each
-    # neighbouring subset.
+    # neighbouring subset.  A block of points is (ids, xyz).
     def sample_points(count, x_offset):
         nonlocal next_pid
         pts = rng.uniform(-1.0, 1.0, (count, 3))
         pts[:, 0] += x_offset
         pts[:, 2] += 3.0
-        block = [(next_pid + i, pts[i]) for i in range(count)]
         next_pid += count
-        return block
+        return np.arange(next_pid - count, next_pid), pts
 
     next_pid = 0
-    shared = {}
-    blocks = {}
-    for k in range(n_subsets - 1):
-        shared[k] = sample_points(n_shared, 3.0 * k + 1.5)
+    shared = [sample_points(n_shared, 3.0 * k + 1.5) for k in range(n_subsets - 1)]
+    blocks = []
     for k in range(n_subsets):
-        pts = []
-        if k > 0:
-            pts += shared[k - 1]
-        if k in shared:
-            pts += shared[k]
-        pts += sample_points(points_per_subset - len(pts), 3.0 * k)
-        blocks[k] = pts
+        held = shared[max(k - 1, 0):k + 1]
+        own = sample_points(points_per_subset - n_shared * len(held), 3.0 * k)
+        blocks.append([np.concatenate(b) for b in zip(*held, own)])
 
     cameras: List[DistributedCamera] = []
     truths: List[SimilarityTransform] = []
     sigma = noise_px / focal_px
-    for k in range(n_subsets):
+    for k, (pids, world) in enumerate(blocks):
         frame = random_similarity(rng, cfg)        # subset-local -> world
         inv = invert_similarity(frame)
-        pts_local = [(pid, apply_similarity(inv, xyz)) for pid, xyz in blocks[k]]
+        xyz = apply_similarity(inv, world)
         centers_world = rng.uniform(-1.0, 1.0, (cameras_per_subset, 3))
         centers_world[:, 0] += 3.0 * k
-        cams = []
-        obs = []
-        pids = [pid for pid, _ in pts_local]
-        xyz = np.array([xyz_local for _, xyz_local in pts_local])
+        centers = apply_similarity(inv, centers_world)
+        obs_camera, obs_point, directions = [], [], []
         for j in range(cameras_per_subset):
-            cid = f"{k}:{j}"
-            center_local = apply_similarity(inv, centers_world[j])
-            cams.append((cid, center_local, Quaternion.identity()))
-            d = xyz - center_local
-            nrm = _row_norms(d)
+            d = xyz - centers[j]
+            nrm = row_norms(d)
             seen = np.flatnonzero(nrm[:, 0] >= 1e-9)
             d = d[seen] / nrm[seen]
             if sigma > 0.0:
                 d = _perturb_directions(d, sigma, rng)
-                d /= _row_norms(d)
-            obs.extend((cid, pids[i], di) for i, di in zip(seen, d))
-        cameras.append(DistributedCamera(tuple(cams), tuple(pts_local), tuple(obs)))
+                d /= row_norms(d)
+            obs_camera.append(np.full(len(seen), j))
+            obs_point.append(seen)
+            directions.append(d)
+        cameras.append(DistributedCamera(
+            np.concatenate(obs_camera), np.concatenate(obs_point), np.concatenate(directions),
+            [f"{k}:{j}" for j in range(cameras_per_subset)], centers,
+            np.tile(Quaternion.identity().array, (cameras_per_subset, 1)), pids, xyz))
         truths.append(frame)
     return cameras, truths
 

@@ -17,13 +17,11 @@ unit sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .elimination import EliminationMatrices
 from .errors import InvalidInputError
-from .geometry import Correspondence
 
 # Index pairs (a, b) of the degree-2 monomials q_a q_b.
 MONOMIAL_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3),
@@ -143,7 +141,7 @@ def direct_cost(elim: EliminationMatrices, R: np.ndarray) -> float:
     return constraint_cost(elim.origins, elim.directions, elim.points, R, s, t)
 
 
-def build_quartic_cost(correspondences: Sequence[Correspondence], elim: EliminationMatrices) -> QuarticCost:
+def build_quartic_cost(elim: EliminationMatrices) -> QuarticCost:
     """Assemble Q so that m(q)^T Q m(q) equals the summed squared errors."""
     c, z, X = elim.origins, elim.directions, elim.points
     n = elim.n

@@ -25,7 +25,7 @@ side by the stacked ray origins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class EliminationMatrices:
     ``alpha_i = d_i . (r_i - B_i (s, t))``.
     """
 
-    S: np.ndarray          # (3n,), zero in fix-scale mode
+    S: Optional[np.ndarray]  # (3n,), None in fix-scale mode
     V: np.ndarray          # (3, 3n)
     origins: np.ndarray    # (n, 3)
     directions: np.ndarray  # (n, 3)
@@ -106,13 +106,6 @@ class EliminationMatrices:
         return alpha, s, t
 
 
-def _validate(correspondences: Sequence[Correspondence]):
-    n = len(correspondences)
-    if n < 4:
-        raise InvalidInputError(f"at least 4 correspondences required, got {n}")
-    return correspondence_arrays(correspondences)
-
-
 def build_elimination(
     correspondences: Sequence[Correspondence],
     fix_scale: bool = False,
@@ -122,8 +115,10 @@ def build_elimination(
     Raises ``RankDeficiencyError`` (with a fix-scale hint when the scale
     column is the culprit) for degenerate geometry.
     """
-    c, z, X = _validate(correspondences)
-    n = c.shape[0]
+    n = len(correspondences)
+    if n < 4:
+        raise InvalidInputError(f"at least 4 correspondences required, got {n}")
+    c, z, X = correspondence_arrays(correspondences)
 
     proj = np.eye(3)[None, :, :] - z[:, :, None] * z[:, None, :]   # (n, 3, 3)
     k = 3 if fix_scale else 4
@@ -141,7 +136,7 @@ def build_elimination(
     BtP = np.einsum("iba,ibc->iac", B, proj)                # (n, k, 3)
     SV = np.linalg.solve(K, np.moveaxis(BtP, 0, 1).reshape(k, 3 * n))
     if fix_scale:
-        S, V = np.zeros(3 * n), SV
+        S, V = None, SV
     else:
         S, V = SV[0], SV[1:]
     return EliminationMatrices(S, V, c, z, X, fix_scale, K, M)

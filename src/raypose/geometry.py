@@ -21,8 +21,9 @@ map reconstruction merging consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from itertools import repeat
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -123,14 +124,8 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        return Quaternion(*_hamilton((self.w, self.x, self.y, self.z),
+                                     (other.w, other.x, other.y, other.z)))
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_rotation(self)
@@ -139,6 +134,17 @@ class Quaternion:
         """Geodesic rotation angle between the two rotations, in degrees."""
         dot = min(1.0, abs(float(np.dot(self.array, other.array))))
         return math.degrees(2.0 * math.acos(dot))
+
+
+def _hamilton(a, b):
+    """Hamilton product of two (w, x, y, z) quaternions whose components
+    are scalars or arrays; returns the four components."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
 def quat_to_rotation(q) -> np.ndarray:
@@ -198,13 +204,13 @@ class SimilarityTransform:
 def apply_similarity(T: SimilarityTransform, p) -> np.ndarray:
     """Point action of the similarity: ``s * R @ p + t``.
 
-    Accepts a single 3-vector or an (n, 3) array of points.
+    Accepts a single 3-vector or an (n, 3) array of points; every point
+    is rounded as if it were mapped alone.
     """
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("point must be finite")
-    R = T.rotation_matrix()
-    return T.scale * (p @ R.T) + T.translation
+    return T.scale * _row_products(p, T.rotation_matrix().T) + T.translation
 
 
 def compose_similarity(T2: SimilarityTransform, T1: SimilarityTransform) -> SimilarityTransform:
@@ -280,97 +286,113 @@ class Correspondence:
             object.__setattr__(self, "score", s)
 
 
-def reprojection_residual(T: SimilarityTransform, c: Correspondence) -> Tuple[float, float]:
-    """Angular error (radians) and predicted depth of a correspondence.
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """(n, 1) Euclidean norms of the rows of x.
 
-    The predicted ray is ``R X + t - s c``; the residual is its angle to
-    the observed direction and the depth is its norm.  When the point
-    coincides with the scaled ray origin the geometry is degenerate and
-    the angle is reported as pi (depth 0) rather than raising, so robust
-    scoring keeps running.
+    Row-wise matrix products round like ``np.linalg.norm`` of one row, so
+    vectorized code reproduces per-row loops bit for bit.
     """
-    R = T.rotation_matrix()
-    pred = R @ c.point + T.translation - T.scale * c.ray.origin
-    depth = float(np.linalg.norm(pred))
-    if depth < 1e-12:
-        return math.pi, 0.0
-    cosang = float(np.dot(pred, c.ray.direction)) / depth
-    cosang = max(-1.0, min(1.0, cosang))
-    return math.acos(cosang), depth
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
 
 
-@dataclass(frozen=True)
+def _row_products(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``x @ A`` per row of x (or for a vector x), rounded as a one-row product."""
+    return (x[..., None, :] @ A)[..., 0, :]
+
+
+def _unit_quaternions(q: np.ndarray) -> np.ndarray:
+    """Rows of q normalized and signed as :class:`Quaternion` does."""
+    n = row_norms(q)
+    if np.any(n < _SIGN_EPS):
+        raise InvalidInputError("all-zero quaternion")
+    q = q / n
+    q[q[np.arange(len(q)), np.argmax(np.abs(q) > _SIGN_EPS, axis=1)] < 0.0] *= -1.0
+    return q
+
+
+def _ids(ids, what: str) -> np.ndarray:
+    """Distinct hashable ids as a 1-D object array."""
+    a = np.fromiter(ids.tolist() if isinstance(ids, np.ndarray) else ids, dtype=object)
+    try:
+        if len(set(a)) == len(a):
+            return a
+    except TypeError:
+        pass
+    raise InvalidInputError(f"{what} ids must be hashable and distinct")
+
+
+def _block(a, shape: tuple, what: str) -> np.ndarray:
+    """A finite float copy of a with the given shape."""
+    a = np.array(a, dtype=float)
+    if a.size == 0 == shape[0]:
+        a = a.reshape(shape)
+    if a.shape != shape or not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{what} must be finite with shape {shape}, got shape {a.shape}")
+    return a
+
+
+def _rows(a, count: int, what: str) -> np.ndarray:
+    """A copy of a as row indices into a block of ``count`` rows."""
+    a = np.array(a) if len(a) else np.zeros(0, dtype=np.intp)
+    if a.ndim != 1 or a.dtype.kind not in "iu" or np.any((a < 0) | (a >= count)):
+        raise InvalidInputError(f"observation {what} rows must be integers in [0, {count})")
+    return a.astype(np.intp)
+
+
+@dataclass(frozen=True, eq=False)
 class DistributedCamera:
-    """Rays, points, and observations with shared point identities.
+    """Rays, their cameras and the points they observe, as read-only arrays
+    in one local frame; doubles as a (sub-)reconstruction.
 
-    ``cameras`` holds (id, center, orientation) per physical camera in the
-    local frame; ``points`` holds (point_id, xyz) in the local frame;
-    ``observations`` holds (camera_id, point_id, unit direction in the
-    local frame).  Doubles as a (sub-)reconstruction.
+    Per observation: ``obs_camera``, ``obs_point`` (row indices) and unit
+    ``directions`` (O, 3).  Per camera: ``camera_ids`` (C,), ``centers``
+    (C, 3), ``orientations`` (C, 4) as signed by :class:`Quaternion`.  Per
+    point: ``point_ids`` (P,), ``points`` (P, 3).  Ids are distinct
+    hashables in object arrays.  The constructor copies and checks it all
+    once; directions off unit length by over 1e-9 are renormalized.
     """
 
-    cameras: Tuple[Tuple[object, np.ndarray, Quaternion], ...]
-    points: Tuple[Tuple[int, np.ndarray], ...]
-    observations: Tuple[Tuple[object, int, np.ndarray], ...]
+    obs_camera: np.ndarray
+    obs_point: np.ndarray
+    directions: np.ndarray
+    camera_ids: np.ndarray
+    centers: np.ndarray
+    orientations: np.ndarray
+    point_ids: np.ndarray
+    points: np.ndarray
 
     def __post_init__(self):
-        cams = []
-        cam_ids = set()
-        for cid, center, orient in self.cameras:
-            if cid in cam_ids:
-                raise InvalidInputError(f"duplicate camera id {cid!r}")
-            cam_ids.add(cid)
-            c = _as_vec3(center, f"camera {cid!r} center")
-            c.setflags(write=False)
-            if not isinstance(orient, Quaternion):
-                orient = Quaternion.from_array(orient)
-            cams.append((cid, c, orient))
-        pts = []
-        pids = set()
-        for pid, xyz in self.points:
-            if pid in pids:
-                raise InvalidInputError(f"duplicate point id {pid!r}")
-            pids.add(pid)
-            p = _as_vec3(xyz, f"point {pid!r}")
-            p.setflags(write=False)
-            pts.append((pid, p))
-        obs = []
-        for cid, pid, d in self.observations:
-            if cid not in cam_ids:
-                raise InvalidInputError(f"observation references unknown camera id {cid!r}")
-            if pid not in pids:
-                raise InvalidInputError(f"observation references unknown point id {pid!r}")
-            dv = _as_vec3(d, "observation direction")
-            n = np.linalg.norm(dv)
-            if n < 1e-12:
-                raise InvalidInputError("observation direction must be nonzero")
-            if abs(n - 1.0) > 1e-9:
-                dv = dv / n
-            dv.setflags(write=False)
-            obs.append((cid, pid, dv))
-        object.__setattr__(self, "cameras", tuple(cams))
-        object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "observations", tuple(obs))
+        camera_ids, point_ids = _ids(self.camera_ids, "camera"), _ids(self.point_ids, "point")
+        C, P = len(camera_ids), len(point_ids)
+        obs_camera = _rows(self.obs_camera, C, "camera")
+        obs_point = _rows(self.obs_point, P, "point")
+        if len(obs_point) != len(obs_camera):
+            raise InvalidInputError("obs_camera and obs_point differ in length")
+        d = _block(self.directions, (len(obs_camera), 3), "observation directions")
+        norms = row_norms(d)
+        if np.any(norms < 1e-12):
+            raise InvalidInputError("observation direction must be nonzero")
+        off = np.abs(norms[:, 0] - 1.0) > 1e-9   # keep already-unit vectors bit-identical
+        d[off] /= norms[off]
+        self._freeze(obs_camera, obs_point, d, camera_ids, _block(self.centers, (C, 3), "centers"),
+                     _unit_quaternions(_block(self.orientations, (C, 4), "orientations")),
+                     point_ids, _block(self.points, (P, 3), "points"))
 
-    @staticmethod
-    def empty() -> "DistributedCamera":
-        return DistributedCamera((), (), ())
-
-    @property
-    def point_map(self):
-        return {pid: xyz for pid, xyz in self.points}
-
-    @property
-    def camera_map(self):
-        return {cid: (center, orient) for cid, center, orient in self.cameras}
-
-    @property
-    def point_ids(self):
-        return frozenset(pid for pid, _ in self.points)
+    def _freeze(self, *arrays) -> "DistributedCamera":
+        """Hold fresh arrays that pass every check, made read-only."""
+        for f, a in zip(fields(self), arrays):
+            a.setflags(write=False)
+            object.__setattr__(self, f.name, a)
+        return self
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.point_ids)
+
+    def point_rows(self, ids) -> np.ndarray:
+        """Row of each of ``ids`` among this camera's points, -1 where absent."""
+        index = dict(zip(self.point_ids, range(self.n_points)))
+        return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
 
 
 def merge_distributed_cameras(
@@ -380,25 +402,27 @@ def merge_distributed_cameras(
 ) -> DistributedCamera:
     """Union of two distributed cameras, with ``other`` mapped by ``T``.
 
-    ``T`` must map other's local frame into base's frame.  Points whose
-    ids already exist in base keep base's coordinates; directions from
-    ``other`` are rotated by R only.  Camera-id collisions raise; callers
-    namespace ids.
+    ``T`` must map other's local frame into base's frame.  Rows keep
+    base-then-other order; points whose ids base has keep base's
+    coordinates, and directions from ``other`` are rotated by R only.
+    Camera-id collisions raise (callers namespace ids); nothing else is
+    checked again.
     """
-    base_cam_ids = {cid for cid, _, _ in base.cameras}
-    for cid, _, _ in other.cameras:
-        if cid in base_cam_ids:
-            raise InvalidInputError(f"camera id collision on {cid!r}; namespace ids before merging")
-    R = T.rotation_matrix()
-    cams = list(base.cameras)
-    for cid, center, orient in other.cameras:
-        cams.append((cid, apply_similarity(T, center), T.rotation * orient))
-    base_pids = base.point_ids
-    pts = list(base.points)
-    for pid, xyz in other.points:
-        if pid not in base_pids:
-            pts.append((pid, apply_similarity(T, xyz)))
-    obs = list(base.observations)
-    for cid, pid, d in other.observations:
-        obs.append((cid, pid, R @ d))
-    return DistributedCamera(tuple(cams), tuple(pts), tuple(obs))
+    taken = set(base.camera_ids)
+    if not taken.isdisjoint(other.camera_ids):
+        cid = next(c for c in other.camera_ids if c in taken)
+        raise InvalidInputError(f"camera id collision on {cid!r}; namespace ids before merging")
+    rows = base.point_rows(other.point_ids)
+    new = rows < 0
+    rows[new] = base.n_points + np.arange(np.count_nonzero(new))
+    orientations = np.stack(_hamilton(T.rotation.array, other.orientations.T), axis=1)
+    return object.__new__(DistributedCamera)._freeze(   # valid by construction
+        np.concatenate([base.obs_camera, other.obs_camera + len(base.camera_ids)]),
+        np.concatenate([base.obs_point, rows[other.obs_point]]),
+        np.concatenate([base.directions, _row_products(other.directions, T.rotation_matrix().T)]),
+        np.concatenate([base.camera_ids, other.camera_ids]),
+        np.concatenate([base.centers, apply_similarity(T, other.centers)]),
+        np.concatenate([base.orientations, _unit_quaternions(orientations)]),
+        np.concatenate([base.point_ids, other.point_ids[new]]),
+        np.concatenate([base.points, apply_similarity(T, other.points[new])]),
+    )

@@ -8,6 +8,7 @@ A reconstruction document is a JSON object::
      "observations": [{"camera_id": ..., "point_id": ...,
                        "direction": [x,y,z]}, ...]}
 
+Ids are JSON scalars, distinct within ``cameras`` and within ``points``.
 Directions must be unit within 1e-9; vectors off by up to 1e-6 are
 renormalized with a collected warning, beyond that loading fails.  All
 floats are written with 17 significant digits so save/load round-trips
@@ -19,29 +20,32 @@ exactly.  A correspondence file is ``{"correspondences": [{"origin":
 from __future__ import annotations
 
 import json
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import IntegrityError, InvalidInputError, ParseError
-from .geometry import Correspondence, DistributedCamera, Quaternion, Ray
+from .geometry import Correspondence, DistributedCamera, Ray, row_norms
 
 FORMAT_VERSION = 1
 
 
 def _vec(obj, length, location):
-    if (not isinstance(obj, list) or len(obj) != length
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)):
+    """The JSON list itself, once it is known to hold ``length`` finite numbers."""
+    if not (isinstance(obj, list) and len(obj) == length
+            and all(type(v) is float or type(v) is int for v in obj)):
         raise ParseError(f"expected a numeric {length}-vector", location=location)
-    a = np.array(obj, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, obj)):
         raise ParseError("vector components must be finite", location=location)
-    return a
+    return obj
 
 
-def _require(obj, key, location):
+def _require(obj, key, location, scalar=False):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"missing field {key!r}", location=location)
+    if scalar and isinstance(obj[key], (list, dict)):
+        raise ParseError("expected a string, number, boolean or null", location=f"{location}.{key}")
     return obj[key]
 
 
@@ -56,40 +60,46 @@ def parse_reconstruction(text: str) -> Tuple[DistributedCamera, List[str]]:
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported version {version!r}", location="version")
-    warnings: List[str] = []
 
-    cameras = []
+    camera_rows, centers, orientations = {}, [], []   # id -> row, in row order
     for i, cam in enumerate(doc.get("cameras", [])):
         loc = f"cameras[{i}]"
-        cid = _require(cam, "id", loc)
-        center = _vec(_require(cam, "center", loc), 3, loc + ".center")
-        orient = _vec(_require(cam, "orientation", loc), 4, loc + ".orientation")
-        cameras.append((cid, center, Quaternion.from_array(orient)))
-    points = []
+        cid = _require(cam, "id", loc, scalar=True)
+        if camera_rows.setdefault(cid, i) != i:
+            raise IntegrityError(f"{loc}: duplicate camera id", offending_id=cid)
+        centers.append(_vec(_require(cam, "center", loc), 3, loc + ".center"))
+        orientations.append(_vec(_require(cam, "orientation", loc), 4, loc + ".orientation"))
+    point_rows, points = {}, []
     for i, pt in enumerate(doc.get("points", [])):
         loc = f"points[{i}]"
-        points.append((_require(pt, "id", loc), _vec(_require(pt, "xyz", loc), 3, loc + ".xyz")))
-    cam_ids = {cid for cid, _, _ in cameras}
-    pids = {pid for pid, _ in points}
-    observations = []
+        pid = _require(pt, "id", loc, scalar=True)
+        if point_rows.setdefault(pid, i) != i:
+            raise IntegrityError(f"{loc}: duplicate point id", offending_id=pid)
+        points.append(_vec(_require(pt, "xyz", loc), 3, loc + ".xyz"))
+    obs_camera, obs_point, directions = [], [], []
     for i, ob in enumerate(doc.get("observations", [])):
         loc = f"observations[{i}]"
-        cid = _require(ob, "camera_id", loc)
-        pid = _require(ob, "point_id", loc)
-        d = _vec(_require(ob, "direction", loc), 3, loc + ".direction")
-        if cid not in cam_ids:
+        cid = _require(ob, "camera_id", loc, scalar=True)
+        pid = _require(ob, "point_id", loc, scalar=True)
+        directions.append(_vec(_require(ob, "direction", loc), 3, loc + ".direction"))
+        if cid not in camera_rows:
             raise IntegrityError(f"{loc}: unknown camera_id", offending_id=cid)
-        if pid not in pids:
+        if pid not in point_rows:
             raise IntegrityError(f"{loc}: unknown point_id", offending_id=pid)
-        norm = float(np.linalg.norm(d))
-        if abs(norm - 1.0) > 1e-6:
-            raise ParseError(f"direction norm {norm} too far from 1", location=loc)
-        if abs(norm - 1.0) > 1e-9:
-            warnings.append(f"{loc}: direction norm {norm:.12g} renormalized")
-            d = d / norm
-        observations.append((cid, pid, d))
+        obs_camera.append(camera_rows[cid])
+        obs_point.append(point_rows[pid])
+    # The camera renormalizes the directions off unit length by more than 1e-9.
+    directions = np.array(directions, dtype=float).reshape(-1, 3)
+    norms = row_norms(directions)[:, 0]
+    warnings: List[str] = []
+    for i in np.flatnonzero(np.abs(norms - 1.0) > 1e-9):
+        loc = f"observations[{i}]"
+        if abs(norms[i] - 1.0) > 1e-6:
+            raise ParseError(f"direction norm {norms[i]} too far from 1", location=loc)
+        warnings.append(f"{loc}: direction norm {norms[i]:.12g} renormalized")
     try:
-        camera = DistributedCamera(tuple(cameras), tuple(points), tuple(observations))
+        camera = DistributedCamera(obs_camera, obs_point, directions, list(camera_rows),
+                                   centers, orientations, list(point_rows), points)
     except InvalidInputError as e:
         raise IntegrityError(str(e)) from e
     return camera, warnings
@@ -106,22 +116,18 @@ def load_reconstruction(path: str,
     return camera
 
 
-def _f(x: float) -> float:
-    # json round-trips Python floats exactly via repr (17 significant digits).
-    return float(x)
-
-
 def reconstruction_to_json(camera: DistributedCamera) -> str:
+    # tolist() gives the stored ids and Python floats, which json writes exactly.
+    camera_ids, point_ids = camera.camera_ids.tolist(), camera.point_ids.tolist()
     doc = {
         "version": FORMAT_VERSION,
-        "cameras": [{"id": cid,
-                     "center": [_f(v) for v in center],
-                     "orientation": [_f(orient.w), _f(orient.x), _f(orient.y), _f(orient.z)]}
-                    for cid, center, orient in camera.cameras],
-        "points": [{"id": pid, "xyz": [_f(v) for v in xyz]} for pid, xyz in camera.points],
-        "observations": [{"camera_id": cid, "point_id": pid,
-                          "direction": [_f(v) for v in d]}
-                         for cid, pid, d in camera.observations],
+        "cameras": [{"id": cid, "center": center, "orientation": orient}
+                    for cid, center, orient in zip(camera_ids, camera.centers.tolist(),
+                                                   camera.orientations.tolist())],
+        "points": [{"id": pid, "xyz": xyz} for pid, xyz in zip(point_ids, camera.points.tolist())],
+        "observations": [{"camera_id": camera_ids[c], "point_id": point_ids[p], "direction": d}
+                         for c, p, d in zip(camera.obs_camera.tolist(), camera.obs_point.tolist(),
+                                            camera.directions.tolist())],
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
@@ -162,11 +168,10 @@ def load_correspondences(path: str) -> List[Correspondence]:
 def correspondences_to_json(correspondences: Sequence[Correspondence]) -> str:
     rows = []
     for c in correspondences:
-        row = {"origin": [_f(v) for v in c.ray.origin],
-               "direction": [_f(v) for v in c.ray.direction],
-               "point": [_f(v) for v in c.point]}
+        row = {"origin": c.ray.origin.tolist(), "direction": c.ray.direction.tolist(),
+               "point": c.point.tolist()}
         if c.score is not None:
-            row["score"] = _f(c.score)
+            row["score"] = c.score
         if c.point_id is not None:
             row["point_id"] = c.point_id
         rows.append(row)

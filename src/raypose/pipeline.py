@@ -75,7 +75,7 @@ class MergeReport:
 def build_match_graph(cameras: Sequence[DistributedCamera]) -> MatchGraph:
     """Edge weight = number of shared point ids; weights < 4 are dropped
     because they cannot support a minimal sample."""
-    id_sets = [cam.point_ids for cam in cameras]
+    id_sets = [set(cam.point_ids.tolist()) for cam in cameras]
     edges = []
     for i in range(len(cameras)):
         for j in range(i + 1, len(cameras)):
@@ -178,14 +178,13 @@ def select_base(group: Sequence[DistributedCamera], ids: Optional[Sequence[int]]
 
 
 def shared_correspondences(base: DistributedCamera, other: DistributedCamera) -> List[Correspondence]:
-    """Rays of ``other`` observing points whose 3D coordinates ``base`` knows."""
-    base_pts = base.point_map
-    centers = {cid: center for cid, center, _ in other.cameras}
-    corrs = []
-    for cid, pid, d in other.observations:
-        if pid in base_pts:
-            corrs.append(Correspondence(Ray(centers[cid], d), base_pts[pid], point_id=pid))
-    return corrs
+    """Rays of ``other`` observing points whose 3D coordinates ``base`` knows,
+    in other's observation order."""
+    rows = base.point_rows(other.point_ids)[other.obs_point]
+    keep = np.flatnonzero(rows >= 0)
+    return [Correspondence(Ray(c, d), X, point_id=pid) for c, d, X, pid in zip(
+        other.centers[other.obs_camera[keep]], other.directions[keep],
+        base.points[rows[keep]], other.point_ids[other.obs_point[keep]].tolist())]
 
 
 def localize(
@@ -217,23 +216,13 @@ def localize(
 def _namespace_all(cameras: Sequence[DistributedCamera]) -> List[DistributedCamera]:
     """Prefix physical camera ids with the input index when any id collides
     across inputs, so merged unions stay well formed."""
-    seen = set()
-    collision = False
-    for cam in cameras:
-        for cid, _, _ in cam.cameras:
-            if cid in seen:
-                collision = True
-            seen.add(cid)
-    if not collision:
+    ids = [cid for cam in cameras for cid in cam.camera_ids.tolist()]
+    if len(set(ids)) == len(ids):
         return list(cameras)
-    out = []
-    for i, cam in enumerate(cameras):
-        out.append(DistributedCamera(
-            tuple((f"{i}/{cid}", c, q) for cid, c, q in cam.cameras),
-            cam.points,
-            tuple((f"{i}/{cid}", pid, d) for cid, pid, d in cam.observations),
-        ))
-    return out
+    return [DistributedCamera(cam.obs_camera, cam.obs_point, cam.directions,
+                              [f"{i}/{cid}" for cid in cam.camera_ids.tolist()],
+                              cam.centers, cam.orientations, cam.point_ids, cam.points)
+            for i, cam in enumerate(cameras)]
 
 
 @dataclass
@@ -366,13 +355,9 @@ def refine_similarities(report: MergeReport, cameras: Sequence[DistributedCamera
     The merged point cloud itself is not moved.
     """
     cams = _namespace_all(cameras)
-    cloud = report.final_camera.point_map
     log = dict(report.transform_log)
     for mid in log:
-        cam = cams[mid]
-        centers = {cid: c for cid, c, _ in cam.cameras}
-        corrs = [Correspondence(Ray(centers[cid], d), cloud[pid], point_id=pid)
-                 for cid, pid, d in cam.observations if pid in cloud]
+        corrs = shared_correspondences(report.final_camera, cams[mid])
         if len(corrs) < 4:
             continue
         try:

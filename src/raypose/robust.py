@@ -141,6 +141,7 @@ def ransac_gdls(
     best_mean = float("inf")
     best_transform: Optional[SimilarityTransform] = None
     best_angles: Optional[np.ndarray] = None
+    raised, deficient, last_error = 0, 0, None
     max_iter = config.max_iterations
     t = 0
     while t < max_iter:
@@ -154,7 +155,9 @@ def ransac_gdls(
             sample = order[rng.choice(n_t, size=m, replace=False)]
         try:
             report = gdls_solve([correspondences[i] for i in sample])
-        except (RankDeficiencyError, EmptySolutionError):
+        except (RankDeficiencyError, EmptySolutionError) as e:
+            raised, last_error = raised + 1, e
+            deficient += isinstance(e, RankDeficiencyError)
             continue
         angles = angular_residuals(report.best.transform, origins, directions, points)
         mask = angles < config.angular_inlier_threshold
@@ -175,9 +178,11 @@ def ransac_gdls(
                 max_iter = min(config.max_iterations, max(t, int(math.ceil(needed))))
 
     if best_transform is None or best_count < config.min_inliers:
-        return RobustResult(False, None, np.array([], dtype=int), t, 0.0,
-                            failure_reason=f"best model had {best_count} inliers "
-                                           f"(< min_inliers={config.min_inliers})")
+        reason = f"best model had {best_count} inliers (< min_inliers={config.min_inliers})"
+        if raised == t:   # no hypothesis was scored
+            what = "were rank deficient" if deficient == t else f"raised ({deficient} rank deficient)"
+            reason = f"all {t} minimal samples {what}; last: {last_error}"
+        return RobustResult(False, None, np.array([], dtype=int), t, 0.0, failure_reason=reason)
 
     # Non-minimal re-estimate on all inliers, kept only if it loses none;
     # otherwise the best minimal hypothesis stands.

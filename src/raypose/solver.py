@@ -259,7 +259,7 @@ def gdls_solve(correspondences: Sequence[Correspondence], fix_scale: bool = Fals
         raise InvalidInputError("gdls_solve requires at least 4 correspondences")
     start = time.perf_counter()
     elim = build_elimination(correspondences, fix_scale=fix_scale)
-    cost = build_quartic_cost(correspondences, elim)
+    cost = build_quartic_cost(elim)
     qs = solve_stationary(cost)
     candidates = recover_candidates(qs, elim, cost=cost)
     runtime = time.perf_counter() - start

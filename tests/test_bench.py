@@ -173,20 +173,18 @@ def test_generate_city_overlap_stats():
     cams, truths = generate_city(10, 5, 0.3, 0.0, seed=1)
     assert len(cams) == len(truths) == 10
     for k in range(9):
-        shared = len(cams[k].point_ids & cams[k + 1].point_ids)
+        shared = len(np.intersect1d(cams[k].point_ids, cams[k + 1].point_ids))
         requested = 0.3 * 60
         assert abs(shared - requested) <= 0.1 * requested
     # non-adjacent subsets share nothing
-    assert not (cams[0].point_ids & cams[5].point_ids)
+    assert not np.intersect1d(cams[0].point_ids, cams[5].point_ids).size
 
 
 def test_generate_city_truth_transforms():
     from raypose.geometry import apply_similarity, invert_similarity
     cams, truths = generate_city(2, 2, 0.3, 0.0, seed=2)
     # shared points expressed in both local frames map to the same world point
-    shared = sorted(cams[0].point_ids & cams[1].point_ids)[:5]
-    m0, m1 = cams[0].point_map, cams[1].point_map
-    for pid in shared:
-        w0 = apply_similarity(truths[0], m0[pid])
-        w1 = apply_similarity(truths[1], m1[pid])
-        assert np.allclose(w0, w1, atol=1e-9)
+    shared = np.intersect1d(cams[0].point_ids, cams[1].point_ids)[:5]
+    w0 = apply_similarity(truths[0], cams[0].points[cams[0].point_rows(shared)])
+    w1 = apply_similarity(truths[1], cams[1].points[cams[1].point_rows(shared)])
+    assert len(shared) == 5 and np.allclose(w0, w1, atol=1e-9)

@@ -50,10 +50,20 @@ def test_merge_two_halves(tmp_path, capsys):
     out = tmp_path / "merged.json"
     assert main(["merge", *paths, "--out", str(out)]) == 0
     merged = load_reconstruction(str(out))
-    assert len(merged.cameras) == sum(len(s.cameras) for s in subsets)
+    assert len(merged.camera_ids) == sum(len(s.camera_ids) for s in subsets)
     report = json.loads((tmp_path / "merged.json.report.json").read_text())
     assert report["failed_members"] == {}
     assert set(report["transforms"]) == {"0", "1"}
+
+
+def test_merge_malformed_id_is_invalid_input(tmp_path, capsys):
+    paths, _ = _write_city(tmp_path)
+    doc = json.loads(open(paths[1]).read())
+    doc["points"][0]["id"] = [1, 2]
+    with open(paths[1], "w") as f:
+        json.dump(doc, f)
+    assert main(["merge", *paths]) == 2
+    assert "points[0].id" in capsys.readouterr().err
 
 
 def test_align_subcommand(tmp_path, capsys):

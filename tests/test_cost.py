@@ -49,7 +49,7 @@ def test_monomial_jacobian_finite_difference():
 def test_quartic_matches_direct_cost():
     for seed in range(10):
         noisy, elim, _ = _noisy_instance(seed=seed)
-        cost = build_quartic_cost(noisy, elim)
+        cost = build_quartic_cost(elim)
         rng = np.random.default_rng(seed)
         for _ in range(5):
             q = rng.normal(size=4)
@@ -66,7 +66,7 @@ def test_fix_scale_quartic_matches_direct_cost():
     corrs = [Correspondence(Ray(np.zeros(3), p + rng.normal(scale=1e-3, size=3)), p)
              for p in pts]
     elim = build_elimination(corrs, fix_scale=True)
-    cost = build_quartic_cost(corrs, elim)
+    cost = build_quartic_cost(elim)
     for _ in range(5):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
@@ -77,7 +77,7 @@ def test_fix_scale_quartic_matches_direct_cost():
 
 def test_gradient_finite_difference():
     noisy, elim, _ = _noisy_instance(seed=11)
-    cost = build_quartic_cost(noisy, elim)
+    cost = build_quartic_cost(elim)
     rng = np.random.default_rng(4)
     eps = 1e-6
     for _ in range(10):
@@ -92,7 +92,7 @@ def test_gradient_finite_difference():
 
 def test_hessian_finite_difference():
     noisy, elim, _ = _noisy_instance(seed=12)
-    cost = build_quartic_cost(noisy, elim)
+    cost = build_quartic_cost(elim)
     rng = np.random.default_rng(5)
     q = rng.normal(size=4)
     H = cost.hessian(q)
@@ -106,14 +106,14 @@ def test_hessian_finite_difference():
 
 def test_cost_homogeneous_degree_four():
     noisy, elim, _ = _noisy_instance(seed=13)
-    cost = build_quartic_cost(noisy, elim)
+    cost = build_quartic_cost(elim)
     q = np.random.default_rng(6).normal(size=4)
     assert np.isclose(cost.evaluate(2.0 * q), 16.0 * cost.evaluate(q), rtol=1e-12)
 
 
 def test_batched_evaluation_matches_scalar():
     noisy, elim, _ = _noisy_instance(seed=14)
-    cost = build_quartic_cost(noisy, elim)
+    cost = build_quartic_cost(elim)
     qs = np.random.default_rng(7).normal(size=(9, 4))
     batch = cost.evaluate(qs)
     grads = cost.gradient(qs)

@@ -43,6 +43,7 @@ def test_matrix_shapes():
     assert elim.K.shape == (4, 4)
     assert elim.M.shape == (4, 4)
     fixed = build_elimination(corrs, fix_scale=True)
+    assert fixed.S is None
     assert fixed.V.shape == (3, 12)
     assert fixed.K.shape == (3, 3)
     assert fixed.M.shape == (4, 3)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from raypose import (Correspondence, DistributedCamera, InvalidInputError,
                      alignment_from_pose, apply_similarity,
                      compose_similarity, invert_similarity,
                      merge_distributed_cameras, pose_from_alignment,
-                     quat_to_rotation, reprojection_residual)
+                     quat_to_rotation)
 
 
 def random_transform(rng):
@@ -106,39 +104,49 @@ def test_correspondence_score_range():
         Correspondence(ray, np.ones(3), score=1.5)
 
 
-def test_reprojection_residual_zero_on_exact():
-    rng = np.random.default_rng(5)
-    T = random_transform(rng)
-    R = T.rotation_matrix()
-    X = rng.normal(size=3)
-    c = rng.normal(size=3)
-    v = R @ X + T.translation - T.scale * c
-    corr = Correspondence(Ray(c, v), X)
-    ang, depth = reprojection_residual(T, corr)
-    assert ang < 1e-9
-    assert np.isclose(depth, np.linalg.norm(v))
-
-
-def test_reprojection_residual_degenerate_point():
-    T = SimilarityTransform.identity()
-    corr = Correspondence(Ray(np.ones(3), np.array([1.0, 0.0, 0.0])), np.ones(3))
-    ang, depth = reprojection_residual(T, corr)
-    assert ang == math.pi and depth == 0.0
-
-
 def _tiny_camera(pid_offset=0, cam_id="a"):
-    pts = ((pid_offset, np.array([0.0, 0.0, 3.0])),
-           (pid_offset + 1, np.array([1.0, 0.0, 3.0])))
-    obs = tuple((cam_id, pid, np.array([0.0, 0.0, 1.0])) for pid, _ in pts)
-    return DistributedCamera(((cam_id, np.zeros(3), Quaternion.identity()),), pts, obs)
+    return DistributedCamera([0, 0], [0, 1], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+                             [cam_id], np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]],
+                             [pid_offset, pid_offset + 1], [[0.0, 0.0, 3.0], [1.0, 0.0, 3.0]])
 
 
 def test_distributed_camera_validation():
-    with pytest.raises(InvalidInputError):
-        DistributedCamera((("a", np.zeros(3), Quaternion.identity()),
-                           ("a", np.ones(3), Quaternion.identity())), (), ())
-    with pytest.raises(InvalidInputError):
-        DistributedCamera((), (), (("missing", 0, np.array([0.0, 0.0, 1.0])),))
+    unit = [[0.0, 0.0, 1.0]]
+    one = ([0], [0], unit, ["a"], np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]], [7], [[0.0, 0.0, 3.0]])
+    DistributedCamera(*one)
+    bad = {
+        "duplicate camera id": {3: ["a", "a"], 4: np.zeros((2, 3)), 5: np.eye(4)[:2]},
+        "duplicate point id": {6: [7, 7], 7: np.ones((2, 3))},
+        "unhashable id": {3: [["a"]]},
+        "camera row out of range": {0: [1]},
+        "negative point row": {1: [-1]},
+        "float rows": {0: [0.0]},
+        "row count mismatch": {1: [0, 0]},
+        "direction shape": {2: [[0.0, 1.0]]},
+        "zero direction": {2: [[0.0, 0.0, 0.0]]},
+        "non-finite point": {7: [[0.0, np.nan, 3.0]]},
+        "non-finite center": {4: [[np.inf, 0.0, 0.0]]},
+        "zero orientation": {5: [[0.0, 0.0, 0.0, 0.0]]},
+        "center count": {4: np.zeros((2, 3))},
+    }
+    for name, changes in bad.items():
+        args = [changes.get(i, a) for i, a in enumerate(one)]
+        with pytest.raises(InvalidInputError):
+            DistributedCamera(*args)
+            pytest.fail(name)
+
+
+def test_distributed_camera_normalizes_once_and_is_read_only():
+    d = np.array([[0.0, 0.0, 2.0], [0.6, 0.0, 0.8]])
+    cam = DistributedCamera([0, 0], [0, 0], d, ["a"], np.zeros((1, 3)),
+                            [[-2.0, 0.0, 0.0, 0.0]], [0], [[0.0, 0.0, 3.0]])
+    assert cam.directions[0].tolist() == [0.0, 0.0, 1.0]
+    assert cam.directions[1].tolist() == d[1].tolist()   # unit rows kept bit for bit
+    assert cam.orientations.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    assert d[0].tolist() == [0.0, 0.0, 2.0]              # the input is copied
+    for a in (cam.directions, cam.obs_camera, cam.camera_ids, cam.points):
+        with pytest.raises(ValueError):
+            a[0] = a[0]
 
 
 def test_merge_keeps_base_coordinates_for_shared_points():
@@ -146,10 +154,39 @@ def test_merge_keeps_base_coordinates_for_shared_points():
     other = _tiny_camera(cam_id="b")  # same point ids, different frame
     T = SimilarityTransform(Quaternion.identity(), np.array([5.0, 0.0, 0.0]), 2.0)
     merged = merge_distributed_cameras(base, other, T)
-    assert merged.point_map[0].tolist() == [0.0, 0.0, 3.0]
-    assert len(merged.cameras) == 2
+    assert merged.points[merged.point_rows([0])[0]].tolist() == [0.0, 0.0, 3.0]
+    assert merged.camera_ids.tolist() == ["a", "b"]
     # other's camera center moved by the similarity
-    assert np.allclose(merged.camera_map["b"][0], T.apply(np.zeros(3)))
+    assert np.allclose(merged.centers[1], T.apply(np.zeros(3)))
+
+
+def test_merge_leaves_base_unchanged_and_keeps_row_order():
+    rng = np.random.default_rng(7)
+    base = DistributedCamera([0, 1, 1], [2, 0, 1], [[0.0, 0.0, 1.0]] * 3, ["a", "b"],
+                             rng.normal(size=(2, 3)), [[1.0, 0.0, 0.0, 0.0]] * 2,
+                             [10, 11, 12], rng.normal(size=(3, 3)))
+    other = DistributedCamera([0, 0, 0, 0], [0, 1, 2, 1], rng.normal(size=(4, 3)), ["c"],
+                              rng.normal(size=(1, 3)), [rng.normal(size=4)],
+                              [13, 11, 14], rng.normal(size=(3, 3)))
+    before = {k: v.copy() for k, v in vars(base).items()}
+    T = random_transform(rng)
+    merged = merge_distributed_cameras(base, other, T)
+    for k, v in vars(base).items():
+        assert np.array_equal(v, before[k]), k
+    n_base = len(base.obs_camera)
+    assert merged.camera_ids.tolist() == ["a", "b", "c"]
+    assert merged.point_ids.tolist() == [10, 11, 12, 13, 14]
+    assert np.array_equal(merged.points[:3], base.points)
+    # new points, centers and directions round exactly as a per-row loop would
+    assert np.array_equal(merged.points[3:], [T.apply(other.points[0]), T.apply(other.points[2])])
+    assert merged.obs_camera.tolist() == [0, 1, 1, 2, 2, 2, 2]
+    assert merged.point_ids[merged.obs_point].tolist() == [12, 10, 11, 13, 11, 14, 11]
+    R = T.rotation_matrix()
+    assert np.array_equal(merged.directions[:n_base], base.directions)
+    assert np.array_equal(merged.directions[n_base:], [R @ d for d in other.directions])
+    assert np.array_equal(merged.centers[2], T.apply(other.centers[0]))
+    assert np.array_equal(merged.orientations[2],
+                          (T.rotation * Quaternion.from_array(other.orientations[0])).array)
 
 
 def test_merge_rejects_camera_id_collision():

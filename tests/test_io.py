@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ MINIMAL = {
 def test_minimal_document_loads():
     cam, warnings = parse_reconstruction(json.dumps(MINIMAL))
     assert warnings == []
-    assert len(cam.cameras) == 1 and len(cam.points) == 1 and len(cam.observations) == 1
+    assert len(cam.camera_ids) == 1 and cam.n_points == 1 and len(cam.directions) == 1
 
 
 def test_dangling_point_id_names_offender():
@@ -52,6 +53,28 @@ def test_parse_error_carries_location():
         parse_reconstruction("{not json")
 
 
+@pytest.mark.parametrize("block,field", [("cameras", "id"), ("points", "id"),
+                                          ("observations", "camera_id"),
+                                          ("observations", "point_id")])
+@pytest.mark.parametrize("bad", [["cam0"], {"id": 0}])
+def test_non_scalar_id_is_parse_error(block, field, bad):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc[block][0][field] = bad
+    with pytest.raises(ParseError) as err:
+        parse_reconstruction(json.dumps(doc))
+    assert err.value.location == f"{block}[0].{field}"
+
+
+@pytest.mark.parametrize("block,extra", [
+    ("cameras", {"id": "cam0", "center": [1.0, 0.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]}),
+    ("points", {"id": 0, "xyz": [1.0, 0.0, 3.0]})])
+def test_duplicate_id_names_offender(block, extra):
+    doc = dict(MINIMAL, **{block: MINIMAL[block] + [extra]})
+    with pytest.raises(IntegrityError) as err:
+        parse_reconstruction(json.dumps(doc))
+    assert err.value.offending_id == extra["id"]
+
+
 def test_version_checked():
     with pytest.raises(ParseError):
         parse_reconstruction(json.dumps(dict(MINIMAL, version=2)))
@@ -62,7 +85,7 @@ def test_near_unit_direction_warns_and_renormalizes():
                                        "direction": [0.0, 0.0, 1.0 + 5e-8]}])
     cam, warnings = parse_reconstruction(json.dumps(doc))
     assert len(warnings) == 1
-    assert np.isclose(np.linalg.norm(cam.observations[0][2]), 1.0, atol=1e-12)
+    assert np.isclose(np.linalg.norm(cam.directions[0]), 1.0, atol=1e-12)
 
 
 def test_far_from_unit_direction_fails():
@@ -79,13 +102,11 @@ def test_roundtrip_city_subset(tmp_path):
     loaded = load_reconstruction(str(path))
     assert reconstruction_to_json(loaded) == reconstruction_to_json(cams[0])
     # field-for-field equality, not just equal serialization
-    for (c1, p1, o1), (c2, p2, o2) in zip(cams[0].cameras, loaded.cameras):
-        pass
-    for (pid1, xyz1), (pid2, xyz2) in zip(cams[0].points, loaded.points):
-        assert pid1 == pid2 and np.array_equal(xyz1, xyz2)
-    for (cid1, pid1, d1), (cid2, pid2, d2) in zip(cams[0].observations,
-                                                  loaded.observations):
-        assert cid1 == cid2 and pid1 == pid2 and np.array_equal(d1, d2)
+    for field in dataclasses.fields(loaded):
+        a, b = getattr(cams[0], field.name), getattr(loaded, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+    assert cams[0].camera_ids.tolist() == loaded.camera_ids.tolist()
+    assert cams[0].point_ids.tolist() == loaded.point_ids.tolist()
 
 
 def test_correspondence_roundtrip(tmp_path):

@@ -95,6 +95,34 @@ def test_failed_refit_keeps_best_hypothesis(monkeypatch, refit):
     assert len(result.inlier_indices) >= 25
 
 
+def test_single_origin_failure_names_rank_deficiency():
+    # every minimal sample of rays from one origin leaves the scale unobservable
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(40, 3)) + np.array([0.0, 0.0, 5.0])
+    corrs = [Correspondence(Ray(np.zeros(3), p), p) for p in pts]
+    result = ransac_gdls(corrs, RobustConfig(max_iterations=20))
+    assert not result.success and result.iterations_run == 20
+    assert result.failure_reason.startswith("all 20 minimal samples were rank deficient")
+    assert "fix_scale=True" in result.failure_reason
+
+
+def test_angular_residual_zero_on_exact():
+    rng = np.random.default_rng(5)
+    T = SimilarityTransform(Quaternion.from_array(rng.normal(size=4)), rng.normal(size=3), 2.5)
+    X = rng.normal(size=(1, 3))
+    c = rng.normal(size=(1, 3))
+    v = X @ T.rotation_matrix().T + T.translation - T.scale * c
+    d = v / np.linalg.norm(v)
+    assert angular_residuals(T, c, d, X)[0] < 1e-9
+
+
+def test_angular_residual_degenerate_point():
+    # the point coincides with the scaled ray origin: reported as pi, no raise
+    T = SimilarityTransform.identity()
+    angles = angular_residuals(T, np.ones((1, 3)), np.array([[1.0, 0.0, 0.0]]), np.ones((1, 3)))
+    assert angles[0] == np.pi
+
+
 def test_too_few_correspondences_raise():
     (corrs, _), _ = _scene(seed=5)
     with pytest.raises(InvalidInputError):

@@ -137,7 +137,7 @@ def test_multistart_oracle_agreement():
         corrs, _ = generate_scene(SceneConfig(n_correspondences=6), rng)
         noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
         elim = build_elimination(noisy)
-        cost = build_quartic_cost(noisy, elim)
+        cost = build_quartic_cost(elim)
         qs = solve_stationary(cost)
         best = min(float(cost.evaluate(q.array)) for q in qs)
         oracle = _oracle_descent(cost, 512, np.random.default_rng(seed))
