@@ -10,7 +10,7 @@ serialization with a CLI front end.
 
 from .errors import (EmptySolutionError, IntegrityError, InvalidInputError,
                      ParseError, RankDeficiencyError, RayposeError)
-from .geometry import (Correspondence, DistributedCamera, Quaternion, Ray,
+from .geometry import (Correspondences, DistributedCamera, Quaternion,
                        SimilarityTransform, alignment_from_pose,
                        apply_similarity, compose_similarity,
                        invert_similarity, merge_distributed_cameras,

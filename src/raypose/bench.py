@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import (Correspondence, DistributedCamera, Quaternion, Ray,
-                       SimilarityTransform, apply_similarity,
+from .geometry import (Correspondences, DistributedCamera, Quaternion,
+                       SimilarityTransform, _row_products, apply_similarity,
                        invert_similarity, pose_from_alignment, quat_to_rotation,
                        row_norms)
 from .robust import umeyama_align
@@ -98,7 +98,7 @@ def random_similarity(rng: np.random.Generator, config: SceneConfig) -> Similari
 
 def generate_scene(config: SceneConfig,
                    rng: Optional[np.random.Generator] = None
-                   ) -> Tuple[List[Correspondence], SimilarityTransform]:
+                   ) -> Tuple[Correspondences, SimilarityTransform]:
     """One synthetic trial: exact correspondences plus the ground truth.
 
     The returned pose ``(R, t, s)`` satisfies ``s*c_i + alpha_i*d_i =
@@ -123,8 +123,7 @@ def generate_scene(config: SceneConfig,
         truth = random_similarity(rng, config)
         R = truth.rotation_matrix()
         world = (truth.scale * pts_local - truth.translation) @ R
-    corrs = [Correspondence(Ray(origins[i], dirs[i]), world[i]) for i in range(n)]
-    return corrs, truth
+    return Correspondences(origins, dirs, world), truth
 
 
 def _perturb_directions(d: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -143,22 +142,21 @@ def _perturb_directions(d: np.ndarray, sigma: float, rng: np.random.Generator) -
     return d + e[:, :1] * u + e[:, 1:] * v
 
 
-def add_noise(correspondences: Sequence[Correspondence], sigma_px: float,
+def add_noise(correspondences: Correspondences, sigma_px: float,
               focal_px: float = 800.0, seed: int = 0,
-              rng: Optional[np.random.Generator] = None) -> List[Correspondence]:
+              rng: Optional[np.random.Generator] = None) -> Correspondences:
     """Perturb each direction by N(0, (sigma/focal)^2) offsets along two
     tangent directions, then renormalize.  sigma 0 returns the input."""
     if sigma_px < 0:
         raise InvalidInputError("sigma_px must be nonnegative")
     if sigma_px == 0.0:
-        return list(correspondences)
+        return correspondences
     if rng is None:
         rng = np.random.default_rng(seed)
-    dirs = np.array([c.ray.direction for c in correspondences])
-    dirs = _perturb_directions(dirs, sigma_px / focal_px, rng)
-    # Ray renormalizes each direction.
-    return [Correspondence(Ray(c.ray.origin, d), c.point, score=c.score, point_id=c.point_id)
-            for c, d in zip(correspondences, dirs)]
+    c = correspondences
+    dirs = _perturb_directions(c.directions, sigma_px / focal_px, rng)
+    # The constructor renormalizes the directions.
+    return Correspondences(c.origins, dirs, c.points, c.scores, c.point_ids)
 
 
 def pose_errors(estimate: SimilarityTransform, truth: SimilarityTransform,
@@ -266,23 +264,17 @@ def run_noise_sweep(levels: Sequence[float] = tuple(range(11)),
                     # Rebuild the true local points, view each from a
                     # second noisy ray, and triangulate.
                     Rt = quat_to_rotation(truth.rotation)
-                    n = len(corrs)
-                    c1 = np.array([c.ray.origin for c in corrs])
-                    local_true = np.array([
-                        (Rt @ c.point + truth.translation) / truth.scale
-                        for c in corrs])
+                    local_true = (_row_products(corrs.points, Rt.T)
+                                  + truth.translation) / truth.scale
                     c2 = rng.uniform(-base.camera_cube_half_extent,
-                                     base.camera_cube_half_extent, (n, 3))
+                                     base.camera_cube_half_extent, (len(corrs), 3))
                     d2 = local_true - c2
                     d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
-                    extra = add_noise(
-                        [Correspondence(Ray(c2[i], d2[i]), corrs[i].point)
-                         for i in range(n)], level, base.focal_px, rng=rng)
-                    z1 = np.array([c.ray.direction for c in noisy])
-                    z2 = np.array([c.ray.direction for c in extra])
-                    local = _triangulate_midpoints(c1, z1, c2, z2)
-                    world = np.array([c.point for c in corrs])
-                    align = umeyama_align(local, world)
+                    extra = add_noise(Correspondences(c2, d2, corrs.points),
+                                      level, base.focal_px, rng=rng)
+                    local = _triangulate_midpoints(corrs.origins, noisy.directions,
+                                                   c2, extra.directions)
+                    align = umeyama_align(local, corrs.points)
                     # Convert the local->world alignment into pose fields.
                     est = pose_from_alignment(align)
                 r = pose_errors(est, truth)
@@ -329,7 +321,7 @@ def generate_city(n_subsets: int, cameras_per_subset: int,
     One global scene is laid out along the x axis; adjacent subsets share
     ``round(overlap_fraction * points_per_subset)`` points.  Each subset is
     expressed in a private random similarity frame F_k (the returned truth
-    transform maps subset-local coordinates to world).  Ray noise follows
+    transform maps subset-local coordinates to world).  Direction noise follows
     the pixel model at ``focal_px``.
     """
     if not (0.0 < overlap_fraction < 1.0):

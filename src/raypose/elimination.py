@@ -25,22 +25,14 @@ side by the stacked ray origins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidInputError, RankDeficiencyError
-from .geometry import Correspondence
+from .geometry import Correspondences
 
 _RCOND = 1e-10
-
-
-def correspondence_arrays(correspondences: Sequence[Correspondence]):
-    """(origins, directions, points) as (n, 3) float arrays."""
-    c = np.array([corr.ray.origin for corr in correspondences])
-    z = np.array([corr.ray.direction for corr in correspondences])
-    X = np.array([corr.point for corr in correspondences])
-    return c, z, X
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,7 @@ class EliminationMatrices:
 
 
 def build_elimination(
-    correspondences: Sequence[Correspondence],
+    correspondences: Correspondences,
     fix_scale: bool = False,
 ) -> EliminationMatrices:
     """Compute S, V and the Schur complement K from the normal equations.
@@ -118,7 +110,7 @@ def build_elimination(
     n = len(correspondences)
     if n < 4:
         raise InvalidInputError(f"at least 4 correspondences required, got {n}")
-    c, z, X = correspondence_arrays(correspondences)
+    c, z, X = correspondences.origins, correspondences.directions, correspondences.points
 
     proj = np.eye(3)[None, :, :] - z[:, :, None] * z[:, None, :]   # (n, 3, 3)
     k = 3 if fix_scale else 4
@@ -130,7 +122,7 @@ def build_elimination(
     M = np.einsum("ib,iba->ia", z, B)                              # (n, k)
     svals = np.linalg.svd(K, compute_uv=False)
     if svals[-1] < _RCOND * max(svals[0], 1.0):
-        _raise_rank_deficiency(c, z, fix_scale)
+        _raise_rank_deficiency(c, K, fix_scale)
 
     # [S; V] = K^-1 B^T (I - D D^T), assembled column-block by block.
     BtP = np.einsum("iba,ibc->iac", B, proj)                # (n, k, 3)
@@ -142,7 +134,7 @@ def build_elimination(
     return EliminationMatrices(S, V, c, z, X, fix_scale, K, M)
 
 
-def _raise_rank_deficiency(c, z, fix_scale):
+def _raise_rank_deficiency(c, K, fix_scale):
     if not fix_scale:
         # If freezing the scale restores full rank, say so.
         spread = np.max(np.linalg.norm(c - c[0], axis=1))
@@ -152,11 +144,8 @@ def _raise_rank_deficiency(c, z, fix_scale):
                 "(all ray origins coincide); re-pose with fix_scale=True",
                 fix_scale_hint=True,
             )
-        proj = np.eye(3)[None, :, :] - z[:, :, None] * z[:, None, :]
-        B = np.zeros((c.shape[0], 3, 3))
-        B[:, :, :] = -np.eye(3)
-        K3 = np.einsum("iab,iac,icd->bd", B, proj, B)
-        sv3 = np.linalg.svd(K3, compute_uv=False)
+        # The translation block of K is K's fix-scale counterpart.
+        sv3 = np.linalg.svd(K[1:, 1:], compute_uv=False)
         if sv3[-1] >= _RCOND * max(sv3[0], 1.0):
             raise RankDeficiencyError(
                 "constraint matrix is rank deficient through the scale column; "

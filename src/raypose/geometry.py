@@ -32,15 +32,6 @@ from .errors import InvalidInputError
 _SIGN_EPS = 1e-12
 
 
-def _as_vec3(v, name="vector"):
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise InvalidInputError(f"{name} must be a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} must be finite, got {a}")
-    return a
-
-
 @dataclass(frozen=True)
 class Quaternion:
     """Unit quaternion with a canonical sign.
@@ -182,7 +173,7 @@ class SimilarityTransform:
     scale: float
 
     def __post_init__(self):
-        t = _as_vec3(self.translation, "translation")
+        t = _block(self.translation, (3,), "translation")
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
         s = float(self.scale)
@@ -245,47 +236,6 @@ def pose_from_alignment(T: SimilarityTransform) -> SimilarityTransform:
     return SimilarityTransform(T.rotation.conjugate(), -(R @ T.translation), T.scale)
 
 
-@dataclass(frozen=True)
-class Ray:
-    """Observed light ray in a distributed camera's local frame."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        o = _as_vec3(self.origin, "ray origin")
-        d = _as_vec3(self.direction, "ray direction")
-        n = np.linalg.norm(d)
-        if n < 1e-12:
-            raise InvalidInputError("ray direction must be nonzero")
-        if abs(n - 1.0) > 1e-9:   # keep already-unit vectors bit-identical
-            d = d / n
-        o.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """A ray paired with a known 3D world point."""
-
-    ray: Ray
-    point: np.ndarray
-    score: Optional[float] = None
-    point_id: Optional[int] = None
-
-    def __post_init__(self):
-        p = _as_vec3(self.point, "world point")
-        p.setflags(write=False)
-        object.__setattr__(self, "point", p)
-        if self.score is not None:
-            s = float(self.score)
-            if not (0.0 <= s <= 1.0):
-                raise InvalidInputError(f"score must be in [0, 1], got {s}")
-            object.__setattr__(self, "score", s)
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """(n, 1) Euclidean norms of the rows of x.
 
@@ -300,6 +250,17 @@ def _row_products(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ A)[..., 0, :]
 
 
+def _unit_rows(d: np.ndarray, what: str) -> np.ndarray:
+    """d with each row off unit length by more than 1e-9 renormalized in
+    place; rows already unit are kept bit for bit.  Zero rows raise."""
+    norms = row_norms(d)
+    if np.any(norms < 1e-12):
+        raise InvalidInputError(f"{what} must be nonzero")
+    off = np.abs(norms[:, 0] - 1.0) > 1e-9
+    d[off] /= norms[off]
+    return d
+
+
 def _unit_quaternions(q: np.ndarray) -> np.ndarray:
     """Rows of q normalized and signed as :class:`Quaternion` does."""
     n = row_norms(q)
@@ -310,9 +271,14 @@ def _unit_quaternions(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _id_array(ids) -> np.ndarray:
+    """ids as a 1-D object array."""
+    return np.fromiter(ids.tolist() if isinstance(ids, np.ndarray) else ids, dtype=object)
+
+
 def _ids(ids, what: str) -> np.ndarray:
     """Distinct hashable ids as a 1-D object array."""
-    a = np.fromiter(ids.tolist() if isinstance(ids, np.ndarray) else ids, dtype=object)
+    a = _id_array(ids)
     try:
         if len(set(a)) == len(a):
             return a
@@ -337,6 +303,57 @@ def _rows(a, count: int, what: str) -> np.ndarray:
     if a.ndim != 1 or a.dtype.kind not in "iu" or np.any((a < 0) | (a >= count)):
         raise InvalidInputError(f"observation {what} rows must be integers in [0, {count})")
     return a.astype(np.intp)
+
+
+def _freeze(obj, *arrays):
+    """obj holding fresh arrays that pass every check, as its fields in
+    order, made read-only; None stays None."""
+    for f, a in zip(fields(obj), arrays):
+        if a is not None:
+            a.setflags(write=False)
+        object.__setattr__(obj, f.name, a)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
+class Correspondences:
+    """Rays paired with known 3D world points, as read-only arrays.
+
+    ``origins``, unit ``directions`` and ``points`` are (n, 3).  Optional:
+    match ``scores`` (n,) in [0, 1], NaN for a row without one, and
+    ``point_ids`` (n,), an object array holding an id or None per row.
+    The constructor copies and checks it all once; directions off unit
+    length by over 1e-9 are renormalized.
+    """
+
+    origins: np.ndarray
+    directions: np.ndarray
+    points: np.ndarray
+    scores: Optional[np.ndarray] = None
+    point_ids: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        n = (np.shape(self.points) or (0,))[0]
+        scores, point_ids = self.scores, self.point_ids
+        if scores is not None:
+            scores = np.array(scores, dtype=float)
+            if scores.shape != (n,) or np.any((scores < 0.0) | (scores > 1.0)):
+                raise InvalidInputError(f"scores must be in [0, 1] (NaN for none) with shape ({n},)")
+        if point_ids is not None:
+            point_ids = _id_array(point_ids)
+            if len(point_ids) != n:
+                raise InvalidInputError(f"point_ids must have shape ({n},), got ({len(point_ids)},)")
+        _freeze(self, _block(self.origins, (n, 3), "ray origins"),
+                _unit_rows(_block(self.directions, (n, 3), "ray directions"), "ray direction"),
+                _block(self.points, (n, 3), "world points"), scores, point_ids)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def subset(self, rows) -> "Correspondences":
+        """The given rows, in that order; nothing is checked again."""
+        arrays = (getattr(self, f.name) for f in fields(self))
+        return _freeze(object.__new__(Correspondences), *(None if a is None else a[rows] for a in arrays))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,22 +385,11 @@ class DistributedCamera:
         obs_point = _rows(self.obs_point, P, "point")
         if len(obs_point) != len(obs_camera):
             raise InvalidInputError("obs_camera and obs_point differ in length")
-        d = _block(self.directions, (len(obs_camera), 3), "observation directions")
-        norms = row_norms(d)
-        if np.any(norms < 1e-12):
-            raise InvalidInputError("observation direction must be nonzero")
-        off = np.abs(norms[:, 0] - 1.0) > 1e-9   # keep already-unit vectors bit-identical
-        d[off] /= norms[off]
-        self._freeze(obs_camera, obs_point, d, camera_ids, _block(self.centers, (C, 3), "centers"),
-                     _unit_quaternions(_block(self.orientations, (C, 4), "orientations")),
-                     point_ids, _block(self.points, (P, 3), "points"))
-
-    def _freeze(self, *arrays) -> "DistributedCamera":
-        """Hold fresh arrays that pass every check, made read-only."""
-        for f, a in zip(fields(self), arrays):
-            a.setflags(write=False)
-            object.__setattr__(self, f.name, a)
-        return self
+        d = _unit_rows(_block(self.directions, (len(obs_camera), 3), "observation directions"),
+                       "observation direction")
+        _freeze(self, obs_camera, obs_point, d, camera_ids, _block(self.centers, (C, 3), "centers"),
+                _unit_quaternions(_block(self.orientations, (C, 4), "orientations")),
+                point_ids, _block(self.points, (P, 3), "points"))
 
     @property
     def n_points(self) -> int:
@@ -416,7 +422,7 @@ def merge_distributed_cameras(
     new = rows < 0
     rows[new] = base.n_points + np.arange(np.count_nonzero(new))
     orientations = np.stack(_hamilton(T.rotation.array, other.orientations.T), axis=1)
-    return object.__new__(DistributedCamera)._freeze(   # valid by construction
+    return _freeze(object.__new__(DistributedCamera),   # valid by construction
         np.concatenate([base.obs_camera, other.obs_camera + len(base.camera_ids)]),
         np.concatenate([base.obs_point, rows[other.obs_point]]),
         np.concatenate([base.directions, _row_products(other.directions, T.rotation_matrix().T)]),

@@ -14,19 +14,21 @@ renormalized with a collected warning, beyond that loading fails.  All
 floats are written with 17 significant digits so save/load round-trips
 exactly.  A correspondence file is ``{"correspondences": [{"origin":
 [...], "direction": [...], "point": [...], "score"?: ..., "point_id"?:
-...}, ...]}``.
+...}, ...]}``; a score is a number in [0, 1] and a point id a JSON
+scalar, and either may be absent or null.  Its directions follow the
+same 1e-6 rule, renormalized without a warning.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import IntegrityError, InvalidInputError, ParseError
-from .geometry import Correspondence, DistributedCamera, Ray, row_norms
+from .geometry import Correspondences, DistributedCamera, row_norms
 
 FORMAT_VERSION = 1
 
@@ -47,6 +49,18 @@ def _require(obj, key, location, scalar=False):
     if scalar and isinstance(obj[key], (list, dict)):
         raise ParseError("expected a string, number, boolean or null", location=f"{location}.{key}")
     return obj[key]
+
+
+def _directions(rows, block: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The (n, 3) directions and their norms; raises at the first one off
+    unit length by more than 1e-6.  The owner renormalizes the rest."""
+    directions = np.array(rows, dtype=float).reshape(-1, 3)
+    norms = row_norms(directions)[:, 0]
+    far = np.flatnonzero(np.abs(norms - 1.0) > 1e-6)
+    if far.size:
+        raise ParseError(f"direction norm {norms[far[0]]} too far from 1",
+                         location=f"{block}[{far[0]}].direction")
+    return directions, norms
 
 
 def parse_reconstruction(text: str) -> Tuple[DistributedCamera, List[str]]:
@@ -88,15 +102,9 @@ def parse_reconstruction(text: str) -> Tuple[DistributedCamera, List[str]]:
             raise IntegrityError(f"{loc}: unknown point_id", offending_id=pid)
         obs_camera.append(camera_rows[cid])
         obs_point.append(point_rows[pid])
-    # The camera renormalizes the directions off unit length by more than 1e-9.
-    directions = np.array(directions, dtype=float).reshape(-1, 3)
-    norms = row_norms(directions)[:, 0]
-    warnings: List[str] = []
-    for i in np.flatnonzero(np.abs(norms - 1.0) > 1e-9):
-        loc = f"observations[{i}]"
-        if abs(norms[i] - 1.0) > 1e-6:
-            raise ParseError(f"direction norm {norms[i]} too far from 1", location=loc)
-        warnings.append(f"{loc}: direction norm {norms[i]:.12g} renormalized")
+    directions, norms = _directions(directions, "observations")
+    warnings = [f"observations[{i}]: direction norm {norms[i]:.12g} renormalized"
+                for i in np.flatnonzero(np.abs(norms - 1.0) > 1e-9)]
     try:
         camera = DistributedCamera(obs_camera, obs_point, directions, list(camera_rows),
                                    centers, orientations, list(point_rows), points)
@@ -137,47 +145,46 @@ def save_reconstruction(camera: DistributedCamera, path: str) -> None:
         f.write(reconstruction_to_json(camera))
 
 
-def parse_correspondences(text: str) -> List[Correspondence]:
+def parse_correspondences(text: str) -> Correspondences:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", location=f"line {e.lineno}") from e
     if not isinstance(doc, dict) or "correspondences" not in doc:
         raise ParseError("missing 'correspondences' array", location="root")
-    out = []
+    origins, directions, points, scores, point_ids = [], [], [], [], []
     for i, c in enumerate(doc["correspondences"]):
         loc = f"correspondences[{i}]"
-        origin = _vec(_require(c, "origin", loc), 3, loc + ".origin")
-        direction = _vec(_require(c, "direction", loc), 3, loc + ".direction")
-        point = _vec(_require(c, "point", loc), 3, loc + ".point")
+        origins.append(_vec(_require(c, "origin", loc), 3, loc + ".origin"))
+        directions.append(_vec(_require(c, "direction", loc), 3, loc + ".direction"))
+        points.append(_vec(_require(c, "point", loc), 3, loc + ".point"))
         score = c.get("score")
-        pid = c.get("point_id")
-        try:
-            out.append(Correspondence(Ray(origin, direction), point,
-                                      score=score, point_id=pid))
-        except InvalidInputError as e:
-            raise ParseError(str(e), location=loc) from e
-    return out
+        if score is not None and not (type(score) in (float, int) and 0.0 <= score <= 1.0):
+            raise ParseError("expected a number in [0, 1]", location=loc + ".score")
+        scores.append(math.nan if score is None else score)
+        point_ids.append(_require(c, "point_id", loc, scalar=True) if "point_id" in c else None)
+    return Correspondences(
+        origins, _directions(directions, "correspondences")[0], points,
+        None if all(map(math.isnan, scores)) else scores,
+        None if all(pid is None for pid in point_ids) else point_ids)
 
 
-def load_correspondences(path: str) -> List[Correspondence]:
+def load_correspondences(path: str) -> Correspondences:
     with open(path, "r", encoding="utf-8") as f:
         return parse_correspondences(f.read())
 
 
-def correspondences_to_json(correspondences: Sequence[Correspondence]) -> str:
-    rows = []
-    for c in correspondences:
-        row = {"origin": c.ray.origin.tolist(), "direction": c.ray.direction.tolist(),
-               "point": c.point.tolist()}
-        if c.score is not None:
-            row["score"] = c.score
-        if c.point_id is not None:
-            row["point_id"] = c.point_id
-        rows.append(row)
+def correspondences_to_json(correspondences: Correspondences) -> str:
+    c = correspondences
+    rows = [{"origin": o, "direction": d, "point": p}
+            for o, d, p in zip(c.origins.tolist(), c.directions.tolist(), c.points.tolist())]
+    for key, values in (("score", c.scores), ("point_id", c.point_ids)):
+        for row, v in zip(rows, [] if values is None else values.tolist()):
+            if v is not None and v == v:   # a NaN score or a None id is absent
+                row[key] = v
     return json.dumps({"correspondences": rows}, indent=1, sort_keys=True) + "\n"
 
 
-def save_correspondences(correspondences: Sequence[Correspondence], path: str) -> None:
+def save_correspondences(correspondences: Correspondences, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(correspondences_to_json(correspondences))

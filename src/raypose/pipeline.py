@@ -20,9 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cost import constraint_cost
-from .elimination import correspondence_arrays
 from .errors import InvalidInputError, RayposeError
-from .geometry import (Correspondence, DistributedCamera, Ray,
+from .geometry import (Correspondences, DistributedCamera,
                        SimilarityTransform, alignment_from_pose,
                        compose_similarity, merge_distributed_cameras,
                        pose_from_alignment)
@@ -177,14 +176,13 @@ def select_base(group: Sequence[DistributedCamera], ids: Optional[Sequence[int]]
     return best[1]
 
 
-def shared_correspondences(base: DistributedCamera, other: DistributedCamera) -> List[Correspondence]:
+def shared_correspondences(base: DistributedCamera, other: DistributedCamera) -> Correspondences:
     """Rays of ``other`` observing points whose 3D coordinates ``base`` knows,
     in other's observation order."""
     rows = base.point_rows(other.point_ids)[other.obs_point]
     keep = np.flatnonzero(rows >= 0)
-    return [Correspondence(Ray(c, d), X, point_id=pid) for c, d, X, pid in zip(
-        other.centers[other.obs_camera[keep]], other.directions[keep],
-        base.points[rows[keep]], other.point_ids[other.obs_point[keep]].tolist())]
+    return Correspondences(other.centers[other.obs_camera[keep]], other.directions[keep],
+                           base.points[rows[keep]])
 
 
 def localize(
@@ -339,9 +337,9 @@ def hierarchical_merge(
     return MergeReport(tuple(levels), failed, final.camera, dict(final.members))
 
 
-def _pose_cost(corrs: Sequence[Correspondence], T: SimilarityTransform) -> float:
+def _pose_cost(corrs: Correspondences, T: SimilarityTransform) -> float:
     """Summed squared constraint error of a full similarity (no re-elimination)."""
-    return constraint_cost(*correspondence_arrays(corrs), T.rotation_matrix(),
+    return constraint_cost(corrs.origins, corrs.directions, corrs.points, T.rotation_matrix(),
                            T.scale, T.translation)
 
 

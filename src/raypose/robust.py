@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (EmptySolutionError, InvalidInputError, RankDeficiencyError,
                      RayposeError)
-from .geometry import Correspondence, Quaternion, SimilarityTransform
+from .geometry import Correspondences, Quaternion, SimilarityTransform
 from .solver import gdls_solve
 
 
@@ -76,18 +76,16 @@ def angular_residuals(T: SimilarityTransform, origins: np.ndarray,
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def prosac_order(correspondences: Sequence[Correspondence]) -> np.ndarray:
+def prosac_order(correspondences: Correspondences) -> np.ndarray:
     """Stable descending sort by match score.
 
     Falls back to the identity permutation when fewer than half of the
     correspondences carry a score (missing scores rank last otherwise).
     """
-    n = len(correspondences)
-    scored = sum(1 for c in correspondences if c.score is not None)
-    if scored < (n + 1) // 2:
+    n, scores = len(correspondences), correspondences.scores
+    if scores is None or np.count_nonzero(~np.isnan(scores)) < (n + 1) // 2:
         return np.arange(n)
-    keys = np.array([c.score if c.score is not None else -1.0 for c in correspondences])
-    return np.argsort(-keys, kind="stable")
+    return np.argsort(-np.where(np.isnan(scores), -1.0, scores), kind="stable")
 
 
 def _prosac_prefix_schedule(n: int, m: int, max_iterations: int) -> np.ndarray:
@@ -110,7 +108,7 @@ def _prosac_prefix_schedule(n: int, m: int, max_iterations: int) -> np.ndarray:
 
 
 def ransac_gdls(
-    correspondences: Sequence[Correspondence],
+    correspondences: Correspondences,
     config: RobustConfig = RobustConfig(),
     seed: int = 0,
 ) -> RobustResult:
@@ -125,9 +123,7 @@ def ransac_gdls(
     m = config.sample_size
     if n < m:
         raise InvalidInputError(f"need at least {m} correspondences, got {n}")
-    origins = np.array([c.ray.origin for c in correspondences])
-    directions = np.array([c.ray.direction for c in correspondences])
-    points = np.array([c.point for c in correspondences])
+    arrays = correspondences.origins, correspondences.directions, correspondences.points
     rng = np.random.default_rng(seed)
 
     if config.use_prosac:
@@ -154,12 +150,12 @@ def ransac_gdls(
         else:
             sample = order[rng.choice(n_t, size=m, replace=False)]
         try:
-            report = gdls_solve([correspondences[i] for i in sample])
+            report = gdls_solve(correspondences.subset(sample))
         except (RankDeficiencyError, EmptySolutionError) as e:
             raised, last_error = raised + 1, e
             deficient += isinstance(e, RankDeficiencyError)
             continue
-        angles = angular_residuals(report.best.transform, origins, directions, points)
+        angles = angular_residuals(report.best.transform, *arrays)
         mask = angles < config.angular_inlier_threshold
         count = int(mask.sum())
         mean_err = float(angles[mask].mean()) if count else float("inf")
@@ -189,11 +185,11 @@ def ransac_gdls(
     transform, angles = best_transform, best_angles
     inliers = np.flatnonzero(best_angles < config.angular_inlier_threshold)
     try:
-        refit = gdls_solve([correspondences[i] for i in inliers]).best.transform
+        refit = gdls_solve(correspondences.subset(inliers)).best.transform
     except RayposeError:
         refit = None
     if refit is not None:
-        refit_angles = angular_residuals(refit, origins, directions, points)
+        refit_angles = angular_residuals(refit, *arrays)
         if int((refit_angles < config.angular_inlier_threshold).sum()) >= best_count:
             transform, angles = refit, refit_angles
     inliers = np.flatnonzero(angles < config.angular_inlier_threshold)

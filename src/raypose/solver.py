@@ -26,7 +26,7 @@ from .cost import (MONOMIAL_HESSIANS, QuarticCost, build_quartic_cost,
                    constraint_cost, monomial_jacobian, monomials)
 from .elimination import EliminationMatrices, build_elimination
 from .errors import EmptySolutionError, InvalidInputError
-from .geometry import Correspondence, Quaternion, SimilarityTransform, quat_to_rotation
+from .geometry import Correspondences, Quaternion, SimilarityTransform, quat_to_rotation
 
 N_STARTS = 512
 MAX_CANDIDATES = 8
@@ -203,7 +203,7 @@ class SolverCandidate:
 def recover_candidates(
     qs: Sequence[Quaternion],
     elim: EliminationMatrices,
-    cost: Optional[QuarticCost] = None,
+    cost: QuarticCost,
 ) -> List[SolverCandidate]:
     """Full similarity candidates from stationary quaternions.
 
@@ -218,13 +218,9 @@ def recover_candidates(
         if s <= 0.0:
             continue
         cval = constraint_cost(elim.origins, elim.directions, elim.points, R, s, t)
-        if cost is not None:
-            q = quat.array
-            g = cost.gradient(q)
-            resid = float(np.linalg.norm(g - np.dot(g, q) * q))
-            resid /= max(1.0, float(np.linalg.norm(cost.Q)))
-        else:
-            resid = float("nan")
+        q = quat.array
+        g = cost.gradient(q)
+        resid = float(np.linalg.norm(g - np.dot(g, q) * q)) / max(1.0, float(np.linalg.norm(cost.Q)))
         transform = SimilarityTransform(quat, t, s)
         out.append(SolverCandidate(transform, cval, alpha, resid, bool(np.all(alpha > 0.0))))
     if not out:
@@ -248,7 +244,7 @@ class SolveReport:
         return self.candidates[0]
 
 
-def gdls_solve(correspondences: Sequence[Correspondence], fix_scale: bool = False) -> SolveReport:
+def gdls_solve(correspondences: Correspondences, fix_scale: bool = False) -> SolveReport:
     """End-to-end pose-and-scale solve from ray-point correspondences.
 
     Pipeline: linear elimination of depths/scale/translation, quartic
@@ -261,6 +257,6 @@ def gdls_solve(correspondences: Sequence[Correspondence], fix_scale: bool = Fals
     elim = build_elimination(correspondences, fix_scale=fix_scale)
     cost = build_quartic_cost(elim)
     qs = solve_stationary(cost)
-    candidates = recover_candidates(qs, elim, cost=cost)
+    candidates = recover_candidates(qs, elim, cost)
     runtime = time.perf_counter() - start
     return SolveReport(candidates, runtime, len(correspondences), fix_scale, len(qs))

@@ -14,7 +14,7 @@ from raypose import (RobustConfig, apply_similarity, build_elimination,
                      run_noise_sweep, run_scalability, run_stability,
                      solve_stationary)
 from raypose.bench import SceneConfig, add_noise, random_similarity, trial_rng
-from raypose.geometry import Correspondence
+from raypose.geometry import Correspondences
 
 from dense_oracle import stack_A
 
@@ -175,7 +175,7 @@ def test_criterion_7_equivariance():
         rng = trial_rng(4000 + seed, 0)
         corrs, truth = generate_scene(SceneConfig(n_correspondences=6), rng)
         G = random_similarity(np.random.default_rng(seed), SceneConfig())
-        moved = [Correspondence(c.ray, apply_similarity(G, c.point)) for c in corrs]
+        moved = Correspondences(corrs.origins, corrs.directions, apply_similarity(G, corrs.points))
         from raypose import gdls_solve
         est = gdls_solve(moved).best.transform
         R_expect = truth.rotation_matrix() @ G.rotation_matrix().T

@@ -6,7 +6,7 @@ import pytest
 from raypose import generate_city, generate_scene
 from raypose.bench import SceneConfig
 from raypose.cli import main
-from raypose.geometry import Correspondence, Ray
+from raypose.geometry import Correspondences
 from raypose.io import (load_reconstruction, save_correspondences,
                         save_reconstruction)
 
@@ -36,7 +36,7 @@ def test_solve_fix_scale_degenerate(tmp_path, capsys):
     # fix-scale re-pose succeeds
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(6, 3)) + np.array([0, 0, 5.0])
-    corrs = [Correspondence(Ray(np.zeros(3), p), p) for p in pts]
+    corrs = Correspondences(np.zeros((6, 3)), pts, pts)
     path = tmp_path / "c.json"
     save_correspondences(corrs, str(path))
     assert main(["solve", "--input", str(path)]) == 1

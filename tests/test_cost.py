@@ -60,11 +60,10 @@ def test_quartic_matches_direct_cost():
 
 
 def test_fix_scale_quartic_matches_direct_cost():
-    from raypose.geometry import Correspondence, Ray
+    from raypose.geometry import Correspondences
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(6, 3)) + np.array([0, 0, 5.0])
-    corrs = [Correspondence(Ray(np.zeros(3), p + rng.normal(scale=1e-3, size=3)), p)
-             for p in pts]
+    corrs = Correspondences(np.zeros((6, 3)), pts + rng.normal(scale=1e-3, size=(6, 3)), pts)
     elim = build_elimination(corrs, fix_scale=True)
     cost = build_quartic_cost(elim)
     for _ in range(5):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from raypose import InvalidInputError, RankDeficiencyError, build_elimination
+from raypose import (Correspondences, InvalidInputError, RankDeficiencyError,
+                     build_elimination)
 from raypose.bench import SceneConfig, generate_scene, trial_rng
 from raypose.geometry import quat_to_rotation
 
@@ -83,24 +84,22 @@ def test_normal_equations_residual():
 def test_requires_four_correspondences():
     corrs, _ = _scene(n=4)
     with pytest.raises(InvalidInputError):
-        build_elimination(corrs[:3])
+        build_elimination(corrs.subset(np.arange(3)))
 
 
 def test_coincident_origins_raise_with_hint():
-    from raypose.geometry import Correspondence, Ray
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(6, 3)) + np.array([0, 0, 5.0])
-    corrs = [Correspondence(Ray(np.zeros(3), p), p) for p in pts]
+    corrs = Correspondences(np.zeros((6, 3)), pts, pts)
     with pytest.raises(RankDeficiencyError) as err:
         build_elimination(corrs)
     assert err.value.fix_scale_hint
 
 
 def test_fix_scale_mode_handles_single_origin():
-    from raypose.geometry import Correspondence, Ray
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(6, 3)) + np.array([0, 0, 5.0])
-    corrs = [Correspondence(Ray(np.zeros(3), p), p) for p in pts]
+    corrs = Correspondences(np.zeros((6, 3)), pts, pts)
     elim = build_elimination(corrs, fix_scale=True)
     alpha, s, t = elim.solve_linear(np.eye(3))
     assert s == 1.0

@@ -6,7 +6,7 @@ import pytest
 
 from raypose import generate_city
 from raypose.errors import IntegrityError, ParseError
-from raypose.geometry import Correspondence, Ray
+from raypose.geometry import Correspondences
 from raypose.io import (correspondences_to_json, load_correspondences,
                         load_reconstruction, parse_correspondences,
                         parse_reconstruction, reconstruction_to_json,
@@ -110,27 +110,52 @@ def test_roundtrip_city_subset(tmp_path):
 
 
 def test_correspondence_roundtrip(tmp_path):
-    corrs = [Correspondence(Ray(np.array([0.1, 0.2, 0.3]),
-                                np.array([0.0, 0.0, 1.0])),
-                            np.array([1.0, 2.0, 3.0]), score=0.25, point_id=7),
-             Correspondence(Ray(np.zeros(3), np.array([1.0, 0.0, 0.0])),
-                            np.array([-1.0, 0.5, 2.0]))]
+    corrs = Correspondences([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]],
+                            [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+                            [[1.0, 2.0, 3.0], [-1.0, 0.5, 2.0]], [0.25, np.nan], [7, None])
     text = correspondences_to_json(corrs)
+    assert "score" not in json.loads(text)["correspondences"][1]
     back = parse_correspondences(text)
     assert len(back) == 2
-    assert back[0].score == 0.25 and back[0].point_id == 7
-    assert back[1].score is None
-    assert np.array_equal(back[0].ray.origin, corrs[0].ray.origin)
+    assert back.scores[0] == 0.25 and back.point_ids.tolist() == [7, None]
+    assert np.isnan(back.scores[1])
+    for field in ("origins", "directions", "points"):
+        assert np.array_equal(getattr(back, field), getattr(corrs, field))
     path = tmp_path / "c.json"
     path.write_text(text)
     assert len(load_correspondences(str(path))) == 2
+    # a file without scores or ids reads back without them
+    plain = parse_correspondences(correspondences_to_json(Correspondences(
+        corrs.origins, corrs.directions, corrs.points)))
+    assert plain.scores is None and plain.point_ids is None
+
+
+def _corr_doc(**fields):
+    row = {"origin": [0, 0, 0], "direction": [0, 0, 1], "point": [1, 2, 3]}
+    return json.dumps({"correspondences": [row, dict(row, **fields)]})
 
 
 def test_correspondence_parse_errors():
     with pytest.raises(ParseError):
         parse_correspondences("{}")
     with pytest.raises(ParseError) as err:
-        parse_correspondences(json.dumps(
-            {"correspondences": [{"origin": [0, 0, 0], "direction": [0, 0, 0],
-                                  "point": [1, 2, 3]}]}))
-    assert "correspondences[0]" in str(err.value)
+        parse_correspondences(_corr_doc(direction=[0, 0, 0]))
+    assert err.value.location == "correspondences[1].direction"
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("score", "x"), ("score", "0.5"), ("score", True), ("score", 1.5), ("score", -0.5),
+    ("score", [0.5]), ("point_id", [1]), ("point_id", {"id": 1}),
+    ("direction", [0, 0, 5]), ("direction", [0, 0, 1 + 2e-6]), ("direction", [0.6, 0.0, 0.79]),
+])
+def test_correspondence_field_is_checked(field, bad):
+    with pytest.raises(ParseError) as err:
+        parse_correspondences(_corr_doc(**{field: bad}))
+    assert err.value.location == f"correspondences[1].{field}"
+
+
+def test_correspondence_direction_within_tolerance_is_renormalized():
+    corrs = parse_correspondences(_corr_doc(direction=[0, 0, 1 + 5e-7], score=1, point_id="p"))
+    assert corrs.directions[1].tolist() == [0.0, 0.0, 1.0]
+    assert np.isnan(corrs.scores[0]) and corrs.scores[1] == 1.0
+    assert corrs.point_ids.tolist() == [None, "p"]

@@ -201,7 +201,7 @@ def test_refine_never_increases_total_cost():
     refined = refine_similarities(report, cams)
     # recompute total pose cost before and after
     from raypose.pipeline import _namespace_all
-    from raypose.geometry import pose_from_alignment, Correspondence, Ray
+    from raypose.geometry import pose_from_alignment, Correspondences
     final = report.final_camera
     cams_ns = _namespace_all(cams)
 
@@ -209,10 +209,10 @@ def test_refine_never_increases_total_cost():
         acc = 0.0
         for mid, T in log.items():
             cam = cams_ns[mid]
-            rows = final.point_rows(cam.point_ids)
-            corrs = [Correspondence(Ray(cam.centers[c], d), final.points[rows[p]])
-                     for c, p, d in zip(cam.obs_camera, cam.obs_point, cam.directions)
-                     if rows[p] >= 0]
+            rows = final.point_rows(cam.point_ids)[cam.obs_point]
+            seen = rows >= 0
+            corrs = Correspondences(cam.centers[cam.obs_camera[seen]], cam.directions[seen],
+                                    final.points[rows[seen]])
             acc += _pose_cost(corrs, pose_from_alignment(T))
         return acc
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import raypose.robust as robust
-from raypose import (Correspondence, EmptySolutionError, InvalidInputError,
-                     Quaternion, RankDeficiencyError, Ray, RobustConfig,
+from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
+                     Quaternion, RankDeficiencyError, RobustConfig,
                      SimilarityTransform, apply_similarity, prosac_order,
                      ransac_gdls, umeyama_align)
 from raypose.bench import (SceneConfig, add_noise, generate_scene,
@@ -20,12 +20,16 @@ def _scene(n=30, seed=0):
 
 
 def _outliers(rng, count):
-    out = []
+    rows = []
     for _ in range(count):
         d = rng.normal(size=3)
-        out.append(Correspondence(Ray(rng.uniform(-1, 1, 3), d),
-                                  rng.uniform(-1, 1, 3)))
-    return out
+        rows.append((rng.uniform(-1, 1, 3), d, rng.uniform(-1, 1, 3)))
+    return Correspondences(*map(np.array, zip(*rows)))
+
+
+def _concat(*sets, scores=None):
+    fields = ("origins", "directions", "points")
+    return Correspondences(*(np.concatenate([getattr(c, f) for c in sets]) for f in fields), scores)
 
 
 def test_config_validation():
@@ -52,7 +56,7 @@ def test_planted_outliers_excluded():
     (corrs, truth), rng = _scene(seed=2)
     noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
     planted = _outliers(rng, 12)  # ~30% outliers
-    result = ransac_gdls(list(noisy) + planted, RobustConfig(), seed=3)
+    result = ransac_gdls(_concat(noisy, planted), RobustConfig(), seed=3)
     assert result.success
     outlier_idx = set(range(30, 42))
     kept = outlier_idx & set(int(i) for i in result.inlier_indices)
@@ -72,7 +76,7 @@ def test_all_outliers_is_failure_not_exception():
 @pytest.mark.parametrize("refit", ["raises", "loses_inliers"])
 def test_failed_refit_keeps_best_hypothesis(monkeypatch, refit):
     (corrs, truth), rng = _scene(seed=9)
-    noisy = add_noise(corrs, 0.5, 800.0, rng=rng) + _outliers(rng, 6)
+    noisy = _concat(add_noise(corrs, 0.5, 800.0, rng=rng), _outliers(rng, 6))
     far = SimilarityTransform(Quaternion.identity(), np.full(3, 50.0), 1.0)
     minimal_solves = []
 
@@ -99,7 +103,7 @@ def test_single_origin_failure_names_rank_deficiency():
     # every minimal sample of rays from one origin leaves the scale unobservable
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(40, 3)) + np.array([0.0, 0.0, 5.0])
-    corrs = [Correspondence(Ray(np.zeros(3), p), p) for p in pts]
+    corrs = Correspondences(np.zeros((40, 3)), pts, pts)
     result = ransac_gdls(corrs, RobustConfig(max_iterations=20))
     assert not result.success and result.iterations_run == 20
     assert result.failure_reason.startswith("all 20 minimal samples were rank deficient")
@@ -126,12 +130,12 @@ def test_angular_residual_degenerate_point():
 def test_too_few_correspondences_raise():
     (corrs, _), _ = _scene(seed=5)
     with pytest.raises(InvalidInputError):
-        ransac_gdls(corrs[:3], RobustConfig())
+        ransac_gdls(corrs.subset(np.arange(3)), RobustConfig())
 
 
 def test_determinism():
     (corrs, _), rng = _scene(seed=6)
-    noisy = add_noise(corrs, 1.0, 800.0, rng=rng) + _outliers(rng, 8)
+    noisy = _concat(add_noise(corrs, 1.0, 800.0, rng=rng), _outliers(rng, 8))
     a = ransac_gdls(noisy, RobustConfig(), seed=9)
     b = ransac_gdls(noisy, RobustConfig(), seed=9)
     assert np.array_equal(a.inlier_indices, b.inlier_indices)
@@ -141,14 +145,11 @@ def test_determinism():
 
 def test_inlier_set_consistency():
     (corrs, _), rng = _scene(seed=7)
-    noisy = add_noise(corrs, 1.0, 800.0, rng=rng) + _outliers(rng, 8)
+    noisy = _concat(add_noise(corrs, 1.0, 800.0, rng=rng), _outliers(rng, 8))
     config = RobustConfig()
     result = ransac_gdls(noisy, config, seed=1)
     assert result.success
-    origins = np.array([c.ray.origin for c in noisy])
-    dirs = np.array([c.ray.direction for c in noisy])
-    pts = np.array([c.point for c in noisy])
-    angles = angular_residuals(result.transform, origins, dirs, pts)
+    angles = angular_residuals(result.transform, noisy.origins, noisy.directions, noisy.points)
     rescored = np.flatnonzero(angles < config.angular_inlier_threshold)
     assert np.array_equal(rescored, result.inlier_indices)
 
@@ -157,25 +158,27 @@ def test_threshold_monotonicity():
     (corrs, _), rng = _scene(seed=8)
     noisy = add_noise(corrs, 2.0, 800.0, rng=rng)
     result = ransac_gdls(noisy, RobustConfig(), seed=0)
-    origins = np.array([c.ray.origin for c in noisy])
-    dirs = np.array([c.ray.direction for c in noisy])
-    pts = np.array([c.point for c in noisy])
-    angles = angular_residuals(result.transform, origins, dirs, pts)
+    angles = angular_residuals(result.transform, noisy.origins, noisy.directions, noisy.points)
     counts = [int(np.sum(angles < th)) for th in (1e-2, 5e-3, 1e-3, 1e-4)]
     assert counts == sorted(counts, reverse=True)
 
 
+def _rays(n, scores=None):
+    return Correspondences(np.zeros((n, 3)), np.tile([0.0, 0.0, 1.0], (n, 1)), np.ones((n, 3)),
+                           scores)
+
+
 def test_prosac_order_properties():
-    ray = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    equal = [Correspondence(ray, np.ones(3), score=0.5) for _ in range(5)]
-    assert prosac_order(equal).tolist() == [0, 1, 2, 3, 4]
+    assert prosac_order(_rays(5, [0.5] * 5)).tolist() == [0, 1, 2, 3, 4]
+    assert prosac_order(_rays(5)).tolist() == [0, 1, 2, 3, 4]
     scores = [0.1, 0.9, 0.5, 1.0, 0.3]
-    scored = [Correspondence(ray, np.ones(3), score=s) for s in scores]
-    order = prosac_order(scored)
+    order = prosac_order(_rays(5, scores))
     assert [scores[i] for i in order] == sorted(scores, reverse=True)
     # fallback when fewer than half carry scores
-    mixed = [Correspondence(ray, np.ones(3))] * 4 + scored[:2]
-    assert prosac_order(mixed).tolist() == list(range(6))
+    mixed = [np.nan] * 4 + scores[:2]
+    assert prosac_order(_rays(6, mixed)).tolist() == list(range(6))
+    # otherwise a missing score ranks as -1.0, after every real one
+    assert prosac_order(_rays(5, [np.nan, 0.0, np.nan, 0.2, 0.1])).tolist() == [3, 4, 1, 0, 2]
 
 
 def test_prosac_beats_uniform_on_ranked_inliers():
@@ -187,11 +190,10 @@ def test_prosac_beats_uniform_on_ranked_inliers():
         rng = trial_rng(300 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=20), rng)
         noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
-        inliers = [Correspondence(c.ray, c.point, score=float(rng.uniform(0.7, 1.0)))
-                   for c in noisy]
-        outliers = [Correspondence(c.ray, c.point, score=float(rng.uniform(0.0, 0.3)))
-                    for c in _outliers(rng, 20)]
-        data = inliers + outliers
+        scores = [float(rng.uniform(0.7, 1.0)) for _ in range(len(noisy))]
+        outliers = _outliers(rng, 20)
+        scores += [float(rng.uniform(0.0, 0.3)) for _ in range(len(outliers))]
+        data = _concat(noisy, outliers, scores=scores)
         uni = ransac_gdls(data, RobustConfig(use_prosac=False), seed=seed)
         pro = ransac_gdls(data, RobustConfig(use_prosac=True), seed=seed)
         assert uni.success and pro.success

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from raypose import (Correspondence, EmptySolutionError, InvalidInputError,
-                     Quaternion, Ray, SimilarityTransform, apply_similarity,
+from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
+                     Quaternion, SimilarityTransform, apply_similarity,
                      build_elimination, build_quartic_cost, gdls_solve,
                      solve_stationary)
 from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
@@ -67,7 +67,7 @@ def test_equivariance_under_world_transform():
     rng = trial_rng(8, 0)
     corrs, truth = generate_scene(SceneConfig(n_correspondences=6), rng)
     G = random_similarity(np.random.default_rng(3), SceneConfig())
-    moved = [Correspondence(c.ray, apply_similarity(G, c.point)) for c in corrs]
+    moved = Correspondences(corrs.origins, corrs.directions, apply_similarity(G, corrs.points))
     report = gdls_solve(moved)
     est = report.best.transform
     R = truth.rotation_matrix()
@@ -94,7 +94,7 @@ def test_fix_scale_single_camera():
     t = rng.normal(size=3)
     X = rng.normal(size=(6, 3)) + np.array([0, 0, 5.0])
     dirs = X @ R.T + t
-    corrs = [Correspondence(Ray(np.zeros(3), dirs[i]), X[i]) for i in range(6)]
+    corrs = Correspondences(np.zeros((6, 3)), dirs, X)
     report = gdls_solve(corrs, fix_scale=True)
     est = report.best.transform
     assert est.scale == 1.0
@@ -106,7 +106,7 @@ def test_minimum_correspondence_count():
     rng = trial_rng(11, 0)
     corrs, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
     with pytest.raises(InvalidInputError):
-        gdls_solve(corrs[:3])
+        gdls_solve(corrs.subset(np.arange(3)))
 
 
 def _oracle_descent(cost, n_starts, rng, iters=400):
@@ -149,8 +149,7 @@ def test_all_negative_scale_raises_empty():
     rng = trial_rng(12, 0)
     corrs, _ = generate_scene(SceneConfig(n_correspondences=4,
                                           identity_transform=True), rng)
-    flipped = [Correspondence(Ray(c.ray.origin, -c.ray.direction), c.point)
-               for c in corrs]
+    flipped = Correspondences(corrs.origins, -corrs.directions, corrs.points)
     report_or_error = None
     try:
         report_or_error = gdls_solve(flipped)
