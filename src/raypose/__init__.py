@@ -17,18 +17,29 @@ from .geometry import (Correspondences, DistributedCamera, Quaternion,
                        pose_from_alignment, quat_to_rotation)
 from .elimination import EliminationMatrices, build_elimination
 from .cost import QuarticCost, build_quartic_cost, direct_cost
-from .solver import (SolveReport, SolverCandidate, gdls_solve,
-                     recover_candidates, solve_stationary, super_fibonacci)
+from .solver import (SolveReport, SolverCandidate, gdls_solve, recover_candidates,
+                     solve_batch, solve_stationary, super_fibonacci)
 from .robust import (RobustConfig, RobustResult, prosac_order, ransac_gdls,
                      umeyama_align)
 from .pipeline import (MatchGraph, MergeReport, build_match_graph,
                        hierarchical_merge, localize, partition,
                        refine_similarities, select_base)
-from .bench import (SceneConfig, StabilitySummary, TrialResult, add_noise,
-                    generate_city, generate_scene, pose_errors, rows_to_csv,
-                    run_noise_sweep, run_scalability, run_stability)
 from .io import (load_correspondences, load_reconstruction,
                  parse_correspondences, parse_reconstruction,
                  save_correspondences, save_reconstruction)
 
 __version__ = "0.1.0"
+
+# The synthetic benchmark harness loads on first use: estimation and
+# merging never need it, and it is a fifth of the package's import time.
+_BENCH_NAMES = frozenset((
+    "SceneConfig", "StabilitySummary", "TrialResult", "add_noise", "generate_city",
+    "generate_scene", "pose_errors", "rows_to_csv", "run_noise_sweep",
+    "run_scalability", "run_stability"))
+
+
+def __getattr__(name):
+    if name in _BENCH_NAMES:
+        from . import bench
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

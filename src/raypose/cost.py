@@ -12,11 +12,15 @@ In fix-scale mode the eliminated unknowns are affine in the rotation and
 the cost picks up quadratic and constant pieces; these are homogenized
 with powers of ``q^T q`` so the same 10x10 representation applies on the
 unit sphere.
+
+``QuarticCost`` also keeps the form as a fully symmetric 16x16 matrix T
+over ``q kron q``: the one evaluator ``quartic_form`` turns it into the
+4x4 matrix M(q) that gives the value, gradient and Hessian at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,39 +61,40 @@ def _rotation_coefficients() -> np.ndarray:
 MR = _rotation_coefficients()
 
 
-def _monomial_hessians() -> np.ndarray:
-    H = np.zeros((10, 4, 4))
+def _pair_selector() -> np.ndarray:
+    """10x16 map E with m(q) = E @ (q kron q), split evenly over q_a q_b and q_b q_a."""
+    E = np.zeros((10, 16))
     for i, (a, b) in enumerate(MONOMIAL_PAIRS):
-        H[i, a, b] += 1.0
-        H[i, b, a] += 1.0
-    return H
+        E[i, 4 * a + b] += 0.5
+        E[i, 4 * b + a] += 0.5
+    return E
 
 
-MONOMIAL_HESSIANS = _monomial_hessians()
+PAIR_SELECTOR = _pair_selector()
 
 
-def monomials(q: np.ndarray) -> np.ndarray:
-    """m(q); accepts a (4,) quaternion or a (k, 4) batch."""
+def quartic_form(T: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """M(q) = reshape((q kron q) @ T) for a (16, 16) form T; q is (4,) or (k, 4).
+
+    For the fully symmetric T of a quartic f, f(q) = q^T M q, the gradient
+    is 4 M q and the Hessian is 12 M.
+    """
     q = np.asarray(q, dtype=float)
-    cols = [q[..., a] * q[..., b] for a, b in MONOMIAL_PAIRS]
-    return np.stack(cols, axis=-1)
-
-
-def monomial_jacobian(q: np.ndarray) -> np.ndarray:
-    """Jacobian dm/dq, shape (..., 10, 4)."""
-    q = np.asarray(q, dtype=float)
-    out = np.zeros(q.shape[:-1] + (10, 4))
-    for i, (a, b) in enumerate(MONOMIAL_PAIRS):
-        out[..., i, a] += q[..., b]
-        out[..., i, b] += q[..., a]
-    return out
+    qq = np.einsum("...a,...b->...ab", q, q).reshape(q.shape[:-1] + (16,))
+    return (qq @ T).reshape(q.shape[:-1] + (4, 4))
 
 
 @dataclass(frozen=True)
 class QuarticCost:
-    """Quartic form C'(q) = m(q)^T Q m(q) with Q symmetric 10x10 PSD on m's range."""
+    """Quartic form C'(q) = m(q)^T Q m(q) with Q symmetric 10x10 PSD on m's range.
+
+    ``T`` is the same form as a fully symmetric 4x4x4x4 tensor, stored as a
+    16x16 matrix; every value, gradient and Hessian comes from
+    ``quartic_form(T, q)``.
+    """
 
     Q: np.ndarray
+    T: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -98,25 +103,24 @@ class QuarticCost:
         Q = 0.5 * (Q + Q.T)
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
+        # (q kron q)^T A (q kron q) = f(q); averaging A over the three ways
+        # of pairing four indices makes it fully symmetric.
+        A = (PAIR_SELECTOR.T @ Q @ PAIR_SELECTOR).reshape(4, 4, 4, 4)
+        T = (A + A.transpose(0, 2, 1, 3) + A.transpose(0, 3, 2, 1)) / 3.0
+        T = T.reshape(16, 16)
+        T.setflags(write=False)
+        object.__setattr__(self, "T", T)
 
     def evaluate(self, q: np.ndarray) -> np.ndarray:
-        m = monomials(q)
-        return np.sum((m @ self.Q) * m, axis=-1)
+        q = np.asarray(q, dtype=float)
+        return np.einsum("...a,...ab,...b->...", q, quartic_form(self.T, q), q)
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
-        m = monomials(q)
-        J = monomial_jacobian(q)
-        Qm = m @ self.Q
-        return 2.0 * np.squeeze(Qm[..., None, :] @ J, axis=-2)
+        q = np.asarray(q, dtype=float)
+        return 4.0 * np.einsum("...ab,...b->...a", quartic_form(self.T, q), q)
 
     def hessian(self, q: np.ndarray) -> np.ndarray:
-        m = monomials(q)
-        J = monomial_jacobian(q)
-        Qm = m @ self.Q
-        JT = np.swapaxes(J, -1, -2)
-        H = 2.0 * (JT @ (self.Q @ J))
-        H += 2.0 * (Qm @ MONOMIAL_HESSIANS.reshape(10, 16)).reshape(q.shape[:-1] + (4, 4))
-        return H
+        return 12.0 * quartic_form(self.T, q)
 
 
 def constraint_cost(origins: np.ndarray, directions: np.ndarray, points: np.ndarray,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -205,9 +205,9 @@ def localize(
                                            f"(< {config.sample_size})")
     result = ransac_gdls(corrs, config, seed=seed)
     if result.success and result.inlier_ratio < 0.3:
-        return RobustResult(False, None, result.inlier_indices, result.iterations_run,
-                            result.inlier_ratio,
-                            failure_reason=f"inlier ratio {result.inlier_ratio:.3f} < 0.3")
+        return replace(
+            result, success=False, transform=None, mean_angular_error=float("nan"),
+            failure_reason=f"inlier ratio {result.inlier_ratio:.3f} < 0.3")
     return result
 
 

@@ -2,7 +2,10 @@
 
 ``ransac_gdls`` runs a hypothesize-and-verify loop with minimal samples
 of 4 correspondences, angular inlier scoring, adaptive termination, and
-a final non-minimal re-estimate on the inlier set.  With
+a final non-minimal re-estimate on the inlier set.  Minimal samples are
+drawn one at a time but solved in batches of 1, 1, 2, 4, ... (at most
+``MAX_BATCH``, never past the current adaptive iteration limit) through
+one stationary search, and scored in draw order.  With
 ``use_prosac=True`` minimal samples are drawn from progressively growing
 prefixes of the correspondences sorted by match score (Chum-Matas
 progressive sampling).
@@ -22,7 +25,10 @@ import numpy as np
 from .errors import (EmptySolutionError, InvalidInputError, RankDeficiencyError,
                      RayposeError)
 from .geometry import Correspondences, Quaternion, SimilarityTransform
-from .solver import gdls_solve
+from .solver import SolveReport, gdls_solve, solve_batch
+
+# Largest number of minimal samples solved together.
+MAX_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,8 @@ class RobustConfig:
             raise InvalidInputError("confidence must be in (0, 1)")
         if self.sample_size < 4:
             raise InvalidInputError("sample_size must be at least 4")
+        if self.max_iterations < 1:
+            raise InvalidInputError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,11 @@ class RobustResult:
 
     ``success`` is False when no model reached ``min_inliers``; the
     transform is then None and ``failure_reason`` says why.
+    ``samples_solved`` counts the minimal samples solved, including those
+    of the last batch drawn past the termination point (at most
+    ``MAX_BATCH - 1``); ``samples_rank_deficient`` and ``samples_empty``
+    count, among the first ``iterations_run`` samples, those whose solve
+    raised ``RankDeficiencyError`` or ``EmptySolutionError``.
     """
 
     success: bool
@@ -62,6 +75,9 @@ class RobustResult:
     inlier_ratio: float
     mean_angular_error: float = float("nan")
     failure_reason: Optional[str] = None
+    samples_solved: int = 0
+    samples_rank_deficient: int = 0
+    samples_empty: int = 0
 
 
 def angular_residuals(T: SimilarityTransform, origins: np.ndarray,
@@ -133,52 +149,60 @@ def ransac_gdls(
         order = np.arange(n)
         prefix = np.full(config.max_iterations, n, dtype=int)
 
+    def draw(t):
+        n_t = prefix[t]
+        if config.use_prosac and n_t > m:
+            # The n_t-th ranked point plus m-1 draws from the prefix above it.
+            idx = rng.choice(n_t - 1, size=m - 1, replace=False)
+            return order[np.concatenate([idx, [n_t - 1]])]
+        return order[rng.choice(n_t, size=m, replace=False)]
+
     best_count = 0
     best_mean = float("inf")
     best_transform: Optional[SimilarityTransform] = None
     best_angles: Optional[np.ndarray] = None
-    raised, deficient, last_error = 0, 0, None
+    solved, deficient, empty, last_error = 0, 0, 0, None
     max_iter = config.max_iterations
     t = 0
     while t < max_iter:
-        n_t = prefix[t]
-        t += 1
-        if config.use_prosac and n_t > m:
-            # The n_t-th ranked point plus m-1 draws from the prefix above it.
-            idx = rng.choice(n_t - 1, size=m - 1, replace=False)
-            sample = order[np.concatenate([idx, [n_t - 1]])]
-        else:
-            sample = order[rng.choice(n_t, size=m, replace=False)]
-        try:
-            report = gdls_solve(correspondences.subset(sample))
-        except (RankDeficiencyError, EmptySolutionError) as e:
-            raised, last_error = raised + 1, e
-            deficient += isinstance(e, RankDeficiencyError)
-            continue
-        angles = angular_residuals(report.best.transform, *arrays)
-        mask = angles < config.angular_inlier_threshold
-        count = int(mask.sum())
-        mean_err = float(angles[mask].mean()) if count else float("inf")
-        if count > best_count or (count == best_count and mean_err < best_mean):
-            best_count = count
-            best_mean = mean_err
-            best_transform, best_angles = report.best.transform, angles
-            # Adaptive termination from the inlier ratio.
-            w = count / n
-            if w > 0:
-                p_good = w ** m
-                if p_good >= 1.0:
-                    needed = 1
-                else:
-                    needed = math.log(1.0 - config.confidence) / math.log(1.0 - p_good)
-                max_iter = min(config.max_iterations, max(t, int(math.ceil(needed))))
+        size = min(max(t, 1), MAX_BATCH, max_iter - t)
+        samples = [correspondences.subset(draw(t + j)) for j in range(size)]
+        solved += size
+        for report in solve_batch(samples):
+            if t == max_iter:
+                break
+            t += 1
+            if not isinstance(report, SolveReport):
+                last_error = report
+                deficient += isinstance(report, RankDeficiencyError)
+                empty += isinstance(report, EmptySolutionError)
+                continue
+            angles = angular_residuals(report.best.transform, *arrays)
+            mask = angles < config.angular_inlier_threshold
+            count = int(mask.sum())
+            mean_err = float(angles[mask].mean()) if count else float("inf")
+            if count > best_count or (count == best_count and mean_err < best_mean):
+                best_count = count
+                best_mean = mean_err
+                best_transform, best_angles = report.best.transform, angles
+                # Adaptive termination from the inlier ratio.
+                w = count / n
+                if w > 0:
+                    p_good = w ** m
+                    if p_good >= 1.0:
+                        needed = 1
+                    else:
+                        needed = math.log(1.0 - config.confidence) / math.log(1.0 - p_good)
+                    max_iter = min(config.max_iterations, max(t, int(math.ceil(needed))))
+    counts = dict(samples_solved=solved, samples_rank_deficient=deficient, samples_empty=empty)
 
     if best_transform is None or best_count < config.min_inliers:
         reason = f"best model had {best_count} inliers (< min_inliers={config.min_inliers})"
-        if raised == t:   # no hypothesis was scored
+        if deficient + empty == t:   # no hypothesis was scored
             what = "were rank deficient" if deficient == t else f"raised ({deficient} rank deficient)"
             reason = f"all {t} minimal samples {what}; last: {last_error}"
-        return RobustResult(False, None, np.array([], dtype=int), t, 0.0, failure_reason=reason)
+        return RobustResult(False, None, np.array([], dtype=int), t, 0.0,
+                            failure_reason=reason, **counts)
 
     # Non-minimal re-estimate on all inliers, kept only if it loses none;
     # otherwise the best minimal hypothesis stands.
@@ -194,7 +218,7 @@ def ransac_gdls(
             transform, angles = refit, refit_angles
     inliers = np.flatnonzero(angles < config.angular_inlier_threshold)
     return RobustResult(True, transform, inliers, t, len(inliers) / n,
-                        float(angles[inliers].mean()))
+                        float(angles[inliers].mean()), **counts)
 
 
 def umeyama_align(points_a: Sequence, points_b: Sequence) -> SimilarityTransform:

@@ -1,11 +1,27 @@
-"""Dense reference for the linear elimination.
+"""Dense references for the linear elimination and the quartic cost.
 
 Stacks the full 3n x (n + 4) constraint matrix A and solves its normal
 equations through the pseudo-inverse.  Quadratic in n, so it lives in
 the tests as the oracle for the Schur route in ``raypose.elimination``.
+The quartic cost is evaluated as m(q)^T Q m(q) over the 10 monomials,
+the oracle for the tensor evaluator in ``raypose.cost``.
 """
 
 import numpy as np
+
+from raypose.cost import MONOMIAL_PAIRS
+
+
+def monomials(q: np.ndarray) -> np.ndarray:
+    """m(q); accepts a (4,) quaternion or a (k, 4) batch."""
+    q = np.asarray(q, dtype=float)
+    return np.stack([q[..., a] * q[..., b] for a, b in MONOMIAL_PAIRS], axis=-1)
+
+
+def monomial_cost(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """m(q)^T Q m(q)."""
+    m = monomials(q)
+    return np.sum((m @ Q) * m, axis=-1)
 
 
 def stack_A(c: np.ndarray, z: np.ndarray, fix_scale: bool) -> np.ndarray:

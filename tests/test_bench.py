@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import raypose
 from raypose import (InvalidInputError, Quaternion, SimilarityTransform,
                      add_noise, generate_city, generate_scene, pose_errors,
                      quat_to_rotation, rows_to_csv, run_noise_sweep,
@@ -181,3 +186,15 @@ def test_generate_city_truth_transforms():
     w0 = apply_similarity(truths[0], cams[0].points[cams[0].point_rows(shared)])
     w1 = apply_similarity(truths[1], cams[1].points[cams[1].point_rows(shared)])
     assert len(shared) == 5 and np.allclose(w0, w1, atol=1e-9)
+
+
+def test_bench_harness_loads_on_first_use():
+    # `import raypose` leaves the harness out; the first name taken loads it.
+    src = str(Path(raypose.__file__).resolve().parents[1])
+    code = ("import sys, raypose; assert 'raypose.bench' not in sys.modules; "
+            "from raypose import generate_scene; assert 'raypose.bench' in sys.modules; "
+            "assert generate_scene is sys.modules['raypose.bench'].generate_scene")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=src))
+    with pytest.raises(AttributeError):
+        raypose.no_such_name

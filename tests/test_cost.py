@@ -3,9 +3,10 @@ import pytest
 
 from raypose import build_elimination, build_quartic_cost, direct_cost
 from raypose.bench import SceneConfig, add_noise, generate_scene, trial_rng
-from raypose.cost import (MONOMIAL_PAIRS, MR, SQ_NORM, QuarticCost,
-                          monomial_jacobian, monomials)
+from raypose.cost import MONOMIAL_PAIRS, MR, SQ_NORM, QuarticCost
 from raypose.geometry import quat_to_rotation
+
+from dense_oracle import monomial_cost, monomials
 
 
 def _noisy_instance(n=6, seed=0, sigma=0.5):
@@ -34,16 +35,34 @@ def test_rotation_coefficients_match_matrix():
         assert np.allclose(MR @ monomials(q), R.reshape(-1), atol=1e-12)
 
 
-def test_monomial_jacobian_finite_difference():
+def test_tensor_evaluator_matches_monomial_oracle():
+    # f, g and H all come from M(q) = reshape((q kron q) T); check them
+    # against m(q)^T Q m(q) and its central differences, off the sphere too.
+    _, elim, _ = _noisy_instance(seed=10)
+    cost = build_quartic_cost(elim)
     rng = np.random.default_rng(2)
-    q = rng.normal(size=4)
-    J = monomial_jacobian(q)
-    eps = 1e-7
-    for k in range(4):
-        dq = np.zeros(4)
-        dq[k] = eps
-        fd = (monomials(q + dq) - monomials(q - dq)) / (2 * eps)
-        assert np.allclose(J[:, k], fd, atol=1e-6)
+    eps = 1e-6
+    for _ in range(10):
+        q = rng.normal(size=4)
+        f = float(monomial_cost(cost.Q, q))
+        assert np.isclose(float(cost.evaluate(q)), f, rtol=1e-12, atol=1e-15)
+        g, H = cost.gradient(q), cost.hessian(q)
+        assert np.allclose(H, H.T, rtol=0, atol=1e-12 * np.abs(H).max())
+        # Euler's identities for a quartic: q.g = 4f and H q = 3g
+        assert np.isclose(q @ g, 4.0 * f, rtol=1e-10)
+        assert np.allclose(H @ q, 3.0 * g, rtol=1e-10, atol=1e-12)
+        for k in range(4):
+            dq = np.zeros(4)
+            dq[k] = eps
+            fd = (monomial_cost(cost.Q, q + dq) - monomial_cost(cost.Q, q - dq)) / (2 * eps)
+            assert np.isclose(g[k], fd, rtol=1e-6, atol=1e-10)
+            fd_g = (cost.gradient(q + dq) - cost.gradient(q - dq)) / (2 * eps)
+            assert np.allclose(H[:, k], fd_g, rtol=1e-5, atol=1e-8)
+    qs = rng.normal(size=(7, 4))
+    assert np.allclose(cost.evaluate(qs), monomial_cost(cost.Q, qs), rtol=1e-12, atol=1e-15)
+    T = cost.T.reshape(4, 4, 4, 4)
+    for axes in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        assert np.allclose(T, T.transpose(axes), rtol=0, atol=1e-15 * np.abs(T).max())
 
 
 def test_quartic_matches_direct_cost():

@@ -11,7 +11,7 @@ from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
 from raypose.bench import (SceneConfig, add_noise, generate_scene,
                            random_similarity, trial_rng)
 from raypose.robust import angular_residuals
-from raypose.solver import gdls_solve
+from raypose.solver import SolveReport, gdls_solve, solve_batch
 
 
 def _scene(n=30, seed=0):
@@ -39,6 +39,12 @@ def test_config_validation():
         RobustConfig(confidence=1.0)
     with pytest.raises(InvalidInputError):
         RobustConfig(sample_size=3)
+
+
+@pytest.mark.parametrize("max_iterations", [0, -3])
+def test_config_rejects_max_iterations_below_one(max_iterations):
+    with pytest.raises(InvalidInputError, match="max_iterations"):
+        RobustConfig(max_iterations=max_iterations)
 
 
 def test_noise_free_recovers_quickly():
@@ -80,18 +86,20 @@ def test_failed_refit_keeps_best_hypothesis(monkeypatch, refit):
     far = SimilarityTransform(Quaternion.identity(), np.full(3, 50.0), 1.0)
     minimal_solves = []
 
-    def solve(sample):
-        if len(sample) == RobustConfig().sample_size:
-            report = gdls_solve(sample)
-            minimal_solves.append(report.best.transform)
-            return report
+    def solve_minimal(samples):
+        reports = solve_batch(samples)
+        minimal_solves.extend(r.best.transform for r in reports if isinstance(r, SolveReport))
+        return reports
+
+    def solve_refit(sample):
         if refit == "raises":
             raise EmptySolutionError("forced refit failure")
         report = gdls_solve(sample)
         best = dataclasses.replace(report.best, transform=far)
         return dataclasses.replace(report, candidates=[best])
 
-    monkeypatch.setattr(robust, "gdls_solve", solve)
+    monkeypatch.setattr(robust, "solve_batch", solve_minimal)
+    monkeypatch.setattr(robust, "gdls_solve", solve_refit)
     result = ransac_gdls(noisy, RobustConfig(), seed=0)
     assert result.success
     assert any(result.transform is T for T in minimal_solves)
@@ -108,6 +116,7 @@ def test_single_origin_failure_names_rank_deficiency():
     assert not result.success and result.iterations_run == 20
     assert result.failure_reason.startswith("all 20 minimal samples were rank deficient")
     assert "fix_scale=True" in result.failure_reason
+    assert (result.samples_solved, result.samples_rank_deficient, result.samples_empty) == (20, 20, 0)
 
 
 def test_angular_residual_zero_on_exact():
@@ -241,3 +250,55 @@ def test_umeyama_collinear_raises():
         umeyama_align(a, 2.0 * a)
     with pytest.raises(InvalidInputError):
         umeyama_align(a[:2], a[:2])
+
+
+def _ranked_outlier_data(seed):
+    rng = trial_rng(600 + seed, 0)
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=24), rng)
+    noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
+    scores = np.concatenate([rng.uniform(0.5, 1.0, 24), rng.uniform(0.0, 0.7, 24)])
+    return _concat(noisy, _outliers(rng, 24), scores=scores)
+
+
+@pytest.mark.parametrize("use_prosac", [False, True])
+def test_batch_size_does_not_change_the_result(monkeypatch, use_prosac):
+    config = RobustConfig(use_prosac=use_prosac)
+    for seed in range(3):
+        data = _ranked_outlier_data(seed)
+        batched = ransac_gdls(data, config, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(robust, "MAX_BATCH", 1)
+            single = ransac_gdls(data, config, seed=seed)
+        assert batched.success and single.success
+        assert batched.iterations_run > robust.MAX_BATCH
+        assert single.samples_solved == single.iterations_run
+        assert np.array_equal(batched.inlier_indices, single.inlier_indices)
+        assert batched.iterations_run == single.iterations_run
+        for a, b in ((batched.transform.rotation.array, single.transform.rotation.array),
+                     (batched.transform.translation, single.transform.translation)):
+            assert np.array_equal(a, b)
+        assert batched.transform.scale == single.transform.scale
+
+
+def test_batch_slack_is_below_the_cap():
+    # Samples of the batch drawn past the adaptive stop are solved but not
+    # scored: at most MAX_BATCH - 1 per call.
+    slacks = []
+    for seed in range(6):
+        (corrs, _), rng = _scene(n=30, seed=20 + seed)
+        data = _concat(add_noise(corrs, 0.5, 800.0, rng=rng), _outliers(rng, 10))
+        for config in (RobustConfig(), RobustConfig(max_iterations=7)):
+            result = ransac_gdls(data, config, seed=seed)
+            slacks.append(result.samples_solved - result.iterations_run)
+            assert result.iterations_run <= config.max_iterations
+            assert result.samples_rank_deficient + result.samples_empty <= result.iterations_run
+    assert 0 <= min(slacks) and max(slacks) <= robust.MAX_BATCH - 1
+    assert max(slacks) > 0
+
+
+def test_one_hypothesis_run_solves_one_sample():
+    # noise-free data is all inliers: the first hypothesis ends the loop
+    (corrs, _), _ = _scene(seed=1)
+    result = ransac_gdls(corrs, RobustConfig(), seed=0)
+    assert result.iterations_run == 1
+    assert result.samples_solved == 1

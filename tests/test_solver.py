@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
-                     Quaternion, SimilarityTransform, apply_similarity,
+                     Quaternion, RankDeficiencyError, SimilarityTransform, apply_similarity,
                      build_elimination, build_quartic_cost, gdls_solve,
                      solve_stationary)
 from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
                            random_similarity, trial_rng)
-from raypose.solver import MAX_CANDIDATES, super_fibonacci
+from raypose.solver import (MAX_CANDIDATES, PRECISE_ITERS, _solve_rows, solve_batch,
+                            super_fibonacci)
 
 
 def test_super_fibonacci_unit_and_spread():
@@ -138,7 +139,7 @@ def test_multistart_oracle_agreement():
         noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
         elim = build_elimination(noisy)
         cost = build_quartic_cost(elim)
-        qs = solve_stationary(cost)
+        qs = solve_stationary([cost])[0][0]
         best = min(float(cost.evaluate(q.array)) for q in qs)
         oracle = _oracle_descent(cost, 512, np.random.default_rng(seed))
         assert best <= oracle + 1e-8
@@ -157,3 +158,73 @@ def test_all_negative_scale_raises_empty():
         return
     # If a model survives it must at least be cheirality-flagged.
     assert not report_or_error.best.cheirality_ok
+
+
+def test_noise_free_precise_phase_stops_early():
+    # On zero-residual minimal problems the precise phase stops at the
+    # rounding floor, far below its cap of 50 in the typical solve.  A
+    # start that crawls down from a saddle by unscaled steepest descent
+    # still runs its solve to the cap; that happens in a minority of solves.
+    precise = []
+    for seed in range(20):
+        rng = trial_rng(400 + seed, 0)
+        corrs, truth = generate_scene(SceneConfig(n_correspondences=4), rng)
+        report = gdls_solve(corrs)
+        chord = report.best.transform.rotation_matrix() - truth.rotation_matrix()
+        assert np.linalg.norm(chord) < 1e-9
+        broad, steps, polish = report.newton_iterations
+        assert 1 <= broad <= 3 and 1 <= steps <= PRECISE_ITERS and 1 <= polish <= 4
+        precise.append(steps)
+    assert np.median(precise) <= 10 < PRECISE_ITERS
+    assert sum(steps == PRECISE_ITERS for steps in precise) < len(precise) // 2
+
+
+def test_singular_row_does_not_change_other_rows():
+    rng = np.random.default_rng(20)
+    A = rng.normal(size=(5, 4, 4))
+    A = A + A.transpose(0, 2, 1) + 8.0 * np.eye(4)
+    A[2] = 0.0
+    b = rng.normal(size=(5, 4))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, b[:, :, None])
+    d = _solve_rows(A, b)
+    assert np.array_equal(d[2], b[2])   # steepest descent on the singular row
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(d[i], _solve_rows(A[i:i + 1], b[i:i + 1])[0])
+
+
+def _noisy_costs(count, n=4):
+    costs = []
+    for seed in range(count):
+        rng = trial_rng(500 + seed, 0)
+        corrs, _ = generate_scene(SceneConfig(n_correspondences=n), rng)
+        costs.append(build_quartic_cost(build_elimination(add_noise(corrs, 1.0, 800.0, rng=rng))))
+    return costs
+
+
+def test_stack_of_costs_matches_costs_alone():
+    costs = _noisy_costs(6)
+    stacked = solve_stationary(costs)
+    assert solve_stationary([]) == []
+    for cost, (qs, iterations) in zip(costs, stacked):
+        (alone, alone_iterations), = solve_stationary([cost])
+        assert len(alone) == len(qs) >= 1
+        for a, b in zip(alone, qs):
+            assert np.array_equal(a.array, b.array)
+        assert alone_iterations == iterations
+
+
+def test_solve_batch_reports_each_sample():
+    rng = trial_rng(13, 0)
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=6), rng)
+    # one origin for every ray leaves the scale unobservable
+    single = Correspondences(np.zeros((4, 3)), corrs.points[:4] + 1.0, corrs.points[:4])
+    good, bad, again = solve_batch([corrs, single, corrs])
+    assert isinstance(bad, RankDeficiencyError)
+    expect = gdls_solve(corrs)
+    for report in (good, again):
+        assert np.array_equal(report.best.transform.rotation.array,
+                              expect.best.transform.rotation.array)
+        assert report.n_stationary == expect.n_stationary
+    with pytest.raises(InvalidInputError):
+        solve_batch([corrs, corrs.subset(np.arange(3))])
