@@ -18,7 +18,7 @@ from .geometry import (Correspondences, DistributedCamera, Quaternion,
 from .elimination import EliminationMatrices, build_elimination
 from .cost import QuarticCost, build_quartic_cost, direct_cost
 from .solver import (SolveReport, SolverCandidate, gdls_solve, recover_candidates,
-                     solve_batch, solve_stationary, super_fibonacci)
+                     solve_batch, solve_stationary)
 from .robust import (RobustConfig, RobustResult, prosac_order, ransac_gdls,
                      umeyama_align)
 from .pipeline import (MatchGraph, MergeReport, build_match_graph,

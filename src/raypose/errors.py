@@ -23,7 +23,13 @@ class RankDeficiencyError(RayposeError):
 
 
 class EmptySolutionError(RayposeError):
-    """No solver candidate survived; callers treat this as a robust-loop failure."""
+    """No solver candidate survived; callers treat this as a robust-loop failure.
+
+    Raised when every candidate has a non-positive scale, when no local
+    minimum meets the stationarity tolerance, and when the cost's
+    stationary points are not isolated (the zero cost, or a curve of
+    minima), so that no finite candidate set describes them.
+    """
 
 
 class ParseError(RayposeError):

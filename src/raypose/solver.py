@@ -1,4 +1,4 @@
-"""Pose-and-scale solver: stationary points of the reduced quartic cost.
+"""Pose-and-scale solver: every stationary point of the reduced quartic cost.
 
 The backend minimizes C'(q) = m(q)^T Q m(q) restricted to the unit
 sphere.  Because C' is homogeneous of degree 4, unconstrained stationarity
@@ -6,36 +6,53 @@ together with the norm constraint forces C' = 0 (Euler's identity), so
 for noisy data the solved condition is first-order optimality of C' on
 the sphere: the gradient must be parallel to q.
 
-The reference backend is a deterministic multi-start projected Newton
-iteration from a fixed 512-point low-discrepancy covering of the unit
-3-sphere (super-Fibonacci spiral), in three phases:
+With C'(q) = q^T M(q) q (see ``raypose.cost``) that condition reads
+M(q) q = lambda q: the stationary points are the Z-eigenvectors of the
+symmetric tensor T, the common zeros of the six quartic minors
+q_i (Mq)_j - q_j (Mq)_i.  A generic T has 40 of them, counted as complex
+points up to sign (Cartwright & Sturmfels, 2013); on 100 noisy minimal
+pose costs 12-28 of them were real and 2-6 of those local minima.
+``solve_stationary`` enumerates all 40 with the Macaulay-matrix
+null-space method (Dreesen, Batselier & De Moor, 2012), one cost at a
+time:
 
-* broad: three monotone Newton sweeps over all 512 starts of one cost,
-  after which basins collapse into clusters with one representative each;
-* precise: monotone Newton on the representatives until no step lowers
-  the cost by more than its rounding floor (1e-15 of the cost's norm);
-* polish: at most four pure Newton steps, each kept only while the
-  tangent gradient shrinks,
+* the minors times the 35 monomials of degree 4 are the rows of the
+  210 x 165 Macaulay matrix A of degree 8.  Its null space N has
+  dimension 40 and is spanned by the degree-8 monomial vectors of the 40
+  points; N is the last 40 columns of the complete QR factor of A^T G,
+  with G a fixed 210 x 125 Gaussian matrix;
+* at each point, the entry of a monomial vector at x^a q_k (|a| = 7) is
+  its entry at x^a times q_k.  So against a fixed linear form h, the
+  shift matrices A_k = (rows of N at x^a h)^+ (rows of N at x^a q_k) have
+  common eigenvectors, with eigenvalues q_k / h at the 40 points.  One
+  eig of a fixed combination of the A_k gives those eigenvectors U, and
+  the diagonal of U^-1 A_k U reads off q_k / h.
 
-followed by sign-aware deduplication.  At most 8 candidates are reported,
-ranked by cost, matching the dimension of the problem's algebraic
-solution space.
+The real roots come out about 1e-13 off; one Newton step, kept where it
+shrinks the tangent gradient, takes them to the rounding floor.  Those
+that then meet the stationarity tolerance are the real stationary
+points, and those whose Riemannian Hessian has no negative eigenvalue
+are the local minima.  The minima are reported ranked by cost,
+sign-canonicalized and deduplicated, at most 8 per cost.  A null space
+larger than 40 means a stationary set that is not isolated (the zero
+cost, or a curve of minima such as that of (q2^2 + q3^2)^2): no finite
+list of candidates describes it, and that cost gets an
+``EmptySolutionError`` saying so.
 
-``solve_stationary`` takes a stack of costs: the broad phase runs per
-cost, the precise phase and the polish over the representatives of all
-of them at once.  Every row's arithmetic is independent of the other
-costs in the stack, so a cost's result does not depend on its batch.
 ``solve_batch`` runs the whole pipeline on a stack of correspondence sets
 (the robust loop's minimal samples); ``gdls_solve`` is a stack of one.
+Both solve about the centroids of the ray origins and of the world
+points.  That leaves costs and depths unchanged and keeps the
+elimination's rank test independent of where the coordinate origin is.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 import time
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,217 +61,89 @@ from .elimination import EliminationMatrices, build_elimination
 from .errors import EmptySolutionError, InvalidInputError, RankDeficiencyError
 from .geometry import Correspondences, Quaternion, SimilarityTransform, quat_to_rotation
 
-N_STARTS = 512
 MAX_CANDIDATES = 8
 STATIONARITY_TOL = 1e-8
-# Iteration caps of the three phases.
-BROAD_ITERS, PRECISE_ITERS, POLISH_STEPS = 3, 50, 4
-# A step must lower the cost by more than this fraction of |Q|, the
-# rounding floor of one evaluation, to count as progress.
-ROUNDING_FLOOR = 1e-15
+# The degree-8 Macaulay matrix of the six minors is 210 x 165 with rank
+# 125 when the 40 stationary points are isolated.  A^T G is short of that
+# rank when its QR factor has a diagonal entry this small against the largest.
+_RANK, _RANK_TOL = 125, 1e-10
 
 
-def super_fibonacci(n: int = N_STARTS) -> np.ndarray:
-    """Deterministic low-discrepancy covering of S^3 (Alexa's spiral), (n, 4)."""
-    i = np.arange(n, dtype=float) + 0.5
-    phi = math.sqrt(2.0)
-    psi = 1.533751168755204288118041
-    t = i / n
-    r = np.sqrt(t)
-    rc = np.sqrt(1.0 - t)
-    alpha = 2.0 * math.pi * i / phi
-    beta = 2.0 * math.pi * i / psi
-    return np.stack([r * np.sin(alpha), r * np.cos(alpha),
-                     rc * np.sin(beta), rc * np.cos(beta)], axis=1)
+def _exponents(degree: int) -> np.ndarray:
+    """Exponent vectors of the monomials of one degree in q0..q3, (count, 4)."""
+    combos = np.array(list(itertools.combinations_with_replacement(range(4), degree)))
+    return (combos[:, :, None] == np.arange(4)).sum(axis=1)
+
+
+def _lookup(exponents: np.ndarray):
+    """Map from exponent vectors (..., 4) to their rows in ``exponents``."""
+    base = 9 ** np.arange(4)    # every exponent here is at most 8
+    keys = exponents @ base
+    order = np.argsort(keys)
+    return lambda e: order[np.searchsorted(keys[order], e @ base)]
 
 
 @functools.lru_cache(maxsize=1)
-def _covering() -> np.ndarray:
-    """The fixed seed covering, computed on first use and kept read-only."""
-    seeds = super_fibonacci(N_STARTS)
-    seeds.setflags(write=False)
-    return seeds
+def _macaulay_recipe():
+    """Fixed index arrays and constants of the Macaulay matrix, built on
+    first use and kept read-only.
 
-
-_STEP_FACTORS = (1.0, 0.5, 0.1, 0.02)
-
-
-def _forms(T: np.ndarray, cid: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """M(q) of each row's cost, (k, 4, 4); rows are grouped by cost id, so
-    each cost takes one product over its own rows."""
-    M = np.empty((q.shape[0], 4, 4))
-    bounds = np.searchsorted(cid, np.arange(T.shape[0] + 1))
-    for b in np.flatnonzero(bounds[1:] > bounds[:-1]):
-        lo, hi = bounds[b], bounds[b + 1]
-        M[lo:hi] = quartic_form(T[b], q[lo:hi])
-    return M
-
-
-def _values(T: np.ndarray, cid: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.einsum("ka,kab,kb->k", q, _forms(T, cid, q), q)
-
-
-def _normalized(q: np.ndarray) -> np.ndarray:
-    return q / np.sqrt(np.einsum("ka,ka->k", q, q))[:, None]
-
-
-def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise solutions of A x = b for (k, 4, 4) A and (k, 4) b; a row
-    whose A is singular gets b instead."""
-    try:
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = b.copy()
-        for i in range(b.shape[0]):
-            try:
-                out[i] = np.linalg.solve(A[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _gradients(M: np.ndarray, q: np.ndarray):
-    """(g, f, tangent gradient) at unit rows q with forms M."""
-    g = 4.0 * np.einsum("kab,kb->ka", M, q)
-    f = 0.25 * np.einsum("ka,ka->k", g, q)
-    return g, f, g - (4.0 * f)[:, None] * q
-
-
-def _newton_direction(M: np.ndarray, q: np.ndarray):
-    """(d, tangent gradient, Hessian size) at unit rows q with forms M.
-
-    With g = 4 M q and f = q^T M q, the Riemannian Hessian
-    P (H - (q.g) I) P, P = I - q q^T, follows from H = 12 M through the
-    identities H q = 3 g and q^T H q = 12 f:
-    12 M - 3 (q g^T + g q^T) + 16 f q q^T - 4 f I.  Adding ``scale`` q q^T,
-    with scale = 12 sum|M| bounding the Hessian's size, makes it invertible
-    along q (a 1e-14 scale shift keeps it regular), and d is its tangent
-    Newton step.
+    ``T.reshape(256) @ W`` gives the six minors' coefficients over the
+    degree-4 monomials, ``A.flat[dst] = minors[src]`` places them in A,
+    ``shifts[k]`` are the columns of the monomials x^a q_k (|a| = 7), and
+    G, h and w are the fixed random projection, linear form and
+    combination.
     """
-    g, f, gr = _gradients(M, q)
-    scale = np.maximum(1.0, 12.0 * np.abs(M).sum(axis=(1, 2)))
-    w = (8.0 * f + 0.5 * scale)[:, None] * q - 3.0 * g
-    qw = np.einsum("ka,kb->kab", q, w)
-    Hr = 12.0 * M + qw + qw.transpose(0, 2, 1)
-    Hr.reshape(-1, 16)[:, ::5] += (1e-14 * scale - 4.0 * f)[:, None]
-    d = _solve_rows(Hr, -gr)
-    return d - np.einsum("ka,ka->k", d, q)[:, None] * q, gr, scale
+    unit = np.eye(4, dtype=int)
+    e4 = _exponents(4)
+    at4, at8 = _lookup(e4), _lookup(_exponents(8))
+    # (Mq)_j = sum over (a, b, c) of T[j, a, b, c] q_a q_b q_c, and T's flat
+    # index is 64 j + 16 a + 4 b + c.
+    cubic = unit[np.array(list(itertools.product(range(4), repeat=3)))].sum(axis=1)
+    W = np.zeros((256, 6, 35))
+    for r, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+        W[64 * j + np.arange(64), r, at4(cubic + unit[i])] = 1.0
+        W[64 * i + np.arange(64), r, at4(cubic + unit[j])] = -1.0
+    # Row (r, b) of A is minor r times monomial b: its coefficient at
+    # monomial a goes to the column of a + b.
+    r, b, a = np.meshgrid(np.arange(6), np.arange(35), np.arange(35), indexing="ij")
+    dst = ((35 * r + b) * 165 + at8(e4[a] + e4[b])).ravel()
+    src = (35 * r + a).ravel()
+    shifts = at8(_exponents(7)[None, :, :] + unit[:, None, :])
+    rng = np.random.default_rng(2012)
+    recipe = (W.reshape(256, 210), dst, src, shifts, rng.standard_normal((210, _RANK)),
+              rng.standard_normal(4), rng.standard_normal(4))
+    for a in recipe:
+        a.setflags(write=False)
+    return recipe
 
 
-def _batch_newton(T: np.ndarray, cid: np.ndarray, q: np.ndarray, f: np.ndarray,
-                  floor: np.ndarray, iters: int):
-    """Monotone projected-Newton sweep over unit rows q with values f, in
-    place; returns the iterations each row ran.
-
-    Non-descent Newton directions fall back to steepest descent, steps
-    are capped at unit length and pass a line search that tries the
-    factors of ``_STEP_FACTORS`` in order on the rows still searching.
-    A row is done when no factor lowers its cost by more than
-    ``floor[cid]``.
-    """
-    iterations = np.zeros(q.shape[0], dtype=int)
-    live = np.arange(q.shape[0])
-    for _ in range(iters):
-        if live.size == 0:
-            break
-        iterations[live] += 1
-        ql, fl, cl = q[live], f[live], cid[live]
-        d, gr, scale = _newton_direction(_forms(T, cl, ql), ql)
-        bad = np.einsum("ka,ka->k", d, gr) > -1e-18 * scale
-        d[bad] = -gr[bad]
-        dn = np.sqrt(np.einsum("ka,ka->k", d, d))
-        big = dn > 1.0
-        d[big] /= dn[big, None]
-        moved = np.zeros(live.size, dtype=bool)
-        searching = np.arange(live.size)
-        for factor in _STEP_FACTORS:
-            cs = cl[searching]
-            cand = _normalized(ql[searching] + factor * d[searching])
-            fc = _values(T, cs, cand)
-            ok = fc < fl[searching] - floor[cs]
-            done = searching[ok]
-            q[live[done]], f[live[done]] = cand[ok], fc[ok]
-            moved[done] = True
-            searching = searching[~ok]
-            if searching.size == 0:
-                break
-        live = live[moved]
-    return iterations
+def _roots(T: np.ndarray) -> Optional[np.ndarray]:
+    """The 40 complex stationary points of the form T as (40, 4) rows q / h(q);
+    None when they are not isolated."""
+    W, dst, src, shifts, G, h, w = _macaulay_recipe()
+    A = np.zeros(210 * 165)
+    A[dst] = (T.reshape(256) @ W)[src]
+    Q, R = np.linalg.qr(A.reshape(210, 165).T @ G, mode="complete")
+    d = np.abs(np.diagonal(R))
+    if not d.min() > _RANK_TOL * d.max():
+        return None
+    Nk = Q[:, _RANK:][shifts]                          # (4, 120, 40)
+    Qh, Rh = np.linalg.qr(np.tensordot(h, Nk, 1))
+    Ak = np.linalg.solve(Rh, Qh.T @ Nk)                # (4, 40, 40)
+    _, U = np.linalg.eig(np.tensordot(w, Ak, 1))
+    return np.einsum("ia,kai->ik", np.linalg.inv(U), Ak @ U)
 
 
-def _polish(T: np.ndarray, cid: np.ndarray, q: np.ndarray, steps: int) -> np.ndarray:
-    """Pure Newton steps on unit rows q, in place, each kept only while it
-    shrinks the row's tangent gradient; returns the steps tried per row."""
-    iterations = np.zeros(q.shape[0], dtype=int)
-    live = np.arange(q.shape[0])
-    d, gr, _ = _newton_direction(_forms(T, cid, q), q)
-    for _ in range(steps):
-        if live.size == 0:
-            break
-        iterations[live] += 1
-        cand = _normalized(q[live] + d)
-        cl = cid[live]
-        d_next, gr_next, _ = _newton_direction(_forms(T, cl, cand), cand)
-        ok = np.einsum("ka,ka->k", gr_next, gr_next) < np.einsum("ka,ka->k", gr, gr)
-        live = live[ok]
-        q[live] = cand[ok]
-        d, gr = d_next[ok], gr_next[ok]
-    return iterations
-
-
-def solve_stationary(
-        costs: Sequence[QuarticCost]) -> List[Tuple[List[Quaternion], Tuple[int, int, int]]]:
-    """Sphere-constrained stationary points of each cost in a stack.
-
-    Per cost: at most 8 unit, sign-canonicalized quaternions ranked by
-    cost (empty when no start converged), and the Newton iterations the
-    broad, precise and polish phases ran for it.  The set contains the
-    global minimizer on the sphere for any cost reachable from the fixed
-    seed covering.
-    """
-    if not costs:
-        return []
-    norms = np.array([np.linalg.norm(c.Q) for c in costs])
-    qscale = np.maximum(1.0, norms)
-    T = np.stack([c.T for c in costs]) / qscale[:, None, None]
-    floor = ROUNDING_FLOOR * norms / qscale
-
-    # Broad phase, per cost: a few Newton sweeps pull every seed close to
-    # the floor of its basin, after which basins collapse into tight clusters.
-    one = np.zeros(N_STARTS, dtype=int)
-    reps, broad = [], []
-    for b in range(len(costs)):
-        q = _covering().copy()
-        f = _values(T[b:b + 1], one, q)
-        its = _batch_newton(T[b:b + 1], one, q, f, floor[b:b + 1], BROAD_ITERS)
-        reps.append(_cluster_representatives(q, f, keep_best=8, tol=2e-2))
-        broad.append(int(its.max()))
-
-    # Precise phase and polish on the representatives of all costs.
-    cid = np.repeat(np.arange(len(costs)), [len(r) for r in reps])
-    q = np.concatenate(reps)
-    precise = _batch_newton(T, cid, q, _values(T, cid, q), floor, PRECISE_ITERS)
-    polish = _polish(T, cid, q, POLISH_STEPS)
-    q = _normalized(q)
-    _, f, gr = _gradients(_forms(T, cid, q), q)
-    converged = np.sqrt(np.einsum("ka,ka->k", gr, gr)) <= STATIONARITY_TOL
-
-    out = []
-    for b in range(len(costs)):
-        mine = cid == b
-        keep = np.flatnonzero(mine & converged)
-        qb = _canonical_sign(q[keep])
-        qb = qb[np.argsort(f[keep], kind="stable")]
-        close = np.linalg.norm(qb[:, None, :] - qb[None, :, :], axis=2) < 1e-6
-        final: List[int] = []
-        for i in range(len(qb)):
-            if not close[i, final].any():
-                final.append(i)
-                if len(final) == MAX_CANDIDATES:
-                    break
-        out.append(([Quaternion.from_array(qb[i]) for i in final],
-                    (broad[b], int(precise[mine].max()), int(polish[mine].max()))))
-    return out
+def _local_terms(T: np.ndarray, q: np.ndarray):
+    """Value, tangent gradient and Riemannian Hessian of the form T at unit
+    rows q.  With f = q^T M q and P = I - q q^T, the Hessian is
+    P (12 M - 4 f I) P; its eigenvalue along q is 0."""
+    M = quartic_form(T, q)
+    Mq = np.einsum("kab,kb->ka", M, q)
+    f = np.einsum("ka,ka->k", q, Mq)
+    P = np.eye(4) - np.einsum("ka,kb->kab", q, q)
+    return f, 4.0 * (Mq - f[:, None] * q), P @ (12.0 * M - 4.0 * f[:, None, None] * np.eye(4)) @ P
 
 
 def _canonical_sign(q: np.ndarray) -> np.ndarray:
@@ -263,19 +152,49 @@ def _canonical_sign(q: np.ndarray) -> np.ndarray:
     return q * np.where(sign == 0.0, 1.0, sign)[:, None]
 
 
-def _cluster_representatives(q: np.ndarray, f: np.ndarray, keep_best: int, tol: float) -> np.ndarray:
-    """Lowest-cost representative per grid cell of side ``tol``, plus the
-    overall best ``keep_best`` points as insurance against cell splits."""
-    q = _canonical_sign(q)
-    order = np.argsort(f, kind="stable")
-    # Cell coordinates lie in [-span, span]; pack the four into one integer.
-    span = math.ceil(1.0 / tol)
-    keys = (np.round(q[order] / tol).astype(np.int64) + span) @ (2 * span + 1) ** np.arange(4)
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    idx = order[first[:4 * MAX_CANDIDATES]]
-    idx = np.union1d(idx, order[:keep_best])
-    return q[idx]
+def solve_stationary(
+        costs: Sequence[QuarticCost]) -> List[Union[Tuple[List[Quaternion], int], EmptySolutionError]]:
+    """Sphere-constrained local minima of each cost in a stack.
+
+    Per cost: its local minima as unit, sign-canonicalized quaternions
+    ranked by cost, at most 8 (empty when none meets the stationarity
+    tolerance), and the number of its 40 algebraic stationary points that
+    are real; or an ``EmptySolutionError`` when its stationary set is not
+    isolated.  Every local minimum, and so the global one, is in the set
+    up to the cap.
+    """
+    out: list = []
+    for cost in costs:
+        T = cost.T / max(1.0, float(np.linalg.norm(cost.Q)))
+        x = _roots(T)
+        if x is None:
+            out.append(EmptySolutionError(
+                "the cost's stationary points are not isolated (a zero cost or a "
+                "curve of minima); no finite candidate set describes them"))
+            continue
+        # Real points: q / h(q) is complex at the others.
+        x = x[np.linalg.norm(x.imag, axis=1) <= 1e-6 * np.linalg.norm(x.real, axis=1)].real
+        q = x / np.linalg.norm(x, axis=1)[:, None]
+        _, g, H = _local_terms(T, q)
+        # One Newton step from each root; see the module docstring.
+        step = q - np.einsum("kab,kb->ka", np.linalg.pinv(H + np.einsum("ka,kb->kab", q, q)), g)
+        step /= np.linalg.norm(step, axis=1)[:, None]
+        better = np.linalg.norm(_local_terms(T, step)[1], axis=1) < np.linalg.norm(g, axis=1)
+        q[better] = step[better]
+        f, g, H = _local_terms(T, q)
+        stationary = np.linalg.norm(g, axis=1) <= STATIONARITY_TOL
+        minimum = stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
+        q, f = q[minimum], f[minimum]
+        qb = _canonical_sign(q)[np.argsort(f, kind="stable")]
+        close = np.linalg.norm(qb[:, None, :] - qb[None, :, :], axis=2) < 1e-6
+        final: List[int] = []
+        for i in range(len(qb)):
+            if not close[i, final].any():
+                final.append(i)
+                if len(final) == MAX_CANDIDATES:
+                    break
+        out.append(([Quaternion.from_array(qb[i]) for i in final], int(stationary.sum())))
+    return out
 
 
 @dataclass(frozen=True)
@@ -323,9 +242,9 @@ class SolveReport:
     """Ranked candidates plus diagnostics for one solve.
 
     ``runtime_seconds`` is the wall time of the call, divided evenly over
-    the samples of a batch.  ``newton_iterations`` counts the Newton
-    passes of the broad, precise and polish phases of the stationary
-    search (see the module docstring).
+    the samples of a batch.  ``n_stationary`` counts the local minima the
+    candidates came from, ``real_roots`` the real stationary points among
+    the cost's 40 algebraic ones (see the module docstring).
     """
 
     candidates: List[SolverCandidate]
@@ -333,7 +252,7 @@ class SolveReport:
     n_correspondences: int
     fix_scale: bool = False
     n_stationary: int = 0
-    newton_iterations: Tuple[int, int, int] = (0, 0, 0)
+    real_roots: int = 0
 
     @property
     def best(self) -> SolverCandidate:
@@ -355,28 +274,48 @@ def solve_batch(samples: Sequence[Correspondences],
     out: list = [None] * len(samples)
     solved = []
     for i, corrs in enumerate(samples):
+        # Solving about the centroids is an exact reparametrization; the
+        # translation maps back in _uncentered.
+        shift = corrs.origins.mean(axis=0), corrs.points.mean(axis=0)
+        centered = Correspondences(corrs.origins - shift[0], corrs.directions,
+                                   corrs.points - shift[1])
         try:
-            elim = build_elimination(corrs, fix_scale=fix_scale)
+            elim = build_elimination(centered, fix_scale=fix_scale)
         except RankDeficiencyError as e:
             # Kept without its traceback, which would tie this frame (and the
             # batch) into a reference cycle that only the collector frees.
             out[i] = e.with_traceback(None)
             continue
-        solved.append((i, elim, build_quartic_cost(elim)))
-    points = solve_stationary([cost for _, _, cost in solved])
-    for (i, elim, cost), (qs, iterations) in zip(solved, points):
+        solved.append((i, elim, build_quartic_cost(elim), shift))
+    points = solve_stationary([cost for _, _, cost, _ in solved])
+    for (i, elim, cost, shift), found in zip(solved, points):
+        if isinstance(found, EmptySolutionError):
+            out[i] = found
+            continue
+        qs, real_roots = found
         if not qs:
-            out[i] = EmptySolutionError("no stationary candidate satisfied the tolerance")
+            out[i] = EmptySolutionError("no local minimum met the stationarity tolerance")
             continue
         try:
-            out[i] = (recover_candidates(qs, elim, cost), len(qs), iterations)
+            candidates = recover_candidates(qs, elim, cost)
         except EmptySolutionError as e:
             out[i] = e.with_traceback(None)
+            continue
+        out[i] = ([_uncentered(c, *shift) for c in candidates], len(qs), real_roots)
     runtime = (time.perf_counter() - start) / max(1, len(samples))
     for i, entry in enumerate(out):
         if isinstance(entry, tuple):
             out[i] = SolveReport(entry[0], runtime, len(samples[i]), fix_scale, *entry[1:])
     return out
+
+
+def _uncentered(candidate: SolverCandidate, origin_shift: np.ndarray,
+                point_shift: np.ndarray) -> SolverCandidate:
+    """A candidate solved with both centroids at 0, in the input frame:
+    t = t' - R X0 + s c0 for origin centroid c0 and point centroid X0."""
+    T = candidate.transform
+    t = T.translation - T.rotation_matrix() @ point_shift + T.scale * origin_shift
+    return replace(candidate, transform=SimilarityTransform(T.rotation, t, T.scale))
 
 
 def gdls_solve(correspondences: Correspondences, fix_scale: bool = False) -> SolveReport:

@@ -4,7 +4,9 @@ Stacks the full 3n x (n + 4) constraint matrix A and solves its normal
 equations through the pseudo-inverse.  Quadratic in n, so it lives in
 the tests as the oracle for the Schur route in ``raypose.elimination``.
 The quartic cost is evaluated as m(q)^T Q m(q) over the 10 monomials,
-the oracle for the tensor evaluator in ``raypose.cost``.
+the oracle for the tensor evaluator in ``raypose.cost``.  A many-start
+projected descent finds the local minima of a cost on the unit sphere,
+the oracle for the completeness of ``raypose.solver``'s enumeration.
 """
 
 import numpy as np
@@ -45,3 +47,43 @@ def dense_solution(elim, R: np.ndarray):
     if elim.fix_scale:
         return x[:n], 1.0, x[n:]
     return x[:n], float(x[n]), x[n + 1:]
+
+
+def descent_minima(cost, n_starts: int = 500, iters: int = 500, seed: int = 0):
+    """Local minima of the cost on the unit sphere that projected gradient
+    descent reaches from random starts, clustered up to sign.
+
+    Each start takes adaptive steps (grown after a decrease, halved
+    otherwise).  Rows whose tangent gradient is not below 1e-7 of |Q| or
+    whose Riemannian Hessian has a negative eigenvalue are dropped; the
+    rest are grouped within a chord of 1e-3.  Returns the (k, 4) unit
+    representatives and their costs, ranked by cost.
+    """
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n_starts, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    step = np.full(n_starts, 0.1)
+    f = cost.evaluate(q)
+    for _ in range(iters):
+        g = cost.gradient(q)
+        g -= np.sum(g * q, axis=1, keepdims=True) * q
+        cand = q - step[:, None] * g
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        fc = cost.evaluate(cand)
+        better = fc < f
+        q[better], f[better] = cand[better], fc[better]
+        step = np.clip(np.where(better, step * 1.2, step * 0.5), 1e-16, 1.0)
+    g = cost.gradient(q)
+    qg = np.sum(g * q, axis=1)
+    P = np.eye(4) - q[:, :, None] * q[:, None, :]
+    H = P @ (cost.hessian(q) - qg[:, None, None] * np.eye(4)) @ P
+    scale = max(1.0, float(np.linalg.norm(cost.Q)))
+    ok = ((np.linalg.norm(g - qg[:, None] * q, axis=1) < 1e-7 * scale)
+          & (np.linalg.eigvalsh(H)[:, 0] > -1e-7 * scale))
+    q, f = q[ok], f[ok]
+    q *= np.where(q[:, :1] < 0.0, -1.0, 1.0)
+    reps = []
+    for i in np.argsort(f, kind="stable"):
+        if all(min(np.linalg.norm(q[i] - q[j]), np.linalg.norm(q[i] + q[j])) > 1e-3 for j in reps):
+            reps.append(i)
+    return q[reps], f[reps]

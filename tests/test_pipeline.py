@@ -227,3 +227,12 @@ def test_refine_noise_free_is_noop_in_cost():
         a, b = report.transform_log[mid], refined.transform_log[mid]
         assert np.allclose(a.translation, b.translation, atol=1e-6)
         assert abs(a.scale - b.scale) < 1e-8
+
+
+def test_city_far_from_frame_origins_merges_completely():
+    # The later subsets' cameras lie far from their frame's origin compared
+    # with their spread; every minimal sample must still be solvable.
+    cams, _ = generate_city(80, 20, 0.3, 0.5, seed=0)
+    report = hierarchical_merge(cams)
+    assert report.failed_members == {}
+    assert len(report.transform_log) == 80
