@@ -21,9 +21,8 @@ from .solver import (SolveReport, SolverCandidate, gdls_solve, recover_candidate
                      solve_batch, solve_stationary)
 from .robust import (RobustConfig, RobustResult, prosac_order, ransac_gdls,
                      umeyama_align)
-from .pipeline import (MatchGraph, MergeReport, build_match_graph,
-                       hierarchical_merge, localize, partition,
-                       refine_similarities, select_base)
+from .pipeline import (MergeReport, build_match_graph, hierarchical_merge,
+                       localize, partition, refine_similarities, select_base)
 from .io import (load_correspondences, load_reconstruction,
                  parse_correspondences, parse_reconstruction,
                  save_correspondences, save_reconstruction)

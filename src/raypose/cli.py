@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -205,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="hierarchically merge reconstructions")
     p.add_argument("inputs", nargs="+", help="reconstruction JSON files")
     p.add_argument("--max-group-size", type=int, default=DEFAULT_GROUP_SIZE)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("RAYPOSE_THREADS", "1")))
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads per level (default: RAYPOSE_THREADS, else 1)")
     p.add_argument("--refine", action="store_true",
                    help="polish per-camera similarities after merging")
     p.add_argument("--report", help="merge report output path")

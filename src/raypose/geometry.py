@@ -224,16 +224,15 @@ def alignment_from_pose(T: SimilarityTransform) -> SimilarityTransform:
     """Similarity that places the camera's local frame into the world frame.
 
     For a pose ``(R, t, s)`` satisfying ``s*c + alpha*d = R*X + t``, the
-    local point ``p`` maps to the world point ``s*R^T p - R^T t``.
+    local point ``p`` maps to the world point ``s*R^T p - R^T t``.  The
+    map ``(R, t, s) -> (R^T, -R^T t, s)`` is its own inverse, so
+    :func:`pose_from_alignment` is this same function.
     """
     Rt = T.rotation_matrix().T
     return SimilarityTransform(T.rotation.conjugate(), -(Rt @ T.translation), T.scale)
 
 
-def pose_from_alignment(T: SimilarityTransform) -> SimilarityTransform:
-    """Inverse of :func:`alignment_from_pose`."""
-    R = T.rotation_matrix().T  # rotation of the pose
-    return SimilarityTransform(T.rotation.conjugate(), -(R @ T.translation), T.scale)
+pose_from_alignment = alignment_from_pose
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

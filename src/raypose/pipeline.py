@@ -32,21 +32,6 @@ DEFAULT_GROUP_SIZE = 8
 
 
 @dataclass(frozen=True)
-class MatchGraph:
-    """Undirected weighted graph of distributed cameras sharing points."""
-
-    vertices: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int, int], ...]   # (id, id, shared-point count)
-
-    def adjacency(self) -> Dict[int, Dict[int, int]]:
-        adj: Dict[int, Dict[int, int]] = {v: {} for v in self.vertices}
-        for a, b, w in self.edges:
-            adj[a][b] = w
-            adj[b][a] = w
-        return adj
-
-
-@dataclass(frozen=True)
 class LevelRecord:
     """One merge level: the groups, each group's base, and per-member outcomes."""
 
@@ -71,97 +56,90 @@ class MergeReport:
     transform_log: Dict[int, SimilarityTransform]
 
 
-def build_match_graph(cameras: Sequence[DistributedCamera]) -> MatchGraph:
-    """Edge weight = number of shared point ids; weights < 4 are dropped
-    because they cannot support a minimal sample."""
-    id_sets = [set(cam.point_ids.tolist()) for cam in cameras]
-    edges = []
-    for i in range(len(cameras)):
-        for j in range(i + 1, len(cameras)):
-            w = len(id_sets[i] & id_sets[j])
-            if w >= 4:
-                edges.append((i, j, w))
-    return MatchGraph(tuple(range(len(cameras))), tuple(edges))
+def build_match_graph(cameras: Sequence[DistributedCamera]) -> np.ndarray:
+    """(k, k) weight matrix W of the cameras: W[i, j] is the number of point
+    ids cameras i and j share, zero on the diagonal and below 4 (too few
+    for a minimal sample).
+
+    An inverted index gives each id a column in first-seen order (ids are
+    any hashables, compared as Python values), and W is the off-diagonal
+    part of the camera x point incidence product.
+    """
+    column: Dict[object, int] = {}
+    counts = [cam.n_points for cam in cameras]
+    cols = np.fromiter((column.setdefault(p, len(column))
+                        for cam in cameras for p in cam.point_ids.tolist()),
+                       dtype=np.intp, count=sum(counts))
+    B = np.zeros((len(cameras), len(column)))
+    B[np.repeat(np.arange(len(cameras)), counts), cols] = 1.0
+    W = B @ B.T
+    np.fill_diagonal(W, 0.0)
+    W[W < 4] = 0.0
+    return W
 
 
-def _connected_components(graph: MatchGraph) -> List[List[int]]:
-    adj = graph.adjacency()
-    seen = set()
+def _components(W: np.ndarray) -> List[np.ndarray]:
+    """Connected components of W > 0 as sorted index arrays, ordered by
+    their smallest vertex."""
+    A = W > 0
+    unseen = np.ones(len(W), dtype=bool)
     comps = []
-    for v in sorted(graph.vertices):
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for nb in sorted(adj[u]):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
+    while unseen.any():
+        comp = frontier = np.arange(len(W)) == np.argmax(unseen)
+        while frontier.any():
+            frontier = A[frontier].any(axis=0) & ~comp
+            comp = comp | frontier
+        unseen &= ~comp
+        comps.append(np.flatnonzero(comp))
     return comps
 
 
-def _fiedler_split(vertices: List[int], adj: Dict[int, Dict[int, int]]) -> Tuple[List[int], List[int]]:
-    """Sign split on the second-smallest eigenvector of the normalized
-    Laplacian; ties (zero entries) and the eigenvector sign are resolved
-    deterministically by vertex id."""
-    n = len(vertices)
-    index = {v: k for k, v in enumerate(vertices)}
-    W = np.zeros((n, n))
-    for v in vertices:
-        for u, w in adj[v].items():
-            if u in index:
-                W[index[v], index[u]] = w
+def _fiedler_split(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sign split of W's vertices on the second-smallest eigenvector of the
+    normalized Laplacian, as sorted local positions.  The eigenvector's
+    sign is fixed by its first nonzero entry, and zero entries go in
+    position order to the smaller side."""
+    n = len(W)
     d = W.sum(axis=1)
-    d_safe = np.where(d > 0, d, 1.0)
-    Dh = 1.0 / np.sqrt(d_safe)
+    Dh = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
     L = np.eye(n) - Dh[:, None] * W * Dh[None, :]
-    vals, vecs = np.linalg.eigh(0.5 * (L + L.T))
-    f = vecs[:, 1]
+    f = np.linalg.eigh(0.5 * (L + L.T))[1][:, 1]
     lead = np.argmax(np.abs(f) > 1e-12)
     if f[lead] < 0:
         f = -f
     pos = f > 1e-12
     neg = f < -1e-12
-    a = [v for v in vertices if pos[index[v]]]
-    b = [v for v in vertices if neg[index[v]]]
-    tied = [v for v in vertices if not (pos[index[v]] or neg[index[v]])]
-    for v in sorted(tied):
-        (a if len(a) <= len(b) else b).append(v)
-    if not a or not b:
-        # Degenerate spectrum: deterministic fallback on sorted ids.
+    for k in np.flatnonzero(~(pos | neg)):
+        (pos if pos.sum() <= neg.sum() else neg)[k] = True
+    if pos.all() or neg.all():
+        # Degenerate spectrum: deterministic fallback on positions.
         half = max(1, n // 2)
-        ordered = sorted(vertices)
-        a, b = ordered[:half], ordered[half:]
-    return sorted(a), sorted(b)
+        return np.arange(half), np.arange(half, n)
+    return np.flatnonzero(pos), np.flatnonzero(neg)
 
 
-def partition(graph: MatchGraph, max_size: int = 150) -> List[List[int]]:
-    """Vertex groups of size ≤ max_size via recursive spectral bisection.
+def partition(W: np.ndarray, max_size: int = 150) -> List[List[int]]:
+    """Vertex groups of size ≤ max_size of the weight matrix W (as built by
+    :func:`build_match_graph`), via recursive spectral bisection.
 
-    Connected components are found first and partitioned independently;
-    each oversized piece is split along its normalized-cut direction.
+    Connected components of W > 0 are found first and partitioned
+    independently; each oversized piece is split along the normalized-cut
+    direction of its sub-matrix.  Groups are sorted vertex lists, in
+    component order and then depth-first, first side first.
     """
     if max_size < 1:
         raise InvalidInputError("max_size must be positive")
-    if not graph.vertices:
-        return []
-    adj = graph.adjacency()
     out: List[List[int]] = []
 
-    def recurse(vs: List[int]):
+    def recurse(vs: np.ndarray):
         if len(vs) <= max_size:
-            out.append(vs)
+            out.append(vs.tolist())
             return
-        a, b = _fiedler_split(vs, adj)
-        recurse(a)
-        recurse(b)
+        a, b = _fiedler_split(W[np.ix_(vs, vs)])
+        recurse(vs[a])
+        recurse(vs[b])
 
-    for comp in _connected_components(graph):
+    for comp in _components(W):
         recurse(comp)
     return out
 
@@ -246,86 +224,67 @@ def hierarchical_merge(
     to localize are carried to the next level and retried once before
     being marked failed; cameras left disconnected at the fixpoint are
     failed with a diagnostic.  Groups within a level are independent and
-    evaluated in parallel when ``threads`` (or RAYPOSE_THREADS) > 1; the
-    result is a pure function of (input, seed) either way.
+    evaluated in parallel when ``threads`` (or, when it is None, the
+    RAYPOSE_THREADS environment variable) is > 1; the result is a pure
+    function of (input, seed) either way.
     """
     if not cameras:
         raise InvalidInputError("hierarchical_merge requires at least one camera")
-    if threads is None:
-        threads = int(os.environ.get("RAYPOSE_THREADS", "1"))
+    raw = os.environ.get("RAYPOSE_THREADS", "1") if threads is None else threads
+    if not str(raw).strip().isdecimal() or int(raw) < 1:
+        raise InvalidInputError(f"threads must be an integer >= 1, got {raw!r}")
+    threads = int(raw)
     cams = _namespace_all(cameras)
     entries = [_Entry(i, cam, {i: SimilarityTransform.identity()}) for i, cam in enumerate(cams)]
     levels: List[LevelRecord] = []
     failed: Dict[int, str] = {}
 
     while len(entries) > 1:
-        graph = build_match_graph([e.camera for e in entries])
-        groups = partition(graph, max_group_size)
+        groups = partition(build_match_graph([e.camera for e in entries]), max_group_size)
 
         def process(group: List[int]):
+            """Merge the group into its base: (base id, member results, entries
+            carried on: the merged base, then retries; ids failed for good)."""
             members = [entries[k] for k in group]
-            base_pos = select_base([e.camera for e in members], group)
-            base_entry = entries[base_pos]
-            merged = base_entry.camera
+            base = entries[select_base([e.camera for e in members], group)]
+            merged, composed = base.camera, dict(base.members)
             results: Dict[int, RobustResult] = {}
-            absorbed: List[Tuple[_Entry, SimilarityTransform]] = []
-            leftovers: List[int] = []
-            for k in group:
-                if k == base_pos:
+            retry: List[_Entry] = []
+            failures: Dict[int, str] = {}
+            for entry in members:
+                if entry is base:
                     continue
-                entry = entries[k]
                 sub_seed = int(np.random.SeedSequence(
-                    [seed, len(levels), base_entry.rep, entry.rep]).generate_state(1)[0])
+                    [seed, len(levels), base.rep, entry.rep]).generate_state(1)[0])
                 result = localize(merged, entry.camera, config, seed=sub_seed)
                 results[entry.rep] = result
                 if result.success:
                     align = alignment_from_pose(result.transform)
                     merged = merge_distributed_cameras(merged, entry.camera, align)
-                    absorbed.append((entry, align))
+                    for mid, t in entry.members.items():
+                        composed[mid] = compose_similarity(align, t)
+                elif entry.retried:
+                    failures.update(dict.fromkeys(
+                        entry.members, result.failure_reason or "localization failed"))
                 else:
-                    leftovers.append(k)
-            return base_pos, merged, results, absorbed, leftovers
+                    retry.append(replace(entry, retried=True))
+            # A lone camera tried nothing, so it keeps its retry state.
+            carried = _Entry(base.rep, merged, composed, base.retried and len(group) == 1)
+            return base.rep, results, [carried] + retry, failures
 
-        multi = [g for g in groups if len(g) > 1]
-        if threads > 1 and len(multi) > 1:
+        if threads > 1 and len(groups) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = {id(g): r for g, r in zip(multi, pool.map(process, multi))}
+                outcomes = list(pool.map(process, groups))
         else:
-            outcomes = {id(g): process(g) for g in multi}
-
-        next_entries: List[_Entry] = []
-        results_level: Dict[int, RobustResult] = {}
-        base_ids: List[int] = []
-        merged_any = False
-        for group in groups:
-            if len(group) == 1:
-                entry = entries[group[0]]
-                base_ids.append(entry.rep)
-                next_entries.append(entry)
-                continue
-            base_pos, merged, results, absorbed, leftovers = outcomes[id(group)]
-            base_entry = entries[base_pos]
-            base_ids.append(base_entry.rep)
-            results_level.update(results)
-            new_members = dict(base_entry.members)
-            for entry, align in absorbed:
-                merged_any = True
-                for mid, t in entry.members.items():
-                    new_members[mid] = compose_similarity(align, t)
-            next_entries.append(_Entry(base_entry.rep, merged, new_members))
-            for k in leftovers:
-                entry = entries[k]
-                if entry.retried:
-                    for mid in entry.members:
-                        failed[mid] = results[entry.rep].failure_reason or "localization failed"
-                else:
-                    next_entries.append(_Entry(entry.rep, entry.camera, entry.members, retried=True))
-
+            outcomes = [process(g) for g in groups]
+        base_ids, group_results, carried, failures = zip(*outcomes)
+        results = {rep: r for rs in group_results for rep, r in rs.items()}
+        for f in failures:
+            failed.update(f)
         levels.append(LevelRecord(
-            tuple(tuple(entries[k].rep for k in g) for g in groups),
-            tuple(base_ids), results_level))
-        entries = next_entries
-        if not merged_any:
+            tuple(tuple(entries[k].rep for k in g) for g in groups), base_ids, results))
+        entries = [e for c in carried for e in c]
+        if not any(r.success for r in results.values()):
             break
 
     # Fixpoint with several survivors: keep the largest, fail the rest.

@@ -7,6 +7,8 @@ The quartic cost is evaluated as m(q)^T Q m(q) over the 10 monomials,
 the oracle for the tensor evaluator in ``raypose.cost``.  A many-start
 projected descent finds the local minima of a cost on the unit sphere,
 the oracle for the completeness of ``raypose.solver``'s enumeration.
+Pairwise set intersections of point ids give the match-graph weights,
+the oracle for the inverted index in ``raypose.pipeline``.
 """
 
 import numpy as np
@@ -87,3 +89,16 @@ def descent_minima(cost, n_starts: int = 500, iters: int = 500, seed: int = 0):
         if all(min(np.linalg.norm(q[i] - q[j]), np.linalg.norm(q[i] + q[j])) > 1e-3 for j in reps):
             reps.append(i)
     return q[reps], f[reps]
+
+
+def match_weights(cameras) -> np.ndarray:
+    """(k, k) shared-point counts by pairwise set intersection, zero on the
+    diagonal and below 4."""
+    id_sets = [set(cam.point_ids.tolist()) for cam in cameras]
+    W = np.zeros((len(cameras), len(cameras)))
+    for i in range(len(cameras)):
+        for j in range(i + 1, len(cameras)):
+            w = len(id_sets[i] & id_sets[j])
+            if w >= 4:
+                W[i, j] = W[j, i] = w
+    return W

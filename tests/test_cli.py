@@ -66,6 +66,22 @@ def test_merge_malformed_id_is_invalid_input(tmp_path, capsys):
     assert "points[0].id" in capsys.readouterr().err
 
 
+def test_malformed_thread_count(tmp_path, monkeypatch, capsys):
+    # RAYPOSE_THREADS is read by the merge alone, and a bad count there is
+    # invalid input, not a traceback.
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=6, seed=2))
+    path = tmp_path / "c.json"
+    save_correspondences(corrs, str(path))
+    monkeypatch.setenv("RAYPOSE_THREADS", "abc")
+    assert main(["solve", "--input", str(path)]) == 0
+    paths, _ = _write_city(tmp_path)
+    assert main(["merge", *paths]) == 2
+    assert "got 'abc'" in capsys.readouterr().err
+    monkeypatch.delenv("RAYPOSE_THREADS")
+    assert main(["merge", *paths, "--threads", "0"]) == 2
+    assert "threads must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_align_subcommand(tmp_path, capsys):
     paths, _ = _write_city(tmp_path)
     assert main(["align", paths[0], paths[1]]) == 0

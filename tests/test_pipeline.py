@@ -7,8 +7,11 @@ from raypose import (DistributedCamera, Quaternion, RobustConfig,
                      apply_similarity, build_match_graph, generate_city,
                      hierarchical_merge, localize, partition,
                      refine_similarities, select_base)
+from raypose.errors import InvalidInputError
 from raypose.geometry import SimilarityTransform, alignment_from_pose
-from raypose.pipeline import MatchGraph, shared_correspondences, _pose_cost
+from raypose.pipeline import shared_correspondences, _pose_cost
+
+from dense_oracle import match_weights
 
 
 def _camera_with_points(pids, cam_id="a"):
@@ -25,15 +28,38 @@ def test_match_graph_weights():
     b = _camera_with_points(range(0, 25), "b")     # shares 25
     c = _camera_with_points(range(100, 110), "c")  # shares none
     d = _camera_with_points(range(23, 26), "d")    # shares 2 with a/b: dropped
-    g = build_match_graph([a, b, c, d])
-    assert (0, 1, 25) in g.edges
-    assert all(not ({e[0], e[1]} & {2}) for e in g.edges)
-    assert all(w >= 4 for _, _, w in g.edges)
+    W = build_match_graph([a, b, c, d])
+    assert W.shape == (4, 4)
+    assert W[0, 1] == W[1, 0] == 25
+    assert not W[2].any() and not W[:, 2].any()
+    assert not np.any((W > 0) & (W < 4))
+    assert not np.diag(W).any()
+
+
+def test_match_graph_matches_set_intersections_on_mixed_ids():
+    # Point ids are any JSON scalar: ints, strings and null mixed across
+    # cameras, with 1 and "1" distinct.
+    rng = np.random.default_rng(0)
+    pool = list(range(30)) + [str(i) for i in range(30)] + [None]
+    for _ in range(20):
+        cams = [_camera_with_points(rng.choice(np.array(pool, dtype=object),
+                                               size=int(rng.integers(0, 40)), replace=False),
+                                    f"c{i}")
+                for i in range(int(rng.integers(1, 9)))]
+        assert np.array_equal(build_match_graph(cams), match_weights(cams))
+
+
+def _weights(n, edges):
+    """Symmetric (n, n) weight matrix of an edge list."""
+    W = np.zeros((n, n))
+    for a, b, w in edges:
+        W[a, b] = W[b, a] = w
+    return W
 
 
 def test_partition_trivial_cases():
-    assert partition(MatchGraph((), ()), 10) == []
-    g = MatchGraph((0, 1, 2), ((0, 1, 5), (1, 2, 5)))
+    assert partition(_weights(0, ()), 10) == []
+    g = _weights(3, ((0, 1, 5), (1, 2, 5)))
     assert partition(g, 10) == [[0, 1, 2]]
 
 
@@ -43,7 +69,7 @@ def test_partition_splits_weak_edge():
     for grp in ([0, 1, 2, 3], [4, 5, 6, 7]):
         edges += [(a, b, 10) for a, b in itertools.combinations(grp, 2)]
     edges.append((3, 4, 1))
-    g = MatchGraph(tuple(range(8)), tuple(edges))
+    g = _weights(8, edges)
     groups = partition(g, 4)
     assert sorted(map(sorted, groups)) == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
@@ -56,7 +82,7 @@ def test_partition_respects_max_size_and_covers():
         for j in range(i + 1, n):
             if rng.random() < 0.2:
                 edges.append((i, j, int(rng.integers(4, 20))))
-    g = MatchGraph(tuple(range(n)), tuple(edges))
+    g = _weights(n, edges)
     groups = partition(g, 7)
     assert all(len(grp) <= 7 for grp in groups)
     assert sorted(v for grp in groups for v in grp) == list(range(n))
@@ -78,7 +104,7 @@ def test_partition_near_optimal_on_tiny_graphs():
             for j in range(i + 2, n):
                 if rng.random() < 0.3:
                     edges.append((i, j, int(rng.integers(4, 10))))
-        g = MatchGraph(tuple(range(n)), tuple(edges))
+        g = _weights(n, edges)
         groups = partition(g, n - 1)  # force exactly one split at the top
         if len(groups) < 2:
             continue
@@ -182,6 +208,17 @@ def test_threads_do_not_change_result():
     for mid in a.transform_log:
         assert np.array_equal(a.transform_log[mid].translation,
                               b.transform_log[mid].translation)
+
+
+def test_thread_count_must_be_a_positive_integer(monkeypatch):
+    cams, _ = generate_city(2, 3, 0.3, 0.0, seed=1)
+    for threads in (0, -5, 2.5, "two"):
+        with pytest.raises(InvalidInputError, match="threads"):
+            hierarchical_merge(cams, threads=threads)
+    monkeypatch.setenv("RAYPOSE_THREADS", "abc")
+    with pytest.raises(InvalidInputError, match="'abc'"):
+        hierarchical_merge(cams)
+    assert not hierarchical_merge(cams, threads=2).failed_members
 
 
 def test_frame_coherence():
