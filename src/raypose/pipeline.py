@@ -268,8 +268,8 @@ def hierarchical_merge(
                         entry.members, result.failure_reason or "localization failed"))
                 else:
                     retry.append(replace(entry, retried=True))
-            # A lone camera tried nothing, so it keeps its retry state.
-            carried = _Entry(base.rep, merged, composed, base.retried and len(group) == 1)
+            # A base that merged nothing keeps its retry state.
+            carried = _Entry(base.rep, merged, composed, base.retried and merged is base.camera)
             return base.rep, results, [carried] + retry, failures
 
         if threads > 1 and len(groups) > 1:

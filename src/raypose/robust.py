@@ -4,8 +4,8 @@
 of 4 correspondences, angular inlier scoring, adaptive termination, and
 a final non-minimal re-estimate on the inlier set.  Minimal samples are
 drawn one at a time but solved in batches of 1, 1, 2, 4, ... (at most
-``MAX_BATCH``, never past the current adaptive iteration limit) through
-one stationary search, and scored in draw order.  With
+``MAX_BATCH``, never past the current adaptive iteration limit) by one
+``solve_batch`` call each, and scored in draw order.  With
 ``use_prosac=True`` minimal samples are drawn from progressively growing
 prefixes of the correspondences sorted by match score (Chum-Matas
 progressive sampling).

@@ -17,10 +17,13 @@ null-space method (Dreesen, Batselier & De Moor, 2012), one cost at a
 time:
 
 * the minors times the 35 monomials of degree 4 are the rows of the
-  210 x 165 Macaulay matrix A of degree 8.  Its null space N has
-  dimension 40 and is spanned by the degree-8 monomial vectors of the 40
-  points; N is the last 40 columns of the complete QR factor of A^T G,
-  with G a fixed 210 x 125 Gaussian matrix;
+  210 x 165 Macaulay matrix A of degree 8.  When the points are isolated
+  A has rank 125, and its null space N, of dimension 40, is spanned by the
+  degree-8 monomial vectors of the 40 points.  A fixed set of 125 rows has
+  that rank too, and a fixed block P of 125 of its columns is invertible;
+  both were picked once by a pivoted Gram-Schmidt on a seeded random form.
+  With F the other 40 columns, N = [-A_P^-1 A_F; I] comes from one LU
+  solve, and one reduced QR of that 165 x 40 matrix makes it orthonormal;
 * at each point, the entry of a monomial vector at x^a q_k (|a| = 7) is
   its entry at x^a times q_k.  So against a fixed linear form h, the
   shift matrices A_k = (rows of N at x^a h)^+ (rows of N at x^a q_k) have
@@ -28,16 +31,24 @@ time:
   eig of a fixed combination of the A_k gives those eigenvectors U, and
   the diagonal of U^-1 A_k U reads off q_k / h.
 
-The real roots come out about 1e-13 off; one Newton step, kept where it
-shrinks the tangent gradient, takes them to the rounding floor.  Those
-that then meet the stationarity tolerance are the real stationary
+The cost is solved in a fixed random frame q = R q', because structured
+costs (a diagonal Q, say) make the fixed pivot block singular in the
+input frame, and the roots are rotated back.  The eig step needs N's rows
+at x^a q_k to lie in the span of its rows at x^a h; the relative residual
+of that shift invariance has a median of 2e-13 over 10,000 noise-free
+minimal pose costs and of 5e-12 over 100 noisy costs at n = 1000, and it
+is 0.5 for the circle of minima below.  A null space whose residual is
+above 1e-8 (1 of those 10,000 minimal costs) is solved again in a second
+fixed frame.  The real roots come out about 1e-13 off; one Newton step, kept
+where it shrinks the tangent gradient, takes them to the rounding floor.
+Those that then meet the stationarity tolerance are the real stationary
 points, and those whose Riemannian Hessian has no negative eigenvalue
 are the local minima.  The minima are reported ranked by cost,
-sign-canonicalized and deduplicated, at most 8 per cost.  A null space
-larger than 40 means a stationary set that is not isolated (the zero
-cost, or a curve of minima such as that of (q2^2 + q3^2)^2): no finite
-list of candidates describes it, and that cost gets an
-``EmptySolutionError`` saying so.
+sign-canonicalized and deduplicated, at most 8 per cost.  A cost that
+fails the shift check in both frames has a null space that no 40
+isolated points span (the zero cost, or a curve of minima such as that
+of (q2^2 + q3^2)^2): no finite list of candidates describes it, and that
+cost gets an ``EmptySolutionError`` saying so.
 
 ``solve_batch`` runs the whole pipeline on a stack of correspondence sets
 (the robust loop's minimal samples); ``gdls_solve`` is a stack of one.
@@ -52,7 +63,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,9 +75,10 @@ from .geometry import Correspondences, Quaternion, SimilarityTransform, quat_to_
 MAX_CANDIDATES = 8
 STATIONARITY_TOL = 1e-8
 # The degree-8 Macaulay matrix of the six minors is 210 x 165 with rank
-# 125 when the 40 stationary points are isolated.  A^T G is short of that
-# rank when its QR factor has a diagonal entry this small against the largest.
-_RANK, _RANK_TOL = 125, 1e-10
+# 125 when the 40 stationary points are isolated.
+_RANK, _ROOTS = 125, 40
+# Largest relative shift-invariance residual of a null space that is kept.
+_SHIFT_TOL = 1e-8
 
 
 def _exponents(degree: int) -> np.ndarray:
@@ -83,16 +95,12 @@ def _lookup(exponents: np.ndarray):
     return lambda e: order[np.searchsorted(keys[order], e @ base)]
 
 
-@functools.lru_cache(maxsize=1)
-def _macaulay_recipe():
-    """Fixed index arrays and constants of the Macaulay matrix, built on
-    first use and kept read-only.
+def _macaulay_layout():
+    """The 210 x 165 Macaulay matrix of a form as index arrays.
 
     ``T.reshape(256) @ W`` gives the six minors' coefficients over the
-    degree-4 monomials, ``A.flat[dst] = minors[src]`` places them in A,
-    ``shifts[k]`` are the columns of the monomials x^a q_k (|a| = 7), and
-    G, h and w are the fixed random projection, linear form and
-    combination.
+    degree-4 monomials, ``A.flat[dst] = minors[src]`` places them in A, and
+    ``shifts[k]`` are the columns of the monomials x^a q_k (|a| = 7).
     """
     unit = np.eye(4, dtype=int)
     e4 = _exponents(4)
@@ -110,29 +118,96 @@ def _macaulay_recipe():
     dst = ((35 * r + b) * 165 + at8(e4[a] + e4[b])).ravel()
     src = (35 * r + a).ravel()
     shifts = at8(_exponents(7)[None, :, :] + unit[:, None, :])
+    return W.reshape(256, 210), dst, src, shifts
+
+
+def _greedy_rows(X: np.ndarray, count: int) -> np.ndarray:
+    """Pivoted Gram-Schmidt: ``count`` rows of X, each the one with the
+    largest part orthogonal to the rows picked before it."""
+    X = np.array(X, dtype=float)
+    picked = []
+    for _ in range(count):
+        i = int(np.argmax(np.einsum("ij,ij->i", X, X)))
+        picked.append(i)
+        u = X[i] / np.linalg.norm(X[i])
+        X -= np.outer(X @ u, u)
+    return np.array(picked)
+
+
+class _Recipe(NamedTuple):
+    W: np.ndarray        # (256, 210) map from a form to its minors' coefficients
+    dst: np.ndarray      # A.flat positions of the chosen rows, pivot columns first
+    src: np.ndarray      # the minor coefficients placed there
+    shifts: np.ndarray   # (4, 120) rows of N at x^a q_k (|a| = 7)
+    frames: Tuple[Tuple[np.ndarray, np.ndarray], ...]   # (R, R kron R) per frame
+    h: np.ndarray        # fixed linear form
+    w: np.ndarray        # fixed combination of the shift matrices
+
+
+@functools.lru_cache(maxsize=1)
+def _macaulay_recipe() -> _Recipe:
+    """Fixed index arrays and constants of the reduced Macaulay matrix,
+    built on first use and kept read-only.
+
+    The 125 rows and the 125 pivot columns are those a pivoted Gram-Schmidt
+    picks on the Macaulay matrix of a seeded random form; the other 40
+    columns are free.  Columns are stored pivot block first.  Each frame is
+    a fixed random rotation R, with q = R q' and so
+    q kron q = (R kron R)(q' kron q').
+    """
+    W, dst, src, shifts = _macaulay_layout()
     rng = np.random.default_rng(2012)
-    recipe = (W.reshape(256, 210), dst, src, shifts, rng.standard_normal((210, _RANK)),
-              rng.standard_normal(4), rng.standard_normal(4))
-    for a in recipe:
+    B = rng.standard_normal((10, 10))
+    A = np.zeros(210 * 165)
+    A[dst] = (QuarticCost(B + B.T).T.reshape(256) @ W)[src]
+    A = A.reshape(210, 165)
+    rows = _greedy_rows(A, _RANK)
+    pivots = _greedy_rows(A[rows].T, _RANK)
+    order = np.concatenate([pivots, np.setdiff1d(np.arange(165), pivots)])
+    position = np.argsort(order)           # column of A -> its stored column
+    row_of = np.full(210, -1)
+    row_of[rows] = np.arange(_RANK)
+    row, col = np.divmod(dst, 165)
+    keep = row_of[row] >= 0
+    rotations = [np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2)]
+    frames = tuple((R, np.kron(R, R)) for R in rotations)
+    recipe = _Recipe(W, row_of[row[keep]] * 165 + position[col[keep]], src[keep],
+                     position[shifts], frames, rng.standard_normal(4), rng.standard_normal(4))
+    for a in (*recipe[:4], *itertools.chain.from_iterable(frames), recipe.h, recipe.w):
         a.setflags(write=False)
     return recipe
 
 
-def _roots(T: np.ndarray) -> Optional[np.ndarray]:
-    """The 40 complex stationary points of the form T as (40, 4) rows q / h(q);
-    None when they are not isolated."""
-    W, dst, src, shifts, G, h, w = _macaulay_recipe()
-    A = np.zeros(210 * 165)
-    A[dst] = (T.reshape(256) @ W)[src]
-    Q, R = np.linalg.qr(A.reshape(210, 165).T @ G, mode="complete")
-    d = np.abs(np.diagonal(R))
-    if not d.min() > _RANK_TOL * d.max():
-        return None
-    Nk = Q[:, _RANK:][shifts]                          # (4, 120, 40)
-    Qh, Rh = np.linalg.qr(np.tensordot(h, Nk, 1))
-    Ak = np.linalg.solve(Rh, Qh.T @ Nk)                # (4, 40, 40)
-    _, U = np.linalg.eig(np.tensordot(w, Ak, 1))
-    return np.einsum("ia,kai->ik", np.linalg.inv(U), Ak @ U)
+def _roots(T: np.ndarray) -> np.ndarray:
+    """The 40 complex stationary points of the form T as (40, 4) rows
+    q / h(q'), from the first frame whose null space passes the shift check.
+    Raises ``EmptySolutionError`` when neither does."""
+    recipe = _macaulay_recipe()
+    residuals = []
+    for R, K in recipe.frames:
+        A = np.zeros(_RANK * 165)
+        A[recipe.dst] = ((K.T @ T @ K).reshape(256) @ recipe.W)[recipe.src]
+        A = A.reshape(_RANK, 165)
+        try:
+            X = np.linalg.solve(A[:, :_RANK], A[:, _RANK:])
+        except np.linalg.LinAlgError:    # a singular pivot block
+            residuals.append(np.inf)
+            continue
+        N = np.linalg.qr(np.vstack([-X, np.eye(_ROOTS)]))[0]
+        Nk = N[recipe.shifts]                                # (4, 120, 40)
+        Qh, Rh = np.linalg.qr(np.tensordot(recipe.h, Nk, 1))
+        B = Qh.T @ Nk
+        # N_h A_k - N_k with A_k = N_h^+ N_k, against N_k.
+        residuals.append(float(np.linalg.norm(Qh @ B - Nk) / np.linalg.norm(Nk)))
+        if residuals[-1] <= _SHIFT_TOL:
+            Ak = np.linalg.solve(Rh, B)                      # (4, 40, 40)
+            _, U = np.linalg.eig(np.tensordot(recipe.w, Ak, 1))
+            return np.einsum("ia,kai->ik", np.linalg.inv(U), Ak @ U) @ R.T
+    raise EmptySolutionError(
+        "the cost's stationary points are not isolated (a zero cost or a curve of "
+        "minima): its Macaulay null space fails the shift-invariance check in every "
+        f"frame (relative residuals {', '.join(f'{r:.1e}' for r in residuals)} > "
+        f"{_SHIFT_TOL:.0e}); no finite candidate set describes them")
 
 
 def _local_terms(T: np.ndarray, q: np.ndarray):
@@ -166,11 +241,10 @@ def solve_stationary(
     out: list = []
     for cost in costs:
         T = cost.T / max(1.0, float(np.linalg.norm(cost.Q)))
-        x = _roots(T)
-        if x is None:
-            out.append(EmptySolutionError(
-                "the cost's stationary points are not isolated (a zero cost or a "
-                "curve of minima); no finite candidate set describes them"))
+        try:
+            x = _roots(T)
+        except EmptySolutionError as e:
+            out.append(e.with_traceback(None))
             continue
         # Real points: q / h(q) is complex at the others.
         x = x[np.linalg.norm(x.imag, axis=1) <= 1e-6 * np.linalg.norm(x.real, axis=1)].real
@@ -242,7 +316,9 @@ class SolveReport:
     """Ranked candidates plus diagnostics for one solve.
 
     ``runtime_seconds`` is the wall time of the call, divided evenly over
-    the samples of a batch.  ``n_stationary`` counts the local minima the
+    the samples of a batch, and the four stage times are the call's time in
+    elimination, cost assembly, stationary search and candidate recovery,
+    divided the same way.  ``n_stationary`` counts the local minima the
     candidates came from, ``real_roots`` the real stationary points among
     the cost's 40 algebraic ones (see the module docstring).
     """
@@ -253,6 +329,10 @@ class SolveReport:
     fix_scale: bool = False
     n_stationary: int = 0
     real_roots: int = 0
+    elimination_seconds: float = 0.0
+    cost_seconds: float = 0.0
+    stationary_seconds: float = 0.0
+    recovery_seconds: float = 0.0
 
     @property
     def best(self) -> SolverCandidate:
@@ -262,15 +342,22 @@ class SolveReport:
 def solve_batch(samples: Sequence[Correspondences],
                 fix_scale: bool = False) -> List[Union[SolveReport, RankDeficiencyError,
                                                        EmptySolutionError]]:
-    """``gdls_solve`` on each correspondence set, with one stationary search
-    over the stack of their costs.
+    """``gdls_solve`` on each correspondence set.
 
     Entry i is sample i's report, or the ``RankDeficiencyError`` or
     ``EmptySolutionError`` its solve raised; other errors propagate.
     """
     if any(len(c) < 4 for c in samples):
         raise InvalidInputError("gdls_solve requires at least 4 correspondences")
-    start = time.perf_counter()
+    start = mark = time.perf_counter()
+    spent = dict.fromkeys(("elimination", "cost", "stationary", "recovery"), 0.0)
+
+    def lap(stage: str):
+        nonlocal mark
+        now = time.perf_counter()
+        spent[stage] += now - mark
+        mark = now
+
     out: list = [None] * len(samples)
     solved = []
     for i, corrs in enumerate(samples):
@@ -286,8 +373,12 @@ def solve_batch(samples: Sequence[Correspondences],
             # batch) into a reference cycle that only the collector frees.
             out[i] = e.with_traceback(None)
             continue
+        finally:
+            lap("elimination")
         solved.append((i, elim, build_quartic_cost(elim), shift))
+        lap("cost")
     points = solve_stationary([cost for _, _, cost, _ in solved])
+    lap("stationary")
     for (i, elim, cost, shift), found in zip(solved, points):
         if isinstance(found, EmptySolutionError):
             out[i] = found
@@ -302,10 +393,13 @@ def solve_batch(samples: Sequence[Correspondences],
             out[i] = e.with_traceback(None)
             continue
         out[i] = ([_uncentered(c, *shift) for c in candidates], len(qs), real_roots)
-    runtime = (time.perf_counter() - start) / max(1, len(samples))
+    lap("recovery")
+    per = 1.0 / max(1, len(samples))
+    stages = {f"{k}_seconds": v * per for k, v in spent.items()}
     for i, entry in enumerate(out):
         if isinstance(entry, tuple):
-            out[i] = SolveReport(entry[0], runtime, len(samples[i]), fix_scale, *entry[1:])
+            out[i] = SolveReport(entry[0], (mark - start) * per, len(samples[i]), fix_scale,
+                                 *entry[1:], **stages)
     return out
 
 

@@ -1,6 +1,6 @@
 """Pin the BLAS libraries to one thread before numpy loads.
 
-The solver's factorizations are small (a 165x125 QR and a 40x40 eig per
+The solver's factorizations are small (a 125x125 LU and a 40x40 eig per
 cost), and threaded BLAS runs them slower than one thread does.  Values
 already set in the environment are kept.
 """

@@ -8,12 +8,19 @@ the oracle for the tensor evaluator in ``raypose.cost``.  A many-start
 projected descent finds the local minima of a cost on the unit sphere,
 the oracle for the completeness of ``raypose.solver``'s enumeration.
 Pairwise set intersections of point ids give the match-graph weights,
-the oracle for the inverted index in ``raypose.pipeline``.
+the oracle for the inverted index in ``raypose.pipeline``.  The null
+space of the full Macaulay matrix from a complete QR gives the 40
+stationary points of a form, the oracle for the pivot-block route in
+``raypose.solver``.
 """
+
+import functools
 
 import numpy as np
 
 from raypose.cost import MONOMIAL_PAIRS
+from raypose.errors import EmptySolutionError
+from raypose.solver import _macaulay_layout
 
 
 def monomials(q: np.ndarray) -> np.ndarray:
@@ -102,3 +109,34 @@ def match_weights(cameras) -> np.ndarray:
             if w >= 4:
                 W[i, j] = W[j, i] = w
     return W
+
+
+@functools.lru_cache(maxsize=1)
+def _qr_recipe():
+    rng = np.random.default_rng(2012)
+    return (*_macaulay_layout(), rng.standard_normal((210, 125)), rng.standard_normal(4),
+            rng.standard_normal(4))
+
+
+def macaulay_roots_qr(T: np.ndarray) -> np.ndarray:
+    """The 40 complex stationary points of the form T as (40, 4) rows q / h(q).
+
+    Builds all 210 rows of the Macaulay matrix A in the input frame and
+    takes its null space as the last 40 columns of the complete QR factor
+    of A^T G, with G a fixed 210 x 125 Gaussian matrix.  A diagonal entry
+    of that R below 1e-10 of the largest means a null space larger than 40,
+    and raises ``EmptySolutionError``.  The shift and eig step is the
+    solver's.  Stands in for ``raypose.solver._roots``.
+    """
+    W, dst, src, shifts, G, h, w = _qr_recipe()
+    A = np.zeros(210 * 165)
+    A[dst] = (T.reshape(256) @ W)[src]
+    Q, R = np.linalg.qr(A.reshape(210, 165).T @ G, mode="complete")
+    d = np.abs(np.diagonal(R))
+    if not d.min() > 1e-10 * d.max():
+        raise EmptySolutionError("the cost's stationary points are not isolated")
+    Nk = Q[:, 125:][shifts]
+    Qh, Rh = np.linalg.qr(np.tensordot(h, Nk, 1))
+    Ak = np.linalg.solve(Rh, Qh.T @ Nk)
+    _, U = np.linalg.eig(np.tensordot(w, Ak, 1))
+    return np.einsum("ia,kai->ik", np.linalg.inv(U), Ak @ U)

@@ -273,3 +273,36 @@ def test_city_far_from_frame_origins_merges_completely():
     report = hierarchical_merge(cams)
     assert report.failed_members == {}
     assert len(report.transform_log) == 80
+
+
+def test_base_that_merged_nothing_is_not_retried_twice(monkeypatch):
+    # x fails at level 0, is then the base of a group whose only member
+    # fails, and fails again at level 2: two failures mark it failed, with
+    # its localization's reason.  The groups and outcomes are scripted.
+    import raypose.pipeline as pipeline
+    from raypose.robust import RobustResult
+
+    sizes = {"a": 30, "x": 20, "b": 25, "c": 10, "d": 10, "e": 10}
+    start = itertools.accumulate(sizes.values(), initial=0)
+    cams = [_camera_with_points(range(s, s + n), name) for (name, n), s in zip(sizes.items(), start)]
+    script = iter([[[0, 1], [2, 3], [4], [5]],    # a+x (x fails), b+c, d, e
+                   [[1, 3], [0, 2], [4]],         # x+d (d fails), bc+a, e
+                   [[0, 2, 3], [1]]])             # abc+x (x fails again)+e, d
+
+    def groups(W, max_size):
+        return next(script, [list(range(len(W)))])
+
+    def outcome(base, other, config, seed):
+        if other.camera_ids[0] in ("x", "d"):
+            return RobustResult(False, None, np.array([], dtype=int), 1, 0.0,
+                                failure_reason="scripted failure")
+        return RobustResult(True, SimilarityTransform.identity(), np.arange(4), 1, 1.0)
+
+    monkeypatch.setattr(pipeline, "partition", groups)
+    monkeypatch.setattr(pipeline, "localize", outcome)
+    report = hierarchical_merge(cams)
+    x_results = [level.results[1] for level in report.levels if 1 in level.results]
+    assert len(x_results) == 2 and not any(r.success for r in x_results)
+    assert report.failed_members[1] == "scripted failure"
+    assert report.failed_members[4] == "scripted failure"
+    assert set(report.transform_log) == {0, 2, 3, 5}

@@ -9,9 +9,10 @@ from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
                      solve_stationary)
 from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
                            random_similarity, trial_rng)
+from raypose import solver
 from raypose.solver import MAX_CANDIDATES, STATIONARITY_TOL, solve_batch
 
-from dense_oracle import descent_minima
+from dense_oracle import descent_minima, macaulay_roots_qr
 
 
 def test_every_descent_minimum_is_enumerated():
@@ -69,6 +70,8 @@ def test_non_isolated_stationary_sets_are_named():
     # has a finite candidate set.
     assert _distinct_stationary_minima(_circle_cost()) is None
     assert _distinct_stationary_minima(QuarticCost(np.zeros((10, 10)))) is None
+    error, = solve_stationary([_circle_cost()])
+    assert "shift-invariance check in every frame" in str(error)
 
 
 def test_near_degenerate_costs_give_distinct_minima_or_a_named_error():
@@ -286,3 +289,100 @@ def test_solve_batch_reports_each_sample():
         assert report.n_stationary == expect.n_stationary
     with pytest.raises(InvalidInputError):
         solve_batch([corrs, corrs.subset(np.arange(3))])
+
+
+def _centered_cost(corrs):
+    """The cost ``solve_batch`` builds: about the origin and point centroids."""
+    return build_quartic_cost(build_elimination(Correspondences(
+        corrs.origins - corrs.origins.mean(axis=0), corrs.directions,
+        corrs.points - corrs.points.mean(axis=0))))
+
+
+def _outlier_sample_costs(count, seed=0):
+    """Costs of random 4-point samples from n = 300 scenes with 0.5 px noise
+    and half the world points replaced by uniform draws over their box."""
+    rng = np.random.default_rng(seed)
+    costs = []
+    while len(costs) < count:
+        corrs, _ = generate_scene(SceneConfig(n_correspondences=300), rng)
+        corrs = add_noise(corrs, 0.5, 800.0, rng=rng)
+        points = corrs.points.copy()
+        replaced = rng.choice(300, size=150, replace=False)
+        points[replaced] = rng.uniform(points.min(axis=0), points.max(axis=0), (150, 3))
+        corrs = Correspondences(corrs.origins, corrs.directions, points)
+        for _ in range(50):
+            try:
+                costs.append(_centered_cost(corrs.subset(rng.choice(300, 4, replace=False))))
+            except RankDeficiencyError:
+                pass
+    return costs[:count]
+
+
+def _structured_costs():
+    """Diagonal and sparse positive definite Q, and two criterion-1 trials
+    (the minimal identity-pose scenes of ``run_stability``, seed 0)."""
+    rng = np.random.default_rng(3)
+    costs = [QuarticCost(np.diag(rng.uniform(0.1, 2.0, 10))) for _ in range(10)]
+    for _ in range(10):
+        Q = np.diag(rng.uniform(1.0, 2.0, 10))
+        for i, j in rng.choice(10, (4, 2), replace=False):
+            Q[i, j] = Q[j, i] = rng.uniform(-0.4, 0.4)
+        costs.append(QuarticCost(Q))
+    for trial in (3276, 9448):
+        corrs, _ = generate_scene(SceneConfig(n_correspondences=4, identity_transform=True),
+                                  trial_rng(0, trial))
+        costs.append(_centered_cost(corrs))
+    return costs
+
+
+def _assert_same_stationary_sets(a, b):
+    assert isinstance(a, EmptySolutionError) == isinstance(b, EmptySolutionError)
+    if isinstance(a, EmptySolutionError):
+        return
+    assert a[1] == b[1] and len(a[0]) == len(b[0])
+    if a[0]:
+        qa = np.array([q.array for q in a[0]])
+        qb = np.array([q.array for q in b[0]])
+        chord = np.minimum(np.linalg.norm(qa[:, None] - qb[None], axis=2),
+                           np.linalg.norm(qa[:, None] + qb[None], axis=2))
+        # Minima of equal cost may come in either order.
+        assert chord.min(axis=1).max() <= 1e-9 and chord.min(axis=0).max() <= 1e-9
+
+
+def test_pivot_block_route_matches_the_qr_oracle(monkeypatch):
+    costs = _structured_costs() + _outlier_sample_costs(200)
+    found = solve_stationary(costs)
+    monkeypatch.setattr(solver, "_roots", macaulay_roots_qr)
+    for cost, result in zip(costs, found):
+        oracle, = solve_stationary([cost])
+        assert not isinstance(oracle, EmptySolutionError)
+        _assert_same_stationary_sets(result, oracle)
+
+
+def test_a_cost_the_first_frame_refuses_is_solved_in_the_second(monkeypatch):
+    # In the input frame the fixed pivot block of a diagonal-Q cost is
+    # singular; with that as the first frame the second one solves it.
+    cost = QuarticCost(np.diag(np.random.default_rng(4).uniform(0.1, 2.0, 10)))
+    expect, = solve_stationary([cost])
+    assert len(expect[0]) >= 1
+    recipe = solver._macaulay_recipe()
+    identity = (np.eye(4), np.eye(16))
+    monkeypatch.setattr(solver, "_macaulay_recipe", lambda: recipe._replace(frames=(identity,)))
+    refused, = solve_stationary([cost])
+    assert isinstance(refused, EmptySolutionError) and "residuals inf " in str(refused)
+    monkeypatch.setattr(solver, "_macaulay_recipe",
+                        lambda: recipe._replace(frames=(identity, recipe.frames[1])))
+    found, = solve_stationary([cost])
+    _assert_same_stationary_sets(found, expect)
+
+
+def test_solve_report_stage_times_add_up():
+    rng = trial_rng(14, 0)
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=6), rng)
+    reports = solve_batch([corrs, corrs])
+    for report in reports:
+        stages = (report.elimination_seconds, report.cost_seconds,
+                  report.stationary_seconds, report.recovery_seconds)
+        assert all(t > 0.0 for t in stages)
+        assert sum(stages) == pytest.approx(report.runtime_seconds, rel=1e-9)
+    assert reports[0].stationary_seconds == reports[1].stationary_seconds
