@@ -35,6 +35,10 @@ EXIT_ESTIMATION = 1
 EXIT_INVALID = 2
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(cls_defaults, overrides: Sequence[str]):
     """Build a RobustConfig (or similar dataclass) from key=value strings."""
     values = {}
@@ -48,11 +52,16 @@ def _apply_config(cls_defaults, overrides: Sequence[str]):
                                     f"(known: {sorted(fields)})")
         current = getattr(cls_defaults, key)
         if isinstance(current, bool):
-            values[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            values[key] = int(raw)
-        elif isinstance(current, float):
-            values[key] = float(raw)
+            if raw.lower() not in _BOOLEANS:
+                raise InvalidInputError(f"config key {key!r} expects one of "
+                                        f"{sorted(_BOOLEANS)}, got {raw!r}")
+            values[key] = _BOOLEANS[raw.lower()]
+        elif isinstance(current, (int, float)):
+            try:
+                values[key] = type(current)(raw)
+            except ValueError:
+                raise InvalidInputError(f"config key {key!r} expects "
+                                        f"{type(current).__name__}, got {raw!r}") from None
         else:
             values[key] = raw
     return dataclasses.replace(cls_defaults, **values)

@@ -1,17 +1,17 @@
 """Reduced quartic cost in the quaternion after linear elimination.
 
-For noisy directions z_i, the per-correspondence constraint error
-refactors to ``eta_i = (z_i z_i^T - I)(R X_i - (S r) c_i + V r)``,
-which is quadratic in the quaternion entries.  The summed squared error
-is therefore a quartic form ``C'(q) = m(q)^T Q m(q)`` over the 10-vector
-of degree-2 quaternion monomials
+For noisy directions z_i, the per-correspondence constraint error at the
+eliminated unknowns is ``eta_i = (z_i z_i^T - I)(y_i - B_i SV y)`` (see
+``raypose.elimination``).  The right-hand side y is linear in the
+10-vector of degree-2 quaternion monomials
 
-    m(q) = (q0^2, q0q1, q0q2, q0q3, q1^2, q1q2, q1q3, q2^2, q2q3, q3^2).
+    m(q) = (q0^2, q0q1, q0q2, q0q3, q1^2, q1q2, q1q3, q2^2, q2q3, q3^2):
 
-In fix-scale mode the eliminated unknowns are affine in the rotation and
-the cost picks up quadratic and constant pieces; these are homogenized
-with powers of ``q^T q`` so the same 10x10 representation applies on the
-unit sphere.
+``R X_i = L_i m(q)`` through the entries of R, and in fix-scale mode the
+origin term ``c_i`` is ``c_i q^T q``, which equals ``c_i`` on the unit
+sphere and is again linear in m(q).  So ``eta_i = G_i m(q)`` in both
+modes, and the summed squared error is the quartic form
+``C'(q) = m(q)^T Q m(q)`` with ``Q = sum_i G_i^T G_i``.
 
 ``QuarticCost`` also keeps the form as a fully symmetric 16x16 matrix T
 over ``q kron q``: the one evaluator ``quartic_form`` turns it into the
@@ -147,36 +147,12 @@ def direct_cost(elim: EliminationMatrices, R: np.ndarray) -> float:
 
 def build_quartic_cost(elim: EliminationMatrices) -> QuarticCost:
     """Assemble Q so that m(q)^T Q m(q) equals the summed squared errors."""
-    c, z, X = elim.origins, elim.directions, elim.points
-    n = elim.n
-
-    # P maps vec_rowmajor(R) to the stacked R X_i: P[3i+a, 3a+k] = X[i, k].
-    P = np.zeros((3 * n, 9))
-    for a in range(3):
-        P[a::3, 3 * a:3 * a + 3] = X
-    Pi = P.reshape(n, 3, 9)
-
+    z = elim.directions
+    # L_i m(q) = y_i: R X_i from the entries of R, less c_i q^T q with a fixed scale.
+    L = np.einsum("ik,akm->iam", elim.points, MR.reshape(3, 3, 10))   # (n, 3, 10)
     if elim.fix_scale:
-        SP = np.zeros(9)
-        s0 = 1.0
-        t0 = -(elim.V @ elim.origins.reshape(-1))
-    else:
-        SP = elim.S @ P
-        s0 = 0.0
-        t0 = np.zeros(3)
-    VP = elim.V @ P
-
-    H = Pi - c[:, :, None] * SP[None, None, :] + VP[None, :, :]     # (n, 3, 9)
-    h = t0[None, :] - s0 * c                                        # (n, 3)
-    proj = z[:, :, None] * z[:, None, :] - np.eye(3)[None, :, :]
-    G = np.einsum("iab,ibc->iac", proj, H)
-    g = np.einsum("iab,ib->ia", proj, h)
-
-    Ghat = np.einsum("iab,iac->bc", G, G)                           # (9, 9)
-    Q = MR.T @ Ghat @ MR
-    if elim.fix_scale:
-        gvec = np.einsum("iab,ia->b", G, g)                         # (9,)
-        c0 = float(np.sum(g * g))
-        cross = np.outer(MR.T @ gvec, SQ_NORM)
-        Q = Q + cross + cross.T + c0 * np.outer(SQ_NORM, SQ_NORM)
-    return QuarticCost(Q)
+        L = L - elim.origins[:, :, None] * SQ_NORM
+    L = L.reshape(-1, 10)
+    H = (L - elim.B @ (elim.SV @ L)).reshape(-1, 3, 10)             # y_i - B_i w
+    G = (z[:, :, None] * np.einsum("ia,iam->im", z, H)[:, None, :] - H).reshape(-1, 10)
+    return QuarticCost(G.T @ G)

@@ -27,8 +27,10 @@ class EmptySolutionError(RayposeError):
 
     Raised when every candidate has a non-positive scale, when no local
     minimum meets the stationarity tolerance, and when the cost's
-    stationary points are not isolated (the zero cost, or a curve of
-    minima), so that no finite candidate set describes them.
+    Macaulay null space fails the solver's shift-invariance check, as it
+    does when the stationary points are not isolated (the zero cost, or a
+    curve of minima).  That check does not catch a multiple root or every
+    rank-deficient Macaulay matrix; see ``raypose.solver``.
     """
 
 

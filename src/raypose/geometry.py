@@ -122,9 +122,16 @@ class Quaternion:
         return quat_to_rotation(self)
 
     def angle_deg_to(self, other: "Quaternion") -> float:
-        """Geodesic rotation angle between the two rotations, in degrees."""
-        dot = min(1.0, abs(float(np.dot(self.array, other.array))))
-        return math.degrees(2.0 * math.acos(dot))
+        """Geodesic rotation angle between the two rotations, in degrees.
+
+        With b signed toward a, the angle between the unit quaternions is
+        2 atan2(|a - b|, |a + b|), half the rotation angle; unlike acos of
+        the dot product it keeps its precision at small angles.
+        """
+        a, b = self.array, other.array
+        if np.dot(a, b) < 0.0:
+            b = -b
+        return math.degrees(4.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
 
 def _hamilton(a, b):

@@ -48,7 +48,14 @@ sign-canonicalized and deduplicated, at most 8 per cost.  A cost that
 fails the shift check in both frames has a null space that no 40
 isolated points span (the zero cost, or a curve of minima such as that
 of (q2^2 + q3^2)^2): no finite list of candidates describes it, and that
-cost gets an ``EmptySolutionError`` saying so.
+cost gets an ``EmptySolutionError`` saying so.  The shift check is the
+only test of isolation, and it does not catch every degenerate cost.  A
+multiple root is not detected, and neither is a Macaulay matrix of rank
+below 125 (a null space of more than 40 dimensions) whose 40-column basis
+from the pivot block still passes the check; the counts and minima of
+such a cost then hang on ill-conditioned eigenvectors.  Of 20 sparse
+positive semidefinite Q with 3-6 zero eigenvalues, 3 had rank-124
+Macaulay matrices and passed with residuals of at most 1.4e-12.
 
 ``solve_batch`` runs the whole pipeline on a stack of correspondence sets
 (the robust loop's minimal samples); ``gdls_solve`` is a stack of one.
@@ -70,7 +77,8 @@ import numpy as np
 from .cost import QuarticCost, build_quartic_cost, constraint_cost, quartic_form
 from .elimination import EliminationMatrices, build_elimination
 from .errors import EmptySolutionError, InvalidInputError, RankDeficiencyError
-from .geometry import Correspondences, Quaternion, SimilarityTransform, quat_to_rotation
+from .geometry import (Correspondences, Quaternion, SimilarityTransform, _unit_quaternions,
+                       quat_to_rotation)
 
 MAX_CANDIDATES = 8
 STATIONARITY_TOL = 1e-8
@@ -221,12 +229,6 @@ def _local_terms(T: np.ndarray, q: np.ndarray):
     return f, 4.0 * (Mq - f[:, None] * q), P @ (12.0 * M - 4.0 * f[:, None, None] * np.eye(4)) @ P
 
 
-def _canonical_sign(q: np.ndarray) -> np.ndarray:
-    lead = np.argmax(np.abs(q) > 1e-12, axis=1)
-    sign = np.sign(q[np.arange(q.shape[0]), lead])
-    return q * np.where(sign == 0.0, 1.0, sign)[:, None]
-
-
 def solve_stationary(
         costs: Sequence[QuarticCost]) -> List[Union[Tuple[List[Quaternion], int], EmptySolutionError]]:
     """Sphere-constrained local minima of each cost in a stack.
@@ -234,9 +236,11 @@ def solve_stationary(
     Per cost: its local minima as unit, sign-canonicalized quaternions
     ranked by cost, at most 8 (empty when none meets the stationarity
     tolerance), and the number of its 40 algebraic stationary points that
-    are real; or an ``EmptySolutionError`` when its stationary set is not
-    isolated.  Every local minimum, and so the global one, is in the set
-    up to the cap.
+    are real; or an ``EmptySolutionError`` when its Macaulay null space
+    fails the shift check in both frames, as that of a stationary set that
+    is not isolated does (a degenerate cost can also pass; see the module
+    docstring).  When the 40 stationary points are isolated, every local
+    minimum, and so the global one, is in the set up to the cap.
     """
     out: list = []
     for cost in costs:
@@ -259,7 +263,7 @@ def solve_stationary(
         stationary = np.linalg.norm(g, axis=1) <= STATIONARITY_TOL
         minimum = stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
         q, f = q[minimum], f[minimum]
-        qb = _canonical_sign(q)[np.argsort(f, kind="stable")]
+        qb = _unit_quaternions(q)[np.argsort(f, kind="stable")]
         close = np.linalg.norm(qb[:, None, :] - qb[None, :, :], axis=2) < 1e-6
         final: List[int] = []
         for i in range(len(qb)):

@@ -139,6 +139,14 @@ def test_config_overrides(tmp_path, capsys):
                  "--config", "bogus_key=1"]) == 2
 
 
+def test_config_rejects_malformed_values(tmp_path, capsys):
+    paths, _ = _write_city(tmp_path)
+    for override in ("use_prosac=maybe", "max_iterations=1.5", "confidence=high"):
+        assert main(["align", paths[0], paths[1], "--config", override]) == 2
+        assert repr(override.split("=")[0]) in capsys.readouterr().err
+    assert main(["merge", *paths, "--config", "use_prosac=maybe"]) == 2
+
+
 def test_config_only_on_robust_commands(tmp_path):
     corrs, _ = generate_scene(SceneConfig(n_correspondences=6, seed=2))
     path = tmp_path / "c.json"

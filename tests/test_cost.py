@@ -4,7 +4,7 @@ import pytest
 from raypose import build_elimination, build_quartic_cost, direct_cost
 from raypose.bench import SceneConfig, add_noise, generate_scene, trial_rng
 from raypose.cost import MONOMIAL_PAIRS, MR, SQ_NORM, QuarticCost
-from raypose.geometry import quat_to_rotation
+from raypose.geometry import Correspondences, quat_to_rotation
 
 from dense_oracle import monomial_cost, monomials
 
@@ -78,19 +78,31 @@ def test_quartic_matches_direct_cost():
             assert np.isclose(quartic, direct, rtol=1e-10, atol=1e-14)
 
 
-def test_fix_scale_quartic_matches_direct_cost():
-    from raypose.geometry import Correspondences
+def _fix_scale_instances():
+    """One camera at the origin, then noisy rigs of distinct, off-origin
+    ray origins with a true scale of 1."""
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(6, 3)) + np.array([0, 0, 5.0])
-    corrs = Correspondences(np.zeros((6, 3)), pts + rng.normal(scale=1e-3, size=(6, 3)), pts)
-    elim = build_elimination(corrs, fix_scale=True)
-    cost = build_quartic_cost(elim)
-    for _ in range(5):
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        assert np.isclose(float(cost.evaluate(q)),
-                          direct_cost(elim, quat_to_rotation(q)),
-                          rtol=1e-9, atol=1e-14)
+    yield Correspondences(np.zeros((6, 3)), pts + rng.normal(scale=1e-3, size=(6, 3)), pts)
+    for seed, n in zip(range(10), (4, 6, 9, 50) * 3):
+        rng = trial_rng(300 + seed, 0)
+        corrs, _ = generate_scene(SceneConfig(n_correspondences=n, scale_range=(1.0, 1.0)), rng)
+        moved = Correspondences(corrs.origins + rng.normal(scale=3.0, size=3),
+                                corrs.directions, corrs.points)
+        yield add_noise(moved, 1.0, 800.0, rng=rng)
+
+
+def test_fix_scale_quartic_matches_direct_cost():
+    rng = np.random.default_rng(4)
+    for corrs in _fix_scale_instances():
+        elim = build_elimination(corrs, fix_scale=True)
+        cost = build_quartic_cost(elim)
+        for _ in range(5):
+            q = rng.normal(size=4)
+            q /= np.linalg.norm(q)
+            assert np.isclose(float(cost.evaluate(q)),
+                              direct_cost(elim, quat_to_rotation(q)),
+                              rtol=1e-9, atol=1e-14)
 
 
 def test_gradient_finite_difference():

@@ -39,13 +39,13 @@ def test_closed_matches_dense():
 def test_matrix_shapes():
     corrs, _ = _scene(n=4)
     elim = build_elimination(corrs)
-    assert elim.S.shape == (12,)
-    assert elim.V.shape == (3, 12)
+    assert elim.SV.shape == (4, 12)
+    assert elim.B.shape == (12, 4)
     assert elim.K.shape == (4, 4)
     assert elim.M.shape == (4, 4)
     fixed = build_elimination(corrs, fix_scale=True)
-    assert fixed.S is None
-    assert fixed.V.shape == (3, 12)
+    assert fixed.SV.shape == (3, 12)
+    assert fixed.B.shape == (12, 3)
     assert fixed.K.shape == (3, 3)
     assert fixed.M.shape == (4, 3)
 

@@ -38,6 +38,20 @@ def test_quat_to_rotation_even_in_sign():
     assert np.allclose(quat_to_rotation(a), quat_to_rotation(-a))
 
 
+def test_angle_deg_to_resolves_small_turns():
+    # acos of the quaternions' dot product read 0.0 below about 1e-6 degrees.
+    turn = Quaternion(np.cos(0.5e-9), np.sin(0.5e-9) * 0.6, 0.0, np.sin(0.5e-9) * 0.8)
+    assert np.isclose(turn.angle_deg_to(Quaternion.identity()), np.degrees(1e-9), rtol=1e-9)
+    assert np.isclose(Quaternion(0.0, 1.0, 0.0, 0.0).angle_deg_to(Quaternion.identity()), 180.0)
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        a, b = (Quaternion.from_array(rng.normal(size=4)) for _ in range(2))
+        Rab = a.rotation_matrix() @ b.rotation_matrix().T
+        expect = np.degrees(np.arccos(np.clip((np.trace(Rab) - 1.0) / 2.0, -1.0, 1.0)))
+        assert np.isclose(a.angle_deg_to(b), expect, atol=1e-6)
+        assert np.isclose(b.angle_deg_to(a), expect, atol=1e-6)
+
+
 def test_quaternion_product_matches_matrix_product():
     rng = np.random.default_rng(1)
     q1 = Quaternion.from_array(rng.normal(size=4))

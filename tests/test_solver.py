@@ -169,6 +169,19 @@ def test_fix_scale_single_camera():
     assert np.allclose(est.translation, t, atol=1e-6)
 
 
+def test_fix_scale_distinct_origins():
+    # A rig of distinct, off-origin ray origins with metric scale: the
+    # fix-scale solve recovers (R, t) from noise-free data.
+    for seed in range(20):
+        rng = trial_rng(600 + seed, 0)
+        corrs, truth = generate_scene(SceneConfig(n_correspondences=6, scale_range=(1.0, 1.0)), rng)
+        est = gdls_solve(corrs, fix_scale=True).best.transform
+        assert est.scale == 1.0
+        assert np.linalg.norm(est.rotation_matrix() - truth.rotation_matrix()) <= 1e-9
+        assert np.linalg.norm(est.translation - truth.translation) <= 1e-9 * max(
+            1.0, np.linalg.norm(truth.translation))
+
+
 def test_minimum_correspondence_count():
     rng = trial_rng(11, 0)
     corrs, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
