@@ -75,12 +75,15 @@ PAIR_SELECTOR = _pair_selector()
 
 def quartic_form(T: np.ndarray, q: np.ndarray) -> np.ndarray:
     """M(q) = reshape((q kron q) @ T) for a (16, 16) form T; q is (4,) or (k, 4).
+    A (k, 16, 16) stack T holds one form per row of q.
 
     For the fully symmetric T of a quartic f, f(q) = q^T M q, the gradient
     is 4 M q and the Hessian is 12 M.
     """
     q = np.asarray(q, dtype=float)
     qq = np.einsum("...a,...b->...ab", q, q).reshape(q.shape[:-1] + (16,))
+    if T.ndim == 3:
+        qq = qq[:, None, :]
     return (qq @ T).reshape(q.shape[:-1] + (4, 4))
 
 

@@ -14,7 +14,7 @@ points up to sign (Cartwright & Sturmfels, 2013); on 100 noisy minimal
 pose costs 12-28 of them were real and 2-6 of those local minima.
 ``solve_stationary`` enumerates all 40 with the Macaulay-matrix
 null-space method (Dreesen, Batselier & De Moor, 2012), one cost at a
-time:
+time, and then polishes the roots of the whole stack together:
 
 * the minors times the 35 monomials of degree 4 are the rows of the
   210 x 165 Macaulay matrix A of degree 8.  When the points are isolated
@@ -27,9 +27,16 @@ time:
 * at each point, the entry of a monomial vector at x^a q_k (|a| = 7) is
   its entry at x^a times q_k.  So against a fixed linear form h, the
   shift matrices A_k = (rows of N at x^a h)^+ (rows of N at x^a q_k) have
-  common eigenvectors, with eigenvalues q_k / h at the 40 points.  One
-  eig of a fixed combination of the A_k gives those eigenvectors U, and
-  the diagonal of U^-1 A_k U reads off q_k / h.
+  common eigenvectors, with eigenvalues q_k / h at the 40 points.  With
+  N_h = Q_h R_h and B_k = Q_h^T (rows of N at x^a q_k), A_k = R_h^-1 B_k.
+  One eig of R_h^-1 (sum_k w_k B_k), a fixed combination, gives those
+  eigenvectors U, and the diagonal of U^-1 A_k U = (R_h U)^-1 B_k U reads
+  off q_k / h without forming the four A_k.  That readout is two-sided: a
+  one-sided Rayleigh quotient (R_h u)^H (B_k u) / |R_h u|^2 is cheaper but
+  first-order in the error of u, and on one of criterion 1's 10,000
+  minimal costs, whose minimum has a Hessian eigenvalue of 4e-4, it put
+  the root 7e-7 off (1e-11 with this readout) and the polished minimum
+  1e-10 off.
 
 The cost is solved in a fixed random frame q = R q', because structured
 costs (a diagonal Q, say) make the fixed pivot block singular in the
@@ -43,13 +50,16 @@ fixed frame.  The real roots come out about 1e-13 off; one Newton step, kept
 where it shrinks the tangent gradient, takes them to the rounding floor.
 Those that then meet the stationarity tolerance are the real stationary
 points, and those whose Riemannian Hessian has no negative eigenvalue
-are the local minima.  The minima are reported ranked by cost,
-sign-canonicalized and deduplicated, at most 8 per cost.  A cost that
-fails the shift check in both frames has a null space that no 40
-isolated points span (the zero cost, or a curve of minima such as that
-of (q2^2 + q3^2)^2): no finite list of candidates describes it, and that
-cost gets an ``EmptySolutionError`` saying so.  The shift check is the
-only test of isolation, and it does not catch every degenerate cost.  A
+are the local minima.  The step and both tests run once over the real
+roots of every cost in the stack, each root against its own cost's form,
+so a stack of 16 minimal costs pays one pass of small-array calls, not
+16.  The minima are reported per cost ranked by cost, sign-canonicalized
+and deduplicated, at most 8 per cost.  A cost that fails the shift check
+in both frames has a null space that no 40 isolated points span (the
+zero cost, or a curve of minima such as that of (q2^2 + q3^2)^2): no
+finite list of candidates describes it, and that cost gets an
+``EmptySolutionError`` saying so.  The shift check is the only test of
+isolation, and it does not catch every degenerate cost.  A
 multiple root is not detected, and neither is a Macaulay matrix of rank
 below 125 (a null space of more than 40 dimensions) whose 40-column basis
 from the pivot block still passes the check; the counts and minima of
@@ -208,9 +218,10 @@ def _roots(T: np.ndarray) -> np.ndarray:
         # N_h A_k - N_k with A_k = N_h^+ N_k, against N_k.
         residuals.append(float(np.linalg.norm(Qh @ B - Nk) / np.linalg.norm(Nk)))
         if residuals[-1] <= _SHIFT_TOL:
-            Ak = np.linalg.solve(Rh, B)                      # (4, 40, 40)
-            _, U = np.linalg.eig(np.tensordot(recipe.w, Ak, 1))
-            return np.einsum("ia,kai->ik", np.linalg.inv(U), Ak @ U) @ R.T
+            # A_k = Rh^-1 B_k share the eigenvectors U of their combination,
+            # and U^-1 A_k U = (Rh U)^-1 B_k U is diagonal, with q_k / h.
+            _, U = np.linalg.eig(np.linalg.solve(Rh, np.tensordot(recipe.w, B, 1)))
+            return np.einsum("ia,kai->ik", np.linalg.inv(Rh @ U), B @ U) @ R.T
     raise EmptySolutionError(
         "the cost's stationary points are not isolated (a zero cost or a curve of "
         "minima): its Macaulay null space fails the shift-invariance check in every "
@@ -219,9 +230,10 @@ def _roots(T: np.ndarray) -> np.ndarray:
 
 
 def _local_terms(T: np.ndarray, q: np.ndarray):
-    """Value, tangent gradient and Riemannian Hessian of the form T at unit
-    rows q.  With f = q^T M q and P = I - q q^T, the Hessian is
-    P (12 M - 4 f I) P; its eigenvalue along q is 0."""
+    """Value, tangent gradient and Riemannian Hessian at unit rows q, each
+    of the form in the same row of the (k, 16, 16) stack T.  With
+    f = q^T M q and P = I - q q^T, the Hessian is P (12 M - 4 f I) P; its
+    eigenvalue along q is 0."""
     M = quartic_form(T, q)
     Mq = np.einsum("kab,kb->ka", M, q)
     f = np.einsum("ka,ka->k", q, Mq)
@@ -241,29 +253,45 @@ def solve_stationary(
     is not isolated does (a degenerate cost can also pass; see the module
     docstring).  When the 40 stationary points are isolated, every local
     minimum, and so the global one, is in the set up to the cap.
+
+    The roots are found cost by cost.  The Newton step and the
+    stationarity and minimum tests then run once over the real roots of
+    the whole stack, each root against its own cost's form, so a cost's
+    result is the same, bit for bit, alone or in a stack.
     """
-    out: list = []
-    for cost in costs:
+    out: list = [None] * len(costs)
+    solved, forms, roots = [], [], []
+    for c, cost in enumerate(costs):
         T = cost.T / max(1.0, float(np.linalg.norm(cost.Q)))
         try:
             x = _roots(T)
         except EmptySolutionError as e:
-            out.append(e.with_traceback(None))
+            out[c] = e.with_traceback(None)
             continue
         # Real points: q / h(q) is complex at the others.
         x = x[np.linalg.norm(x.imag, axis=1) <= 1e-6 * np.linalg.norm(x.real, axis=1)].real
-        q = x / np.linalg.norm(x, axis=1)[:, None]
-        _, g, H = _local_terms(T, q)
-        # One Newton step from each root; see the module docstring.
-        step = q - np.einsum("kab,kb->ka", np.linalg.pinv(H + np.einsum("ka,kb->kab", q, q)), g)
-        step /= np.linalg.norm(step, axis=1)[:, None]
-        better = np.linalg.norm(_local_terms(T, step)[1], axis=1) < np.linalg.norm(g, axis=1)
-        q[better] = step[better]
-        f, g, H = _local_terms(T, q)
-        stationary = np.linalg.norm(g, axis=1) <= STATIONARITY_TOL
-        minimum = stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
-        q, f = q[minimum], f[minimum]
-        qb = _unit_quaternions(q)[np.argsort(f, kind="stable")]
+        solved.append(c)
+        forms.append(T)
+        roots.append(x / np.linalg.norm(x, axis=1)[:, None])
+    if not solved:
+        return out
+    counts = [len(x) for x in roots]
+    owner = np.repeat(np.arange(len(solved)), counts)
+    T, q = np.stack(forms)[owner], np.concatenate(roots)
+    f, g, H = _local_terms(T, q)
+    # One Newton step from each root, kept where it shrinks the tangent
+    # gradient; see the module docstring.
+    step = q - np.einsum("kab,kb->ka", np.linalg.pinv(H + np.einsum("ka,kb->kab", q, q)), g)
+    step /= np.linalg.norm(step, axis=1)[:, None]
+    fs, gs, Hs = _local_terms(T, step)
+    better = np.linalg.norm(gs, axis=1) < np.linalg.norm(g, axis=1)
+    q[better], f[better], g[better], H[better] = step[better], fs[better], gs[better], Hs[better]
+    stationary = np.linalg.norm(g, axis=1) <= STATIONARITY_TOL
+    minimum = stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
+    bounds = np.cumsum([0] + counts)
+    for c, start, stop in zip(solved, bounds[:-1], bounds[1:]):
+        keep = start + np.flatnonzero(minimum[start:stop])
+        qb = _unit_quaternions(q[keep])[np.argsort(f[keep], kind="stable")]
         close = np.linalg.norm(qb[:, None, :] - qb[None, :, :], axis=2) < 1e-6
         final: List[int] = []
         for i in range(len(qb)):
@@ -271,7 +299,7 @@ def solve_stationary(
                 final.append(i)
                 if len(final) == MAX_CANDIDATES:
                     break
-        out.append(([Quaternion.from_array(qb[i]) for i in final], int(stationary.sum())))
+        out[c] = ([Quaternion.from_array(qb[i]) for i in final], int(stationary[start:stop].sum()))
     return out
 
 

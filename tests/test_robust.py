@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +43,14 @@ def test_config_validation():
         RobustConfig(sample_size=3)
 
 
+@pytest.mark.parametrize("threshold", [math.inf, 4.0, math.pi, math.nan, -0.1])
+def test_config_rejects_thresholds_outside_zero_to_pi(threshold):
+    # An angle from arccos never exceeds pi: a larger threshold calls
+    # every correspondence an inlier.
+    with pytest.raises(InvalidInputError, match="angular_inlier_threshold"):
+        RobustConfig(angular_inlier_threshold=threshold)
+
+
 @pytest.mark.parametrize("max_iterations", [0, -3])
 def test_config_rejects_max_iterations_below_one(max_iterations):
     with pytest.raises(InvalidInputError, match="max_iterations"):
@@ -77,6 +87,25 @@ def test_all_outliers_is_failure_not_exception():
     assert not result.success
     assert result.transform is None
     assert result.failure_reason
+
+
+def test_termination_is_logged(caplog):
+    (corrs, _), rng = _scene(n=30, seed=21)
+    data = _concat(add_noise(corrs, 0.5, 800.0, rng=rng), _outliers(rng, 10))
+    junk = _outliers(np.random.default_rng(4), 40)
+    for sample in (data, junk):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="raypose"):
+            result = ransac_gdls(sample, RobustConfig(), seed=0)
+        record, = caplog.records
+        assert record.name == "raypose" and record.levelno == logging.DEBUG
+        assert ((record.iterations_run, record.samples_solved, record.samples_rank_deficient,
+                 record.samples_empty) == (result.iterations_run, result.samples_solved,
+                                           result.samples_rank_deficient, result.samples_empty))
+        # The refit is kept only when it loses no inlier of the best hypothesis.
+        assert record.best_inliers <= len(result.inlier_indices) or not result.success
+    assert result.failure_reason.startswith(f"best model had {record.best_inliers} inliers")
+    assert not logging.getLogger("raypose").handlers
 
 
 @pytest.mark.parametrize("refit", ["raises", "loses_inliers"])

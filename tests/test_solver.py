@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -249,6 +250,18 @@ def test_noise_free_minimal_solves_are_exact():
         assert 1 <= report.n_stationary <= report.real_roots <= 40
 
 
+def test_an_ill_conditioned_minimum_is_read_to_the_rounding_floor():
+    # Criterion-1 trial 9031: the noise-free minimum's Riemannian Hessian
+    # has an eigenvalue of 4e-4, so one Newton step reaches the rounding
+    # floor only from a root read off to about 1e-11; a one-sided Rayleigh
+    # quotient reads it 7e-7 off and leaves the pose 6e-9 degrees off.
+    config = SceneConfig(n_correspondences=4, identity_transform=True)
+    corrs, truth = generate_scene(config, trial_rng(0, 9031))
+    err = pose_errors(gdls_solve(corrs).best.transform, truth)
+    assert err.rotation_error_deg < 1e-12
+    assert err.translation_error < 1e-12 and err.relative_scale_error < 1e-12
+
+
 @pytest.mark.parametrize("shift", [1e3, 1e4])
 def test_far_from_the_coordinate_origin(shift):
     # Ray origins and world points moved far from the coordinate origin,
@@ -276,16 +289,37 @@ def _noisy_costs(count, n=4):
     return costs
 
 
-def test_stack_of_costs_matches_costs_alone():
-    costs = _noisy_costs(6)
-    stacked = solve_stationary(costs)
+def _assert_identical(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, EmptySolutionError):
+        assert str(a) == str(b)
+        return
+    assert a[1] == b[1] and len(a[0]) == len(b[0])
+    for qa, qb in zip(a[0], b[0]):
+        assert np.array_equal(qa.array, qb.array)
+
+
+def test_stack_of_costs_matches_costs_alone(monkeypatch):
+    # One stack of 16: noisy minimal costs with different real-root counts,
+    # the circle cost (an error in the middle of the stack) and a
+    # diagonal-Q cost, which needs the second frame when the first is the
+    # input frame.  Every entry is bit for bit that of the cost alone.
     assert solve_stationary([]) == []
-    for cost, (qs, real_roots) in zip(costs, stacked):
-        (alone, alone_real_roots), = solve_stationary([cost])
-        assert len(alone) == len(qs) >= 1
-        for a, b in zip(alone, qs):
-            assert np.array_equal(a.array, b.array)
-        assert alone_real_roots == real_roots
+    costs = _noisy_costs(14)
+    costs.insert(7, _circle_cost())
+    costs.append(QuarticCost(np.diag(np.random.default_rng(4).uniform(0.1, 2.0, 10))))
+    recipe = solver._macaulay_recipe()
+    identity = (np.eye(4), np.eye(16))
+    for frames in (recipe.frames, (identity, recipe.frames[1])):
+        monkeypatch.setattr(solver, "_macaulay_recipe",
+                            functools.partial(recipe._replace, frames=frames))
+        stacked = solve_stationary(costs)
+        for cost, entry in zip(costs, stacked):
+            _assert_identical(entry, solve_stationary([cost])[0])
+        solved = [e for e in stacked if not isinstance(e, EmptySolutionError)]
+        assert [i for i, e in enumerate(stacked) if isinstance(e, EmptySolutionError)] == [7]
+        assert all(len(qs) >= 1 for qs, _ in solved)
+        assert len({real_roots for _, real_roots in solved}) > 1
 
 
 def test_solve_batch_reports_each_sample():
