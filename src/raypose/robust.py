@@ -64,6 +64,8 @@ class RobustConfig:
             raise InvalidInputError("sample_size must be at least 4")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
+        if self.min_inliers < 1:
+            raise InvalidInputError("min_inliers must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -23,38 +23,54 @@ time, and then polishes the roots of the whole stack together:
   that rank too, and a fixed block P of 125 of its columns is invertible;
   both were picked once by a pivoted Gram-Schmidt on a seeded random form.
   With F the other 40 columns, N = [-A_P^-1 A_F; I] comes from one LU
-  solve, and one reduced QR of that 165 x 40 matrix makes it orthonormal;
+  solve.  Nothing makes N orthonormal: the step below needs only its span;
 * at each point, the entry of a monomial vector at x^a q_k (|a| = 7) is
-  its entry at x^a times q_k.  So against a fixed linear form h, the
-  shift matrices A_k = (rows of N at x^a h)^+ (rows of N at x^a q_k) have
-  common eigenvectors, with eigenvalues q_k / h at the 40 points.  With
-  N_h = Q_h R_h and B_k = Q_h^T (rows of N at x^a q_k), A_k = R_h^-1 B_k.
-  One eig of R_h^-1 (sum_k w_k B_k), a fixed combination, gives those
-  eigenvectors U, and the diagonal of U^-1 A_k U = (R_h U)^-1 B_k U reads
-  off q_k / h without forming the four A_k.  That readout is two-sided: a
-  one-sided Rayleigh quotient (R_h u)^H (B_k u) / |R_h u|^2 is cheaper but
-  first-order in the error of u, and on one of criterion 1's 10,000
-  minimal costs, whose minimum has a Hessian eigenvalue of 4e-4, it put
-  the root 7e-7 off (1e-11 with this readout) and the polished minimum
-  1e-10 off.
+  its entry at x^a times q_k.  The cost is solved in a fixed random frame
+  q = R q' (below), so the frame's first coordinate q'_0 is a generic
+  linear form, and the rows of N at x^a q'_0 are a row gather N_0.  The
+  shift matrices A_k = N_0^+ N_k (N_k the rows at x^a q'_k, k = 1..3)
+  have common eigenvectors, with eigenvalues q'_k / q'_0 at the 40 points.
+  With one QR N_0 = Q_0 R_0 (120 x 40) and B_k = Q_0^T N_k,
+  A_k = R_0^-1 B_k.  One eig of R_0^-1 (sum_k w_k B_k), a fixed
+  combination, gives those eigenvectors U, and the diagonal of
+  U^-1 A_k U = (R_0 U)^-1 B_k U reads off q'_k / q'_0 without forming the
+  three A_k; the roots are (1, q'_1 / q'_0, q'_2 / q'_0, q'_3 / q'_0) R^T.
+  That readout is two-sided: a one-sided Rayleigh quotient
+  (R_0 u)^H (B_k u) / |R_0 u|^2 is cheaper but first-order in the error of
+  u, and on one of criterion 1's 10,000 minimal costs, whose minimum has a
+  Hessian eigenvalue of 4e-4, it put the root 7e-7 off (1e-11 with this
+  readout) and the polished minimum 1e-10 off.
 
-The cost is solved in a fixed random frame q = R q', because structured
-costs (a diagonal Q, say) make the fixed pivot block singular in the
-input frame, and the roots are rotated back.  The eig step needs N's rows
-at x^a q_k to lie in the span of its rows at x^a h; the relative residual
-of that shift invariance has a median of 2e-13 over 10,000 noise-free
-minimal pose costs and of 5e-12 over 100 noisy costs at n = 1000, and it
-is 0.5 for the circle of minima below.  A null space whose residual is
-above 1e-8 (1 of those 10,000 minimal costs) is solved again in a second
-fixed frame.  The real roots come out about 1e-13 off; one Newton step, kept
-where it shrinks the tangent gradient, takes them to the rounding floor.
+A fixed monomial basis would be cheaper still and is not used.  If the
+40 free columns are chosen as q'_0 times 40 monomials of degree 7, then
+N_0 restricted to them is the identity and each A_k is a row gather of
+N, with no QR at all: 2.21 ms per minimal cost against 2.45 ms for the
+route above, in one probe.  But a basis fixed in advance is not chosen for the cost at
+hand, which trades stability for speed (Byrod, Josephson & Astrom, 2009,
+"Fast and stable polynomial equation solving"): with it criterion 1's
+10,000 trials fell from 100.00% to 99.97% of errors below 1e-9 and from
+99.99% to 99.84% below 1e-12, and one error reached 1e-7.
+
+The frame is a fixed random rotation because structured costs (a
+diagonal Q, say) make the fixed pivot block singular in the input frame;
+the roots are rotated back.  The eig step needs the rows of N at
+x^a q'_k to lie in the span of its rows at x^a q'_0; the relative
+residual of that shift invariance, |Q_0 B_k - N_k| / |N_k| over k = 1..3,
+has a median of 1.4e-13 over 10,000 noise-free minimal pose costs (99.9th
+percentile 5.9e-10) and of 4.5e-13 over 100 noisy costs at n = 1000, and
+it is 0.57 for the circle of minima below.  A null space whose residual
+is above 1e-8 (1 of those 10,000 minimal costs, at 1.7e-8) is solved
+again in a second fixed frame.  The real roots come out about 1e-13 off;
+one Newton step, kept where it shrinks the tangent gradient, takes them
+to the rounding floor.
 Those that then meet the stationarity tolerance are the real stationary
 points, and those whose Riemannian Hessian has no negative eigenvalue
 are the local minima.  The step and both tests run once over the real
 roots of every cost in the stack, each root against its own cost's form,
 so a stack of 16 minimal costs pays one pass of small-array calls, not
 16.  The minima are reported per cost ranked by cost, sign-canonicalized
-and deduplicated, at most 8 per cost.  A cost that fails the shift check
+and deduplicated, at most 8 per cost, with the tangent-gradient norm
+each was polished to.  A cost that fails the shift check
 in both frames has a null space that no 40 isolated points span (the
 zero cost, or a curve of minima such as that of (q2^2 + q3^2)^2): no
 finite list of candidates describes it, and that cost gets an
@@ -64,14 +80,20 @@ multiple root is not detected, and neither is a Macaulay matrix of rank
 below 125 (a null space of more than 40 dimensions) whose 40-column basis
 from the pivot block still passes the check; the counts and minima of
 such a cost then hang on ill-conditioned eigenvectors.  Of 20 sparse
-positive semidefinite Q with 3-6 zero eigenvalues, 3 had rank-124
-Macaulay matrices and passed with residuals of at most 1.4e-12.
+positive semidefinite Q with 3-6 zero eigenvalues (a scaled selection of
+m(q)'s entries with two entries perturbed), 9 had Macaulay matrices of
+rank below 125; the 6 of rank 119 or 122 failed the check, and the 3 of
+rank 124 passed with residuals of at most 5.2e-13.
 
 ``solve_batch`` runs the whole pipeline on a stack of correspondence sets
 (the robust loop's minimal samples); ``gdls_solve`` is a stack of one.
 Both solve about the centroids of the ray origins and of the world
 points.  That leaves costs and depths unchanged and keeps the
 elimination's rank test independent of where the coordinate origin is.
+One ``recover_candidates`` call then turns every minimum of the stack
+into a candidate: each sample's minima are the columns of its products
+with its correspondences, and the scale test, the map back from the
+centroids and the ranking are one pass over every candidate of the stack.
 """
 
 from __future__ import annotations
@@ -79,16 +101,15 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cost import QuarticCost, build_quartic_cost, constraint_cost, quartic_form
+from .cost import MONOMIAL_PAIRS, MR, QuarticCost, build_quartic_cost, quartic_form
 from .elimination import EliminationMatrices, build_elimination
 from .errors import EmptySolutionError, InvalidInputError, RankDeficiencyError
-from .geometry import (Correspondences, Quaternion, SimilarityTransform, _unit_quaternions,
-                       quat_to_rotation)
+from .geometry import Correspondences, Quaternion, SimilarityTransform, _unit_quaternions
 
 MAX_CANDIDATES = 8
 STATIONARITY_TOL = 1e-8
@@ -158,8 +179,7 @@ class _Recipe(NamedTuple):
     src: np.ndarray      # the minor coefficients placed there
     shifts: np.ndarray   # (4, 120) rows of N at x^a q_k (|a| = 7)
     frames: Tuple[Tuple[np.ndarray, np.ndarray], ...]   # (R, R kron R) per frame
-    h: np.ndarray        # fixed linear form
-    w: np.ndarray        # fixed combination of the shift matrices
+    w: np.ndarray        # fixed combination of the shift matrices A_1..A_3
 
 
 @functools.lru_cache(maxsize=1)
@@ -190,15 +210,15 @@ def _macaulay_recipe() -> _Recipe:
     rotations = [np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2)]
     frames = tuple((R, np.kron(R, R)) for R in rotations)
     recipe = _Recipe(W, row_of[row[keep]] * 165 + position[col[keep]], src[keep],
-                     position[shifts], frames, rng.standard_normal(4), rng.standard_normal(4))
-    for a in (*recipe[:4], *itertools.chain.from_iterable(frames), recipe.h, recipe.w):
+                     position[shifts], frames, rng.standard_normal(3))
+    for a in (*recipe[:4], *itertools.chain.from_iterable(frames), recipe.w):
         a.setflags(write=False)
     return recipe
 
 
 def _roots(T: np.ndarray) -> np.ndarray:
     """The 40 complex stationary points of the form T as (40, 4) rows
-    q / h(q'), from the first frame whose null space passes the shift check.
+    q / q'_0, from the first frame whose null space passes the shift check.
     Raises ``EmptySolutionError`` when neither does."""
     recipe = _macaulay_recipe()
     residuals = []
@@ -211,17 +231,18 @@ def _roots(T: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:    # a singular pivot block
             residuals.append(np.inf)
             continue
-        N = np.linalg.qr(np.vstack([-X, np.eye(_ROOTS)]))[0]
-        Nk = N[recipe.shifts]                                # (4, 120, 40)
-        Qh, Rh = np.linalg.qr(np.tensordot(recipe.h, Nk, 1))
-        B = Qh.T @ Nk
-        # N_h A_k - N_k with A_k = N_h^+ N_k, against N_k.
-        residuals.append(float(np.linalg.norm(Qh @ B - Nk) / np.linalg.norm(Nk)))
+        N = np.vstack([-X, np.eye(_ROOTS)])
+        N0, Nk = N[recipe.shifts[0]], N[recipe.shifts[1:]]   # (120, 40), (3, 120, 40)
+        Q0, R0 = np.linalg.qr(N0)
+        B = Q0.T @ Nk
+        # N_0 A_k - N_k with A_k = N_0^+ N_k, against N_k.
+        residuals.append(float(np.linalg.norm(Q0 @ B - Nk) / np.linalg.norm(Nk)))
         if residuals[-1] <= _SHIFT_TOL:
-            # A_k = Rh^-1 B_k share the eigenvectors U of their combination,
-            # and U^-1 A_k U = (Rh U)^-1 B_k U is diagonal, with q_k / h.
-            _, U = np.linalg.eig(np.linalg.solve(Rh, np.tensordot(recipe.w, B, 1)))
-            return np.einsum("ia,kai->ik", np.linalg.inv(Rh @ U), B @ U) @ R.T
+            # A_k = R0^-1 B_k share the eigenvectors U of their combination,
+            # and U^-1 A_k U = (R0 U)^-1 B_k U is diagonal, with q'_k / q'_0.
+            _, U = np.linalg.eig(np.linalg.solve(R0, np.tensordot(recipe.w, B, 1)))
+            x = np.einsum("ia,kai->ik", np.linalg.inv(R0 @ U), B @ U)
+            return np.hstack([np.ones((_ROOTS, 1)), x]) @ R.T
     raise EmptySolutionError(
         "the cost's stationary points are not isolated (a zero cost or a curve of "
         "minima): its Macaulay null space fails the shift-invariance check in every "
@@ -241,18 +262,24 @@ def _local_terms(T: np.ndarray, q: np.ndarray):
     return f, 4.0 * (Mq - f[:, None] * q), P @ (12.0 * M - 4.0 * f[:, None, None] * np.eye(4)) @ P
 
 
-def solve_stationary(
-        costs: Sequence[QuarticCost]) -> List[Union[Tuple[List[Quaternion], int], EmptySolutionError]]:
+class Minima(NamedTuple):
+    """One cost's local minima on the unit sphere, ranked by cost."""
+
+    q: np.ndarray           # (m, 4) unit rows, signed as ``Quaternion`` signs them
+    residual: np.ndarray    # (m,) tangent-gradient norms, the cost scaled by 1 / max(1, |Q|)
+    real_roots: int         # real stationary points among the 40 algebraic ones
+
+
+def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySolutionError]]:
     """Sphere-constrained local minima of each cost in a stack.
 
-    Per cost: its local minima as unit, sign-canonicalized quaternions
-    ranked by cost, at most 8 (empty when none meets the stationarity
-    tolerance), and the number of its 40 algebraic stationary points that
-    are real; or an ``EmptySolutionError`` when its Macaulay null space
-    fails the shift check in both frames, as that of a stationary set that
-    is not isolated does (a degenerate cost can also pass; see the module
-    docstring).  When the 40 stationary points are isolated, every local
-    minimum, and so the global one, is in the set up to the cap.
+    Per cost: its ``Minima``, at most 8, sign-canonicalized and
+    deduplicated (none when no root meets the stationarity tolerance); or
+    an ``EmptySolutionError`` when its Macaulay null space fails the shift
+    check in both frames, as that of a stationary set that is not isolated
+    does (a degenerate cost can also pass; see the module docstring).
+    When the 40 stationary points are isolated, every local minimum, and
+    so the global one, is in the set up to the cap.
 
     The roots are found cost by cost.  The Newton step and the
     stationarity and minimum tests then run once over the real roots of
@@ -268,7 +295,7 @@ def solve_stationary(
         except EmptySolutionError as e:
             out[c] = e.with_traceback(None)
             continue
-        # Real points: q / h(q) is complex at the others.
+        # Real points: q / q'_0 is complex at the others.
         x = x[np.linalg.norm(x.imag, axis=1) <= 1e-6 * np.linalg.norm(x.real, axis=1)].real
         solved.append(c)
         forms.append(T)
@@ -284,14 +311,17 @@ def solve_stationary(
     step = q - np.einsum("kab,kb->ka", np.linalg.pinv(H + np.einsum("ka,kb->kab", q, q)), g)
     step /= np.linalg.norm(step, axis=1)[:, None]
     fs, gs, Hs = _local_terms(T, step)
-    better = np.linalg.norm(gs, axis=1) < np.linalg.norm(g, axis=1)
-    q[better], f[better], g[better], H[better] = step[better], fs[better], gs[better], Hs[better]
-    stationary = np.linalg.norm(g, axis=1) <= STATIONARITY_TOL
+    residual, residual_s = np.linalg.norm(g, axis=1), np.linalg.norm(gs, axis=1)
+    better = residual_s < residual
+    q[better], f[better], H[better] = step[better], fs[better], Hs[better]
+    residual[better] = residual_s[better]
+    stationary = residual <= STATIONARITY_TOL
     minimum = stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
     bounds = np.cumsum([0] + counts)
     for c, start, stop in zip(solved, bounds[:-1], bounds[1:]):
         keep = start + np.flatnonzero(minimum[start:stop])
-        qb = _unit_quaternions(q[keep])[np.argsort(f[keep], kind="stable")]
+        keep = keep[np.argsort(f[keep], kind="stable")]
+        qb = _unit_quaternions(q[keep])
         close = np.linalg.norm(qb[:, None, :] - qb[None, :, :], axis=2) < 1e-6
         final: List[int] = []
         for i in range(len(qb)):
@@ -299,7 +329,7 @@ def solve_stationary(
                 final.append(i)
                 if len(final) == MAX_CANDIDATES:
                     break
-        out[c] = ([Quaternion.from_array(qb[i]) for i in final], int(stationary[start:stop].sum()))
+        out[c] = Minima(qb[final], residual[keep[final]], int(stationary[start:stop].sum()))
     return out
 
 
@@ -314,33 +344,89 @@ class SolverCandidate:
     cheirality_ok: bool
 
 
-def recover_candidates(
-    qs: Sequence[Quaternion],
-    elim: EliminationMatrices,
-    cost: QuarticCost,
-) -> List[SolverCandidate]:
-    """Full similarity candidates from stationary quaternions.
+def _rotations(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of unit quaternion rows (..., 4)."""
+    pairs = np.array(MONOMIAL_PAIRS)
+    return ((q[..., pairs[:, 0]] * q[..., pairs[:, 1]]) @ MR.T).reshape(q.shape[:-1] + (3, 3))
 
-    Candidates with non-positive scale are discarded; candidates with any
-    non-positive depth are kept but flagged and deprioritized.  Ranked by
-    cost ascending within each cheirality class.
+
+def recover_candidates(
+    minima: Sequence[Minima],
+    elims: Sequence[EliminationMatrices],
+    centroids: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> List[Union[List[SolverCandidate], EmptySolutionError]]:
+    """Full similarity candidates from the minima of a stack of samples.
+
+    Sample i's minima were found on the cost of ``elims[i]``, whose
+    correspondences were centered on the origin and point centroids
+    ``centroids[i]``; its candidates are mapped back to the input frame
+    with t = t' - R X0 + s c0.  Per sample: candidates with non-positive
+    scale are discarded, and those with any non-positive depth are kept
+    but flagged and ranked after the others, by cost within each class;
+    a sample whose every candidate is discarded gets an
+    ``EmptySolutionError``.
+
+    Samples of one size, scale mode and minimum count are one stack, and
+    their minima the columns of its products with the correspondences:
+    ``solve_linear``'s depths, scale, translation and refinement step, and
+    ``constraint_cost``, are each one pass over a stack.  A sample's numbers
+    are the same, bit for bit, alone or in any stack.  The scale test, the
+    uncentering and the ranking are one pass over the candidates of every
+    sample, and objects are built only for those that are returned.
     """
-    out = []
-    for quat in qs:
-        R = quat_to_rotation(quat)
-        alpha, s, t = elim.solve_linear(R)
-        if s <= 0.0:
-            continue
-        cval = constraint_cost(elim.origins, elim.directions, elim.points, R, s, t)
-        q = quat.array
-        g = cost.gradient(q)
-        resid = float(np.linalg.norm(g - np.dot(g, q) * q)) / max(1.0, float(np.linalg.norm(cost.Q)))
-        transform = SimilarityTransform(quat, t, s)
-        out.append(SolverCandidate(transform, cval, alpha, resid, bool(np.all(alpha > 0.0))))
-    if not out:
-        raise EmptySolutionError("all candidates were discarded (non-positive scale)")
-    out.sort(key=lambda cand: (not cand.cheirality_ok, cand.cost))
-    return out
+    if not minima:
+        return []
+    counts = [len(m.q) for m in minima]
+    owner = np.repeat(np.arange(len(minima)), counts)
+    q = np.concatenate([m.q for m in minima]).reshape(-1, 4)
+    R = _rotations(q)                                                  # (J, 3, 3)
+    J = len(q)
+    scale, t, cost, cheirality, depths = (np.empty(J), np.empty((J, 3)), np.empty(J),
+                                          np.empty(J, dtype=bool), [None] * J)
+    bounds = np.cumsum([0] + counts)
+    groups: dict = {}
+    for i, elim in enumerate(elims):
+        if counts[i]:
+            groups.setdefault((elim.n, elim.fix_scale, counts[i]), []).append(i)
+    for (n, fix_scale, C), group in groups.items():
+        S = len(group)
+        # A stack of one is a view: no copy of the (k, 3n) matrices.
+        X, c, z, SV, B, M, K = (getattr(elims[group[0]], name)[None] if S == 1 else
+                                np.stack([getattr(elims[i], name) for i in group])
+                                for name in ("points", "origins", "directions", "SV", "B", "M", "K"))
+        idx = bounds[group][:, None] + np.arange(C)                    # (S, C) candidates
+        Y = X[:, None] @ R[idx].transpose(0, 1, 3, 2)                  # (S, C, n, 3): R X_i
+        y = Y - c[:, None] if fix_scale else Y                         # rhs(R)
+        w = SV @ y.reshape(S, C, 3 * n).transpose(0, 2, 1)             # (S, k, C)
+        alpha = np.einsum("scia,sia->sci", y, z) - (M @ w).transpose(0, 2, 1)   # (S, C, n)
+        # One refinement step against the normal equations, as in solve_linear.
+        resid = alpha[..., None] * z[:, None] + (B @ w).transpose(0, 2, 1).reshape(S, C, n, 3) - y
+        g_alpha = np.einsum("scia,sia->sci", resid, z)
+        d_w = np.linalg.solve(K, B.transpose(0, 2, 1) @ resid.reshape(S, C, 3 * n).transpose(0, 2, 1)
+                              - M.transpose(0, 2, 1) @ g_alpha.transpose(0, 2, 1))
+        alpha -= g_alpha - (M @ d_w).transpose(0, 2, 1)
+        w -= d_w
+        s = np.ones((S, C)) if fix_scale else w[:, 0]
+        tg = w[:, -3:].transpose(0, 2, 1)                              # (S, C, 3)
+        inner = Y - s[..., None, None] * c[:, None] + tg[:, :, None]   # as in constraint_cost
+        eta = np.einsum("scia,sia->sci", inner, z)[..., None] * z[:, None] - inner
+        scale[idx], t[idx], cost[idx] = s, tg, (eta * eta).sum(axis=(2, 3))
+        cheirality[idx] = (alpha > 0.0).all(axis=2)
+        for j, a in zip(idx.ravel(), alpha.reshape(S * C, n)):
+            depths[j] = a
+    shift_c, shift_X = (np.array([shift[j] for shift in centroids]).reshape(-1, 3)[owner]
+                        for j in (0, 1))
+    t = t - (R @ shift_X[:, :, None])[:, :, 0] + scale[:, None] * shift_c
+    residual = np.concatenate([m.residual for m in minima])
+    valid = scale > 0.0
+    out: list = [[] for _ in minima]
+    for j in np.lexsort((cost, ~cheirality, owner)):
+        if valid[j]:
+            out[owner[j]].append(SolverCandidate(
+                SimilarityTransform(Quaternion.from_array(q[j]), t[j], scale[j]),
+                float(cost[j]), depths[j], float(residual[j]), bool(cheirality[j])))
+    return [found or EmptySolutionError("all candidates were discarded (non-positive scale)")
+            for found in out]
 
 
 @dataclass(frozen=True)
@@ -350,9 +436,14 @@ class SolveReport:
     ``runtime_seconds`` is the wall time of the call, divided evenly over
     the samples of a batch, and the four stage times are the call's time in
     elimination, cost assembly, stationary search and candidate recovery,
-    divided the same way.  ``n_stationary`` counts the local minima the
-    candidates came from, ``real_roots`` the real stationary points among
-    the cost's 40 algebraic ones (see the module docstring).
+    divided the same way.  The last two are one call each for the whole
+    batch (``solve_stationary`` and ``recover_candidates``), so a sample's
+    share is not its own time.  ``n_stationary`` counts the local minima
+    the candidates came from, those discarded for a non-positive scale
+    included, and ``real_roots`` the real stationary points among the
+    cost's 40 algebraic ones (see the module docstring).  A candidate's
+    ``stationarity_residual`` is the tangent-gradient norm its minimum was
+    polished to, of the cost scaled by 1 / max(1, |Q|).
     """
 
     candidates: List[SolverCandidate]
@@ -394,7 +485,7 @@ def solve_batch(samples: Sequence[Correspondences],
     solved = []
     for i, corrs in enumerate(samples):
         # Solving about the centroids is an exact reparametrization; the
-        # translation maps back in _uncentered.
+        # translation maps back in recover_candidates.
         shift = corrs.origins.mean(axis=0), corrs.points.mean(axis=0)
         centered = Correspondences(corrs.origins - shift[0], corrs.directions,
                                    corrs.points - shift[1])
@@ -409,22 +500,21 @@ def solve_batch(samples: Sequence[Correspondences],
             lap("elimination")
         solved.append((i, elim, build_quartic_cost(elim), shift))
         lap("cost")
-    points = solve_stationary([cost for _, _, cost, _ in solved])
+    found = solve_stationary([cost for _, _, cost, _ in solved])
     lap("stationary")
-    for (i, elim, cost, shift), found in zip(solved, points):
-        if isinstance(found, EmptySolutionError):
-            out[i] = found
-            continue
-        qs, real_roots = found
-        if not qs:
+    kept = []
+    for (i, elim, _, shift), minima in zip(solved, found):
+        if isinstance(minima, EmptySolutionError):
+            out[i] = minima
+        elif not len(minima.q):
             out[i] = EmptySolutionError("no local minimum met the stationarity tolerance")
-            continue
-        try:
-            candidates = recover_candidates(qs, elim, cost)
-        except EmptySolutionError as e:
-            out[i] = e.with_traceback(None)
-            continue
-        out[i] = ([_uncentered(c, *shift) for c in candidates], len(qs), real_roots)
+        else:
+            kept.append((i, minima, elim, shift))
+    recovered = recover_candidates([m for _, m, _, _ in kept], [e for _, _, e, _ in kept],
+                                   [shift for _, _, _, shift in kept])
+    for (i, minima, _, _), candidates in zip(kept, recovered):
+        out[i] = candidates if isinstance(candidates, EmptySolutionError) else (
+            candidates, len(minima.q), minima.real_roots)
     lap("recovery")
     per = 1.0 / max(1, len(samples))
     stages = {f"{k}_seconds": v * per for k, v in spent.items()}
@@ -433,15 +523,6 @@ def solve_batch(samples: Sequence[Correspondences],
             out[i] = SolveReport(entry[0], (mark - start) * per, len(samples[i]), fix_scale,
                                  *entry[1:], **stages)
     return out
-
-
-def _uncentered(candidate: SolverCandidate, origin_shift: np.ndarray,
-                point_shift: np.ndarray) -> SolverCandidate:
-    """A candidate solved with both centroids at 0, in the input frame:
-    t = t' - R X0 + s c0 for origin centroid c0 and point centroid X0."""
-    T = candidate.transform
-    t = T.translation - T.rotation_matrix() @ point_shift + T.scale * origin_shift
-    return replace(candidate, transform=SimilarityTransform(T.rotation, t, T.scale))
 
 
 def gdls_solve(correspondences: Correspondences, fix_scale: bool = False) -> SolveReport:

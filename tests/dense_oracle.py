@@ -126,11 +126,12 @@ def macaulay_roots_qr(T: np.ndarray) -> np.ndarray:
     of A^T G, with G a fixed 210 x 125 Gaussian matrix.  A diagonal entry
     of that R below 1e-10 of the largest means a null space larger than 40,
     and raises ``EmptySolutionError``.  The shift and eig step is the
-    solver's, but it forms the four shift matrices A_k, takes the
+    solver's, but against a random linear form h, on an orthonormal null
+    space, and it forms the four shift matrices A_k, takes the
     eigenvectors U of their combination and reads the roots off the
-    diagonal of U^-1 A_k U, where the solver forms only the combination and
-    inverts R_h U; so the solver's readout is checked too.  Stands in for
-    ``raypose.solver._roots``.
+    diagonal of U^-1 A_k U, where the solver reads against q'_0, forms
+    only the combination and inverts R_0 U; so the solver's readout is
+    checked too.  Stands in for ``raypose.solver._roots``.
     """
     W, dst, src, shifts, G, h, w = _qr_recipe()
     A = np.zeros(210 * 165)

@@ -59,7 +59,7 @@ def test_criterion_2_oracle_equivalence():
         noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
         elim = build_elimination(noisy)
         cost = build_quartic_cost(elim)
-        best = min(float(cost.evaluate(q.array)) for q in solve_stationary([cost])[0][0])
+        best = min(float(cost.evaluate(q)) for q in solve_stationary([cost])[0].q)
         oracle = _oracle_descent(cost, 512, np.random.default_rng(seed))
         worst = max(worst, abs(best - oracle))
     _report(2, worst <= 1e-8,

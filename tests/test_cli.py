@@ -153,6 +153,12 @@ def test_config_rejects_an_infinite_inlier_threshold(tmp_path, capsys):
     assert "angular_inlier_threshold" in capsys.readouterr().err
 
 
+def test_config_rejects_min_inliers_below_one(tmp_path, capsys):
+    paths, _ = _write_city(tmp_path)
+    assert main(["align", paths[0], paths[1], "--config", "min_inliers=0"]) == 2
+    assert "min_inliers" in capsys.readouterr().err
+
+
 def test_config_only_on_robust_commands(tmp_path):
     corrs, _ = generate_scene(SceneConfig(n_correspondences=6, seed=2))
     path = tmp_path / "c.json"

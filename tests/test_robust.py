@@ -57,6 +57,14 @@ def test_config_rejects_max_iterations_below_one(max_iterations):
         RobustConfig(max_iterations=max_iterations)
 
 
+@pytest.mark.parametrize("min_inliers", [0, -2])
+def test_config_rejects_min_inliers_below_one(min_inliers):
+    # A model with no inlier would otherwise be reported as falling short
+    # of a bar it clears ("0 inliers (< min_inliers=0)").
+    with pytest.raises(InvalidInputError, match="min_inliers"):
+        RobustConfig(min_inliers=min_inliers)
+
+
 def test_noise_free_recovers_quickly():
     (corrs, truth), _ = _scene(seed=1)
     result = ransac_gdls(corrs, RobustConfig(), seed=0)

@@ -6,8 +6,9 @@ import pytest
 
 from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
                      Quaternion, QuarticCost, RankDeficiencyError, apply_similarity,
-                     build_elimination, build_quartic_cost, gdls_solve,
-                     solve_stationary)
+                     build_elimination, build_quartic_cost, gdls_solve, quat_to_rotation,
+                     recover_candidates, solve_stationary)
+from raypose.cost import constraint_cost
 from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
                            random_similarity, trial_rng)
 from raypose import solver
@@ -24,15 +25,15 @@ def test_every_descent_minimum_is_enumerated():
         rng = trial_rng(600 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
         cost = build_quartic_cost(build_elimination(add_noise(corrs, 1.0, 800.0, rng=rng)))
-        (qs, real_roots), = solve_stationary([cost])
-        found = np.array([q.array for q in qs])
+        result, = solve_stationary([cost])
+        found = result.q
         costs = cost.evaluate(found)
-        assert len(qs) <= real_roots <= 40
+        assert len(found) <= result.real_roots <= 40
         minima, values = descent_minima(cost, seed=seed)
         assert len(minima) >= 1
         for m, value in zip(minima, values):
             chord = np.minimum(np.linalg.norm(found - m, axis=1), np.linalg.norm(found + m, axis=1))
-            assert chord.min() < 1e-3 or (len(qs) == MAX_CANDIDATES and value >= costs.max())
+            assert chord.min() < 1e-3 or (len(found) == MAX_CANDIDATES and value >= costs.max())
 
 
 def _distinct_stationary_minima(cost):
@@ -46,7 +47,7 @@ def _distinct_stationary_minima(cost):
     if isinstance(result, EmptySolutionError):
         assert "not isolated" in str(result)
         return None
-    q = np.array([x.array for x in result[0]]).reshape(-1, 4)
+    q = result.q
     assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
     g = cost.gradient(q)
     tangent = g - np.sum(g * q, axis=1, keepdims=True) * q
@@ -219,8 +220,7 @@ def test_multistart_oracle_agreement():
         noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
         elim = build_elimination(noisy)
         cost = build_quartic_cost(elim)
-        qs = solve_stationary([cost])[0][0]
-        best = min(float(cost.evaluate(q.array)) for q in qs)
+        best = min(float(cost.evaluate(q)) for q in solve_stationary([cost])[0].q)
         oracle = _oracle_descent(cost, 512, np.random.default_rng(seed))
         assert best <= oracle + 1e-8
 
@@ -294,9 +294,8 @@ def _assert_identical(a, b):
     if isinstance(a, EmptySolutionError):
         assert str(a) == str(b)
         return
-    assert a[1] == b[1] and len(a[0]) == len(b[0])
-    for qa, qb in zip(a[0], b[0]):
-        assert np.array_equal(qa.array, qb.array)
+    assert a.real_roots == b.real_roots
+    assert np.array_equal(a.q, b.q) and np.array_equal(a.residual, b.residual)
 
 
 def test_stack_of_costs_matches_costs_alone(monkeypatch):
@@ -318,8 +317,21 @@ def test_stack_of_costs_matches_costs_alone(monkeypatch):
             _assert_identical(entry, solve_stationary([cost])[0])
         solved = [e for e in stacked if not isinstance(e, EmptySolutionError)]
         assert [i for i, e in enumerate(stacked) if isinstance(e, EmptySolutionError)] == [7]
-        assert all(len(qs) >= 1 for qs, _ in solved)
-        assert len({real_roots for _, real_roots in solved}) > 1
+        assert all(len(m.q) >= 1 for m in solved)
+        assert len({m.real_roots for m in solved}) > 1
+
+
+def _assert_same_candidates(a, b):
+    """Two solve reports whose candidate lists agree bit for bit."""
+    assert (a.n_stationary, a.real_roots, len(a.candidates)) == (
+        b.n_stationary, b.real_roots, len(b.candidates))
+    for ca, cb in zip(a.candidates, b.candidates):
+        assert np.array_equal(ca.transform.rotation.array, cb.transform.rotation.array)
+        assert np.array_equal(ca.transform.translation, cb.transform.translation)
+        assert ca.transform.scale == cb.transform.scale and ca.cost == cb.cost
+        assert np.array_equal(ca.depths, cb.depths)
+        assert ca.stationarity_residual == cb.stationarity_residual
+        assert ca.cheirality_ok == cb.cheirality_ok
 
 
 def test_solve_batch_reports_each_sample():
@@ -329,13 +341,100 @@ def test_solve_batch_reports_each_sample():
     single = Correspondences(np.zeros((4, 3)), corrs.points[:4] + 1.0, corrs.points[:4])
     good, bad, again = solve_batch([corrs, single, corrs])
     assert isinstance(bad, RankDeficiencyError)
+    assert [type(e) for e in solve_batch([single])] == [RankDeficiencyError]
     expect = gdls_solve(corrs)
     for report in (good, again):
-        assert np.array_equal(report.best.transform.rotation.array,
-                              expect.best.transform.rotation.array)
-        assert report.n_stationary == expect.n_stationary
+        _assert_same_candidates(report, expect)
     with pytest.raises(InvalidInputError):
         solve_batch([corrs, corrs.subset(np.arange(3))])
+    # A stack of 16 noisy minimal samples with different minimum counts:
+    # every sample's candidate list is the one it gets alone.
+    samples = []
+    for seed in range(16):
+        rng = trial_rng(500 + seed, 0)
+        scene, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
+        samples.append(add_noise(scene, 1.0, 800.0, rng=rng))
+    stacked = solve_batch(samples)
+    assert len({report.n_stationary for report in stacked}) > 1
+    assert len({len(report.candidates) for report in stacked}) > 1
+    for sample, report in zip(samples, stacked):
+        _assert_same_candidates(report, gdls_solve(sample))
+
+
+def _recovery_oracle(minima, elim, cost, centroids):
+    """``recover_candidates`` for one sample, candidate by candidate: the
+    elimination's ``solve_linear``, ``constraint_cost`` and the tangent
+    gradient of the cost, ranked by (cheirality, cost)."""
+    out = []
+    for q, carried in zip(minima.q, minima.residual):
+        R = quat_to_rotation(q)
+        alpha, s, t = elim.solve_linear(R)
+        if s <= 0.0:
+            continue
+        g = cost.gradient(q)
+        residual = np.linalg.norm(g - np.dot(g, q) * q) / max(1.0, np.linalg.norm(cost.Q))
+        out.append((q, alpha, s, t - R @ centroids[1] + s * centroids[0],
+                    constraint_cost(elim.origins, elim.directions, elim.points, R, s, t),
+                    residual, carried, bool(np.all(alpha > 0.0))))
+    return sorted(out, key=lambda c: (not c[-1], c[4]))
+
+
+def test_stacked_recovery_matches_the_per_candidate_formulas():
+    # One mixed stack: free and fixed scale, n = 4 and n = 50, samples with
+    # different minimum counts, one (703) whose cheap minimum fails
+    # cheirality and so ranks after a dearer one, one (809) whose
+    # refinement step moves w by 1e-10 relative, and in the middle a
+    # sample left with only minima of negative scale (origins negated,
+    # which negates the scale).
+    samples = []
+    for seed, n, fix_scale in ((809, 50, False), (701, 4, True), (702, 4, False), (703, 4, True),
+                               (809, 50, True), (705, 4, False), (706, 4, False), (707, 4, True)):
+        rng = trial_rng(seed, 0)
+        scene, _ = generate_scene(SceneConfig(n_correspondences=n, scale_range=(1.0, 1.0)), rng)
+        samples.append((add_noise(scene, 1.0, 800.0, rng=rng), fix_scale))
+    rng = trial_rng(0, 0)
+    scene, _ = generate_scene(SceneConfig(n_correspondences=50), rng)
+    scene = add_noise(scene, 1.0, 800.0, rng=rng)
+    samples.insert(4, (Correspondences(-scene.origins, scene.directions, scene.points), False))
+    found, elims, costs, centroids = [], [], [], []
+    for corrs, fix_scale in samples:
+        shift = corrs.origins.mean(axis=0), corrs.points.mean(axis=0)
+        elims.append(build_elimination(Correspondences(
+            corrs.origins - shift[0], corrs.directions, corrs.points - shift[1]), fix_scale))
+        costs.append(build_quartic_cost(elims[-1]))
+        found.append(solve_stationary([costs[-1]])[0])
+        centroids.append(shift)
+    negative = [elims[4].solve_linear(quat_to_rotation(q))[1] <= 0.0 for q in found[4].q]
+    assert any(negative) and not all(negative)
+    found[4] = found[4]._replace(q=found[4].q[negative], residual=found[4].residual[negative])
+    assert len({len(m.q) for m in found}) >= 3
+    recovered = recover_candidates(found, elims, centroids)
+    assert str(recovered[4]) == "all candidates were discarded (non-positive scale)"
+    assert isinstance(recovered[4], EmptySolutionError)
+
+    def close(a, b, scale):
+        assert np.all(np.abs(np.asarray(a) - b) <= 1e-12 * scale)
+
+    ranked_by_cheirality = False
+    for i in set(range(len(samples))) - {4}:
+        oracle = _recovery_oracle(found[i], elims[i], costs[i], centroids[i])
+        assert len(recovered[i]) == len(oracle) >= 1
+        values = [c.cost for c in recovered[i]]
+        ranked_by_cheirality |= values != sorted(values)
+        for cand, (q, alpha, s, t, value, residual, carried, cheirality) in zip(recovered[i], oracle):
+            T = cand.transform
+            assert np.array_equal(T.rotation.array, Quaternion.from_array(q).array)
+            close(cand.depths, alpha, np.abs(alpha).max())
+            close(T.scale, s, s)
+            # t is a sum of terms of the size of the centroids.
+            close(T.translation, t, max(np.linalg.norm(t), *map(np.linalg.norm, centroids[i])))
+            close(cand.cost, value, value)
+            # Tangent gradients at a minimum are rounding noise of the
+            # cost scaled by 1 / max(1, |Q|).
+            close(cand.stationarity_residual, residual, 1.0)
+            assert cand.stationarity_residual == carried <= STATIONARITY_TOL
+            assert cand.cheirality_ok == cheirality
+    assert ranked_by_cheirality
 
 
 def _centered_cost(corrs):
@@ -386,10 +485,9 @@ def _assert_same_stationary_sets(a, b):
     assert isinstance(a, EmptySolutionError) == isinstance(b, EmptySolutionError)
     if isinstance(a, EmptySolutionError):
         return
-    assert a[1] == b[1] and len(a[0]) == len(b[0])
-    if a[0]:
-        qa = np.array([q.array for q in a[0]])
-        qb = np.array([q.array for q in b[0]])
+    assert a.real_roots == b.real_roots and len(a.q) == len(b.q)
+    if len(a.q):
+        qa, qb = a.q, b.q
         chord = np.minimum(np.linalg.norm(qa[:, None] - qb[None], axis=2),
                            np.linalg.norm(qa[:, None] + qb[None], axis=2))
         # Minima of equal cost may come in either order.
@@ -411,7 +509,7 @@ def test_a_cost_the_first_frame_refuses_is_solved_in_the_second(monkeypatch):
     # singular; with that as the first frame the second one solves it.
     cost = QuarticCost(np.diag(np.random.default_rng(4).uniform(0.1, 2.0, 10)))
     expect, = solve_stationary([cost])
-    assert len(expect[0]) >= 1
+    assert len(expect.q) >= 1
     recipe = solver._macaulay_recipe()
     identity = (np.eye(4), np.eye(16))
     monkeypatch.setattr(solver, "_macaulay_recipe", lambda: recipe._replace(frames=(identity,)))
