@@ -14,7 +14,7 @@ from .geometry import (Correspondences, DistributedCamera, Quaternion,
                        SimilarityTransform, alignment_from_pose,
                        apply_similarity, compose_similarity,
                        invert_similarity, merge_distributed_cameras,
-                       pose_from_alignment, quat_to_rotation)
+                       quat_to_rotation)
 from .elimination import EliminationMatrices, build_elimination
 from .cost import QuarticCost, build_quartic_cost, direct_cost
 from .solver import (SolveReport, SolverCandidate, gdls_solve, recover_candidates,
@@ -22,7 +22,7 @@ from .solver import (SolveReport, SolverCandidate, gdls_solve, recover_candidate
 from .robust import (RobustConfig, RobustResult, prosac_order, ransac_gdls,
                      umeyama_align)
 from .pipeline import (MergeReport, build_match_graph, hierarchical_merge,
-                       localize, partition, refine_similarities, select_base)
+                       localize, partition, select_base)
 from .io import (load_correspondences, load_reconstruction,
                  parse_correspondences, parse_reconstruction,
                  save_correspondences, save_reconstruction)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (Correspondences, DistributedCamera, Quaternion,
-                       SimilarityTransform, _row_products, apply_similarity,
-                       invert_similarity, pose_from_alignment, quat_to_rotation,
+                       SimilarityTransform, _row_products, alignment_from_pose,
+                       apply_similarity, invert_similarity, quat_to_rotation,
                        row_norms)
 from .robust import umeyama_align
 from .solver import gdls_solve
@@ -275,8 +275,9 @@ def run_noise_sweep(levels: Sequence[float] = tuple(range(11)),
                     local = _triangulate_midpoints(corrs.origins, noisy.directions,
                                                    c2, extra.directions)
                     align = umeyama_align(local, corrs.points)
-                    # Convert the local->world alignment into pose fields.
-                    est = pose_from_alignment(align)
+                    # The local->world alignment as pose fields: the map is
+                    # its own inverse.
+                    est = alignment_from_pose(align)
                 r = pose_errors(est, truth)
                 sums[m] += (r.rotation_error_deg, r.translation_error,
                             r.relative_scale_error)

@@ -26,7 +26,7 @@ from .errors import RayposeError, InvalidInputError, EmptySolutionError, RankDef
 from .geometry import SimilarityTransform, alignment_from_pose
 from .io import (load_correspondences, load_reconstruction,
                  reconstruction_to_json, save_reconstruction)
-from .pipeline import DEFAULT_GROUP_SIZE, hierarchical_merge, localize, refine_similarities
+from .pipeline import DEFAULT_GROUP_SIZE, hierarchical_merge, localize
 from .robust import RobustConfig
 from .solver import gdls_solve
 
@@ -129,8 +129,6 @@ def _cmd_merge(args) -> int:
     report = hierarchical_merge(cameras, config,
                                 max_group_size=args.max_group_size,
                                 seed=args.seed, threads=args.threads)
-    if args.refine:
-        report = refine_similarities(report, cameras)
     if args.out:
         save_reconstruction(report.final_camera, args.out)
     else:
@@ -215,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-group-size", type=int, default=DEFAULT_GROUP_SIZE)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads per level (default: RAYPOSE_THREADS, else 1)")
-    p.add_argument("--refine", action="store_true",
-                   help="polish per-camera similarities after merging")
     p.add_argument("--report", help="merge report output path")
     common(p, config=True)
     p.set_defaults(func=_cmd_merge)

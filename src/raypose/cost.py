@@ -127,15 +127,24 @@ class QuarticCost:
 
 
 def constraint_cost(origins: np.ndarray, directions: np.ndarray, points: np.ndarray,
-                    R: np.ndarray, s: float, t: np.ndarray) -> float:
+                    R: np.ndarray, s: float | np.ndarray, t: np.ndarray) -> float | np.ndarray:
     """Summed squared constraint errors of the pose (R, s, t).
 
     ``eta_i = (z_i z_i^T - I)(R X_i - s c_i + t)`` is the part of the ray
-    constraint's residual orthogonal to the observed direction z_i.
+    constraint's residual orthogonal to the observed direction z_i.  One
+    pose, with (n, 3) rays and points, R (3, 3), a float s and a (3,) t,
+    gives a float.  Stacks, with (S, n, 3) rays and points of S samples
+    and C poses each, R (S, C, 3, 3), s (S, C) and t (S, C, 3), give an
+    (S, C) array.
     """
-    inner = points @ np.asarray(R).T - s * origins + t
-    eta = np.einsum("ia,ib,ib->ia", directions, directions, inner) - inner
-    return float(np.sum(eta * eta))
+    R = np.asarray(R)
+    if R.ndim == 2:
+        return float(constraint_cost(origins[None], directions[None], points[None], R[None, None],
+                                     np.full((1, 1), s), np.asarray(t)[None, None])[0, 0])
+    inner = (points[:, None] @ R.transpose(0, 1, 3, 2) - s[..., None, None] * origins[:, None]
+             + t[:, :, None])
+    eta = np.einsum("scia,sia->sci", inner, directions)[..., None] * directions[:, None] - inner
+    return (eta * eta).sum(axis=(2, 3))
 
 
 def direct_cost(elim: EliminationMatrices, R: np.ndarray) -> float:

@@ -26,7 +26,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,9 @@ class EliminationMatrices:
     """Constant matrices expressing (alpha, s, t) as functions of the rotation.
 
     With ``y = rhs(R)``: ``w = SV y`` is ``(s, t)``, or t alone in
-    fix-scale mode, and ``alpha_i = d_i . (y_i - B_i w)``.
+    fix-scale mode, and ``alpha_i = d_i . (y_i - B_i w)``.  The shapes
+    below are one sample's; :func:`stack_eliminations` puts a leading
+    sample axis on every array.
     """
 
     SV: np.ndarray         # (k, 3n)
@@ -55,7 +57,7 @@ class EliminationMatrices:
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.points.shape[-2]
 
     def rhs(self, R: np.ndarray) -> np.ndarray:
         """Stacked right-hand side y for rotation R: R X_i, less c_i in fix-scale mode."""
@@ -64,23 +66,48 @@ class EliminationMatrices:
             y = y - self.origins.reshape(-1)
         return y
 
-    def solve_linear(self, R: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
+    def solve_linear(self, R: np.ndarray) -> Tuple[np.ndarray, float | np.ndarray, np.ndarray]:
         """Depths, scale, and translation for a given rotation matrix.
 
-        One structured iterative-refinement step against the normal
-        equations removes the rounding left by the precomputed rows
+        A (3, 3) R gives (n,) depths, a float scale and a (3,) translation.
+        On a stack of S eliminations (see :func:`stack_eliminations`), an
+        (S, C, 3, 3) R holds C rotations per sample and gives (S, C, n)
+        depths, (S, C) scales and (S, C, 3) translations; a sample's
+        numbers are the same, bit for bit, alone or among any other
+        samples.  One structured iterative-refinement step against the
+        normal equations removes the rounding left by the precomputed rows
         (the Schur system reuses the stored K and coupling rows).
         """
-        y = self.rhs(R)
-        z = self.directions
-        w = self.SV @ y
-        alpha = np.sum(z * y.reshape(-1, 3), axis=1) - self.M @ w   # d_i . (y_i - B_i w)
-        resid = alpha[:, None] * z + (self.B @ w - y).reshape(-1, 3)
-        g_alpha = np.sum(z * resid, axis=1)
-        d_w = np.linalg.solve(self.K, resid.reshape(-1) @ self.B - self.M.T @ g_alpha)
-        alpha = alpha - (g_alpha - self.M @ d_w)
-        w = w - d_w
-        return alpha, (1.0 if self.fix_scale else float(w[0])), w[-3:]
+        R = np.asarray(R)
+        if R.ndim == 2:
+            alpha, s, t = stack_eliminations([self]).solve_linear(R[None, None])
+            return alpha[0, 0], float(s[0, 0]), t[0, 0]
+        (S, C), n = R.shape[:2], self.n
+        z, SV, B, M = self.directions, self.SV, self.B, self.M
+        y = self.points[:, None] @ R.transpose(0, 1, 3, 2)             # (S, C, n, 3): R X_i
+        if self.fix_scale:
+            y = y - self.origins[:, None]
+        w = SV @ y.reshape(S, C, 3 * n).transpose(0, 2, 1)             # (S, k, C)
+        alpha = np.einsum("scia,sia->sci", y, z) - (M @ w).transpose(0, 2, 1)   # d_i . (y_i - B_i w)
+        resid = alpha[..., None] * z[:, None] + (B @ w).transpose(0, 2, 1).reshape(S, C, n, 3) - y
+        g_alpha = np.einsum("scia,sia->sci", resid, z)
+        d_w = np.linalg.solve(self.K, B.transpose(0, 2, 1) @ resid.reshape(S, C, 3 * n).transpose(0, 2, 1)
+                              - M.transpose(0, 2, 1) @ g_alpha.transpose(0, 2, 1))
+        alpha -= g_alpha - (M @ d_w).transpose(0, 2, 1)
+        w -= d_w
+        return alpha, (np.ones((S, C)) if self.fix_scale else w[:, 0]), w[:, -3:].transpose(0, 2, 1)
+
+
+def stack_eliminations(elims: Sequence[EliminationMatrices]) -> EliminationMatrices:
+    """The eliminations of one size and scale mode as one, each array with a
+    leading axis over them.  A stack of one is a view: no copy of the
+    (k, 3n) matrices."""
+    names = ("SV", "B", "origins", "directions", "points", "K", "M")
+    if len(elims) == 1:
+        arrays = {name: getattr(elims[0], name)[None] for name in names}
+    else:
+        arrays = {name: np.stack([getattr(e, name) for e in elims]) for name in names}
+    return EliminationMatrices(fix_scale=elims[0].fix_scale, **arrays)
 
 
 def build_elimination(

@@ -232,14 +232,11 @@ def alignment_from_pose(T: SimilarityTransform) -> SimilarityTransform:
 
     For a pose ``(R, t, s)`` satisfying ``s*c + alpha*d = R*X + t``, the
     local point ``p`` maps to the world point ``s*R^T p - R^T t``.  The
-    map ``(R, t, s) -> (R^T, -R^T t, s)`` is its own inverse, so
-    :func:`pose_from_alignment` is this same function.
+    map ``(R, t, s) -> (R^T, -R^T t, s)`` is its own inverse: applied to
+    an alignment it gives back the pose.
     """
     Rt = T.rotation_matrix().T
     return SimilarityTransform(T.rotation.conjugate(), -(Rt @ T.translation), T.scale)
-
-
-pose_from_alignment = alignment_from_pose
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

@@ -5,9 +5,8 @@ Each level partitions the surviving distributed cameras into small groups
 picks the camera with the most points in each group as the base,
 localizes every other member against the base with the robust solver,
 and merges the successes into the base.  Levels repeat until a single
-camera remains or no further merge is possible.  No bundle adjustment is
-run between levels; ``refine_similarities`` offers an optional per-camera
-polish against the final point cloud.
+camera remains or no further merge is possible.  No bundle adjustment or
+other refinement is run, between levels or after the last one.
 """
 
 from __future__ import annotations
@@ -19,14 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost import constraint_cost
-from .errors import InvalidInputError, RayposeError
+from .errors import InvalidInputError
 from .geometry import (Correspondences, DistributedCamera,
                        SimilarityTransform, alignment_from_pose,
-                       compose_similarity, merge_distributed_cameras,
-                       pose_from_alignment)
+                       compose_similarity, merge_distributed_cameras)
 from .robust import RobustConfig, RobustResult, ransac_gdls
-from .solver import gdls_solve
 
 DEFAULT_GROUP_SIZE = 8
 
@@ -295,32 +291,3 @@ def hierarchical_merge(
             failed[mid] = "disconnected from the final reconstruction"
     return MergeReport(tuple(levels), failed, final.camera, dict(final.members))
 
-
-def _pose_cost(corrs: Correspondences, T: SimilarityTransform) -> float:
-    """Summed squared constraint error of a full similarity (no re-elimination)."""
-    return constraint_cost(corrs.origins, corrs.directions, corrs.points, T.rotation_matrix(),
-                           T.scale, T.translation)
-
-
-def refine_similarities(report: MergeReport, cameras: Sequence[DistributedCamera]) -> MergeReport:
-    """Polish per-camera similarities against the frozen merged cloud.
-
-    Each camera's pose is refit by a full solve on its rays vs the final
-    point coordinates, and the refit is accepted only when it lowers that
-    camera's summed squared error.  A refit depends on nothing but the
-    camera's rays and the frozen cloud, so one pass reaches the fixpoint.
-    The merged point cloud itself is not moved.
-    """
-    cams = _namespace_all(cameras)
-    log = dict(report.transform_log)
-    for mid in log:
-        corrs = shared_correspondences(report.final_camera, cams[mid])
-        if len(corrs) < 4:
-            continue
-        try:
-            refit = gdls_solve(corrs).best
-        except RayposeError:
-            continue
-        if refit.cost < _pose_cost(corrs, pose_from_alignment(log[mid])):
-            log[mid] = alignment_from_pose(refit.transform)
-    return MergeReport(report.levels, dict(report.failed_members), report.final_camera, log)

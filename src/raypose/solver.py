@@ -91,9 +91,11 @@ Both solve about the centroids of the ray origins and of the world
 points.  That leaves costs and depths unchanged and keeps the
 elimination's rank test independent of where the coordinate origin is.
 One ``recover_candidates`` call then turns every minimum of the stack
-into a candidate: each sample's minima are the columns of its products
-with its correspondences, and the scale test, the map back from the
-centroids and the ranking are one pass over every candidate of the stack.
+into a candidate: samples of one size, scale mode and minimum count are
+stacked, the elimination's ``solve_linear`` and ``constraint_cost`` give
+the depths, scale, translation and cost of every minimum of a stack in
+one call each, and the scale test, the map back from the centroids and
+the ranking are one pass over every candidate.
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cost import MONOMIAL_PAIRS, MR, QuarticCost, build_quartic_cost, quartic_form
-from .elimination import EliminationMatrices, build_elimination
+from .cost import (MONOMIAL_PAIRS, MR, QuarticCost, build_quartic_cost, constraint_cost,
+                   quartic_form)
+from .elimination import EliminationMatrices, build_elimination, stack_eliminations
 from .errors import EmptySolutionError, InvalidInputError, RankDeficiencyError
 from .geometry import Correspondences, Quaternion, SimilarityTransform, _unit_quaternions
 
@@ -366,11 +369,11 @@ def recover_candidates(
     a sample whose every candidate is discarded gets an
     ``EmptySolutionError``.
 
-    Samples of one size, scale mode and minimum count are one stack, and
-    their minima the columns of its products with the correspondences:
-    ``solve_linear``'s depths, scale, translation and refinement step, and
-    ``constraint_cost``, are each one pass over a stack.  A sample's numbers
-    are the same, bit for bit, alone or in any stack.  The scale test, the
+    Samples of one size, scale mode and minimum count are one stack (see
+    ``stack_eliminations``), and one call each of ``solve_linear`` and
+    ``constraint_cost`` on its (S, C, 3, 3) rotations gives the depths,
+    scale, translation and cost of all its minima.  A sample's numbers are
+    the same, bit for bit, alone or in any stack.  The scale test, the
     uncentering and the ranking are one pass over the candidates of every
     sample, and objects are built only for those that are returned.
     """
@@ -388,31 +391,14 @@ def recover_candidates(
     for i, elim in enumerate(elims):
         if counts[i]:
             groups.setdefault((elim.n, elim.fix_scale, counts[i]), []).append(i)
-    for (n, fix_scale, C), group in groups.items():
-        S = len(group)
-        # A stack of one is a view: no copy of the (k, 3n) matrices.
-        X, c, z, SV, B, M, K = (getattr(elims[group[0]], name)[None] if S == 1 else
-                                np.stack([getattr(elims[i], name) for i in group])
-                                for name in ("points", "origins", "directions", "SV", "B", "M", "K"))
+    for (_, _, C), group in groups.items():
         idx = bounds[group][:, None] + np.arange(C)                    # (S, C) candidates
-        Y = X[:, None] @ R[idx].transpose(0, 1, 3, 2)                  # (S, C, n, 3): R X_i
-        y = Y - c[:, None] if fix_scale else Y                         # rhs(R)
-        w = SV @ y.reshape(S, C, 3 * n).transpose(0, 2, 1)             # (S, k, C)
-        alpha = np.einsum("scia,sia->sci", y, z) - (M @ w).transpose(0, 2, 1)   # (S, C, n)
-        # One refinement step against the normal equations, as in solve_linear.
-        resid = alpha[..., None] * z[:, None] + (B @ w).transpose(0, 2, 1).reshape(S, C, n, 3) - y
-        g_alpha = np.einsum("scia,sia->sci", resid, z)
-        d_w = np.linalg.solve(K, B.transpose(0, 2, 1) @ resid.reshape(S, C, 3 * n).transpose(0, 2, 1)
-                              - M.transpose(0, 2, 1) @ g_alpha.transpose(0, 2, 1))
-        alpha -= g_alpha - (M @ d_w).transpose(0, 2, 1)
-        w -= d_w
-        s = np.ones((S, C)) if fix_scale else w[:, 0]
-        tg = w[:, -3:].transpose(0, 2, 1)                              # (S, C, 3)
-        inner = Y - s[..., None, None] * c[:, None] + tg[:, :, None]   # as in constraint_cost
-        eta = np.einsum("scia,sia->sci", inner, z)[..., None] * z[:, None] - inner
-        scale[idx], t[idx], cost[idx] = s, tg, (eta * eta).sum(axis=(2, 3))
+        stack, Rs = stack_eliminations([elims[i] for i in group]), R[idx]
+        alpha, s, tg = stack.solve_linear(Rs)
+        scale[idx], t[idx] = s, tg
+        cost[idx] = constraint_cost(stack.origins, stack.directions, stack.points, Rs, s, tg)
         cheirality[idx] = (alpha > 0.0).all(axis=2)
-        for j, a in zip(idx.ravel(), alpha.reshape(S * C, n)):
+        for j, a in zip(idx.ravel(), alpha.reshape(-1, stack.n)):
             depths[j] = a
     shift_c, shift_X = (np.array([shift[j] for shift in centroids]).reshape(-1, 3)[owner]
                         for j in (0, 1))

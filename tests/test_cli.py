@@ -128,6 +128,9 @@ def test_invalid_inputs_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve", "--input", str(bad)]) == 2
+    # The per-camera polish after a merge is gone, and so is its flag.
+    paths, _ = _write_city(tmp_path)
+    assert main(["merge", *paths, "--refine"]) == 2
 
 
 def test_config_overrides(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from raypose import (Correspondences, InvalidInputError, RankDeficiencyError,
                      build_elimination)
+from raypose.elimination import stack_eliminations
 from raypose.bench import SceneConfig, generate_scene, trial_rng
 from raypose.geometry import quat_to_rotation
 
@@ -19,8 +20,8 @@ def _rotations(seed, count=5):
     return [quat_to_rotation(qi / np.linalg.norm(qi)) for qi in q]
 
 
-def _assert_matches_dense(elim, R):
-    alpha, s, t = elim.solve_linear(R)
+def _assert_matches_dense(elim, R, solution):
+    alpha, s, t = solution
     alpha_d, s_d, t_d = dense_solution(elim, R)
     tol = 1e-8 * max(1.0, float(np.abs(elim.rhs(R)).max()))
     assert np.allclose(alpha, alpha_d, rtol=0, atol=tol)
@@ -28,12 +29,25 @@ def _assert_matches_dense(elim, R):
     assert np.allclose(t, t_d, rtol=0, atol=tol)
 
 
+def _assert_all_match_dense(elims, rotations):
+    """Every (sample, rotation) pair against the dense solution, solved
+    alone and as one entry of a stacked (S, C, 3, 3) call."""
+    alpha, s, t = stack_eliminations(elims).solve_linear(np.array(rotations))
+    S, C = len(elims), len(rotations[0])
+    assert (alpha.shape, s.shape, t.shape) == ((S, C, elims[0].n), (S, C), (S, C, 3))
+    for i, elim in enumerate(elims):
+        for j, R in enumerate(rotations[i]):
+            _assert_matches_dense(elim, R, elim.solve_linear(R))
+            _assert_matches_dense(elim, R, (alpha[i, j], s[i, j], t[i, j]))
+
+
 def test_closed_matches_dense():
+    elims, rotations = [], []
     for seed in range(10):
         corrs, truth = _scene(n=5, seed=seed)
-        elim = build_elimination(corrs)
-        for R in [truth.rotation_matrix()] + _rotations(seed):
-            _assert_matches_dense(elim, R)
+        elims.append(build_elimination(corrs))
+        rotations.append([truth.rotation_matrix()] + _rotations(seed))
+    _assert_all_match_dense(elims, rotations)
 
 
 def test_matrix_shapes():
@@ -108,8 +122,9 @@ def test_fix_scale_mode_handles_single_origin():
 
 
 def test_fix_scale_closed_matches_dense():
+    elims, rotations = [], []
     for seed in (7, 8, 9):
         corrs, truth = _scene(n=6, seed=seed)
-        elim = build_elimination(corrs, fix_scale=True)
-        for R in [truth.rotation_matrix()] + _rotations(seed):
-            _assert_matches_dense(elim, R)
+        elims.append(build_elimination(corrs, fix_scale=True))
+        rotations.append([truth.rotation_matrix()] + _rotations(seed))
+    _assert_all_match_dense(elims, rotations)

@@ -5,8 +5,7 @@ from raypose import (Correspondences, DistributedCamera, InvalidInputError,
                      Quaternion, SimilarityTransform,
                      alignment_from_pose, apply_similarity,
                      compose_similarity, invert_similarity,
-                     merge_distributed_cameras, pose_from_alignment,
-                     quat_to_rotation)
+                     merge_distributed_cameras, quat_to_rotation)
 
 
 def random_transform(rng):
@@ -84,7 +83,7 @@ def test_alignment_pose_involution():
     rng = np.random.default_rng(3)
     for _ in range(20):
         T = random_transform(rng)
-        back = pose_from_alignment(alignment_from_pose(T))
+        back = alignment_from_pose(alignment_from_pose(T))
         assert np.allclose(back.rotation.array, T.rotation.array, atol=1e-12)
         assert np.allclose(back.translation, T.translation, atol=1e-10)
         assert np.isclose(back.scale, T.scale)

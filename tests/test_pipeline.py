@@ -5,11 +5,9 @@ import pytest
 
 from raypose import (DistributedCamera, Quaternion, RobustConfig,
                      apply_similarity, build_match_graph, generate_city,
-                     hierarchical_merge, localize, partition,
-                     refine_similarities, select_base)
+                     hierarchical_merge, localize, partition, select_base)
 from raypose.errors import InvalidInputError
 from raypose.geometry import SimilarityTransform, alignment_from_pose
-from raypose.pipeline import shared_correspondences, _pose_cost
 
 from dense_oracle import match_weights
 
@@ -229,41 +227,6 @@ def test_frame_coherence():
                                 max_group_size=2, seed=0)
     errs = _city_position_errors(cams, truths, report)
     assert errs.max() < 1e-6
-
-
-def test_refine_never_increases_total_cost():
-    cams, truths = generate_city(3, 3, 0.3, 1.0, seed=7)
-    report = hierarchical_merge(cams, RobustConfig(min_inliers=8), seed=0)
-    assert report.failed_members == {}
-    refined = refine_similarities(report, cams)
-    # recompute total pose cost before and after
-    from raypose.pipeline import _namespace_all
-    from raypose.geometry import pose_from_alignment, Correspondences
-    final = report.final_camera
-    cams_ns = _namespace_all(cams)
-
-    def total(log):
-        acc = 0.0
-        for mid, T in log.items():
-            cam = cams_ns[mid]
-            rows = final.point_rows(cam.point_ids)[cam.obs_point]
-            seen = rows >= 0
-            corrs = Correspondences(cam.centers[cam.obs_camera[seen]], cam.directions[seen],
-                                    final.points[rows[seen]])
-            acc += _pose_cost(corrs, pose_from_alignment(T))
-        return acc
-
-    assert total(refined.transform_log) <= total(report.transform_log) + 1e-12
-
-
-def test_refine_noise_free_is_noop_in_cost():
-    cams, _ = generate_city(2, 3, 0.3, 0.0, seed=8)
-    report = hierarchical_merge(cams, RobustConfig(), seed=0)
-    refined = refine_similarities(report, cams)
-    for mid in report.transform_log:
-        a, b = report.transform_log[mid], refined.transform_log[mid]
-        assert np.allclose(a.translation, b.translation, atol=1e-6)
-        assert abs(a.scale - b.scale) < 1e-8
 
 
 def test_city_far_from_frame_origins_merges_completely():
