@@ -12,8 +12,8 @@ Protocols: numerical stability (minimal noise-free trials), a noise sweep
 comparing against the closed-form point-alignment baseline, a scalability
 sweep over the correspondence count, and a multi-subset "city" generator
 for the merge pipeline.  All outputs are deterministic functions of the
-seed; CSV rows carry a runtime column that is zeroed by default so the
-data files are byte-reproducible (real timings are returned separately).
+seed; CSV rows carry a runtime column that is always zero so the data
+files are byte-reproducible (real timings are returned separately).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class SceneConfig:
     camera_cube_half_extent: float = 1.0
     point_box_xy: float = 1.0
     point_box_z: Tuple[float, float] = (2.0, 4.0)
-    noise_px_sigma: float = 0.0
     focal_px: float = 800.0
     rotation_max_deg: float = 30.0
     translation_range: Tuple[float, float] = (0.5, 10.0)
@@ -55,8 +54,6 @@ class SceneConfig:
     def __post_init__(self):
         if self.n_correspondences < 4:
             raise InvalidInputError("n_correspondences must be at least 4")
-        if self.noise_px_sigma < 0:
-            raise InvalidInputError("noise_px_sigma must be nonnegative")
         if self.focal_px <= 0:
             raise InvalidInputError("focal_px must be positive")
 
@@ -68,7 +65,6 @@ class TrialResult:
     rotation_error_deg: float
     translation_error: float
     relative_scale_error: float
-    runtime_seconds: float = 0.0
 
     def __post_init__(self):
         for v in (self.rotation_error_deg, self.translation_error, self.relative_scale_error):
@@ -159,15 +155,13 @@ def add_noise(correspondences: Correspondences, sigma_px: float,
     return Correspondences(c.origins, dirs, c.points, c.scores, c.point_ids)
 
 
-def pose_errors(estimate: SimilarityTransform, truth: SimilarityTransform,
-                runtime: float = 0.0) -> TrialResult:
+def pose_errors(estimate: SimilarityTransform, truth: SimilarityTransform) -> TrialResult:
     """Rotation angle of R_est R_gt^T (degrees), translation distance, and
     relative scale error."""
     return TrialResult(
         estimate.rotation.angle_deg_to(truth.rotation),
         float(np.linalg.norm(estimate.translation - truth.translation)),
         abs(estimate.scale - truth.scale) / truth.scale,
-        runtime,
     )
 
 
@@ -390,12 +384,11 @@ def generate_city(n_subsets: int, cameras_per_subset: int,
 
 
 def _row(experiment: str, method: str, n: int, noise_px: float,
-         rot: float, trans: float, scale: float, seed: int,
-         runtime: float = 0.0) -> dict:
+         rot: float, trans: float, scale: float, seed: int) -> dict:
     return {"experiment": experiment, "method": method, "n": n,
             "noise_px": noise_px, "rot_err_deg_mean": rot,
             "trans_err_mean": trans, "scale_err_rel_mean": scale,
-            "runtime_s_mean": runtime, "seed": seed}
+            "runtime_s_mean": 0.0, "seed": seed}
 
 
 def _fmt(v) -> str:

@@ -7,11 +7,14 @@ eliminated unknowns is ``eta_i = (z_i z_i^T - I)(y_i - B_i SV y)`` (see
 
     m(q) = (q0^2, q0q1, q0q2, q0q3, q1^2, q1q2, q1q3, q2^2, q2q3, q3^2):
 
-``R X_i = L_i m(q)`` through the entries of R, and in fix-scale mode the
-origin term ``c_i`` is ``c_i q^T q``, which equals ``c_i`` on the unit
-sphere and is again linear in m(q).  So ``eta_i = G_i m(q)`` in both
-modes, and the summed squared error is the quartic form
-``C'(q) = m(q)^T Q m(q)`` with ``Q = sum_i G_i^T G_i``.
+``R X_i = L_i m(q)`` through the entries of R, ``vec(R) = MR m(q)``, and
+in fix-scale mode the origin term ``c_i`` is ``c_i q^T q``, which equals
+``c_i`` on the unit sphere and is again linear in m(q).  So
+``eta_i = G_i m(q)`` in both modes, and the summed squared error is the
+quartic form ``C'(q) = m(q)^T Q m(q)`` with ``Q = sum_i G_i^T G_i``.
+
+The quaternion convention is written once, in ``raypose.geometry``: MR is
+read off its rotation map, and only the monomial order is this module's.
 
 ``QuarticCost`` also keeps the form as a fully symmetric 16x16 matrix T
 over ``q kron q``: the one evaluator ``quartic_form`` turns it into the
@@ -26,6 +29,7 @@ import numpy as np
 
 from .elimination import EliminationMatrices
 from .errors import InvalidInputError
+from .geometry import _rotations
 
 # Index pairs (a, b) of the degree-2 monomials q_a q_b.
 MONOMIAL_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3),
@@ -38,24 +42,17 @@ SQ_NORM[[0, 4, 7, 9]] = 1.0
 
 
 def _rotation_coefficients() -> np.ndarray:
-    """9x10 map MR with vec_rowmajor(R) = MR @ m(q) for unit q."""
-    MR = np.zeros((9, 10))
-    m = {pair: i for i, pair in enumerate(MONOMIAL_PAIRS)}
+    """9x10 map MR with vec_rowmajor(R) = MR @ m(q), read off the rotation
+    map of ``raypose.geometry``.
 
-    def put(row, terms):
-        for pair, coef in terms:
-            MR[row, m[pair]] = coef
-
-    put(0, [((0, 0), 1), ((1, 1), 1), ((2, 2), -1), ((3, 3), -1)])   # R00
-    put(1, [((1, 2), 2), ((0, 3), -2)])                              # R01
-    put(2, [((1, 3), 2), ((0, 2), 2)])                               # R02
-    put(3, [((1, 2), 2), ((0, 3), 2)])                               # R10
-    put(4, [((0, 0), 1), ((1, 1), -1), ((2, 2), 1), ((3, 3), -1)])   # R11
-    put(5, [((2, 3), 2), ((0, 1), -2)])                              # R12
-    put(6, [((1, 3), 2), ((0, 2), -2)])                              # R20
-    put(7, [((2, 3), 2), ((0, 1), 2)])                               # R21
-    put(8, [((0, 0), 1), ((1, 1), -1), ((2, 2), -1), ((3, 3), 1)])   # R22
-    return MR
+    That map is a quadratic form in q, so polarization gives column (a, b)
+    as (R(e_a + e_b) - R(e_a - e_b)) / 4 for a = b and / 2 otherwise; the
+    entries are small integers and come out exact.
+    """
+    a, b = np.array(MONOMIAL_PAIRS).T
+    e = np.eye(4)
+    diff = (_rotations(e[a] + e[b]) - _rotations(e[a] - e[b])).reshape(10, 9)
+    return np.ascontiguousarray((diff / np.where(a == b, 4.0, 2.0)[:, None]).T)
 
 
 MR = _rotation_coefficients()

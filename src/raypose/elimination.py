@@ -40,8 +40,9 @@ _RCOND = 1e-10
 class EliminationMatrices:
     """Constant matrices expressing (alpha, s, t) as functions of the rotation.
 
-    With ``y = rhs(R)``: ``w = SV y`` is ``(s, t)``, or t alone in
-    fix-scale mode, and ``alpha_i = d_i . (y_i - B_i w)``.  The shapes
+    With y the stacked right-hand side (``y_i = R X_i``, less c_i in
+    fix-scale mode): ``w = SV y`` is ``(s, t)``, or t alone in fix-scale
+    mode, and ``alpha_i = d_i . (y_i - B_i w)``.  The shapes
     below are one sample's; :func:`stack_eliminations` puts a leading
     sample axis on every array.
     """
@@ -58,13 +59,6 @@ class EliminationMatrices:
     @property
     def n(self) -> int:
         return self.points.shape[-2]
-
-    def rhs(self, R: np.ndarray) -> np.ndarray:
-        """Stacked right-hand side y for rotation R: R X_i, less c_i in fix-scale mode."""
-        y = (self.points @ np.asarray(R).T).reshape(-1)
-        if self.fix_scale:
-            y = y - self.origins.reshape(-1)
-        return y
 
     def solve_linear(self, R: np.ndarray) -> Tuple[np.ndarray, float | np.ndarray, np.ndarray]:
         """Depths, scale, and translation for a given rotation matrix.

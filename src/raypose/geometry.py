@@ -30,13 +30,15 @@ import numpy as np
 from .errors import InvalidInputError
 
 _SIGN_EPS = 1e-12
+_LEAD_WEIGHTS = np.array([8.0, 4.0, 2.0, 1.0])
 
 
 @dataclass(frozen=True)
 class Quaternion:
     """Unit quaternion with a canonical sign.
 
-    Normalized on construction; the first component whose magnitude
+    Normalized and signed on construction by ``_unit_quaternions``, the
+    rule for every quaternion row: the first component whose magnitude
     exceeds 1e-12 is made positive so that q and -q compare equal.
     """
 
@@ -46,22 +48,9 @@ class Quaternion:
     z: float
 
     def __post_init__(self):
-        a = np.array([self.w, self.x, self.y, self.z], dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError(f"quaternion components must be finite, got {a}")
-        n = np.linalg.norm(a)
-        if n < _SIGN_EPS:
-            raise InvalidInputError("all-zero quaternion")
-        a /= n
-        for comp in a:
-            if abs(comp) > _SIGN_EPS:
-                if comp < 0.0:
-                    a = -a
-                break
-        object.__setattr__(self, "w", float(a[0]))
-        object.__setattr__(self, "x", float(a[1]))
-        object.__setattr__(self, "y", float(a[2]))
-        object.__setattr__(self, "z", float(a[3]))
+        a = _unit_quaternions(_block([self.w, self.x, self.y, self.z], (4,), "quaternion")[None])
+        for name, v in zip("wxyz", a[0].tolist()):
+            object.__setattr__(self, name, v)
 
     @staticmethod
     def identity() -> "Quaternion":
@@ -148,27 +137,29 @@ def _hamilton(a, b):
 def quat_to_rotation(q) -> np.ndarray:
     """Rotation matrix of a quaternion (Quaternion or length-4 array-like).
 
-    Array inputs are normalized internally; the underlying map is even in
-    q, so q and -q produce identical matrices.
+    An array-like is taken through :meth:`Quaternion.from_array`, so it is
+    checked and normalized there; the map is even in q, so q and -q
+    produce identical matrices.
     """
-    if isinstance(q, Quaternion):
-        a = q.array
-    else:
-        a = np.asarray(q, dtype=float)
-        if a.shape != (4,):
-            raise InvalidInputError(f"quaternion must have 4 components, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("quaternion components must be finite")
-        n = np.linalg.norm(a)
-        if n < _SIGN_EPS:
-            raise InvalidInputError("all-zero quaternion")
-        a = a / n
-    w, x, y, z = a
-    return np.array([
-        [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
-    ])
+    if not isinstance(q, Quaternion):
+        q = Quaternion.from_array(q)
+    return _rotations(q.array)
+
+
+def _rotations(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices (k, 3, 3) of unit quaternion rows (k, 4), or the
+    (3, 3) matrix of one (4,) quaternion.
+
+    Each entry is written out as the quadratic form in q, with no matrix
+    product, so a row rounds the same alone or in a stack.
+    """
+    w, x, y, z = q.T
+    ww, xx, yy, zz, xy, wz, xz, wy, yz, wx = (w * w, x * x, y * y, z * z,
+                                              x * y, w * z, x * z, w * y, y * z, w * x)
+    R = np.array([ww + xx - yy - zz, 2 * (xy - wz), 2 * (xz + wy),
+                  2 * (xy + wz), ww - xx + yy - zz, 2 * (yz - wx),
+                  2 * (xz - wy), 2 * (yz + wx), ww - xx - yy + zz])
+    return np.ascontiguousarray(R.T).reshape(q.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -265,13 +256,17 @@ def _unit_rows(d: np.ndarray, what: str) -> np.ndarray:
 
 
 def _unit_quaternions(q: np.ndarray) -> np.ndarray:
-    """Rows of q normalized and signed as :class:`Quaternion` does."""
+    """Rows of q normalized, each with its first component of magnitude
+    over 1e-12 made positive, so that q and -q give the same row.  Zero
+    rows raise."""
     n = row_norms(q)
-    if np.any(n < _SIGN_EPS):
+    if (n < _SIGN_EPS).any():
         raise InvalidInputError("all-zero quaternion")
     q = q / n
-    q[q[np.arange(len(q)), np.argmax(np.abs(q) > _SIGN_EPS, axis=1)] < 0.0] *= -1.0
-    return q
+    # The sign of the first significant component outweighs the other
+    # three in the weights (8, 4, 2, 1).
+    flip = np.copysign(np.abs(q) > _SIGN_EPS, q) @ _LEAD_WEIGHTS < 0.0
+    return np.negative(q, out=q, where=flip[:, None])
 
 
 def _id_array(ids) -> np.ndarray:
@@ -295,7 +290,7 @@ def _block(a, shape: tuple, what: str) -> np.ndarray:
     a = np.array(a, dtype=float)
     if a.size == 0 == shape[0]:
         a = a.reshape(shape)
-    if a.shape != shape or not np.all(np.isfinite(a)):
+    if a.shape != shape or not np.isfinite(a).all():
         raise InvalidInputError(f"{what} must be finite with shape {shape}, got shape {a.shape}")
     return a
 

@@ -22,10 +22,11 @@ progressive sampling).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -117,23 +118,22 @@ def prosac_order(correspondences: Correspondences) -> np.ndarray:
     return np.argsort(-np.where(np.isnan(scores), -1.0, scores), kind="stable")
 
 
-def _prosac_prefix_schedule(n: int, m: int, max_iterations: int) -> np.ndarray:
-    """Prefix size n_t for each iteration t (standard growth function)."""
+def _prosac_prefix_sizes(n: int, m: int, max_iterations: int) -> Iterator[int]:
+    """Prefix size n_t for t = 0, 1, ... (standard growth function), one
+    per draw, so nothing is held per iteration."""
     t_n = float(max_iterations)
     for i in range(m):
         t_n *= (m - i) / (n - i)
-    sizes = np.empty(max_iterations, dtype=int)
     n_star = m
     t_prime = 1.0
     t_full = t_n
-    for t in range(max_iterations):
+    for t in itertools.count():
         while t + 1 > t_prime and n_star < n:
             t_next = t_full * (n_star + 1) / (n_star + 1 - m)
             t_prime += math.ceil(t_next - t_full)
             t_full = t_next
             n_star += 1
-        sizes[t] = n_star
-    return sizes
+        yield n_star
 
 
 def ransac_gdls(
@@ -157,13 +157,13 @@ def ransac_gdls(
 
     if config.use_prosac:
         order = prosac_order(correspondences)
-        prefix = _prosac_prefix_schedule(n, m, config.max_iterations)
+        prefix = _prosac_prefix_sizes(n, m, config.max_iterations)
     else:
         order = np.arange(n)
-        prefix = np.full(config.max_iterations, n, dtype=int)
+        prefix = itertools.repeat(n)
 
-    def draw(t):
-        n_t = prefix[t]
+    def draw():
+        n_t = next(prefix)
         if config.use_prosac and n_t > m:
             # The n_t-th ranked point plus m-1 draws from the prefix above it.
             idx = rng.choice(n_t - 1, size=m - 1, replace=False)
@@ -179,7 +179,7 @@ def ransac_gdls(
     t = 0
     while t < max_iter:
         size = min(max(t, 1), MAX_BATCH, max_iter - t)
-        samples = [correspondences.subset(draw(t + j)) for j in range(size)]
+        samples = [correspondences.subset(draw()) for _ in range(size)]
         solved += size
         for report in solve_batch(samples):
             if t == max_iter:

@@ -108,11 +108,11 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cost import (MONOMIAL_PAIRS, MR, QuarticCost, build_quartic_cost, constraint_cost,
-                   quartic_form)
+from .cost import QuarticCost, build_quartic_cost, constraint_cost, quartic_form
 from .elimination import EliminationMatrices, build_elimination, stack_eliminations
 from .errors import EmptySolutionError, InvalidInputError, RankDeficiencyError
-from .geometry import Correspondences, Quaternion, SimilarityTransform, _unit_quaternions
+from .geometry import (Correspondences, Quaternion, SimilarityTransform, _rotations,
+                       _unit_quaternions)
 
 MAX_CANDIDATES = 8
 STATIONARITY_TOL = 1e-8
@@ -345,12 +345,6 @@ class SolverCandidate:
     depths: np.ndarray
     stationarity_residual: float
     cheirality_ok: bool
-
-
-def _rotations(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of unit quaternion rows (..., 4)."""
-    pairs = np.array(MONOMIAL_PAIRS)
-    return ((q[..., pairs[:, 0]] * q[..., pairs[:, 1]]) @ MR.T).reshape(q.shape[:-1] + (3, 3))
 
 
 def recover_candidates(

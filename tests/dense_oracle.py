@@ -4,7 +4,9 @@ Stacks the full 3n x (n + 4) constraint matrix A and solves its normal
 equations through the pseudo-inverse.  Quadratic in n, so it lives in
 the tests as the oracle for the Schur route in ``raypose.elimination``.
 The quartic cost is evaluated as m(q)^T Q m(q) over the 10 monomials,
-the oracle for the tensor evaluator in ``raypose.cost``.  A many-start
+the oracle for the tensor evaluator in ``raypose.cost``, and the 9x10
+rotation table is typed out, the oracle for the ``MR`` that
+``raypose.cost`` derives from the rotation map.  A many-start
 projected descent finds the local minima of a cost on the unit sphere,
 the oracle for the completeness of ``raypose.solver``'s enumeration.
 Pairwise set intersections of point ids give the match-graph weights,
@@ -35,6 +37,30 @@ def monomial_cost(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum((m @ Q) * m, axis=-1)
 
 
+def rotation_coefficients() -> np.ndarray:
+    """9x10 map with vec_rowmajor(R) = map @ m(q), typed out entry by entry.
+
+    ``raypose.cost.MR`` is read off the rotation map of
+    ``raypose.geometry``; this table is independent of both.
+    """
+    rows = (
+        {(0, 0): 1, (1, 1): 1, (2, 2): -1, (3, 3): -1},    # R00
+        {(1, 2): 2, (0, 3): -2},                            # R01
+        {(1, 3): 2, (0, 2): 2},                             # R02
+        {(1, 2): 2, (0, 3): 2},                             # R10
+        {(0, 0): 1, (1, 1): -1, (2, 2): 1, (3, 3): -1},    # R11
+        {(2, 3): 2, (0, 1): -2},                            # R12
+        {(1, 3): 2, (0, 2): -2},                            # R20
+        {(2, 3): 2, (0, 1): 2},                             # R21
+        {(0, 0): 1, (1, 1): -1, (2, 2): -1, (3, 3): 1},    # R22
+    )
+    MR = np.zeros((9, 10))
+    for row, terms in enumerate(rows):
+        for pair, coef in terms.items():
+            MR[row, MONOMIAL_PAIRS.index(pair)] = coef
+    return MR
+
+
 def stack_A(c: np.ndarray, z: np.ndarray, fix_scale: bool) -> np.ndarray:
     """Rows ``[d_i, c_i, -I]`` per correspondence (no scale column when fixed)."""
     n = c.shape[0]
@@ -48,10 +74,18 @@ def stack_A(c: np.ndarray, z: np.ndarray, fix_scale: bool) -> np.ndarray:
     return A
 
 
+def rhs(elim, R: np.ndarray) -> np.ndarray:
+    """Stacked right-hand side y for rotation R: R X_i, less c_i in fix-scale mode."""
+    y = (elim.points @ np.asarray(R).T).reshape(-1)
+    if elim.fix_scale:
+        y = y - elim.origins.reshape(-1)
+    return y
+
+
 def dense_solution(elim, R: np.ndarray):
     """(alpha, s, t) = pinv(A) @ rhs for rotation R."""
     A = stack_A(elim.origins, elim.directions, elim.fix_scale)
-    x = np.linalg.pinv(A, rcond=1e-10) @ elim.rhs(R)
+    x = np.linalg.pinv(A, rcond=1e-10) @ rhs(elim, R)
     n = elim.n
     if elim.fix_scale:
         return x[:n], 1.0, x[n:]

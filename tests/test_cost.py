@@ -6,7 +6,7 @@ from raypose.bench import SceneConfig, add_noise, generate_scene, trial_rng
 from raypose.cost import MONOMIAL_PAIRS, MR, SQ_NORM, QuarticCost
 from raypose.geometry import Correspondences, quat_to_rotation
 
-from dense_oracle import monomial_cost, monomials
+from dense_oracle import monomial_cost, monomials, rotation_coefficients
 
 
 def _noisy_instance(n=6, seed=0, sigma=0.5):
@@ -27,12 +27,15 @@ def test_monomial_identities():
 
 
 def test_rotation_coefficients_match_matrix():
+    # MR is derived from the rotation map, so the typed-out table is the
+    # independent reference for both.
+    assert np.array_equal(MR, rotation_coefficients())
     rng = np.random.default_rng(1)
     for _ in range(20):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         R = quat_to_rotation(q)
-        assert np.allclose(MR @ monomials(q), R.reshape(-1), atol=1e-12)
+        assert np.allclose(rotation_coefficients() @ monomials(q), R.reshape(-1), atol=1e-12)
 
 
 def test_tensor_evaluator_matches_monomial_oracle():

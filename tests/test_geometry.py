@@ -6,6 +6,7 @@ from raypose import (Correspondences, DistributedCamera, InvalidInputError,
                      alignment_from_pose, apply_similarity,
                      compose_similarity, invert_similarity,
                      merge_distributed_cameras, quat_to_rotation)
+from raypose.geometry import _rotations, _unit_quaternions
 
 
 def random_transform(rng):
@@ -19,6 +20,26 @@ def test_quaternion_normalized_and_sign_canonical():
     assert q.w > 0  # leading nonzero component made positive
     q2 = Quaternion(0.0, -3.0, 1.0, 0.0)
     assert q2.x > 0
+    # Leading components of 0 or at most 1e-12 (after normalizing) do not
+    # decide the sign; Quaternion and the stacked rule agree bit for bit.
+    rows = np.vstack([[[0.0, -3.0, 1.0, 0.0], [0.0, 0.0, 0.0, -2.0], [1e-13, -1.0, 0.5, 0.0],
+                       [-1e-13, 0.0, -0.3, 2.0], [0.0, 1e-13, -1.0, 0.0], [-1e-13, 1e-13, 0.0, 0.4]],
+                      np.random.default_rng(8).normal(size=(20, 4))])
+    stacked = _unit_quaternions(rows.copy())
+    for row, expect in zip(rows, stacked):
+        assert Quaternion(*row).array.tobytes() == expect.tobytes()
+        assert np.isclose(np.linalg.norm(expect), 1.0)
+        assert expect[np.abs(expect) > 1e-12][0] > 0.0
+    assert stacked[2, 0] < 0.0 and stacked[2, 1] > 0.0   # flipped by the -1.0, not by 1e-13
+    assert stacked[4, 1] < 0.0 and stacked[5, 0] < 0.0 < stacked[5, 1]   # the 0.4 decides: kept
+
+
+def test_stacked_rotations_match_quat_to_rotation_bit_for_bit():
+    quats = [Quaternion.from_array(r) for r in np.random.default_rng(9).normal(size=(200, 4))]
+    R = _rotations(np.array([q.array for q in quats]))
+    assert R.shape == (200, 3, 3) and R.flags.c_contiguous
+    for q, Ri in zip(quats, R):
+        assert quat_to_rotation(q).tobytes() == Ri.tobytes()
 
 
 def test_quaternion_matrix_roundtrip():

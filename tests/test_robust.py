@@ -57,6 +57,20 @@ def test_config_rejects_max_iterations_below_one(max_iterations):
         RobustConfig(max_iterations=max_iterations)
 
 
+@pytest.mark.parametrize("use_prosac", [False, True])
+def test_huge_max_iterations_allocates_nothing_up_front(use_prosac):
+    # The sampling schedule used to be an array as long as max_iterations,
+    # built before the first draw: at 10**13 that raised MemoryError.
+    (corrs, truth), _ = _scene(seed=1)
+    scores = np.linspace(1.0, 0.0, len(corrs)) if use_prosac else None
+    data = Correspondences(corrs.origins, corrs.directions, corrs.points, scores)
+    config = RobustConfig(max_iterations=10**13, use_prosac=use_prosac)
+    result = ransac_gdls(data, config, seed=0)
+    assert result.success and result.iterations_run == 1
+    assert len(result.inlier_indices) == len(corrs)
+    assert result.transform.rotation.angle_deg_to(truth.rotation) < 1e-6
+
+
 @pytest.mark.parametrize("min_inliers", [0, -2])
 def test_config_rejects_min_inliers_below_one(min_inliers):
     # A model with no inlier would otherwise be reported as falling short
