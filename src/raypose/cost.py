@@ -1,9 +1,10 @@
 """Reduced quartic cost in the quaternion after linear elimination.
 
 For noisy directions z_i, the per-correspondence constraint error at the
-eliminated unknowns is ``eta_i = (z_i z_i^T - I)(y_i - B_i SV y)`` (see
-``raypose.elimination``).  The right-hand side y is linear in the
-10-vector of degree-2 quaternion monomials
+eliminated unknowns is ``eta_i = (z_i z_i^T - I)(y_i - B_i w)`` with w the
+eliminated scale and translation (see ``raypose.elimination``).  The
+right-hand side y, and so w, is linear in the 10-vector of degree-2
+quaternion monomials
 
     m(q) = (q0^2, q0q1, q0q2, q0q3, q1^2, q1q2, q1q3, q2^2, q2q3, q3^2):
 
@@ -12,6 +13,9 @@ in fix-scale mode the origin term ``c_i`` is ``c_i q^T q``, which equals
 ``c_i`` on the unit sphere and is again linear in m(q).  So
 ``eta_i = G_i m(q)`` in both modes, and the summed squared error is the
 quartic form ``C'(q) = m(q)^T Q m(q)`` with ``Q = sum_i G_i^T G_i``.
+``build_quartic_cost`` forms every L_i with one product of the points and
+a fixed (30, 3) map, and w = W m(q) from the elimination's per-ray sums;
+nothing 3n long is kept past the call.
 
 The quaternion convention is written once, in ``raypose.geometry``: MR is
 read off its rotation map, and only the monomial order is this module's.
@@ -38,7 +42,8 @@ MONOMIAL_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3),
 
 # Selector with m(q) . SQ_NORM = q^T q.
 SQ_NORM = np.zeros(10)
-SQ_NORM[[0, 4, 7, 9]] = 1.0
+_SQ_COLUMNS = [0, 4, 7, 9]
+SQ_NORM[_SQ_COLUMNS] = 1.0
 
 
 def _rotation_coefficients() -> np.ndarray:
@@ -56,6 +61,8 @@ def _rotation_coefficients() -> np.ndarray:
 
 
 MR = _rotation_coefficients()
+# (30, 3) map with (_POINT_MAP @ X)[3 j + a] the coefficient of m(q)_j in (R X)_a.
+_POINT_MAP = np.ascontiguousarray(MR.reshape(3, 3, 10).transpose(2, 0, 1).reshape(30, 3))
 
 
 def _pair_selector() -> np.ndarray:
@@ -155,13 +162,29 @@ def direct_cost(elim: EliminationMatrices, R: np.ndarray) -> float:
 
 
 def build_quartic_cost(elim: EliminationMatrices) -> QuarticCost:
-    """Assemble Q so that m(q)^T Q m(q) equals the summed squared errors."""
-    z = elim.directions
-    # L_i m(q) = y_i: R X_i from the entries of R, less c_i q^T q with a fixed scale.
-    L = np.einsum("ik,akm->iam", elim.points, MR.reshape(3, 3, 10))   # (n, 3, 10)
+    """Assemble Q so that m(q)^T Q m(q) equals the summed squared errors.
+
+    Rays run along the last axis: ``L[:, :, i]`` is L_i transposed, with
+    ``L_i m(q) = y_i``, and the (10, k) W gives ``w = W^T m(q)``.  Per ray,
+    ``H_i = L_i - B_i W^T`` and ``G_i = (d_i d_i^T - I) H_i``, so
+    ``Q = sum_i G_i^T G_i``.  That sum of squared residuals, unlike a
+    difference of moment matrices, keeps Q accurate near a zero cost.  H
+    overwrites L, and G is the one other buffer.
+    """
+    n = elim.n
+    zT, cT = np.ascontiguousarray(elim.directions.T), np.ascontiguousarray(elim.origins.T)
+    # R X_i from the entries of R, less c_i q^T q with a fixed scale.
+    L = (_POINT_MAP @ elim.points.T).reshape(10, 3, n)
     if elim.fix_scale:
-        L = L - elim.origins[:, :, None] * SQ_NORM
-    L = L.reshape(-1, 10)
-    H = (L - elim.B @ (elim.SV @ L)).reshape(-1, 3, 10)             # y_i - B_i w
-    G = (z[:, :, None] * np.einsum("ia,iam->im", z, H)[:, None, :] - H).reshape(-1, 10)
-    return QuarticCost(G.T @ G)
+        L[_SQ_COLUMNS] -= cT
+    u = np.einsum("jai,ai->ji", L, zT)                                # d_i^T L_i
+    W = elim.schur_solve(L, u)
+    L += W[:, -3:, None]                                              # B_i W = c_i W_s - W_t
+    G = np.empty_like(L)
+    if not elim.fix_scale:
+        L -= np.multiply(W[:, :1, None], cT, out=G)
+    np.einsum("jai,ai->ji", L, zT, out=u)                             # d_i^T H_i
+    np.multiply(u[:, None], zT, out=G)
+    G -= L
+    G = G.reshape(10, 3 * n)
+    return QuarticCost(G @ G.T)

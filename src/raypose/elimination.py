@@ -14,13 +14,20 @@ the normal equations reduce to the k x k Schur complement
 ``K = sum_i B_i^T (I - d_i d_i^T) B_i`` on w (k = 4, or 3 with a fixed
 scale):
 
-    w = K^-1 sum_i B_i^T (I - d_i d_i^T) y_i = SV y,
-    alpha_i = d_i . (y_i - B_i w).
+    w = K^-1 (B^T y - M^T (d . y)),
+    alpha_i = d_i . y_i - M_i w,
 
-Only SV (k x 3n) and the stacked B (3n x k) are stored, so memory and
-work grow linearly with n; the depths are recovered per rotation from
-the second identity.  The dense pseudo-inverse of A serves as the test
-oracle.
+with ``M_i = d_i^T B_i`` the coupling rows and ``d . y`` the n products
+``d_i . y_i``.  B is never formed: ``B^T r = (sum_i c_i . r_i, -sum_i r_i)``
+(no first entry with a fixed scale) and ``B_i w = s c_i - t``.  K is a
+sum over the rays too: with ``pc_i = c_i - d_i (d_i . c_i)``,
+
+    K = [[sum_i pc_i . pc_i, -sum_i pc_i^T], [-sum_i pc_i, n I - D^T D]],
+
+or ``n I - D^T D`` alone with a fixed scale (D the (n, 3) directions).
+Beside the rays only K^-1 and the (n, k) rows M are kept, so memory and
+work grow linearly with n.  The dense pseudo-inverse of A serves as the
+test oracle.
 """
 
 from __future__ import annotations
@@ -38,27 +45,41 @@ _RCOND = 1e-10
 
 @dataclass(frozen=True)
 class EliminationMatrices:
-    """Constant matrices expressing (alpha, s, t) as functions of the rotation.
+    """The rays and the inverse Schur complement that express (alpha, s, t)
+    as functions of the rotation.
 
     With y the stacked right-hand side (``y_i = R X_i``, less c_i in
-    fix-scale mode): ``w = SV y`` is ``(s, t)``, or t alone in fix-scale
-    mode, and ``alpha_i = d_i . (y_i - B_i w)``.  The shapes
-    below are one sample's; :func:`stack_eliminations` puts a leading
-    sample axis on every array.
+    fix-scale mode): ``w = K^-1 (B^T y - M^T (d . y))`` is ``(s, t)``, or t
+    alone in fix-scale mode, and ``alpha_i = d_i . y_i - M_i w``.  The
+    shapes below are one sample's; :func:`stack_eliminations` puts a
+    leading sample axis on every array.  K is kept inverted: every use is
+    a solve, and the one inversion per elimination costs less than a
+    LAPACK call per use on small n.
     """
 
-    SV: np.ndarray         # (k, 3n)
-    B: np.ndarray          # (3n, k) stacked B_i; the scale column only with a free scale
     origins: np.ndarray    # (n, 3)
     directions: np.ndarray  # (n, 3)
     points: np.ndarray     # (n, 3)
     fix_scale: bool
-    K: np.ndarray          # (k, k) Schur complement of A^T A onto w
+    K_inv: np.ndarray      # (k, k) inverse of the Schur complement of A^T A onto w
     M: np.ndarray          # (n, k) coupling rows d_i^T B_i
 
     @property
     def n(self) -> int:
         return self.points.shape[-2]
+
+    def schur_solve(self, r: np.ndarray, dr: np.ndarray) -> np.ndarray:
+        """``K^-1 (B^T r - M^T dr)`` for C right-hand sides laid out
+        ray-last: r is (C, 3, n) and dr (C, n), the products ``d_i . r_i``;
+        gives (C, k).  On a stack of S eliminations every array has a
+        leading sample axis."""
+        rhs = -r.sum(axis=-1)                                           # -sum_i r_i
+        if not self.fix_scale:
+            cT = self.origins.swapaxes(-1, -2)
+            cr = r.reshape(r.shape[:-2] + (-1,)) @ cT.reshape(cT.shape[:-2] + (-1, 1))
+            rhs = np.concatenate([cr, rhs], axis=-1)
+        rhs -= dr @ self.M
+        return rhs @ self.K_inv
 
     def solve_linear(self, R: np.ndarray) -> Tuple[np.ndarray, float | np.ndarray, np.ndarray]:
         """Depths, scale, and translation for a given rotation matrix.
@@ -68,35 +89,38 @@ class EliminationMatrices:
         (S, C, 3, 3) R holds C rotations per sample and gives (S, C, n)
         depths, (S, C) scales and (S, C, 3) translations; a sample's
         numbers are the same, bit for bit, alone or among any other
-        samples.  One structured iterative-refinement step against the
-        normal equations removes the rounding left by the precomputed rows
-        (the Schur system reuses the stored K and coupling rows).
+        samples.  One iterative-refinement step against the normal
+        equations, through the same K^-1 and coupling rows, removes most
+        of the rounding of the first solve.
         """
         R = np.asarray(R)
         if R.ndim == 2:
             alpha, s, t = stack_eliminations([self]).solve_linear(R[None, None])
             return alpha[0, 0], float(s[0, 0]), t[0, 0]
-        (S, C), n = R.shape[:2], self.n
-        z, SV, B, M = self.directions, self.SV, self.B, self.M
-        y = self.points[:, None] @ R.transpose(0, 1, 3, 2)             # (S, C, n, 3): R X_i
+        zT = np.ascontiguousarray(self.directions.swapaxes(1, 2))      # (S, 3, n)
+        cT = self.origins.swapaxes(1, 2)[:, None]
+        Mt = self.M.swapaxes(1, 2)
+        y = R @ self.points.swapaxes(1, 2)[:, None]                     # (S, C, 3, n): R X_i
         if self.fix_scale:
-            y = y - self.origins[:, None]
-        w = SV @ y.reshape(S, C, 3 * n).transpose(0, 2, 1)             # (S, k, C)
-        alpha = np.einsum("scia,sia->sci", y, z) - (M @ w).transpose(0, 2, 1)   # d_i . (y_i - B_i w)
-        resid = alpha[..., None] * z[:, None] + (B @ w).transpose(0, 2, 1).reshape(S, C, n, 3) - y
-        g_alpha = np.einsum("scia,sia->sci", resid, z)
-        d_w = np.linalg.solve(self.K, B.transpose(0, 2, 1) @ resid.reshape(S, C, 3 * n).transpose(0, 2, 1)
-                              - M.transpose(0, 2, 1) @ g_alpha.transpose(0, 2, 1))
-        alpha -= g_alpha - (M @ d_w).transpose(0, 2, 1)
+            y -= cT
+        zy = np.einsum("scai,sai->sci", y, zT)
+        w = self.schur_solve(y, zy)                                     # (S, C, k)
+        alpha = zy - w @ Mt
+        # alpha_i d_i + B_i w - y_i, with B_i w = s c_i - t.
+        resid = alpha[:, :, None] * zT[:, None] - y - w[..., -3:, None]
+        if not self.fix_scale:
+            resid += w[..., :1, None] * cT
+        g_alpha = np.einsum("scai,sai->sci", resid, zT)
+        d_w = self.schur_solve(resid, g_alpha)
+        alpha -= g_alpha - d_w @ Mt
         w -= d_w
-        return alpha, (np.ones((S, C)) if self.fix_scale else w[:, 0]), w[:, -3:].transpose(0, 2, 1)
+        return alpha, (np.ones(R.shape[:2]) if self.fix_scale else w[..., 0]), w[..., -3:]
 
 
 def stack_eliminations(elims: Sequence[EliminationMatrices]) -> EliminationMatrices:
     """The eliminations of one size and scale mode as one, each array with a
-    leading axis over them.  A stack of one is a view: no copy of the
-    (k, 3n) matrices."""
-    names = ("SV", "B", "origins", "directions", "points", "K", "M")
+    leading axis over them.  A stack of one is a view, with no copy."""
+    names = ("origins", "directions", "points", "K_inv", "M")
     if len(elims) == 1:
         arrays = {name: getattr(elims[0], name)[None] for name in names}
     else:
@@ -108,7 +132,8 @@ def build_elimination(
     correspondences: Correspondences,
     fix_scale: bool = False,
 ) -> EliminationMatrices:
-    """Compute SV, B and the Schur complement K from the normal equations.
+    """Compute the Schur complement K from per-ray sums, test its rank, and
+    keep its inverse with the coupling rows M.
 
     Raises ``RankDeficiencyError`` (with a fix-scale hint when the scale
     column is the culprit) for degenerate geometry.
@@ -119,19 +144,18 @@ def build_elimination(
     c, z, X = correspondences.origins, correspondences.directions, correspondences.points
 
     k = 3 if fix_scale else 4
-    B = np.zeros((n, 3, k))
+    K, M = np.empty((k, k)), np.empty((n, k))
+    K[-3:, -3:] = n * np.eye(3) - z.T @ z
+    M[:, -3:] = -z
     if not fix_scale:
-        B[:, :, 0] = c
-    B[:, :, -3:] = -np.eye(3)
-    M = np.einsum("ib,iba->ia", z, B)                              # (n, k)
-    # (I - d_i d_i^T) B_i, stacked.
-    PB = (B - z[:, :, None] * M[:, None, :]).reshape(3 * n, k)
-    B = B.reshape(3 * n, k)
-    K = B.T @ PB
+        M[:, 0] = np.einsum("ia,ia->i", z, c)
+        pc = c - M[:, :1] * z                                           # (I - d_i d_i^T) c_i
+        K[0, 0] = pc.ravel() @ pc.ravel()
+        K[0, 1:] = K[1:, 0] = -pc.sum(axis=0)
     svals = np.linalg.svd(K, compute_uv=False)
     if svals[-1] < _RCOND * max(svals[0], 1.0):
         _raise_rank_deficiency(c, K, fix_scale)
-    return EliminationMatrices(np.linalg.solve(K, PB.T), B, c, z, X, fix_scale, K, M)
+    return EliminationMatrices(c, z, X, fix_scale, np.linalg.inv(K), M)
 
 
 def _raise_rank_deficiency(c, K, fix_scale):

@@ -64,6 +64,16 @@ class Quaternion:
         return Quaternion(a[0], a[1], a[2], a[3])
 
     @staticmethod
+    def _of_unit_row(a: np.ndarray) -> "Quaternion":
+        """The quaternion of a row that ``_unit_quaternions`` already made
+        unit and sign-canonical, kept bit for bit: normalizing it again
+        would move about a third of such rows by an ulp."""
+        q = object.__new__(Quaternion)
+        for name, v in zip("wxyz", a.tolist()):
+            object.__setattr__(q, name, v)
+        return q
+
+    @staticmethod
     def from_rotation_matrix(R) -> "Quaternion":
         """Quaternion of a proper rotation matrix (Shepperd's method)."""
         R = np.asarray(R, dtype=float)
@@ -352,6 +362,12 @@ class Correspondences:
         """The given rows, in that order; nothing is checked again."""
         arrays = (getattr(self, f.name) for f in fields(self))
         return _freeze(object.__new__(Correspondences), *(None if a is None else a[rows] for a in arrays))
+
+    def shifted(self, origin_shift: np.ndarray, point_shift: np.ndarray) -> "Correspondences":
+        """Origins less ``origin_shift`` and points less ``point_shift``,
+        with the other arrays shared; nothing is checked again."""
+        return _freeze(object.__new__(Correspondences), self.origins - origin_shift, self.directions,
+                       self.points - point_shift, self.scores, self.point_ids)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,8 @@ time, and then polishes the roots of the whole stack together:
   A has rank 125, and its null space N, of dimension 40, is spanned by the
   degree-8 monomial vectors of the 40 points.  A fixed set of 125 rows has
   that rank too, and a fixed block P of 125 of its columns is invertible;
-  both were picked once by a pivoted Gram-Schmidt on a seeded random form.
+  both were picked once by a pivoted Gram-Schmidt on a seeded random form
+  and are stored as constants.
   With F the other 40 columns, N = [-A_P^-1 A_F; I] comes from one LU
   solve.  Nothing makes N orthonormal: the step below needs only its span;
 * at each point, the entry of a monomial vector at x^a q_k (|a| = 7) is
@@ -88,8 +89,9 @@ rank 124 passed with residuals of at most 5.2e-13.
 ``solve_batch`` runs the whole pipeline on a stack of correspondence sets
 (the robust loop's minimal samples); ``gdls_solve`` is a stack of one.
 Both solve about the centroids of the ray origins and of the world
-points.  That leaves costs and depths unchanged and keeps the
-elimination's rank test independent of where the coordinate origin is.
+points, on a shifted copy that is not checked again.  That leaves costs
+and depths unchanged and keeps the elimination's rank test independent
+of where the coordinate origin is.
 One ``recover_candidates`` call then turns every minimum of the stack
 into a candidate: samples of one size, scale mode and minimum count are
 stacked, the elimination's ``solve_linear`` and ``constraint_cost`` give
@@ -163,17 +165,28 @@ def _macaulay_layout():
     return W.reshape(256, 210), dst, src, shifts
 
 
-def _greedy_rows(X: np.ndarray, count: int) -> np.ndarray:
-    """Pivoted Gram-Schmidt: ``count`` rows of X, each the one with the
-    largest part orthogonal to the rows picked before it."""
-    X = np.array(X, dtype=float)
-    picked = []
-    for _ in range(count):
-        i = int(np.argmax(np.einsum("ij,ij->i", X, X)))
-        picked.append(i)
-        u = X[i] / np.linalg.norm(X[i])
-        X -= np.outer(X @ u, u)
-    return np.array(picked)
+# The 125 rows of the Macaulay matrix and its 125 pivot columns, in the
+# order a pivoted Gram-Schmidt picks them on the matrix of the seeded random
+# form drawn first in ``_macaulay_recipe`` (``B + B^T``, B standard normal
+# 10 x 10 from seed 2012): rows by largest part orthogonal to those picked
+# before, then pivots the same way over the columns of those rows.  The
+# pick costs 40-80 ms, so it is stored; a test repeats it.
+_ROWS = np.array([
+    71, 100, 80, 104, 102, 92, 86, 88, 26, 0, 21, 2, 13, 24, 89, 10, 9, 7, 103, 20,
+    18, 32, 29, 77, 93, 72, 16, 79, 30, 34, 22, 73, 14, 4, 101, 70, 33, 28, 23, 5,
+    19, 1, 125, 87, 136, 139, 135, 31, 129, 8, 11, 78, 130, 138, 15, 137, 131, 17,
+    65, 128, 209, 51, 35, 126, 127, 42, 205, 134, 6, 37, 208, 133, 165, 162, 160,
+    206, 132, 207, 174, 169, 25, 190, 194, 66, 189, 61, 90, 3, 119, 161, 36, 188,
+    99, 173, 67, 38, 187, 52, 164, 112, 54, 58, 185, 193, 44, 172, 56, 177, 155, 40,
+    142, 168, 55, 85, 76, 163, 53, 98, 199, 123, 59, 147, 62, 57, 154])
+_PIVOTS = np.array([
+    69, 67, 68, 42, 64, 73, 74, 60, 70, 44, 66, 25, 59, 12, 102, 41, 61, 58, 23, 72,
+    75, 43, 63, 46, 48, 39, 11, 47, 62, 57, 24, 103, 65, 144, 38, 101, 14, 143, 40,
+    92, 4, 28, 22, 76, 97, 21, 100, 56, 95, 27, 96, 142, 145, 35, 146, 45, 71, 33,
+    26, 131, 18, 137, 10, 51, 53, 54, 52, 107, 126, 36, 150, 8, 80, 136, 130, 79,
+    151, 82, 81, 31, 13, 135, 152, 129, 20, 134, 49, 93, 104, 139, 94, 5, 106, 108,
+    138, 133, 29, 116, 115, 50, 99, 32, 140, 128, 98, 141, 114, 37, 30, 90, 88, 149,
+    6, 109, 132, 15, 110, 105, 16, 86, 91, 148, 55, 34, 78])
 
 
 class _Recipe(NamedTuple):
@@ -190,24 +203,20 @@ def _macaulay_recipe() -> _Recipe:
     """Fixed index arrays and constants of the reduced Macaulay matrix,
     built on first use and kept read-only.
 
-    The 125 rows and the 125 pivot columns are those a pivoted Gram-Schmidt
-    picks on the Macaulay matrix of a seeded random form; the other 40
+    The rows and pivot columns are ``_ROWS`` and ``_PIVOTS``; the other 40
     columns are free.  Columns are stored pivot block first.  Each frame is
     a fixed random rotation R, with q = R q' and so
     q kron q = (R kron R)(q' kron q').
     """
     W, dst, src, shifts = _macaulay_layout()
     rng = np.random.default_rng(2012)
-    B = rng.standard_normal((10, 10))
-    A = np.zeros(210 * 165)
-    A[dst] = (QuarticCost(B + B.T).T.reshape(256) @ W)[src]
-    A = A.reshape(210, 165)
-    rows = _greedy_rows(A, _RANK)
-    pivots = _greedy_rows(A[rows].T, _RANK)
-    order = np.concatenate([pivots, np.setdiff1d(np.arange(165), pivots)])
+    rng.standard_normal((10, 10))          # the form _ROWS and _PIVOTS were picked on
+    free = np.ones(165, dtype=bool)
+    free[_PIVOTS] = False
+    order = np.concatenate([_PIVOTS, np.flatnonzero(free)])
     position = np.argsort(order)           # column of A -> its stored column
     row_of = np.full(210, -1)
-    row_of[rows] = np.arange(_RANK)
+    row_of[_ROWS] = np.arange(_RANK)
     row, col = np.divmod(dst, 165)
     keep = row_of[row] >= 0
     rotations = [np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2)]
@@ -369,7 +378,9 @@ def recover_candidates(
     scale, translation and cost of all its minima.  A sample's numbers are
     the same, bit for bit, alone or in any stack.  The scale test, the
     uncentering and the ranking are one pass over the candidates of every
-    sample, and objects are built only for those that are returned.
+    sample, and objects are built only for those that are returned.  A
+    candidate's rotation is its minimum's unit row as is, not normalized
+    again, so it is the rotation every other field was computed from.
     """
     if not minima:
         return []
@@ -403,7 +414,7 @@ def recover_candidates(
     for j in np.lexsort((cost, ~cheirality, owner)):
         if valid[j]:
             out[owner[j]].append(SolverCandidate(
-                SimilarityTransform(Quaternion.from_array(q[j]), t[j], scale[j]),
+                SimilarityTransform(Quaternion._of_unit_row(q[j]), t[j], scale[j]),
                 float(cost[j]), depths[j], float(residual[j]), bool(cheirality[j])))
     return [found or EmptySolutionError("all candidates were discarded (non-positive scale)")
             for found in out]
@@ -467,10 +478,8 @@ def solve_batch(samples: Sequence[Correspondences],
         # Solving about the centroids is an exact reparametrization; the
         # translation maps back in recover_candidates.
         shift = corrs.origins.mean(axis=0), corrs.points.mean(axis=0)
-        centered = Correspondences(corrs.origins - shift[0], corrs.directions,
-                                   corrs.points - shift[1])
         try:
-            elim = build_elimination(centered, fix_scale=fix_scale)
+            elim = build_elimination(corrs.shifted(*shift), fix_scale=fix_scale)
         except RankDeficiencyError as e:
             # Kept without its traceback, which would tie this frame (and the
             # batch) into a reference cycle that only the collector frees.

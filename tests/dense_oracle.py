@@ -13,7 +13,8 @@ Pairwise set intersections of point ids give the match-graph weights,
 the oracle for the inverted index in ``raypose.pipeline``.  The null
 space of the full Macaulay matrix from a complete QR gives the 40
 stationary points of a form, the oracle for the pivot-block route in
-``raypose.solver``.
+``raypose.solver``, and a pivoted Gram-Schmidt repeats the pick of that
+route's stored rows and pivot columns.
 """
 
 import functools
@@ -143,6 +144,20 @@ def match_weights(cameras) -> np.ndarray:
             if w >= 4:
                 W[i, j] = W[j, i] = w
     return W
+
+
+def greedy_rows(X: np.ndarray, count: int) -> np.ndarray:
+    """Pivoted Gram-Schmidt: ``count`` rows of X, each the one with the
+    largest part orthogonal to the rows picked before it.  The pick behind
+    ``raypose.solver``'s stored ``_ROWS`` and ``_PIVOTS``."""
+    X = np.array(X, dtype=float)
+    picked = []
+    for _ in range(count):
+        i = int(np.argmax(np.einsum("ij,ij->i", X, X)))
+        picked.append(i)
+        u = X[i] / np.linalg.norm(X[i])
+        X -= np.outer(X @ u, u)
+    return np.array(picked)
 
 
 @functools.lru_cache(maxsize=1)

@@ -108,6 +108,28 @@ def test_fix_scale_quartic_matches_direct_cost():
                               rtol=1e-9, atol=1e-14)
 
 
+@pytest.mark.parametrize("fix_scale", [False, True])
+def test_far_origins_at_large_n_quartic_matches_direct_cost(fix_scale):
+    # n = 3000 rays whose origins lie 10^3 from zero, not centered, so the
+    # per-ray sums carry terms of 10^6.  A free scale needs origins spread
+    # that far (a rig of extent 2 moved out to 10^3 fails the rank test);
+    # a fixed scale takes that moved rig.  The true rotation is checked too,
+    # where the cost is small against its terms.
+    rng = trial_rng(31, int(fix_scale))
+    config = SceneConfig(n_correspondences=3000, scale_range=(1.0, 1.0),
+                         camera_cube_half_extent=1.0 if fix_scale else 1e3)
+    corrs, truth = generate_scene(config, rng)
+    if fix_scale:
+        corrs = Correspondences(corrs.origins + np.array([1e3, -6e2, 8e2]), corrs.directions,
+                                corrs.points)
+    elim = build_elimination(add_noise(corrs, 0.5, 800.0, rng=rng), fix_scale=fix_scale)
+    cost = build_quartic_cost(elim)
+    for q in [truth.rotation.array, *rng.normal(size=(5, 4))]:
+        q = q / np.linalg.norm(q)
+        assert np.isclose(float(cost.evaluate(q)), direct_cost(elim, quat_to_rotation(q)),
+                          rtol=1e-10, atol=0.0)
+
+
 def test_gradient_finite_difference():
     noisy, elim, _ = _noisy_instance(seed=11)
     cost = build_quartic_cost(elim)

@@ -14,7 +14,7 @@ from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
 from raypose import solver
 from raypose.solver import MAX_CANDIDATES, STATIONARITY_TOL, solve_batch
 
-from dense_oracle import descent_minima, macaulay_roots_qr
+from dense_oracle import descent_minima, greedy_rows, macaulay_roots_qr
 
 
 def test_every_descent_minimum_is_enumerated():
@@ -423,7 +423,7 @@ def test_stacked_recovery_matches_the_per_candidate_formulas():
         ranked_by_cheirality |= values != sorted(values)
         for cand, (q, alpha, s, t, value, residual, carried, cheirality) in zip(recovered[i], oracle):
             T = cand.transform
-            assert np.array_equal(T.rotation.array, Quaternion.from_array(q).array)
+            assert np.array_equal(T.rotation.array, q)
             close(cand.depths, alpha, np.abs(alpha).max())
             close(T.scale, s, s)
             # t is a sum of terms of the size of the centroids.
@@ -435,6 +435,28 @@ def test_stacked_recovery_matches_the_per_candidate_formulas():
             assert cand.stationarity_residual == carried <= STATIONARITY_TOL
             assert cand.cheirality_ok == cheirality
     assert ranked_by_cheirality
+
+
+def test_candidate_rotation_is_the_row_its_fields_were_computed_from():
+    # A returned rotation is, byte for byte, a unit row of its sample's
+    # minima: the rotation its depths, scale, translation and cost were
+    # computed with.  Normalizing the row again would move about a third
+    # of such rows by an ulp.
+    samples = []
+    for seed in range(16):
+        rng = trial_rng(900 + seed, 0)
+        corrs, _ = generate_scene(SceneConfig(n_correspondences=30 if seed % 3 else 4), rng)
+        samples.append(add_noise(corrs, 1.0, 800.0, rng=rng))
+    checked = 0
+    for corrs, report in zip(samples, solve_batch(samples)):
+        shift = corrs.origins.mean(axis=0), corrs.points.mean(axis=0)
+        centered = Correspondences(corrs.origins - shift[0], corrs.directions, corrs.points - shift[1])
+        minima, = solve_stationary([build_quartic_cost(build_elimination(centered))])
+        rows = {row.tobytes() for row in minima.q}
+        for cand in report.candidates:
+            assert cand.transform.rotation.array.tobytes() in rows
+            checked += 1
+    assert checked >= 20
 
 
 def _centered_cost(corrs):
@@ -502,6 +524,19 @@ def test_pivot_block_route_matches_the_qr_oracle(monkeypatch):
         oracle, = solve_stationary([cost])
         assert not isinstance(oracle, EmptySolutionError)
         _assert_same_stationary_sets(result, oracle)
+
+
+def test_stored_rows_and_pivots_are_the_greedy_pick():
+    # The pick on the Macaulay matrix of the form _macaulay_recipe draws
+    # first from seed 2012: rows, then pivot columns among those rows.
+    W, dst, src, _ = solver._macaulay_layout()
+    B = np.random.default_rng(2012).standard_normal((10, 10))
+    A = np.zeros(210 * 165)
+    A[dst] = (QuarticCost(B + B.T).T.reshape(256) @ W)[src]
+    A = A.reshape(210, 165)
+    rows = greedy_rows(A, 125)
+    assert np.array_equal(rows, solver._ROWS)
+    assert np.array_equal(greedy_rows(A[rows].T, 125), solver._PIVOTS)
 
 
 def test_a_cost_the_first_frame_refuses_is_solved_in_the_second(monkeypatch):
