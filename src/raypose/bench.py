@@ -5,13 +5,17 @@ uniformly in [-1,1]x[-1,1]x[2,4]; ray directions are exact unit vectors
 from origin to point.  Ground-truth similarities are drawn with per-axis
 rotations up to +/-30 degrees, translation distance in [0.5, 10], and
 scale in [0.1, 10].  Pixel-sigma noise is mapped to ray space through a
-nominal focal length (default 800 px) as two independent Gaussian offsets
-in the tangent plane of each direction.
+fixed focal length of 800 px (``FOCAL_PX``) as two independent Gaussian
+offsets in the tangent plane of each direction.  Only the cube size, the
+scale range, the identity pose and the correspondence count vary, through
+:class:`SceneConfig`.
 
 Protocols: numerical stability (minimal noise-free trials), a noise sweep
-comparing against the closed-form point-alignment baseline, a scalability
-sweep over the correspondence count, and a multi-subset "city" generator
-for the merge pipeline.  All outputs are deterministic functions of the
+at n = 6 comparing against the closed-form point-alignment baseline, a
+scalability sweep over the correspondence count at 0.5 px, and a
+multi-subset "city" generator (60 points per subset) for the merge
+pipeline.  The three protocols share one trial loop, one independent
+random stream per trial.  All outputs are deterministic functions of the
 seed; CSV rows carry a runtime column that is always zero so the data
 files are byte-reproducible (real timings are returned separately).
 """
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +39,14 @@ from .solver import gdls_solve
 CSV_HEADER = ("experiment,method,n,noise_px,rot_err_deg_mean,"
               "trans_err_mean,scale_err_rel_mean,runtime_s_mean,seed")
 
+FOCAL_PX = 800.0
+_POINT_Z = (2.0, 4.0)
+_MAX_ANGLE_DEG = 30.0
+_TRANSLATION_RANGE = (0.5, 10.0)
+_NOISE_SWEEP_N = 6
+_SCALABILITY_SIGMA_PX = 0.5
+_CITY_POINTS = 60
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -42,11 +54,6 @@ class SceneConfig:
 
     n_correspondences: int = 4
     camera_cube_half_extent: float = 1.0
-    point_box_xy: float = 1.0
-    point_box_z: Tuple[float, float] = (2.0, 4.0)
-    focal_px: float = 800.0
-    rotation_max_deg: float = 30.0
-    translation_range: Tuple[float, float] = (0.5, 10.0)
     scale_range: Tuple[float, float] = (0.1, 10.0)
     identity_transform: bool = False
     seed: int = 0
@@ -54,8 +61,6 @@ class SceneConfig:
     def __post_init__(self):
         if self.n_correspondences < 4:
             raise InvalidInputError("n_correspondences must be at least 4")
-        if self.focal_px <= 0:
-            raise InvalidInputError("focal_px must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def random_similarity(rng: np.random.Generator, config: SceneConfig) -> SimilarityTransform:
-    angles = np.radians(rng.uniform(-config.rotation_max_deg, config.rotation_max_deg, 3))
+    angles = np.radians(rng.uniform(-_MAX_ANGLE_DEG, _MAX_ANGLE_DEG, 3))
     cx, cy, cz = np.cos(angles)
     sx, sy, sz = np.sin(angles)
     Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
@@ -87,7 +92,7 @@ def random_similarity(rng: np.random.Generator, config: SceneConfig) -> Similari
     R = Rz @ Ry @ Rx
     d = rng.normal(size=3)
     d /= np.linalg.norm(d)
-    t = d * rng.uniform(*config.translation_range)
+    t = d * rng.uniform(*_TRANSLATION_RANGE)
     s = rng.uniform(*config.scale_range)
     return SimilarityTransform(Quaternion.from_rotation_matrix(R), t, s)
 
@@ -105,10 +110,8 @@ def generate_scene(config: SceneConfig,
     n = config.n_correspondences
     h = config.camera_cube_half_extent
     origins = rng.uniform(-h, h, (n, 3))
-    pts_local = np.empty((n, 3))
-    pts_local[:, 0] = rng.uniform(-config.point_box_xy, config.point_box_xy, n)
-    pts_local[:, 1] = rng.uniform(-config.point_box_xy, config.point_box_xy, n)
-    pts_local[:, 2] = rng.uniform(*config.point_box_z, n)
+    # All x, then all y, then all z.
+    pts_local = np.column_stack([*rng.uniform(-1.0, 1.0, (2, n)), rng.uniform(*_POINT_Z, n)])
     dirs = pts_local - origins
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
@@ -138,10 +141,9 @@ def _perturb_directions(d: np.ndarray, sigma: float, rng: np.random.Generator) -
     return d + e[:, :1] * u + e[:, 1:] * v
 
 
-def add_noise(correspondences: Correspondences, sigma_px: float,
-              focal_px: float = 800.0, seed: int = 0,
+def add_noise(correspondences: Correspondences, sigma_px: float, seed: int = 0,
               rng: Optional[np.random.Generator] = None) -> Correspondences:
-    """Perturb each direction by N(0, (sigma/focal)^2) offsets along two
+    """Perturb each direction by N(0, (sigma/FOCAL_PX)^2) offsets along two
     tangent directions, then renormalize.  sigma 0 returns the input."""
     if sigma_px < 0:
         raise InvalidInputError("sigma_px must be nonnegative")
@@ -150,7 +152,7 @@ def add_noise(correspondences: Correspondences, sigma_px: float,
     if rng is None:
         rng = np.random.default_rng(seed)
     c = correspondences
-    dirs = _perturb_directions(c.directions, sigma_px / focal_px, rng)
+    dirs = _perturb_directions(c.directions, sigma_px / FOCAL_PX, rng)
     # The constructor renormalizes the directions.
     return Correspondences(c.origins, dirs, c.points, c.scores, c.point_ids)
 
@@ -165,6 +167,29 @@ def pose_errors(estimate: SimilarityTransform, truth: SimilarityTransform) -> Tr
     )
 
 
+def _errors(estimate: SimilarityTransform, truth: SimilarityTransform) -> np.ndarray:
+    """The three errors of :func:`pose_errors` as an array."""
+    r = pose_errors(estimate, truth)
+    return np.array([r.rotation_error_deg, r.translation_error, r.relative_scale_error])
+
+
+def _trials(config: SceneConfig, sigma_px: float, seed: int, streams: Iterable[int]
+            ) -> Iterator[Tuple[np.random.Generator, Correspondences, SimilarityTransform,
+                                Correspondences]]:
+    """``(rng, scene, truth, noisy scene)`` of the trial on each stream of
+    ``trial_rng(seed, .)``; rng is left where the noise drew last."""
+    for stream in streams:
+        rng = trial_rng(seed, stream)
+        scene, truth = generate_scene(config, rng)
+        yield rng, scene, truth, add_noise(scene, sigma_px, rng=rng)
+
+
+def _gdls_errors(noisy: Correspondences, truth: SimilarityTransform) -> Tuple[np.ndarray, float]:
+    """Errors of gdls's best estimate, and its runtime."""
+    report = gdls_solve(noisy)
+    return _errors(report.best.transform, truth), report.runtime_seconds
+
+
 @dataclass(frozen=True)
 class StabilitySummary:
     """Histogram summary of noise-free minimal-trial errors."""
@@ -177,11 +202,6 @@ class StabilitySummary:
     mean_runtime_seconds: float
 
 
-def _trial_error_scalar(result: TrialResult) -> float:
-    return max(result.rotation_error_deg, result.translation_error,
-               result.relative_scale_error)
-
-
 def run_stability(trials: int, seed: int = 0) -> StabilitySummary:
     """Noise-free minimal (n=4) identity-pose trials; errors should sit at
     numerical noise.  Reports the fractions below 1e-12/1e-9/1e-6 and a
@@ -190,13 +210,10 @@ def run_stability(trials: int, seed: int = 0) -> StabilitySummary:
         raise InvalidInputError("trials must be positive")
     errors = np.empty(trials)
     runtimes = np.empty(trials)
-    base = SceneConfig(n_correspondences=4, identity_transform=True)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        corrs, truth = generate_scene(base, rng)
-        report = gdls_solve(corrs)
-        errors[i] = _trial_error_scalar(pose_errors(report.best.transform, truth))
-        runtimes[i] = report.runtime_seconds
+    config = SceneConfig(identity_transform=True)
+    for i, (_, _, truth, scene) in enumerate(_trials(config, 0.0, seed, range(trials))):
+        e, runtimes[i] = _gdls_errors(scene, truth)
+        errors[i] = e.max()
     logs = np.log10(np.maximum(errors, 1e-300))
     bins, counts = np.unique(np.floor(logs).astype(int), return_counts=True)
     return StabilitySummary(
@@ -222,163 +239,135 @@ def _triangulate_midpoints(c1: np.ndarray, d1: np.ndarray,
     return 0.5 * (c1 + s[:, None] * d1 + c2 + t[:, None] * d2)
 
 
+def _umeyama_estimate(rng: np.random.Generator, scene: Correspondences,
+                      noisy: Correspondences, truth: SimilarityTransform,
+                      sigma_px: float) -> SimilarityTransform:
+    """The point-alignment baseline's pose estimate.
+
+    It is only an alignment method, so it is fed a local point cloud
+    triangulated from noisy rays: each true local point is seen from its
+    own origin and from one more origin in the cube [-1, 1]^3, both rays
+    carrying the same pixel noise.
+    """
+    Rt = quat_to_rotation(truth.rotation)
+    local_true = (_row_products(scene.points, Rt.T) + truth.translation) / truth.scale
+    c2 = rng.uniform(-1.0, 1.0, (len(scene), 3))
+    d2 = local_true - c2
+    d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
+    extra = add_noise(Correspondences(c2, d2, scene.points), sigma_px, rng=rng)
+    local = _triangulate_midpoints(scene.origins, noisy.directions, c2, extra.directions)
+    # The local->world alignment as pose fields: the map is its own inverse.
+    return alignment_from_pose(umeyama_align(local, scene.points))
+
+
 def run_noise_sweep(levels: Sequence[float] = tuple(range(11)),
                     trials_per_level: int = 1000,
-                    methods: Sequence[str] = ("gdls", "umeyama"),
-                    n_correspondences: int = 6,
                     seed: int = 0) -> Tuple[List[dict], Dict[str, float]]:
-    """Mean errors per (noise level, method) on shared scenes.
+    """Mean errors of gdls and the point-alignment baseline per noise
+    level, at n = 6 on shared scenes.
 
-    Both methods see identical camera/point configurations per trial.
-    The point-alignment baseline is only an alignment method, so it is
-    fed a local point cloud triangulated from noisy rays (each point
-    seen from its own origin plus one extra origin, both rays carrying
-    the same pixel noise).  Returns CSV-ready row dicts plus mean
-    runtimes keyed by method (kept out of the rows so the data files
-    stay byte-reproducible).
+    Returns CSV-ready row dicts plus mean runtimes keyed by method (kept
+    out of the rows so the data files stay byte-reproducible; the
+    baseline's is not timed and reads 0).
     """
-    unknown = set(methods) - {"gdls", "umeyama"}
-    if unknown:
-        raise InvalidInputError(f"unknown methods: {sorted(unknown)}")
     rows = []
-    runtimes = {m: [] for m in methods}
-    base = SceneConfig(n_correspondences=n_correspondences)
+    runtimes = []
+    config = SceneConfig(n_correspondences=_NOISE_SWEEP_N)
     for level in levels:
-        sums = {m: np.zeros(3) for m in methods}
-        for i in range(trials_per_level):
-            rng = trial_rng(seed, i * 1000 + int(round(level * 10)))
-            corrs, truth = generate_scene(base, rng)
-            noisy = add_noise(corrs, level, base.focal_px, rng=rng)
-            for m in methods:
-                if m == "gdls":
-                    report = gdls_solve(noisy)
-                    est = report.best.transform
-                    runtimes[m].append(report.runtime_seconds)
-                else:
-                    # Rebuild the true local points, view each from a
-                    # second noisy ray, and triangulate.
-                    Rt = quat_to_rotation(truth.rotation)
-                    local_true = (_row_products(corrs.points, Rt.T)
-                                  + truth.translation) / truth.scale
-                    c2 = rng.uniform(-base.camera_cube_half_extent,
-                                     base.camera_cube_half_extent, (len(corrs), 3))
-                    d2 = local_true - c2
-                    d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
-                    extra = add_noise(Correspondences(c2, d2, corrs.points),
-                                      level, base.focal_px, rng=rng)
-                    local = _triangulate_midpoints(corrs.origins, noisy.directions,
-                                                   c2, extra.directions)
-                    align = umeyama_align(local, corrs.points)
-                    # The local->world alignment as pose fields: the map is
-                    # its own inverse.
-                    est = alignment_from_pose(align)
-                r = pose_errors(est, truth)
-                sums[m] += (r.rotation_error_deg, r.translation_error,
-                            r.relative_scale_error)
-        for m in methods:
-            mean = sums[m] / trials_per_level
-            rows.append(_row("noise", m, n_correspondences, float(level),
-                             mean[0], mean[1], mean[2], seed))
-    return rows, {m: float(np.mean(v)) if v else 0.0 for m, v in runtimes.items()}
+        sums = np.zeros((2, 3))
+        streams = (1000 * i + int(round(10 * level)) for i in range(trials_per_level))
+        for rng, scene, truth, noisy in _trials(config, level, seed, streams):
+            e, runtime = _gdls_errors(noisy, truth)
+            sums[0] += e
+            runtimes.append(runtime)
+            sums[1] += _errors(_umeyama_estimate(rng, scene, noisy, truth, level), truth)
+        for method, mean in zip(("gdls", "umeyama"), sums / trials_per_level):
+            rows.append(_row("noise", method, _NOISE_SWEEP_N, float(level), *mean, seed))
+    return rows, {"gdls": float(np.mean(runtimes)) if runtimes else 0.0, "umeyama": 0.0}
 
 
 def run_scalability(n_values: Sequence[int] = (4, 10, 50, 100, 500, 1000),
-                    trials: int = 1000, sigma_px: float = 0.5,
+                    trials: int = 1000,
                     seed: int = 0) -> Tuple[List[dict], Dict[int, float]]:
-    """Mean errors and runtimes as the correspondence count grows."""
+    """Mean errors and runtimes at 0.5 px as the correspondence count grows."""
     rows = []
     runtimes: Dict[int, float] = {}
     for n in n_values:
-        base = SceneConfig(n_correspondences=n)
-        sums = np.zeros(3)
-        rt = 0.0
-        for i in range(trials):
-            rng = trial_rng(seed, n * 100000 + i)
-            corrs, truth = generate_scene(base, rng)
-            noisy = add_noise(corrs, sigma_px, base.focal_px, rng=rng)
-            report = gdls_solve(noisy)
-            r = pose_errors(report.best.transform, truth)
-            sums += (r.rotation_error_deg, r.translation_error, r.relative_scale_error)
-            rt += report.runtime_seconds
-        mean = sums / trials
-        runtimes[n] = rt / trials
-        rows.append(_row("scalability", "gdls", n, sigma_px,
-                         mean[0], mean[1], mean[2], seed))
+        sums, total = np.zeros(3), 0.0
+        streams = (n * 100000 + i for i in range(trials))
+        for _, _, truth, noisy in _trials(SceneConfig(n_correspondences=n),
+                                          _SCALABILITY_SIGMA_PX, seed, streams):
+            e, runtime = _gdls_errors(noisy, truth)
+            sums += e
+            total += runtime
+        runtimes[n] = total / trials
+        rows.append(_row("scalability", "gdls", n, _SCALABILITY_SIGMA_PX, *(sums / trials), seed))
     return rows, runtimes
 
 
 def generate_city(n_subsets: int, cameras_per_subset: int,
-                  overlap_fraction: float, noise_px: float, seed: int,
-                  points_per_subset: int = 60, focal_px: float = 800.0
+                  overlap_fraction: float, noise_px: float, seed: int
                   ) -> Tuple[List[DistributedCamera], List[SimilarityTransform]]:
     """Synthetic multi-subset reconstruction with known subset frames.
 
-    One global scene is laid out along the x axis; adjacent subsets share
-    ``round(overlap_fraction * points_per_subset)`` points.  Each subset is
-    expressed in a private random similarity frame F_k (the returned truth
-    transform maps subset-local coordinates to world).  Direction noise follows
-    the pixel model at ``focal_px``.
+    One global scene is laid out along the x axis; each subset holds 60
+    points, and adjacent subsets share ``round(overlap_fraction * 60)`` of
+    them.  Each subset is expressed in a private random similarity frame
+    F_k (the returned truth transform maps subset-local coordinates to
+    world).  Every camera observes every point of its subset; direction
+    noise follows the pixel model at ``FOCAL_PX``.
     """
     if not (0.0 < overlap_fraction < 1.0):
         raise InvalidInputError("overlap_fraction must be in (0, 1)")
-    n_shared = int(round(overlap_fraction * points_per_subset))
+    n_shared = int(round(overlap_fraction * _CITY_POINTS))
     if n_shared < 4:
         raise InvalidInputError(
-            f"overlap_fraction {overlap_fraction} with {points_per_subset} points "
+            f"overlap_fraction {overlap_fraction} with {_CITY_POINTS} points "
             f"yields {n_shared} shared points (< 4)")
     if n_subsets < 1 or cameras_per_subset < 1:
         raise InvalidInputError("n_subsets and cameras_per_subset must be positive")
-    n_own = points_per_subset - n_shared * (2 if n_subsets > 2 else 1)
-    if n_subsets > 1 and n_own < 0:
-        raise InvalidInputError("overlap_fraction too large for points_per_subset")
+    if n_subsets > 1 and n_shared * (2 if n_subsets > 2 else 1) > _CITY_POINTS:
+        raise InvalidInputError(f"overlap_fraction too large for {_CITY_POINTS} points")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    cfg = SceneConfig()   # reuse the transform ranges for the subset frames
+    cfg = SceneConfig()   # reuse the scale range for the subset frames
 
-    # Global points along the x axis: each subset holds exactly
-    # points_per_subset points, n_shared of them shared with each
-    # neighbouring subset.  A block of points is (ids, xyz).
+    # Global points along the x axis, n_shared of each subset's points
+    # shared with each neighbouring subset.  A block of points is (ids, xyz).
     def sample_points(count, x_offset):
         nonlocal next_pid
-        pts = rng.uniform(-1.0, 1.0, (count, 3))
-        pts[:, 0] += x_offset
-        pts[:, 2] += 3.0
         next_pid += count
-        return np.arange(next_pid - count, next_pid), pts
+        return (np.arange(next_pid - count, next_pid),
+                rng.uniform(-1.0, 1.0, (count, 3)) + [x_offset, 0.0, 3.0])
 
     next_pid = 0
     shared = [sample_points(n_shared, 3.0 * k + 1.5) for k in range(n_subsets - 1)]
     blocks = []
     for k in range(n_subsets):
         held = shared[max(k - 1, 0):k + 1]
-        own = sample_points(points_per_subset - n_shared * len(held), 3.0 * k)
+        own = sample_points(_CITY_POINTS - n_shared * len(held), 3.0 * k)
         blocks.append([np.concatenate(b) for b in zip(*held, own)])
 
     cameras: List[DistributedCamera] = []
     truths: List[SimilarityTransform] = []
-    sigma = noise_px / focal_px
+    sigma = noise_px / FOCAL_PX
     for k, (pids, world) in enumerate(blocks):
         frame = random_similarity(rng, cfg)        # subset-local -> world
         inv = invert_similarity(frame)
         xyz = apply_similarity(inv, world)
-        centers_world = rng.uniform(-1.0, 1.0, (cameras_per_subset, 3))
-        centers_world[:, 0] += 3.0 * k
-        centers = apply_similarity(inv, centers_world)
-        obs_camera, obs_point, directions = [], [], []
-        for j in range(cameras_per_subset):
-            d = xyz - centers[j]
-            nrm = row_norms(d)
-            seen = np.flatnonzero(nrm[:, 0] >= 1e-9)
-            d = d[seen] / nrm[seen]
-            if sigma > 0.0:
-                d = _perturb_directions(d, sigma, rng)
-                d /= row_norms(d)
-            obs_camera.append(np.full(len(seen), j))
-            obs_point.append(seen)
-            directions.append(d)
+        centers = apply_similarity(
+            inv, rng.uniform(-1.0, 1.0, (cameras_per_subset, 3)) + [3.0 * k, 0.0, 0.0])
+        # Every (camera, point) ray, camera-major; a point at a camera
+        # center is not seen.
+        d = (xyz - centers[:, None]).reshape(-1, 3)
+        nrm = row_norms(d)
+        seen = np.flatnonzero(nrm[:, 0] >= 1e-9)
+        d = d[seen] / nrm[seen]
+        if sigma > 0.0:
+            d = _perturb_directions(d, sigma, rng)
+            d /= row_norms(d)
         cameras.append(DistributedCamera(
-            np.concatenate(obs_camera), np.concatenate(obs_point), np.concatenate(directions),
-            [f"{k}:{j}" for j in range(cameras_per_subset)], centers,
-            np.tile(Quaternion.identity().array, (cameras_per_subset, 1)), pids, xyz))
+            *np.divmod(seen, len(xyz)), d, [f"{k}:{j}" for j in range(cameras_per_subset)],
+            centers, np.tile(Quaternion.identity().array, (cameras_per_subset, 1)), pids, xyz))
         truths.append(frame)
     return cameras, truths
 

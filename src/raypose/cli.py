@@ -39,10 +39,11 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(cls_defaults, overrides: Sequence[str]):
-    """Build a RobustConfig (or similar dataclass) from key=value strings."""
+def _apply_config(defaults: RobustConfig, overrides: Sequence[str]) -> RobustConfig:
+    """``defaults`` with key=value overrides applied; every RobustConfig
+    field is a bool, an int or a float."""
     values = {}
-    fields = {f.name: f.type for f in dataclasses.fields(cls_defaults)}
+    fields = {f.name for f in dataclasses.fields(defaults)}
     for item in overrides:
         if "=" not in item:
             raise InvalidInputError(f"--config expects key=value, got {item!r}")
@@ -50,21 +51,19 @@ def _apply_config(cls_defaults, overrides: Sequence[str]):
         if key not in fields:
             raise InvalidInputError(f"unknown config key {key!r} "
                                     f"(known: {sorted(fields)})")
-        current = getattr(cls_defaults, key)
+        current = getattr(defaults, key)
         if isinstance(current, bool):
             if raw.lower() not in _BOOLEANS:
                 raise InvalidInputError(f"config key {key!r} expects one of "
                                         f"{sorted(_BOOLEANS)}, got {raw!r}")
             values[key] = _BOOLEANS[raw.lower()]
-        elif isinstance(current, (int, float)):
+        else:
             try:
                 values[key] = type(current)(raw)
             except ValueError:
                 raise InvalidInputError(f"config key {key!r} expects "
                                         f"{type(current).__name__}, got {raw!r}") from None
-        else:
-            values[key] = raw
-    return dataclasses.replace(cls_defaults, **values)
+    return dataclasses.replace(defaults, **values)
 
 
 def _transform_json(T: SimilarityTransform) -> dict:

@@ -358,16 +358,22 @@ class Correspondences:
     def __len__(self) -> int:
         return len(self.points)
 
+    @classmethod
+    def _unchecked(cls, origins, directions, points, scores=None, point_ids=None) -> "Correspondences":
+        """A set of fresh arrays that already pass every check, taken as
+        they are."""
+        return _freeze(object.__new__(cls), origins, directions, points, scores, point_ids)
+
     def subset(self, rows) -> "Correspondences":
         """The given rows, in that order; nothing is checked again."""
         arrays = (getattr(self, f.name) for f in fields(self))
-        return _freeze(object.__new__(Correspondences), *(None if a is None else a[rows] for a in arrays))
+        return Correspondences._unchecked(*(None if a is None else a[rows] for a in arrays))
 
     def shifted(self, origin_shift: np.ndarray, point_shift: np.ndarray) -> "Correspondences":
         """Origins less ``origin_shift`` and points less ``point_shift``,
         with the other arrays shared; nothing is checked again."""
-        return _freeze(object.__new__(Correspondences), self.origins - origin_shift, self.directions,
-                       self.points - point_shift, self.scores, self.point_ids)
+        return Correspondences._unchecked(self.origins - origin_shift, self.directions,
+                                          self.points - point_shift, self.scores, self.point_ids)
 
 
 @dataclass(frozen=True, eq=False)

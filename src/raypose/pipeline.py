@@ -114,7 +114,7 @@ def _fiedler_split(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(pos), np.flatnonzero(neg)
 
 
-def partition(W: np.ndarray, max_size: int = 150) -> List[List[int]]:
+def partition(W: np.ndarray, max_size: int) -> List[List[int]]:
     """Vertex groups of size ≤ max_size of the weight matrix W (as built by
     :func:`build_match_graph`), via recursive spectral bisection.
 
@@ -152,11 +152,12 @@ def select_base(group: Sequence[DistributedCamera], ids: Optional[Sequence[int]]
 
 def shared_correspondences(base: DistributedCamera, other: DistributedCamera) -> Correspondences:
     """Rays of ``other`` observing points whose 3D coordinates ``base`` knows,
-    in other's observation order."""
+    in other's observation order.  Both cameras' arrays passed their
+    checks already, so the rows taken are not checked again."""
     rows = base.point_rows(other.point_ids)[other.obs_point]
     keep = np.flatnonzero(rows >= 0)
-    return Correspondences(other.centers[other.obs_camera[keep]], other.directions[keep],
-                           base.points[rows[keep]])
+    return Correspondences._unchecked(other.centers[other.obs_camera[keep]],
+                                      other.directions[keep], base.points[rows[keep]])
 
 
 def localize(

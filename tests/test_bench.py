@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,7 +13,10 @@ from raypose import (InvalidInputError, Quaternion, SimilarityTransform,
                      add_noise, generate_city, generate_scene, pose_errors,
                      quat_to_rotation, rows_to_csv, run_noise_sweep,
                      run_scalability, run_stability)
-from raypose.bench import CSV_HEADER, SceneConfig, random_similarity, trial_rng
+from raypose.bench import (CSV_HEADER, SceneConfig, _perturb_directions,
+                           random_similarity, trial_rng)
+from raypose.geometry import (DistributedCamera, apply_similarity, invert_similarity,
+                              row_norms)
 
 
 def test_scene_determinism():
@@ -44,11 +48,9 @@ def test_scene_geometry_ranges():
 
 
 def test_origin_distribution_centered():
-    rng = trial_rng(0, 0)
-    cfg = SceneConfig(n_correspondences=4)
-    samples = rng.uniform(-1, 1, (100_000, 3))
-    assert np.all(np.abs(samples.mean(axis=0)) < 0.02)
-    del cfg
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=100_000), trial_rng(0, 0))
+    assert np.all(np.abs(corrs.origins) <= 1.0)
+    assert np.all(np.abs(corrs.origins.mean(axis=0)) < 0.02)
 
 
 def test_transform_ranges():
@@ -63,14 +65,14 @@ def test_transform_ranges():
 
 def test_add_noise_zero_sigma_identity():
     corrs, _ = generate_scene(SceneConfig(n_correspondences=5, seed=4))
-    same = add_noise(corrs, 0.0, 800.0, seed=1)
+    same = add_noise(corrs, 0.0, seed=1)
     assert np.array_equal(corrs.directions, same.directions)
 
 
 def test_add_noise_determinism():
     corrs, _ = generate_scene(SceneConfig(n_correspondences=5, seed=5))
-    a = add_noise(corrs, 1.0, 800.0, seed=7)
-    b = add_noise(corrs, 1.0, 800.0, seed=7)
+    a = add_noise(corrs, 1.0, seed=7)
+    b = add_noise(corrs, 1.0, seed=7)
     assert np.array_equal(a.directions, b.directions)
 
 
@@ -92,7 +94,7 @@ def test_add_noise_matches_per_row_reference(sigma_px):
         p = d + e1 * u + e2 * v
         norm = np.linalg.norm(p)
         expect.append(p / norm if abs(norm - 1.0) > 1e-9 else p)
-    noisy = add_noise(corrs, sigma_px, 800.0, seed=3)
+    noisy = add_noise(corrs, sigma_px, seed=3)
     assert np.array_equal(noisy.directions, expect)
 
 
@@ -100,7 +102,7 @@ def test_add_noise_mean_angle():
     # mean angular perturbation of the stated model is sqrt(pi/2)*sigma/f
     corrs, _ = generate_scene(SceneConfig(n_correspondences=4, seed=6))
     big = corrs.subset(np.arange(100_000) % 4)
-    noisy = add_noise(big, 1.0, 800.0, seed=8)
+    noisy = add_noise(big, 1.0, seed=8)
     angles = np.arccos(np.clip(np.sum(big.directions * noisy.directions, axis=1), -1, 1))
     expect = math.sqrt(math.pi / 2.0) / 800.0
     assert abs(np.mean(angles) - expect) / expect < 0.05
@@ -129,11 +131,6 @@ def test_noise_sweep_level_zero_near_exact():
     assert gdls["rot_err_deg_mean"] < 1e-6
     assert gdls["trans_err_mean"] < 1e-6
     assert gdls["scale_err_rel_mean"] < 1e-9
-
-
-def test_noise_sweep_rejects_unknown_method():
-    with pytest.raises(InvalidInputError):
-        run_noise_sweep(levels=(0,), trials_per_level=1, methods=("magic",))
 
 
 def test_scalability_smoke():
@@ -178,8 +175,77 @@ def test_generate_city_overlap_stats():
     assert not np.intersect1d(cams[0].point_ids, cams[5].point_ids).size
 
 
+def _city_per_camera_reference(n_subsets, cameras_per_subset, overlap_fraction,
+                               noise_px, seed):
+    # The generator the vectorized one replaced: one camera at a time.
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    n_shared = int(round(overlap_fraction * 60))
+    next_pid = 0
+
+    def sample_points(count, x_offset):
+        nonlocal next_pid
+        pts = rng.uniform(-1.0, 1.0, (count, 3))
+        pts[:, 0] += x_offset
+        pts[:, 2] += 3.0
+        next_pid += count
+        return np.arange(next_pid - count, next_pid), pts
+
+    shared = [sample_points(n_shared, 3.0 * k + 1.5) for k in range(n_subsets - 1)]
+    blocks = []
+    for k in range(n_subsets):
+        held = shared[max(k - 1, 0):k + 1]
+        own = sample_points(60 - n_shared * len(held), 3.0 * k)
+        blocks.append([np.concatenate(b) for b in zip(*held, own)])
+    cameras, truths = [], []
+    sigma = noise_px / 800.0
+    for k, (pids, world) in enumerate(blocks):
+        frame = random_similarity(rng, SceneConfig())
+        inv = invert_similarity(frame)
+        xyz = apply_similarity(inv, world)
+        centers_world = rng.uniform(-1.0, 1.0, (cameras_per_subset, 3))
+        centers_world[:, 0] += 3.0 * k
+        centers = apply_similarity(inv, centers_world)
+        obs_camera, obs_point, directions = [], [], []
+        for j in range(cameras_per_subset):
+            d = xyz - centers[j]
+            nrm = row_norms(d)
+            seen = np.flatnonzero(nrm[:, 0] >= 1e-9)
+            d = d[seen] / nrm[seen]
+            if sigma > 0.0:
+                d = _perturb_directions(d, sigma, rng)
+                d /= row_norms(d)
+            obs_camera.append(np.full(len(seen), j))
+            obs_point.append(seen)
+            directions.append(d)
+        cameras.append(DistributedCamera(
+            np.concatenate(obs_camera), np.concatenate(obs_point), np.concatenate(directions),
+            [f"{k}:{j}" for j in range(cameras_per_subset)], centers,
+            np.tile(Quaternion.identity().array, (cameras_per_subset, 1)), pids, xyz))
+        truths.append(frame)
+    return cameras, truths
+
+
+@pytest.mark.parametrize("noise_px", [0.0, 0.5])
+def test_generate_city_matches_per_camera_reference(noise_px):
+    args = (4, 7, 0.3, noise_px)
+    cams, truths = generate_city(*args, seed=5)
+    ref_cams, ref_truths = _city_per_camera_reference(*args, seed=5)
+    assert len(cams) == len(ref_cams) == 4
+    for cam, ref in zip(cams, ref_cams):
+        for f in dataclasses.fields(cam):
+            a, b = getattr(cam, f.name), getattr(ref, f.name)
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            if a.dtype == object:
+                assert a.tolist() == b.tolist(), f.name
+            else:
+                assert a.tobytes() == b.tobytes(), f.name
+    for T, R in zip(truths, ref_truths):
+        assert T.rotation.array.tobytes() == R.rotation.array.tobytes()
+        assert T.translation.tobytes() == R.translation.tobytes()
+        assert T.scale == R.scale
+
+
 def test_generate_city_truth_transforms():
-    from raypose.geometry import apply_similarity, invert_similarity
     cams, truths = generate_city(2, 2, 0.3, 0.0, seed=2)
     # shared points expressed in both local frames map to the same world point
     shared = np.intersect1d(cams[0].point_ids, cams[1].point_ids)[:5]

@@ -12,7 +12,7 @@ from dense_oracle import monomial_cost, monomials, rotation_coefficients
 def _noisy_instance(n=6, seed=0, sigma=0.5):
     rng = trial_rng(seed, 0)
     corrs, truth = generate_scene(SceneConfig(n_correspondences=n), rng)
-    noisy = add_noise(corrs, sigma, 800.0, rng=rng)
+    noisy = add_noise(corrs, sigma, rng=rng)
     elim = build_elimination(noisy)
     return noisy, elim, truth
 
@@ -92,7 +92,7 @@ def _fix_scale_instances():
         corrs, _ = generate_scene(SceneConfig(n_correspondences=n, scale_range=(1.0, 1.0)), rng)
         moved = Correspondences(corrs.origins + rng.normal(scale=3.0, size=3),
                                 corrs.directions, corrs.points)
-        yield add_noise(moved, 1.0, 800.0, rng=rng)
+        yield add_noise(moved, 1.0, rng=rng)
 
 
 def test_fix_scale_quartic_matches_direct_cost():
@@ -122,7 +122,7 @@ def test_far_origins_at_large_n_quartic_matches_direct_cost(fix_scale):
     if fix_scale:
         corrs = Correspondences(corrs.origins + np.array([1e3, -6e2, 8e2]), corrs.directions,
                                 corrs.points)
-    elim = build_elimination(add_noise(corrs, 0.5, 800.0, rng=rng), fix_scale=fix_scale)
+    elim = build_elimination(add_noise(corrs, 0.5, rng=rng), fix_scale=fix_scale)
     cost = build_quartic_cost(elim)
     for q in [truth.rotation.array, *rng.normal(size=(5, 4))]:
         q = q / np.linalg.norm(q)

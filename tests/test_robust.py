@@ -92,7 +92,7 @@ def test_noise_free_recovers_quickly():
 
 def test_planted_outliers_excluded():
     (corrs, truth), rng = _scene(seed=2)
-    noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
+    noisy = add_noise(corrs, 0.5, rng=rng)
     planted = _outliers(rng, 12)  # ~30% outliers
     result = ransac_gdls(_concat(noisy, planted), RobustConfig(), seed=3)
     assert result.success
@@ -113,7 +113,7 @@ def test_all_outliers_is_failure_not_exception():
 
 def test_termination_is_logged(caplog):
     (corrs, _), rng = _scene(n=30, seed=21)
-    data = _concat(add_noise(corrs, 0.5, 800.0, rng=rng), _outliers(rng, 10))
+    data = _concat(add_noise(corrs, 0.5, rng=rng), _outliers(rng, 10))
     junk = _outliers(np.random.default_rng(4), 40)
     for sample in (data, junk):
         caplog.clear()
@@ -133,7 +133,7 @@ def test_termination_is_logged(caplog):
 @pytest.mark.parametrize("refit", ["raises", "loses_inliers"])
 def test_failed_refit_keeps_best_hypothesis(monkeypatch, refit):
     (corrs, truth), rng = _scene(seed=9)
-    noisy = _concat(add_noise(corrs, 0.5, 800.0, rng=rng), _outliers(rng, 6))
+    noisy = _concat(add_noise(corrs, 0.5, rng=rng), _outliers(rng, 6))
     far = SimilarityTransform(Quaternion.identity(), np.full(3, 50.0), 1.0)
     minimal_solves = []
 
@@ -195,7 +195,7 @@ def test_too_few_correspondences_raise():
 
 def test_determinism():
     (corrs, _), rng = _scene(seed=6)
-    noisy = _concat(add_noise(corrs, 1.0, 800.0, rng=rng), _outliers(rng, 8))
+    noisy = _concat(add_noise(corrs, 1.0, rng=rng), _outliers(rng, 8))
     a = ransac_gdls(noisy, RobustConfig(), seed=9)
     b = ransac_gdls(noisy, RobustConfig(), seed=9)
     assert np.array_equal(a.inlier_indices, b.inlier_indices)
@@ -205,7 +205,7 @@ def test_determinism():
 
 def test_inlier_set_consistency():
     (corrs, _), rng = _scene(seed=7)
-    noisy = _concat(add_noise(corrs, 1.0, 800.0, rng=rng), _outliers(rng, 8))
+    noisy = _concat(add_noise(corrs, 1.0, rng=rng), _outliers(rng, 8))
     config = RobustConfig()
     result = ransac_gdls(noisy, config, seed=1)
     assert result.success
@@ -216,7 +216,7 @@ def test_inlier_set_consistency():
 
 def test_threshold_monotonicity():
     (corrs, _), rng = _scene(seed=8)
-    noisy = add_noise(corrs, 2.0, 800.0, rng=rng)
+    noisy = add_noise(corrs, 2.0, rng=rng)
     result = ransac_gdls(noisy, RobustConfig(), seed=0)
     angles = angular_residuals(result.transform, noisy.origins, noisy.directions, noisy.points)
     counts = [int(np.sum(angles < th)) for th in (1e-2, 5e-3, 1e-3, 1e-4)]
@@ -249,7 +249,7 @@ def test_prosac_beats_uniform_on_ranked_inliers():
     for seed in range(30):
         rng = trial_rng(300 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=20), rng)
-        noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
+        noisy = add_noise(corrs, 0.5, rng=rng)
         scores = [float(rng.uniform(0.7, 1.0)) for _ in range(len(noisy))]
         outliers = _outliers(rng, 20)
         scores += [float(rng.uniform(0.0, 0.3)) for _ in range(len(outliers))]
@@ -306,7 +306,7 @@ def test_umeyama_collinear_raises():
 def _ranked_outlier_data(seed):
     rng = trial_rng(600 + seed, 0)
     corrs, _ = generate_scene(SceneConfig(n_correspondences=24), rng)
-    noisy = add_noise(corrs, 0.5, 800.0, rng=rng)
+    noisy = add_noise(corrs, 0.5, rng=rng)
     scores = np.concatenate([rng.uniform(0.5, 1.0, 24), rng.uniform(0.0, 0.7, 24)])
     return _concat(noisy, _outliers(rng, 24), scores=scores)
 
@@ -337,7 +337,7 @@ def test_batch_slack_is_below_the_cap():
     slacks = []
     for seed in range(6):
         (corrs, _), rng = _scene(n=30, seed=20 + seed)
-        data = _concat(add_noise(corrs, 0.5, 800.0, rng=rng), _outliers(rng, 10))
+        data = _concat(add_noise(corrs, 0.5, rng=rng), _outliers(rng, 10))
         for config in (RobustConfig(), RobustConfig(max_iterations=7)):
             result = ransac_gdls(data, config, seed=seed)
             slacks.append(result.samples_solved - result.iterations_run)
