@@ -270,6 +270,8 @@ def run_noise_sweep(levels: Sequence[float] = tuple(range(11)),
     out of the rows so the data files stay byte-reproducible; the
     baseline's is not timed and reads 0).
     """
+    if trials_per_level < 1:
+        raise InvalidInputError("trials must be positive")
     rows = []
     runtimes = []
     config = SceneConfig(n_correspondences=_NOISE_SWEEP_N)
@@ -290,6 +292,8 @@ def run_scalability(n_values: Sequence[int] = (4, 10, 50, 100, 500, 1000),
                     trials: int = 1000,
                     seed: int = 0) -> Tuple[List[dict], Dict[int, float]]:
     """Mean errors and runtimes at 0.5 px as the correspondence count grows."""
+    if trials < 1:
+        raise InvalidInputError("trials must be positive")
     rows = []
     runtimes: Dict[int, float] = {}
     for n in n_values:

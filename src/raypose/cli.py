@@ -21,7 +21,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from . import bench as bench_mod
 from .errors import RayposeError, InvalidInputError, EmptySolutionError, RankDeficiencyError
 from .geometry import SimilarityTransform, alignment_from_pose
 from .io import (load_correspondences, load_reconstruction,
@@ -153,6 +152,7 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod   # the harness loads only for the commands that run it
     if args.experiment == "noise":
         rows, runtimes = bench_mod.run_noise_sweep(
             levels=tuple(range(args.max_noise_px + 1)),
@@ -173,6 +173,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from . import bench as bench_mod
     summary = bench_mod.run_stability(args.trials, seed=args.seed)
     _emit(bench_mod.rows_to_csv(bench_mod.stability_rows(summary, args.seed)), args.out)
     print(f"mean_runtime: {summary.mean_runtime_seconds:.6f}", file=sys.stderr)

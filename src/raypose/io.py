@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -51,10 +52,44 @@ def _require(obj, key, location, scalar=False):
     return obj[key]
 
 
+def _scalars(values) -> bool:
+    """True when no value is a list or an object."""
+    return {list, dict}.isdisjoint(map(type, values))
+
+
+def _columns(rows, ids, vectors):
+    """A block's columns when every row passes the checks of ``_require``
+    and ``_vec``: a list of scalars per key in ``ids``, then a finite
+    (n, length) float array per (key, length) in ``vectors``.  None when
+    any row fails; the block's row loop then names the fault."""
+    if type(rows) is not list:
+        return None
+    try:
+        columns = [[r[k] for r in rows] for k in ids]
+        vector_columns = [[r[k] for r in rows] for k, _ in vectors]
+    except (KeyError, TypeError):   # a missing key, or a row that is not an object
+        return None
+    if not all(map(_scalars, columns)):
+        return None
+    for values, (_, length) in zip(vector_columns, vectors):
+        # Exact float and int components: a bool is an int, and numpy would take it.
+        if not ({*map(type, values)} <= {list} and {*map(len, values)} <= {length}
+                and {*map(type, chain.from_iterable(values))} <= {float, int}):
+            return None
+        try:
+            a = np.fromiter(chain.from_iterable(values), float, len(values) * length)
+        except OverflowError:   # an int beyond the float range
+            return None
+        if not np.isfinite(a).all():
+            return None
+        columns.append(a.reshape(-1, length))
+    return columns
+
+
 def _directions(rows, block: str) -> Tuple[np.ndarray, np.ndarray]:
     """The (n, 3) directions and their norms; raises at the first one off
     unit length by more than 1e-6.  The owner renormalizes the rest."""
-    directions = np.array(rows, dtype=float).reshape(-1, 3)
+    directions = np.asarray(rows, dtype=float).reshape(-1, 3)
     norms = row_norms(directions)[:, 0]
     far = np.flatnonzero(np.abs(norms - 1.0) > 1e-6)
     if far.size:
@@ -75,33 +110,51 @@ def parse_reconstruction(text: str) -> Tuple[DistributedCamera, List[str]]:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported version {version!r}", location="version")
 
-    camera_rows, centers, orientations = {}, [], []   # id -> row, in row order
-    for i, cam in enumerate(doc.get("cameras", [])):
-        loc = f"cameras[{i}]"
-        cid = _require(cam, "id", loc, scalar=True)
-        if camera_rows.setdefault(cid, i) != i:
-            raise IntegrityError(f"{loc}: duplicate camera id", offending_id=cid)
-        centers.append(_vec(_require(cam, "center", loc), 3, loc + ".center"))
-        orientations.append(_vec(_require(cam, "orientation", loc), 4, loc + ".orientation"))
-    point_rows, points = {}, []
-    for i, pt in enumerate(doc.get("points", [])):
-        loc = f"points[{i}]"
-        pid = _require(pt, "id", loc, scalar=True)
-        if point_rows.setdefault(pid, i) != i:
-            raise IntegrityError(f"{loc}: duplicate point id", offending_id=pid)
-        points.append(_vec(_require(pt, "xyz", loc), 3, loc + ".xyz"))
-    obs_camera, obs_point, directions = [], [], []
-    for i, ob in enumerate(doc.get("observations", [])):
-        loc = f"observations[{i}]"
-        cid = _require(ob, "camera_id", loc, scalar=True)
-        pid = _require(ob, "point_id", loc, scalar=True)
-        directions.append(_vec(_require(ob, "direction", loc), 3, loc + ".direction"))
-        if cid not in camera_rows:
-            raise IntegrityError(f"{loc}: unknown camera_id", offending_id=cid)
-        if pid not in point_rows:
-            raise IntegrityError(f"{loc}: unknown point_id", offending_id=pid)
-        obs_camera.append(camera_rows[cid])
-        obs_point.append(point_rows[pid])
+    # Each block is checked by column; its row loop runs only to name a fault.
+    columns = _columns(doc.get("cameras", []), ("id",), (("center", 3), ("orientation", 4)))
+    if columns is not None:
+        ids, centers, orientations = columns
+        camera_rows = dict(zip(ids, range(len(ids))))   # a repeated id shrinks it
+    if columns is None or len(camera_rows) < len(ids):
+        camera_rows, centers, orientations = {}, [], []   # id -> row, in row order
+        for i, cam in enumerate(doc.get("cameras", [])):
+            loc = f"cameras[{i}]"
+            cid = _require(cam, "id", loc, scalar=True)
+            if camera_rows.setdefault(cid, i) != i:
+                raise IntegrityError(f"{loc}: duplicate camera id", offending_id=cid)
+            centers.append(_vec(_require(cam, "center", loc), 3, loc + ".center"))
+            orientations.append(_vec(_require(cam, "orientation", loc), 4, loc + ".orientation"))
+    columns = _columns(doc.get("points", []), ("id",), (("xyz", 3),))
+    if columns is not None:
+        ids, points = columns
+        point_rows = dict(zip(ids, range(len(ids))))
+    if columns is None or len(point_rows) < len(ids):
+        point_rows, points = {}, []
+        for i, pt in enumerate(doc.get("points", [])):
+            loc = f"points[{i}]"
+            pid = _require(pt, "id", loc, scalar=True)
+            if point_rows.setdefault(pid, i) != i:
+                raise IntegrityError(f"{loc}: duplicate point id", offending_id=pid)
+            points.append(_vec(_require(pt, "xyz", loc), 3, loc + ".xyz"))
+    columns = _columns(doc.get("observations", []), ("camera_id", "point_id"), (("direction", 3),))
+    if columns is not None:
+        cids, pids, directions = columns
+        # Row of each id, -1 for one not in its block.
+        obs_camera = np.fromiter(map(camera_rows.get, cids, repeat(-1)), np.intp, len(cids))
+        obs_point = np.fromiter(map(point_rows.get, pids, repeat(-1)), np.intp, len(pids))
+    if columns is None or (obs_camera < 0).any() or (obs_point < 0).any():
+        obs_camera, obs_point, directions = [], [], []
+        for i, ob in enumerate(doc.get("observations", [])):
+            loc = f"observations[{i}]"
+            cid = _require(ob, "camera_id", loc, scalar=True)
+            pid = _require(ob, "point_id", loc, scalar=True)
+            directions.append(_vec(_require(ob, "direction", loc), 3, loc + ".direction"))
+            if cid not in camera_rows:
+                raise IntegrityError(f"{loc}: unknown camera_id", offending_id=cid)
+            if pid not in point_rows:
+                raise IntegrityError(f"{loc}: unknown point_id", offending_id=pid)
+            obs_camera.append(camera_rows[cid])
+            obs_point.append(point_rows[pid])
     directions, norms = _directions(directions, "observations")
     warnings = [f"observations[{i}]: direction norm {norms[i]:.12g} renormalized"
                 for i in np.flatnonzero(np.abs(norms - 1.0) > 1e-9)]
@@ -152,17 +205,28 @@ def parse_correspondences(text: str) -> Correspondences:
         raise ParseError(f"invalid JSON: {e.msg}", location=f"line {e.lineno}") from e
     if not isinstance(doc, dict) or "correspondences" not in doc:
         raise ParseError("missing 'correspondences' array", location="root")
-    origins, directions, points, scores, point_ids = [], [], [], [], []
-    for i, c in enumerate(doc["correspondences"]):
-        loc = f"correspondences[{i}]"
-        origins.append(_vec(_require(c, "origin", loc), 3, loc + ".origin"))
-        directions.append(_vec(_require(c, "direction", loc), 3, loc + ".direction"))
-        points.append(_vec(_require(c, "point", loc), 3, loc + ".point"))
-        score = c.get("score")
-        if score is not None and not (type(score) in (float, int) and 0.0 <= score <= 1.0):
-            raise ParseError("expected a number in [0, 1]", location=loc + ".score")
-        scores.append(math.nan if score is None else score)
-        point_ids.append(_require(c, "point_id", loc, scalar=True) if "point_id" in c else None)
+    rows = doc["correspondences"]
+    columns = _columns(rows, (), (("origin", 3), ("direction", 3), ("point", 3)))
+    if columns is not None:
+        origins, directions, points = columns
+        scores = [c.get("score") for c in rows]
+        point_ids = [c.get("point_id") for c in rows]
+        numbers = [s for s in scores if s is not None]
+    if (columns is None or not {*map(type, numbers)} <= {float, int}
+            or not all(0.0 <= s <= 1.0 for s in numbers) or not _scalars(point_ids)):
+        origins, directions, points, scores, point_ids = [], [], [], [], []
+        for i, c in enumerate(rows):
+            loc = f"correspondences[{i}]"
+            origins.append(_vec(_require(c, "origin", loc), 3, loc + ".origin"))
+            directions.append(_vec(_require(c, "direction", loc), 3, loc + ".direction"))
+            points.append(_vec(_require(c, "point", loc), 3, loc + ".point"))
+            score = c.get("score")
+            if score is not None and not (type(score) in (float, int) and 0.0 <= score <= 1.0):
+                raise ParseError("expected a number in [0, 1]", location=loc + ".score")
+            scores.append(math.nan if score is None else score)
+            point_ids.append(_require(c, "point_id", loc, scalar=True) if "point_id" in c else None)
+    else:
+        scores = [math.nan if s is None else s for s in scores]
     return Correspondences(
         origins, _directions(directions, "correspondences")[0], points,
         None if all(map(math.isnan, scores)) else scores,

@@ -157,6 +157,15 @@ def test_csv_determinism():
     assert rows_to_csv(a) == rows_to_csv(b)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sweeps_reject_nonpositive_trials(trials):
+    # Zero trials leave nothing to average, so each sweep rejects them.
+    with pytest.raises(InvalidInputError):
+        run_noise_sweep(levels=(0,), trials_per_level=trials)
+    with pytest.raises(InvalidInputError):
+        run_scalability(n_values=(4,), trials=trials)
+
+
 def test_generate_city_validation():
     with pytest.raises(InvalidInputError):
         generate_city(2, 2, 0.0, 0.0, seed=0)

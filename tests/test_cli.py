@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import raypose
 from raypose import generate_city, generate_scene
 from raypose.bench import SceneConfig
 from raypose.cli import main
@@ -125,6 +130,8 @@ def test_invalid_inputs_exit_two(tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["solve", "--input", str(tmp_path / "missing.json")]) == 2
     assert main(["bench", "--experiment", "noise", "--bogus-flag"]) == 2
+    for experiment in ("noise", "scalability"):
+        assert main(["bench", "--experiment", experiment, "--trials", "0"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve", "--input", str(bad)]) == 2
@@ -170,3 +177,11 @@ def test_config_only_on_robust_commands(tmp_path):
     assert main(["solve", "--input", str(path)] + override) == 2
     assert main(["bench", "--experiment", "noise", "--trials", "1"] + override) == 2
     assert main(["stability", "--trials", "1"] + override) == 2
+
+
+def test_cli_leaves_the_bench_harness_unloaded():
+    # solve, align and merge never need the harness; bench and stability load it.
+    src = str(Path(raypose.__file__).resolve().parents[1])
+    code = "import sys, raypose.cli; assert 'raypose.bench' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=src))

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+import raypose.io
 from raypose import generate_city
 from raypose.errors import IntegrityError, ParseError
 from raypose.geometry import Correspondences
@@ -159,3 +161,157 @@ def test_correspondence_direction_within_tolerance_is_renormalized():
     assert corrs.directions[1].tolist() == [0.0, 0.0, 1.0]
     assert np.isnan(corrs.scores[0]) and corrs.scores[1] == 1.0
     assert corrs.point_ids.tolist() == [None, "p"]
+
+
+# Column and row paths.  Each block is checked as whole columns, and its row
+# loop runs only when a column test fails, to name the fault.  Forcing the row
+# loop everywhere (no block passes) must give the same error or the same arrays.
+RECONSTRUCTION = {
+    "version": 1,
+    "cameras": [{"id": "c0", "center": [0.0, 0.0, 0.0], "orientation": [1, 0, 0, 0]},
+                {"id": 7, "center": [1.0, -2, 0.5], "orientation": [0.5, 0.5, -0.5, 0.5]}],
+    "points": [{"id": 0, "xyz": [0.0, 0.0, 3.0]}, {"id": "p", "xyz": [1, 2, 3]},
+               {"id": None, "xyz": [-1.0, 0.25, 4.0]}],
+    "observations": [{"camera_id": "c0", "point_id": 0, "direction": [0.0, 0.0, 1.0]},
+                     {"camera_id": 7, "point_id": "p", "direction": [0, 1, 0]},
+                     {"camera_id": 7, "point_id": None, "direction": [0.6, 0.0, 0.8]}],
+}
+CORRESPONDENCES = {"correspondences": [
+    {"origin": [0, 0, 0], "direction": [0.0, 0.0, 1.0], "point": [1.0, 2.0, 3.0]},
+    {"origin": [0.5, 0, 0], "direction": [0, 1, 0], "point": [1, 2, 3], "score": 0.5},
+    {"origin": [0, 0, 1], "direction": [0.6, 0.0, 0.8], "point": [0, 0, 2], "point_id": "q"},
+]}
+
+
+def _edited(doc, path, value):
+    """A copy of doc with the entry at path set to value (popped when value is _DROP)."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return json.dumps(doc)
+
+
+_DROP = object()
+FAULTS = [
+    # missing key
+    ("r", ("cameras", 1, "center"), _DROP), ("r", ("points", 2, "id"), _DROP),
+    ("r", ("observations", 1, "camera_id"), _DROP), ("r", ("observations", 2, "direction"), _DROP),
+    ("c", ("correspondences", 1, "origin"), _DROP), ("c", ("correspondences", 2, "point"), _DROP),
+    # a row that is not an object, a block that is not a list
+    ("r", ("cameras", 1), [1, 2]), ("r", ("points", 0), "p"), ("r", ("observations", 2), None),
+    ("c", ("correspondences", 0), 3), ("r", ("points",), "abc"), ("r", ("cameras",), {}),
+    ("r", ("observations",), 5), ("c", ("correspondences",), None),
+    # a value that is not a list, or has the wrong length
+    ("r", ("cameras", 0, "center"), "0,0,0"), ("r", ("points", 1, "xyz"), {"x": 1}),
+    ("r", ("observations", 0, "direction"), 1.0), ("c", ("correspondences", 1, "direction"), None),
+    ("r", ("cameras", 1, "orientation"), [1, 0, 0]), ("r", ("points", 0, "xyz"), [0, 0, 3, 1]),
+    ("r", ("observations", 1, "direction"), [0, 1]), ("c", ("correspondences", 2, "origin"), []),
+    # a true, string, nested, NaN, Infinity or out-of-range component
+    ("r", ("cameras", 0, "center"), [True, 0, 0]),
+    ("r", ("observations", 2, "direction"), [0, 0, True]),
+    ("c", ("correspondences", 0, "origin"), [0, False, 0]),
+    ("r", ("points", 1, "xyz"), ["1", 2, 3]),
+    ("c", ("correspondences", 1, "point"), [1, 2, "3"]), ("r", ("points", 1, "xyz"), [[1], 2, 3]),
+    ("r", ("cameras", 1, "center"), [math.nan, 0, 0]),
+    ("r", ("points", 2, "xyz"), [0, math.inf, 0]),
+    ("r", ("observations", 0, "direction"), [0, 0, -math.inf]),
+    ("c", ("correspondences", 2, "direction"), [math.nan, 0, 1]),
+    ("r", ("cameras", 1, "orientation"), [10 ** 400, 0, 0, 0]),
+    # a list or object id
+    ("r", ("cameras", 0, "id"), ["c0"]), ("r", ("points", 1, "id"), {"p": 1}),
+    ("r", ("observations", 1, "point_id"), ["p"]), ("r", ("observations", 0, "camera_id"), {}),
+    ("c", ("correspondences", 2, "point_id"), [1]),
+    ("c", ("correspondences", 0, "point_id"), {"q": 1}),
+    # a duplicate id, or an unknown one
+    ("r", ("cameras", 1, "id"), "c0"), ("r", ("points", 2, "id"), 0),
+    ("r", ("points", 1, "id"), 0.0),
+    ("r", ("observations", 1, "camera_id"), "ghost"), ("r", ("observations", 2, "point_id"), 99),
+    # a direction norm off by more than 1e-6, a score outside [0, 1] or not a number
+    ("r", ("observations", 1, "direction"), [0, 1 + 2e-6, 0]),
+    ("c", ("correspondences", 0, "direction"), [0, 0, 1.1]),
+    ("c", ("correspondences", 1, "score"), 1.5), ("c", ("correspondences", 1, "score"), -0.25),
+    ("c", ("correspondences", 1, "score"), True), ("c", ("correspondences", 1, "score"), "0.5"),
+    ("c", ("correspondences", 1, "score"), math.nan), ("c", ("correspondences", 1, "score"), [0.5]),
+]
+
+
+def _text(kind, path, value):
+    return _edited(RECONSTRUCTION if kind == "r" else CORRESPONDENCES, path, value)
+
+
+def _outcome(kind, text):
+    """What parsing gives: the arrays and warnings, or the error's full identity."""
+    parse = parse_reconstruction if kind == "r" else parse_correspondences
+    try:
+        result = parse(text)
+    except Exception as e:   # noqa: BLE001 -- any error, uncaught ones too, must agree
+        return (type(e), str(e), getattr(e, "location", None), getattr(e, "offending_id", None))
+    obj, warnings = result if kind == "r" else (result, [])
+    arrays = []
+    for field in dataclasses.fields(obj):
+        a = getattr(obj, field.name)
+        arrays.append(None if a is None else (a.dtype.str, a.shape, a.tobytes() if a.dtype != object
+                                              else repr(a.tolist())))
+    return arrays, warnings
+
+
+def _both_paths(monkeypatch, kind, text):
+    columns = _outcome(kind, text)
+    with monkeypatch.context() as m:
+        m.setattr(raypose.io, "_columns", lambda *args: None)
+        rows = _outcome(kind, text)
+    return columns, rows
+
+
+@pytest.mark.parametrize("kind,path,value", FAULTS)
+def test_single_fault_raises_as_row_loop(monkeypatch, kind, path, value):
+    columns, rows = _both_paths(monkeypatch, kind, _text(kind, path, value))
+    assert isinstance(rows[0], type) and columns == rows
+
+
+@pytest.mark.parametrize("edits,error", [
+    # norms are checked after the row loop, a component's type before its value
+    ([(("observations", 1, "camera_id"), "ghost"), (("observations", 2, "direction"), [0, 0, "1"]),
+      (("observations", 0, "direction"), [0, 0, 2.0])], IntegrityError),
+    ([(("cameras", 0, "center"), [math.nan, 0, 0]), (("cameras", 1, "center"), [10 ** 400, 0, 0])],
+     ParseError),
+])
+def test_first_fault_in_row_order_is_named(monkeypatch, edits, error):
+    doc = RECONSTRUCTION
+    for path, value in edits:
+        doc = json.loads(_edited(doc, path, value))
+    columns, rows = _both_paths(monkeypatch, "r", json.dumps(doc))
+    assert columns == rows and rows[0] is error
+
+
+@pytest.mark.parametrize("kind,path,value", [
+    ("r", ("version",), 1), ("r", ("observations",), []),
+    ("r", ("observations", 0, "direction"), [0, 0, 1 + 5e-7]),
+    ("r", ("observations", 2, "direction"), [0.6, 0, 0.8 - 4e-7]),
+    ("r", ("observations", 1, "camera_id"), 7.0), ("r", ("observations", 0, "point_id"), False),
+    ("r", ("cameras", 1, "orientation"), [-1, 0, 0, 2 ** 70]),
+    ("c", ("correspondences", 0, "score"), None), ("c", ("correspondences", 1, "score"), 1),
+    ("c", ("correspondences", 0, "direction"), [0, 0, 1 - 9e-7]),
+    ("c", ("correspondences", 2, "point_id"), None), ("c", ("correspondences",), []),
+])
+def test_valid_document_parses_as_row_loop(monkeypatch, kind, path, value):
+    columns, rows = _both_paths(monkeypatch, kind, _text(kind, path, value))
+    assert isinstance(columns[0], list) and columns == rows
+
+
+def test_city_and_scene_documents_parse_as_row_loop(monkeypatch):
+    cams, _ = generate_city(3, 6, 0.3, 0.5, seed=0)
+    for text in [json.dumps({"version": 1})] + [reconstruction_to_json(cam) for cam in cams]:
+        columns, rows = _both_paths(monkeypatch, "r", text)
+        assert isinstance(columns[0], list) and columns == rows
+    cam = cams[0]
+    corrs = Correspondences(cam.centers[cam.obs_camera], cam.directions, cam.points[cam.obs_point],
+                            np.linspace(0, 1, len(cam.directions)), cam.obs_point.tolist())
+    columns, rows = _both_paths(monkeypatch, "c", correspondences_to_json(corrs))
+    assert columns == rows
