@@ -34,13 +34,9 @@ EXIT_ESTIMATION = 1
 EXIT_INVALID = 2
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
 def _apply_config(defaults: RobustConfig, overrides: Sequence[str]) -> RobustConfig:
     """``defaults`` with key=value overrides applied; every RobustConfig
-    field is a bool, an int or a float."""
+    field is an int or a float."""
     values = {}
     fields = {f.name for f in dataclasses.fields(defaults)}
     for item in overrides:
@@ -50,18 +46,12 @@ def _apply_config(defaults: RobustConfig, overrides: Sequence[str]) -> RobustCon
         if key not in fields:
             raise InvalidInputError(f"unknown config key {key!r} "
                                     f"(known: {sorted(fields)})")
-        current = getattr(defaults, key)
-        if isinstance(current, bool):
-            if raw.lower() not in _BOOLEANS:
-                raise InvalidInputError(f"config key {key!r} expects one of "
-                                        f"{sorted(_BOOLEANS)}, got {raw!r}")
-            values[key] = _BOOLEANS[raw.lower()]
-        else:
-            try:
-                values[key] = type(current)(raw)
-            except ValueError:
-                raise InvalidInputError(f"config key {key!r} expects "
-                                        f"{type(current).__name__}, got {raw!r}") from None
+        kind = type(getattr(defaults, key))
+        try:
+            values[key] = kind(raw)
+        except ValueError:
+            raise InvalidInputError(f"config key {key!r} expects "
+                                    f"{kind.__name__}, got {raw!r}") from None
     return dataclasses.replace(defaults, **values)
 
 
@@ -211,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="hierarchically merge reconstructions")
     p.add_argument("inputs", nargs="+", help="reconstruction JSON files")
     p.add_argument("--max-group-size", type=int, default=DEFAULT_GROUP_SIZE)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads per level (default: RAYPOSE_THREADS, else 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads per level")
     p.add_argument("--report", help="merge report output path")
     common(p, config=True)
     p.set_defaults(func=_cmd_merge)

@@ -39,9 +39,21 @@ def _vec(obj, length, location):
     if not (isinstance(obj, list) and len(obj) == length
             and all(type(v) is float or type(v) is int for v in obj)):
         raise ParseError(f"expected a numeric {length}-vector", location=location)
-    if not all(map(math.isfinite, obj)):
+    try:
+        finite = all(map(math.isfinite, obj))
+    except OverflowError:   # an int beyond the float range
+        finite = False
+    if not finite:
         raise ParseError("vector components must be finite", location=location)
     return obj
+
+
+def _block(doc, key):
+    """The list of rows under ``key``, empty when the key is absent."""
+    rows = doc.get(key, [])
+    if type(rows) is not list:
+        raise ParseError("expected a list", location=key)
+    return rows
 
 
 def _require(obj, key, location, scalar=False):
@@ -62,8 +74,6 @@ def _columns(rows, ids, vectors):
     and ``_vec``: a list of scalars per key in ``ids``, then a finite
     (n, length) float array per (key, length) in ``vectors``.  None when
     any row fails; the block's row loop then names the fault."""
-    if type(rows) is not list:
-        return None
     try:
         columns = [[r[k] for r in rows] for k in ids]
         vector_columns = [[r[k] for r in rows] for k, _ in vectors]
@@ -111,32 +121,35 @@ def parse_reconstruction(text: str) -> Tuple[DistributedCamera, List[str]]:
         raise ParseError(f"unsupported version {version!r}", location="version")
 
     # Each block is checked by column; its row loop runs only to name a fault.
-    columns = _columns(doc.get("cameras", []), ("id",), (("center", 3), ("orientation", 4)))
+    rows = _block(doc, "cameras")
+    columns = _columns(rows, ("id",), (("center", 3), ("orientation", 4)))
     if columns is not None:
         ids, centers, orientations = columns
         camera_rows = dict(zip(ids, range(len(ids))))   # a repeated id shrinks it
     if columns is None or len(camera_rows) < len(ids):
         camera_rows, centers, orientations = {}, [], []   # id -> row, in row order
-        for i, cam in enumerate(doc.get("cameras", [])):
+        for i, cam in enumerate(rows):
             loc = f"cameras[{i}]"
             cid = _require(cam, "id", loc, scalar=True)
             if camera_rows.setdefault(cid, i) != i:
                 raise IntegrityError(f"{loc}: duplicate camera id", offending_id=cid)
             centers.append(_vec(_require(cam, "center", loc), 3, loc + ".center"))
             orientations.append(_vec(_require(cam, "orientation", loc), 4, loc + ".orientation"))
-    columns = _columns(doc.get("points", []), ("id",), (("xyz", 3),))
+    rows = _block(doc, "points")
+    columns = _columns(rows, ("id",), (("xyz", 3),))
     if columns is not None:
         ids, points = columns
         point_rows = dict(zip(ids, range(len(ids))))
     if columns is None or len(point_rows) < len(ids):
         point_rows, points = {}, []
-        for i, pt in enumerate(doc.get("points", [])):
+        for i, pt in enumerate(rows):
             loc = f"points[{i}]"
             pid = _require(pt, "id", loc, scalar=True)
             if point_rows.setdefault(pid, i) != i:
                 raise IntegrityError(f"{loc}: duplicate point id", offending_id=pid)
             points.append(_vec(_require(pt, "xyz", loc), 3, loc + ".xyz"))
-    columns = _columns(doc.get("observations", []), ("camera_id", "point_id"), (("direction", 3),))
+    rows = _block(doc, "observations")
+    columns = _columns(rows, ("camera_id", "point_id"), (("direction", 3),))
     if columns is not None:
         cids, pids, directions = columns
         # Row of each id, -1 for one not in its block.
@@ -144,7 +157,7 @@ def parse_reconstruction(text: str) -> Tuple[DistributedCamera, List[str]]:
         obs_point = np.fromiter(map(point_rows.get, pids, repeat(-1)), np.intp, len(pids))
     if columns is None or (obs_camera < 0).any() or (obs_point < 0).any():
         obs_camera, obs_point, directions = [], [], []
-        for i, ob in enumerate(doc.get("observations", [])):
+        for i, ob in enumerate(rows):
             loc = f"observations[{i}]"
             cid = _require(ob, "camera_id", loc, scalar=True)
             pid = _require(ob, "point_id", loc, scalar=True)
@@ -205,7 +218,7 @@ def parse_correspondences(text: str) -> Correspondences:
         raise ParseError(f"invalid JSON: {e.msg}", location=f"line {e.lineno}") from e
     if not isinstance(doc, dict) or "correspondences" not in doc:
         raise ParseError("missing 'correspondences' array", location="root")
-    rows = doc["correspondences"]
+    rows = _block(doc, "correspondences")
     columns = _columns(rows, (), (("origin", 3), ("direction", 3), ("point", 3)))
     if columns is not None:
         origins, directions, points = columns

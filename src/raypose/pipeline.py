@@ -11,7 +11,6 @@ other refinement is run, between levels or after the last one.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,7 +21,7 @@ from .errors import InvalidInputError
 from .geometry import (Correspondences, DistributedCamera,
                        SimilarityTransform, alignment_from_pose,
                        compose_similarity, merge_distributed_cameras)
-from .robust import RobustConfig, RobustResult, ransac_gdls
+from .robust import SAMPLE_SIZE, RobustConfig, RobustResult, ransac_gdls
 
 DEFAULT_GROUP_SIZE = 8
 
@@ -174,10 +173,9 @@ def localize(
     Success additionally requires inlier_ratio ≥ 0.3.
     """
     corrs = shared_correspondences(base, other)
-    if len(corrs) < config.sample_size:
+    if len(corrs) < SAMPLE_SIZE:
         return RobustResult(False, None, np.array([], dtype=int), 0, 0.0,
-                            failure_reason=f"only {len(corrs)} shared points "
-                                           f"(< {config.sample_size})")
+                            failure_reason=f"only {len(corrs)} shared points (< {SAMPLE_SIZE})")
     result = ransac_gdls(corrs, config, seed=seed)
     if result.success and result.inlier_ratio < 0.3:
         return replace(
@@ -213,7 +211,7 @@ def hierarchical_merge(
     config: RobustConfig = RobustConfig(),
     max_group_size: int = DEFAULT_GROUP_SIZE,
     seed: int = 0,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> MergeReport:
     """Merge distributed cameras level by level until one remains.
 
@@ -221,16 +219,13 @@ def hierarchical_merge(
     to localize are carried to the next level and retried once before
     being marked failed; cameras left disconnected at the fixpoint are
     failed with a diagnostic.  Groups within a level are independent and
-    evaluated in parallel when ``threads`` (or, when it is None, the
-    RAYPOSE_THREADS environment variable) is > 1; the result is a pure
-    function of (input, seed) either way.
+    evaluated by ``threads`` worker threads when it is > 1; the result is a
+    pure function of (input, seed) either way.
     """
     if not cameras:
         raise InvalidInputError("hierarchical_merge requires at least one camera")
-    raw = os.environ.get("RAYPOSE_THREADS", "1") if threads is None else threads
-    if not str(raw).strip().isdecimal() or int(raw) < 1:
-        raise InvalidInputError(f"threads must be an integer >= 1, got {raw!r}")
-    threads = int(raw)
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise InvalidInputError(f"threads must be an integer >= 1, got {threads!r}")
     cams = _namespace_all(cameras)
     entries = [_Entry(i, cam, {i: SimilarityTransform.identity()}) for i, cam in enumerate(cams)]
     levels: List[LevelRecord] = []

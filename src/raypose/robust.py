@@ -11,10 +11,10 @@ cost dominates: the solver runs the Newton polish and its tests once over
 the roots of the whole batch, not once per sample, while the result is the
 same as solving each sample alone.  When the loop stops, one debug record
 on the ``raypose`` logger carries ``iterations_run``, the three sample
-counts and the best hypothesis's inlier count (``best_inliers``).  With
-``use_prosac=True`` minimal samples are drawn from progressively growing
-prefixes of the correspondences sorted by match score (Chum-Matas
-progressive sampling).
+counts and the best hypothesis's inlier count (``best_inliers``).  When at
+least half of the correspondences carry a match score, minimal samples
+are drawn from progressively growing prefixes of the correspondences
+sorted by score (Chum-Matas progressive sampling); otherwise uniformly.
 
 ``umeyama_align`` is the closed-form least-squares similarity between two
 3D point sets, used as the comparison baseline in the noise experiments.
@@ -37,36 +37,35 @@ from .solver import SolveReport, gdls_solve, solve_batch
 
 # Largest number of minimal samples solved together.
 MAX_BATCH = 16
+# Rays in a minimal sample: 4 fix the 7-DoF similarity, 2 constraints each.
+SAMPLE_SIZE = 4
+# Probability that the adaptive stop has drawn an all-inlier sample.
+CONFIDENCE = 0.99
 
 _log = logging.getLogger("raypose")
 
 
 @dataclass(frozen=True)
 class RobustConfig:
-    """Knobs of the robust loop.  The defaults are artifact configuration,
+    """The robust loop's settings.  The defaults are artifact configuration,
     not protocol constants; the 0.5 degree angular threshold corresponds
-    to roughly 2 px at an 800 px focal length."""
+    to roughly 2 px at an 800 px focal length.  The sample size and the
+    stopping confidence are the module constants ``SAMPLE_SIZE`` and
+    ``CONFIDENCE``, and the sampler follows the data (see ``prosac_order``)."""
 
     angular_inlier_threshold: float = 8.7e-3   # radians
     max_iterations: int = 1000
-    confidence: float = 0.99
     min_inliers: int = 10
-    sample_size: int = 4
-    use_prosac: bool = False
 
     def __post_init__(self):
         # An angle from arccos lies in [0, pi], so a threshold of pi or more
         # (or inf) would call every correspondence an inlier.
         if not 0.0 < self.angular_inlier_threshold < math.pi:
             raise InvalidInputError("angular_inlier_threshold must be in (0, pi) radians")
-        if not (0.0 < self.confidence < 1.0):
-            raise InvalidInputError("confidence must be in (0, 1)")
-        if self.sample_size < 4:
-            raise InvalidInputError("sample_size must be at least 4")
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1")
-        if self.min_inliers < 1:
-            raise InvalidInputError("min_inliers must be at least 1")
+        for name in ("max_iterations", "min_inliers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,21 +105,24 @@ def angular_residuals(T: SimilarityTransform, origins: np.ndarray,
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def prosac_order(correspondences: Correspondences) -> np.ndarray:
-    """Stable descending sort by match score.
-
-    Falls back to the identity permutation when fewer than half of the
-    correspondences carry a score (missing scores rank last otherwise).
-    """
+def prosac_order(correspondences: Correspondences) -> Optional[np.ndarray]:
+    """Stable descending sort by match score, a missing score ranking last;
+    None when fewer than half of the correspondences carry a score."""
     n, scores = len(correspondences), correspondences.scores
     if scores is None or np.count_nonzero(~np.isnan(scores)) < (n + 1) // 2:
-        return np.arange(n)
+        return None
     return np.argsort(-np.where(np.isnan(scores), -1.0, scores), kind="stable")
 
 
-def _prosac_prefix_sizes(n: int, m: int, max_iterations: int) -> Iterator[int]:
-    """Prefix size n_t for t = 0, 1, ... (standard growth function), one
-    per draw, so nothing is held per iteration."""
+def _prosac_samples(order: np.ndarray, max_iterations: int,
+                    rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Minimal samples of progressive sampling over the ranked rows ``order``.
+
+    Draw t takes the n_t-th ranked row plus SAMPLE_SIZE - 1 rows drawn from
+    the n_t - 1 ranked above it (the whole prefix while n_t = SAMPLE_SIZE),
+    with n_t from the standard growth function.  Nothing is held per draw.
+    """
+    n, m = len(order), SAMPLE_SIZE
     t_n = float(max_iterations)
     for i in range(m):
         t_n *= (m - i) / (n - i)
@@ -133,7 +135,11 @@ def _prosac_prefix_sizes(n: int, m: int, max_iterations: int) -> Iterator[int]:
             t_prime += math.ceil(t_next - t_full)
             t_full = t_next
             n_star += 1
-        yield n_star
+        if n_star > m:
+            idx = rng.choice(n_star - 1, size=m - 1, replace=False)
+            yield order[np.concatenate([idx, [n_star - 1]])]
+        else:
+            yield order[rng.choice(n_star, size=m, replace=False)]
 
 
 def ransac_gdls(
@@ -149,26 +155,15 @@ def ransac_gdls(
     returned inlier set is re-scored under that final transform.
     """
     n = len(correspondences)
-    m = config.sample_size
-    if n < m:
-        raise InvalidInputError(f"need at least {m} correspondences, got {n}")
+    if n < SAMPLE_SIZE:
+        raise InvalidInputError(f"need at least {SAMPLE_SIZE} correspondences, got {n}")
     arrays = correspondences.origins, correspondences.directions, correspondences.points
     rng = np.random.default_rng(seed)
-
-    if config.use_prosac:
-        order = prosac_order(correspondences)
-        prefix = _prosac_prefix_sizes(n, m, config.max_iterations)
+    order = prosac_order(correspondences)
+    if order is None:
+        draws = (rng.choice(n, size=SAMPLE_SIZE, replace=False) for _ in itertools.count())
     else:
-        order = np.arange(n)
-        prefix = itertools.repeat(n)
-
-    def draw():
-        n_t = next(prefix)
-        if config.use_prosac and n_t > m:
-            # The n_t-th ranked point plus m-1 draws from the prefix above it.
-            idx = rng.choice(n_t - 1, size=m - 1, replace=False)
-            return order[np.concatenate([idx, [n_t - 1]])]
-        return order[rng.choice(n_t, size=m, replace=False)]
+        draws = _prosac_samples(order, config.max_iterations, rng)
 
     best_count = 0
     best_mean = float("inf")
@@ -179,7 +174,7 @@ def ransac_gdls(
     t = 0
     while t < max_iter:
         size = min(max(t, 1), MAX_BATCH, max_iter - t)
-        samples = [correspondences.subset(draw()) for _ in range(size)]
+        samples = [correspondences.subset(next(draws)) for _ in range(size)]
         solved += size
         for report in solve_batch(samples):
             if t == max_iter:
@@ -201,11 +196,11 @@ def ransac_gdls(
                 # Adaptive termination from the inlier ratio.
                 w = count / n
                 if w > 0:
-                    p_good = w ** m
+                    p_good = w ** SAMPLE_SIZE
                     if p_good >= 1.0:
                         needed = 1
                     else:
-                        needed = math.log(1.0 - config.confidence) / math.log(1.0 - p_good)
+                        needed = math.log(1.0 - CONFIDENCE) / math.log(1.0 - p_good)
                     max_iter = min(config.max_iterations, max(t, int(math.ceil(needed))))
     counts = dict(samples_solved=solved, samples_rank_deficient=deficient, samples_empty=empty)
     _log.debug("ransac_gdls stopped after %d samples (%d solved, %d rank deficient, %d empty); "

@@ -71,20 +71,22 @@ def test_merge_malformed_id_is_invalid_input(tmp_path, capsys):
     assert "points[0].id" in capsys.readouterr().err
 
 
-def test_malformed_thread_count(tmp_path, monkeypatch, capsys):
-    # RAYPOSE_THREADS is read by the merge alone, and a bad count there is
-    # invalid input, not a traceback.
-    corrs, _ = generate_scene(SceneConfig(n_correspondences=6, seed=2))
-    path = tmp_path / "c.json"
-    save_correspondences(corrs, str(path))
-    monkeypatch.setenv("RAYPOSE_THREADS", "abc")
-    assert main(["solve", "--input", str(path)]) == 0
+def test_malformed_thread_count(tmp_path, capsys):
+    # A bad count is invalid input, not a traceback.
     paths, _ = _write_city(tmp_path)
-    assert main(["merge", *paths]) == 2
-    assert "got 'abc'" in capsys.readouterr().err
-    monkeypatch.delenv("RAYPOSE_THREADS")
     assert main(["merge", *paths, "--threads", "0"]) == 2
     assert "threads must be an integer >= 1" in capsys.readouterr().err
+    assert main(["merge", *paths, "--threads", "two"]) == 2
+
+
+def test_merge_block_not_a_list_is_invalid_input(tmp_path, capsys):
+    paths, _ = _write_city(tmp_path)
+    doc = json.loads(open(paths[1]).read())
+    doc["observations"] = 5
+    with open(paths[1], "w") as f:
+        json.dump(doc, f)
+    assert main(["merge", *paths]) == 2
+    assert "observations: expected a list" in capsys.readouterr().err
 
 
 def test_align_subcommand(tmp_path, capsys):
@@ -144,17 +146,22 @@ def test_config_overrides(tmp_path, capsys):
     paths, _ = _write_city(tmp_path)
     assert main(["align", paths[0], paths[1],
                  "--config", "max_iterations=50",
-                 "--config", "use_prosac=true"]) == 0
-    assert main(["align", paths[0], paths[1],
-                 "--config", "bogus_key=1"]) == 2
+                 "--config", "min_inliers=8",
+                 "--config", "angular_inlier_threshold=0.01"]) == 0
+    capsys.readouterr()
+    # The sample size and the confidence are constants, and the scores
+    # choose the sampler: none of them is a setting.
+    for override in ("bogus_key=1", "use_prosac=true", "sample_size=4", "confidence=0.99"):
+        assert main(["align", paths[0], paths[1], "--config", override]) == 2
+        assert f"unknown config key {override.split('=')[0]!r}" in capsys.readouterr().err
 
 
 def test_config_rejects_malformed_values(tmp_path, capsys):
     paths, _ = _write_city(tmp_path)
-    for override in ("use_prosac=maybe", "max_iterations=1.5", "confidence=high"):
+    for override in ("max_iterations=1.5", "angular_inlier_threshold=high"):
         assert main(["align", paths[0], paths[1], "--config", override]) == 2
         assert repr(override.split("=")[0]) in capsys.readouterr().err
-    assert main(["merge", *paths, "--config", "use_prosac=maybe"]) == 2
+    assert main(["merge", *paths, "--config", "min_inliers=ten"]) == 2
 
 
 def test_config_rejects_an_infinite_inlier_threshold(tmp_path, capsys):

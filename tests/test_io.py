@@ -7,7 +7,7 @@ import pytest
 
 import raypose.io
 from raypose import generate_city
-from raypose.errors import IntegrityError, ParseError
+from raypose.errors import IntegrityError, ParseError, RayposeError
 from raypose.geometry import Correspondences
 from raypose.io import (correspondences_to_json, load_correspondences,
                         load_reconstruction, parse_correspondences,
@@ -273,6 +273,17 @@ def _both_paths(monkeypatch, kind, text):
 def test_single_fault_raises_as_row_loop(monkeypatch, kind, path, value):
     columns, rows = _both_paths(monkeypatch, kind, _text(kind, path, value))
     assert isinstance(rows[0], type) and columns == rows
+
+
+@pytest.mark.parametrize("kind,path,value", FAULTS)
+def test_every_fault_raises_a_raypose_error(kind, path, value):
+    # A block that is not a list, or an int beyond the float range, used to
+    # escape as TypeError or OverflowError, which the CLI does not catch.
+    # The message starts with the faulty block's name.
+    parse = parse_reconstruction if kind == "r" else parse_correspondences
+    with pytest.raises(RayposeError) as err:
+        parse(_text(kind, path, value))
+    assert str(err.value).startswith(path[0])
 
 
 @pytest.mark.parametrize("edits,error", [

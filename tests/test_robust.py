@@ -34,13 +34,17 @@ def _concat(*sets, scores=None):
     return Correspondences(*(np.concatenate([getattr(c, f) for c in sets]) for f in fields), scores)
 
 
+def _unscored(c):
+    return Correspondences(c.origins, c.directions, c.points)
+
+
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         RobustConfig(angular_inlier_threshold=0.0)
-    with pytest.raises(InvalidInputError):
-        RobustConfig(confidence=1.0)
-    with pytest.raises(InvalidInputError):
-        RobustConfig(sample_size=3)
+    # The sample size and the confidence are constants, and the sampler
+    # follows the scores: none of them is a setting.
+    assert [f.name for f in dataclasses.fields(RobustConfig)] == [
+        "angular_inlier_threshold", "max_iterations", "min_inliers"]
 
 
 @pytest.mark.parametrize("threshold", [math.inf, 4.0, math.pi, math.nan, -0.1])
@@ -57,15 +61,25 @@ def test_config_rejects_max_iterations_below_one(max_iterations):
         RobustConfig(max_iterations=max_iterations)
 
 
-@pytest.mark.parametrize("use_prosac", [False, True])
-def test_huge_max_iterations_allocates_nothing_up_front(use_prosac):
+@pytest.mark.parametrize("field,value", [
+    ("max_iterations", 2.5), ("max_iterations", True), ("max_iterations", "50"),
+    ("min_inliers", 10.0), ("min_inliers", False), ("min_inliers", "10"),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    # A float count used to pass, and the loop died later on a TypeError.
+    with pytest.raises(InvalidInputError, match=field):
+        RobustConfig(**{field: value})
+
+
+@pytest.mark.parametrize("scored", [False, True])
+def test_huge_max_iterations_allocates_nothing_up_front(scored):
     # The sampling schedule used to be an array as long as max_iterations,
     # built before the first draw: at 10**13 that raised MemoryError.
+    # Scored rows take the progressive sampler, unscored ones the uniform.
     (corrs, truth), _ = _scene(seed=1)
-    scores = np.linspace(1.0, 0.0, len(corrs)) if use_prosac else None
+    scores = np.linspace(1.0, 0.0, len(corrs)) if scored else None
     data = Correspondences(corrs.origins, corrs.directions, corrs.points, scores)
-    config = RobustConfig(max_iterations=10**13, use_prosac=use_prosac)
-    result = ransac_gdls(data, config, seed=0)
+    result = ransac_gdls(data, RobustConfig(max_iterations=10**13), seed=0)
     assert result.success and result.iterations_run == 1
     assert len(result.inlier_indices) == len(corrs)
     assert result.transform.rotation.angle_deg_to(truth.rotation) < 1e-6
@@ -230,21 +244,21 @@ def _rays(n, scores=None):
 
 def test_prosac_order_properties():
     assert prosac_order(_rays(5, [0.5] * 5)).tolist() == [0, 1, 2, 3, 4]
-    assert prosac_order(_rays(5)).tolist() == [0, 1, 2, 3, 4]
+    assert prosac_order(_rays(5)) is None
     scores = [0.1, 0.9, 0.5, 1.0, 0.3]
     order = prosac_order(_rays(5, scores))
     assert [scores[i] for i in order] == sorted(scores, reverse=True)
-    # fallback when fewer than half carry scores
+    # unranked, and so sampled uniformly, when fewer than half carry scores
     mixed = [np.nan] * 4 + scores[:2]
-    assert prosac_order(_rays(6, mixed)).tolist() == list(range(6))
+    assert prosac_order(_rays(6, mixed)) is None
     # otherwise a missing score ranks as -1.0, after every real one
     assert prosac_order(_rays(5, [np.nan, 0.0, np.nan, 0.2, 0.1])).tolist() == [3, 4, 1, 0, 2]
 
 
 def test_prosac_beats_uniform_on_ranked_inliers():
     # With informative scores (inliers ranked first), PROSAC should find
-    # its first good model in no more iterations than uniform sampling,
-    # in the median over paired seeds.
+    # its first good model in no more iterations than uniform sampling of
+    # the same rows without their scores, in the median over paired seeds.
     wins = []
     for seed in range(30):
         rng = trial_rng(300 + seed, 0)
@@ -254,8 +268,8 @@ def test_prosac_beats_uniform_on_ranked_inliers():
         outliers = _outliers(rng, 20)
         scores += [float(rng.uniform(0.0, 0.3)) for _ in range(len(outliers))]
         data = _concat(noisy, outliers, scores=scores)
-        uni = ransac_gdls(data, RobustConfig(use_prosac=False), seed=seed)
-        pro = ransac_gdls(data, RobustConfig(use_prosac=True), seed=seed)
+        uni = ransac_gdls(_unscored(data), RobustConfig(), seed=seed)
+        pro = ransac_gdls(data, RobustConfig(), seed=seed)
         assert uni.success and pro.success
         wins.append(pro.iterations_run - uni.iterations_run)
     assert np.median(wins) <= 0
@@ -311,11 +325,12 @@ def _ranked_outlier_data(seed):
     return _concat(noisy, _outliers(rng, 24), scores=scores)
 
 
-@pytest.mark.parametrize("use_prosac", [False, True])
-def test_batch_size_does_not_change_the_result(monkeypatch, use_prosac):
-    config = RobustConfig(use_prosac=use_prosac)
+@pytest.mark.parametrize("scored", [False, True])
+def test_batch_size_does_not_change_the_result(monkeypatch, scored):
+    config = RobustConfig()
     for seed in range(3):
         data = _ranked_outlier_data(seed)
+        data = data if scored else _unscored(data)
         batched = ransac_gdls(data, config, seed=seed)
         with monkeypatch.context() as m:
             m.setattr(robust, "MAX_BATCH", 1)
