@@ -13,8 +13,7 @@ from .errors import (EmptySolutionError, IntegrityError, InvalidInputError,
 from .geometry import (Correspondences, DistributedCamera, Quaternion,
                        SimilarityTransform, alignment_from_pose,
                        apply_similarity, compose_similarity,
-                       invert_similarity, merge_distributed_cameras,
-                       quat_to_rotation)
+                       invert_similarity, merge_distributed_cameras)
 from .elimination import EliminationMatrices, build_elimination
 from .cost import QuarticCost, build_quartic_cost, direct_cost
 from .solver import (SolveReport, SolverCandidate, gdls_solve, recover_candidates,

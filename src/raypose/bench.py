@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (Correspondences, DistributedCamera, Quaternion,
-                       SimilarityTransform, _row_products, alignment_from_pose,
-                       apply_similarity, invert_similarity, quat_to_rotation,
-                       row_norms)
+                       SimilarityTransform, _integer, _row_products, alignment_from_pose,
+                       apply_similarity, invert_similarity, row_norms)
 from .robust import umeyama_align
 from .solver import gdls_solve
 
@@ -56,11 +55,9 @@ class SceneConfig:
     camera_cube_half_extent: float = 1.0
     scale_range: Tuple[float, float] = (0.1, 10.0)
     identity_transform: bool = False
-    seed: int = 0
 
     def __post_init__(self):
-        if self.n_correspondences < 4:
-            raise InvalidInputError("n_correspondences must be at least 4")
+        _integer(self.n_correspondences, "n_correspondences", 4)
 
 
 @dataclass(frozen=True)
@@ -97,16 +94,14 @@ def random_similarity(rng: np.random.Generator, config: SceneConfig) -> Similari
     return SimilarityTransform(Quaternion.from_rotation_matrix(R), t, s)
 
 
-def generate_scene(config: SceneConfig,
-                   rng: Optional[np.random.Generator] = None
+def generate_scene(config: SceneConfig, rng: np.random.Generator
                    ) -> Tuple[Correspondences, SimilarityTransform]:
-    """One synthetic trial: exact correspondences plus the ground truth.
+    """One synthetic trial drawn from ``rng``: exact correspondences plus
+    the ground truth.
 
     The returned pose ``(R, t, s)`` satisfies ``s*c_i + alpha_i*d_i =
     R*X_i + t`` exactly for every correspondence (before noise).
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     n = config.n_correspondences
     h = config.camera_cube_half_extent
     origins = rng.uniform(-h, h, (n, 3))
@@ -141,16 +136,15 @@ def _perturb_directions(d: np.ndarray, sigma: float, rng: np.random.Generator) -
     return d + e[:, :1] * u + e[:, 1:] * v
 
 
-def add_noise(correspondences: Correspondences, sigma_px: float, seed: int = 0,
-              rng: Optional[np.random.Generator] = None) -> Correspondences:
+def add_noise(correspondences: Correspondences, sigma_px: float,
+              rng: np.random.Generator) -> Correspondences:
     """Perturb each direction by N(0, (sigma/FOCAL_PX)^2) offsets along two
-    tangent directions, then renormalize.  sigma 0 returns the input."""
+    tangent directions drawn from ``rng``, then renormalize.  sigma 0
+    returns the input and draws nothing."""
     if sigma_px < 0:
         raise InvalidInputError("sigma_px must be nonnegative")
     if sigma_px == 0.0:
         return correspondences
-    if rng is None:
-        rng = np.random.default_rng(seed)
     c = correspondences
     dirs = _perturb_directions(c.directions, sigma_px / FOCAL_PX, rng)
     # The constructor renormalizes the directions.
@@ -181,7 +175,7 @@ def _trials(config: SceneConfig, sigma_px: float, seed: int, streams: Iterable[i
     for stream in streams:
         rng = trial_rng(seed, stream)
         scene, truth = generate_scene(config, rng)
-        yield rng, scene, truth, add_noise(scene, sigma_px, rng=rng)
+        yield rng, scene, truth, add_noise(scene, sigma_px, rng)
 
 
 def _gdls_errors(noisy: Correspondences, truth: SimilarityTransform) -> Tuple[np.ndarray, float]:
@@ -206,8 +200,8 @@ def run_stability(trials: int, seed: int = 0) -> StabilitySummary:
     """Noise-free minimal (n=4) identity-pose trials; errors should sit at
     numerical noise.  Reports the fractions below 1e-12/1e-9/1e-6 and a
     log10 histogram of the worst per-trial metric."""
-    if trials < 1:
-        raise InvalidInputError("trials must be positive")
+    _integer(trials, "trials", 1)
+    _integer(seed, "seed", 0)
     errors = np.empty(trials)
     runtimes = np.empty(trials)
     config = SceneConfig(identity_transform=True)
@@ -249,12 +243,12 @@ def _umeyama_estimate(rng: np.random.Generator, scene: Correspondences,
     own origin and from one more origin in the cube [-1, 1]^3, both rays
     carrying the same pixel noise.
     """
-    Rt = quat_to_rotation(truth.rotation)
+    Rt = truth.rotation_matrix()
     local_true = (_row_products(scene.points, Rt.T) + truth.translation) / truth.scale
     c2 = rng.uniform(-1.0, 1.0, (len(scene), 3))
     d2 = local_true - c2
     d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
-    extra = add_noise(Correspondences(c2, d2, scene.points), sigma_px, rng=rng)
+    extra = add_noise(Correspondences(c2, d2, scene.points), sigma_px, rng)
     local = _triangulate_midpoints(scene.origins, noisy.directions, c2, extra.directions)
     # The local->world alignment as pose fields: the map is its own inverse.
     return alignment_from_pose(umeyama_align(local, scene.points))
@@ -270,8 +264,8 @@ def run_noise_sweep(levels: Sequence[float] = tuple(range(11)),
     out of the rows so the data files stay byte-reproducible; the
     baseline's is not timed and reads 0).
     """
-    if trials_per_level < 1:
-        raise InvalidInputError("trials must be positive")
+    _integer(trials_per_level, "trials_per_level", 1)
+    _integer(seed, "seed", 0)
     rows = []
     runtimes = []
     config = SceneConfig(n_correspondences=_NOISE_SWEEP_N)
@@ -292,8 +286,8 @@ def run_scalability(n_values: Sequence[int] = (4, 10, 50, 100, 500, 1000),
                     trials: int = 1000,
                     seed: int = 0) -> Tuple[List[dict], Dict[int, float]]:
     """Mean errors and runtimes at 0.5 px as the correspondence count grows."""
-    if trials < 1:
-        raise InvalidInputError("trials must be positive")
+    _integer(trials, "trials", 1)
+    _integer(seed, "seed", 0)
     rows = []
     runtimes: Dict[int, float] = {}
     for n in n_values:
@@ -321,6 +315,9 @@ def generate_city(n_subsets: int, cameras_per_subset: int,
     world).  Every camera observes every point of its subset; direction
     noise follows the pixel model at ``FOCAL_PX``.
     """
+    _integer(n_subsets, "n_subsets", 1)
+    _integer(cameras_per_subset, "cameras_per_subset", 1)
+    _integer(seed, "seed", 0)
     if not (0.0 < overlap_fraction < 1.0):
         raise InvalidInputError("overlap_fraction must be in (0, 1)")
     n_shared = int(round(overlap_fraction * _CITY_POINTS))
@@ -328,11 +325,9 @@ def generate_city(n_subsets: int, cameras_per_subset: int,
         raise InvalidInputError(
             f"overlap_fraction {overlap_fraction} with {_CITY_POINTS} points "
             f"yields {n_shared} shared points (< 4)")
-    if n_subsets < 1 or cameras_per_subset < 1:
-        raise InvalidInputError("n_subsets and cameras_per_subset must be positive")
     if n_subsets > 1 and n_shared * (2 if n_subsets > 2 else 1) > _CITY_POINTS:
         raise InvalidInputError(f"overlap_fraction too large for {_CITY_POINTS} points")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    rng = trial_rng(seed, 0)
     cfg = SceneConfig()   # reuse the scale range for the subset frames
 
     # Global points along the x axis, n_shared of each subset's points

@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence
 
 from .errors import RayposeError, InvalidInputError, EmptySolutionError, RankDeficiencyError
 from .geometry import SimilarityTransform, alignment_from_pose
-from .io import (load_correspondences, load_reconstruction,
-                 reconstruction_to_json, save_reconstruction)
+from .io import load_correspondences, load_reconstruction, reconstruction_to_json
 from .pipeline import DEFAULT_GROUP_SIZE, hierarchical_merge, localize
 from .robust import RobustConfig
 from .solver import gdls_solve
@@ -117,10 +116,7 @@ def _cmd_merge(args) -> int:
     report = hierarchical_merge(cameras, config,
                                 max_group_size=args.max_group_size,
                                 seed=args.seed, threads=args.threads)
-    if args.out:
-        save_reconstruction(report.final_camera, args.out)
-    else:
-        sys.stdout.write(reconstruction_to_json(report.final_camera))
+    _emit(reconstruction_to_json(report.final_camera), args.out)
     report_doc = {
         "n_inputs": len(cameras),
         "n_levels": len(report.levels),
@@ -131,9 +127,7 @@ def _cmd_merge(args) -> int:
     }
     report_path = args.report or (args.out + ".report.json" if args.out else None)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as f:
-            json.dump(report_doc, f, indent=1, sort_keys=True)
-            f.write("\n")
+        _emit(json.dumps(report_doc, indent=1, sort_keys=True) + "\n", report_path)
     if report.failed_members:
         print(f"{len(report.failed_members)} member(s) failed to localize",
               file=sys.stderr)
@@ -157,8 +151,7 @@ def _cmd_bench(args) -> int:
     for line in timing_lines:
         print(line, file=sys.stderr)
     if args.timings:
-        with open(args.timings, "w", encoding="utf-8") as f:
-            f.write("\n".join(timing_lines) + "\n")
+        _emit("\n".join(timing_lines) + "\n", args.timings)
     return EXIT_OK
 
 

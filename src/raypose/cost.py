@@ -40,10 +40,8 @@ MONOMIAL_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3),
                   (1, 1), (1, 2), (1, 3),
                   (2, 2), (2, 3), (3, 3))
 
-# Selector with m(q) . SQ_NORM = q^T q.
-SQ_NORM = np.zeros(10)
+# Columns of the squares q_a^2 in m(q); they sum to q^T q.
 _SQ_COLUMNS = [0, 4, 7, 9]
-SQ_NORM[_SQ_COLUMNS] = 1.0
 
 
 def _rotation_coefficients() -> np.ndarray:

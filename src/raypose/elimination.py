@@ -162,7 +162,7 @@ def _raise_rank_deficiency(c, K, fix_scale):
     if not fix_scale:
         # If freezing the scale restores full rank, say so.
         spread = np.max(np.linalg.norm(c - c[0], axis=1))
-        if spread < 1e-9 * max(1.0, np.max(np.abs(c))) or spread == 0.0:
+        if spread < 1e-9 * max(1.0, np.max(np.abs(c))):
             raise RankDeficiencyError(
                 "scale column of the constraint matrix is dependent "
                 "(all ray origins coincide); re-pose with fix_scale=True",

@@ -57,13 +57,6 @@ class Quaternion:
         return Quaternion(1.0, 0.0, 0.0, 0.0)
 
     @staticmethod
-    def from_array(a) -> "Quaternion":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise InvalidInputError(f"quaternion array must have shape (4,), got {a.shape}")
-        return Quaternion(a[0], a[1], a[2], a[3])
-
-    @staticmethod
     def _of_unit_row(a: np.ndarray) -> "Quaternion":
         """The quaternion of a row that ``_unit_quaternions`` already made
         unit and sign-canonical, kept bit for bit: normalizing it again
@@ -118,7 +111,7 @@ class Quaternion:
                                      (other.w, other.x, other.y, other.z)))
 
     def rotation_matrix(self) -> np.ndarray:
-        return quat_to_rotation(self)
+        return _rotations(self.array)
 
     def angle_deg_to(self, other: "Quaternion") -> float:
         """Geodesic rotation angle between the two rotations, in degrees.
@@ -142,18 +135,6 @@ def _hamilton(a, b):
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
-
-
-def quat_to_rotation(q) -> np.ndarray:
-    """Rotation matrix of a quaternion (Quaternion or length-4 array-like).
-
-    An array-like is taken through :meth:`Quaternion.from_array`, so it is
-    checked and normalized there; the map is even in q, so q and -q
-    produce identical matrices.
-    """
-    if not isinstance(q, Quaternion):
-        q = Quaternion.from_array(q)
-    return _rotations(q.array)
 
 
 def _rotations(q: np.ndarray) -> np.ndarray:
@@ -195,9 +176,6 @@ class SimilarityTransform:
 
     def rotation_matrix(self) -> np.ndarray:
         return self.rotation.rotation_matrix()
-
-    def apply(self, p) -> np.ndarray:
-        return apply_similarity(self, p)
 
 
 def apply_similarity(T: SimilarityTransform, p) -> np.ndarray:
@@ -293,6 +271,13 @@ def _ids(ids, what: str) -> np.ndarray:
     except TypeError:
         pass
     raise InvalidInputError(f"{what} ids must be hashable and distinct")
+
+
+def _integer(value, name: str, minimum: int) -> None:
+    """Raise unless value is a Python or numpy integer, not a bool, >= minimum."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum):
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _block(a, shape: tuple, what: str) -> np.ndarray:

@@ -28,8 +28,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import IntegrityError, InvalidInputError, ParseError
-from .geometry import Correspondences, DistributedCamera, row_norms
+from .errors import IntegrityError, ParseError
+from .geometry import _SIGN_EPS, Correspondences, DistributedCamera, row_norms
 
 FORMAT_VERSION = 1
 
@@ -117,7 +117,7 @@ def parse_reconstruction(text: str) -> Tuple[DistributedCamera, List[str]]:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object", location="root")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:   # true == 1 in Python
         raise ParseError(f"unsupported version {version!r}", location="version")
 
     # Each block is checked by column; its row loop runs only to name a fault.
@@ -171,11 +171,13 @@ def parse_reconstruction(text: str) -> Tuple[DistributedCamera, List[str]]:
     directions, norms = _directions(directions, "observations")
     warnings = [f"observations[{i}]: direction norm {norms[i]:.12g} renormalized"
                 for i in np.flatnonzero(np.abs(norms - 1.0) > 1e-9)]
-    try:
-        camera = DistributedCamera(obs_camera, obs_point, directions, list(camera_rows),
-                                   centers, orientations, list(point_rows), points)
-    except InvalidInputError as e:
-        raise IntegrityError(str(e)) from e
+    # The constructor would reject a zero orientation without naming its row.
+    orientations = np.asarray(orientations, dtype=float).reshape(-1, 4)
+    zero = np.flatnonzero(row_norms(orientations)[:, 0] < _SIGN_EPS)
+    if zero.size:
+        raise ParseError("all-zero quaternion", location=f"cameras[{zero[0]}].orientation")
+    camera = DistributedCamera(obs_camera, obs_point, directions, list(camera_rows),
+                               centers, orientations, list(point_rows), points)
     return camera, warnings
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (Correspondences, DistributedCamera,
-                       SimilarityTransform, alignment_from_pose,
+                       SimilarityTransform, _integer, alignment_from_pose,
                        compose_similarity, merge_distributed_cameras)
 from .robust import SAMPLE_SIZE, RobustConfig, RobustResult, ransac_gdls
 
@@ -69,7 +69,7 @@ def build_match_graph(cameras: Sequence[DistributedCamera]) -> np.ndarray:
     B[np.repeat(np.arange(len(cameras)), counts), cols] = 1.0
     W = B @ B.T
     np.fill_diagonal(W, 0.0)
-    W[W < 4] = 0.0
+    W[W < SAMPLE_SIZE] = 0.0
     return W
 
 
@@ -139,12 +139,11 @@ def partition(W: np.ndarray, max_size: int) -> List[List[int]]:
     return out
 
 
-def select_base(group: Sequence[DistributedCamera], ids: Optional[Sequence[int]] = None) -> int:
-    """Id of the group member with the most 3D points; ties by smallest id."""
+def select_base(group: Sequence[DistributedCamera], ids: Sequence[int]) -> int:
+    """Id (from ``ids``, one per member) of the group member with the most
+    3D points; ties by smallest id."""
     if not group:
         raise InvalidInputError("select_base requires a nonempty group")
-    if ids is None:
-        ids = list(range(len(group)))
     best = min(zip(group, ids), key=lambda ci: (-ci[0].n_points, ci[1]))
     return best[1]
 
@@ -172,6 +171,7 @@ def localize(
     ``alignment_from_pose`` to map other's local frame into base's frame.
     Success additionally requires inlier_ratio ≥ 0.3.
     """
+    _integer(seed, "seed", 0)
     corrs = shared_correspondences(base, other)
     if len(corrs) < SAMPLE_SIZE:
         return RobustResult(False, None, np.array([], dtype=int), 0, 0.0,
@@ -215,17 +215,20 @@ def hierarchical_merge(
 ) -> MergeReport:
     """Merge distributed cameras level by level until one remains.
 
-    Input cameras are identified by their list index.  Members that fail
-    to localize are carried to the next level and retried once before
-    being marked failed; cameras left disconnected at the fixpoint are
-    failed with a diagnostic.  Groups within a level are independent and
-    evaluated by ``threads`` worker threads when it is > 1; the result is a
-    pure function of (input, seed) either way.
+    Input cameras are identified by their list index.  Each level's groups
+    hold at most ``max_group_size`` cameras, at least 2: a group of one
+    merges nothing.  Members that fail to localize are carried to the next
+    level and retried once before being marked failed; cameras left
+    disconnected at the fixpoint are failed with a diagnostic.  Groups
+    within a level are independent and evaluated by ``threads`` worker
+    threads when it is > 1; the result is a pure function of (input, seed)
+    either way.
     """
     if not cameras:
         raise InvalidInputError("hierarchical_merge requires at least one camera")
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise InvalidInputError(f"threads must be an integer >= 1, got {threads!r}")
+    _integer(max_group_size, "max_group_size", 2)
+    _integer(seed, "seed", 0)
+    _integer(threads, "threads", 1)
     cams = _namespace_all(cameras)
     entries = [_Entry(i, cam, {i: SimilarityTransform.identity()}) for i, cam in enumerate(cams)]
     levels: List[LevelRecord] = []

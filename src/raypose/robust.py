@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (EmptySolutionError, InvalidInputError, RankDeficiencyError,
                      RayposeError)
-from .geometry import Correspondences, Quaternion, SimilarityTransform
+from .geometry import Correspondences, Quaternion, SimilarityTransform, _integer
 from .solver import SolveReport, gdls_solve, solve_batch
 
 # Largest number of minimal samples solved together.
@@ -60,12 +60,13 @@ class RobustConfig:
     def __post_init__(self):
         # An angle from arccos lies in [0, pi], so a threshold of pi or more
         # (or inf) would call every correspondence an inlier.
-        if not 0.0 < self.angular_inlier_threshold < math.pi:
-            raise InvalidInputError("angular_inlier_threshold must be in (0, pi) radians")
-        for name in ("max_iterations", "min_inliers"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
+        threshold = self.angular_inlier_threshold
+        if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+                or not 0.0 < threshold < math.pi):
+            raise InvalidInputError("angular_inlier_threshold must be a number in (0, pi) "
+                                    f"radians, got {threshold!r}")
+        _integer(self.max_iterations, "max_iterations", 1)
+        _integer(self.min_inliers, "min_inliers", 1)
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,7 @@ def ransac_gdls(
     re-estimated on all inliers with a single non-minimal solve and the
     returned inlier set is re-scored under that final transform.
     """
+    _integer(seed, "seed", 0)
     n = len(correspondences)
     if n < SAMPLE_SIZE:
         raise InvalidInputError(f"need at least {SAMPLE_SIZE} correspondences, got {n}")
@@ -193,15 +195,14 @@ def ransac_gdls(
                 best_count = count
                 best_mean = mean_err
                 best_transform, best_angles = report.best.transform, angles
-                # Adaptive termination from the inlier ratio.
-                w = count / n
-                if w > 0:
-                    p_good = w ** SAMPLE_SIZE
-                    if p_good >= 1.0:
-                        needed = 1
-                    else:
-                        needed = math.log(1.0 - CONFIDENCE) / math.log(1.0 - p_good)
-                    max_iter = min(config.max_iterations, max(t, int(math.ceil(needed))))
+                # Adaptive termination from the inlier ratio, which is > 0:
+                # a better hypothesis has at least one inlier.
+                p_good = (count / n) ** SAMPLE_SIZE
+                if p_good >= 1.0:
+                    needed = 1
+                else:
+                    needed = math.log(1.0 - CONFIDENCE) / math.log(1.0 - p_good)
+                max_iter = min(config.max_iterations, max(t, int(math.ceil(needed))))
     counts = dict(samples_solved=solved, samples_rank_deficient=deficient, samples_empty=empty)
     _log.debug("ransac_gdls stopped after %d samples (%d solved, %d rank deficient, %d empty); "
                "best hypothesis had %d inliers", t, solved, deficient, empty, best_count,

@@ -56,7 +56,7 @@ def test_criterion_2_oracle_equivalence():
     for seed in range(100):
         rng = trial_rng(1000 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=6), rng)
-        noisy = add_noise(corrs, 0.5, rng=rng)
+        noisy = add_noise(corrs, 0.5, rng)
         elim = build_elimination(noisy)
         cost = build_quartic_cost(elim)
         best = min(float(cost.evaluate(q)) for q in solve_stationary([cost])[0].q)
@@ -73,7 +73,7 @@ def test_criterion_3_gradient_and_normal_equations():
     for case in range(1000):
         rng = trial_rng(2000 + case // 10, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=5), rng)
-        noisy = add_noise(corrs, 0.5, rng=rng)
+        noisy = add_noise(corrs, 0.5, rng)
         cost = build_quartic_cost(build_elimination(noisy))
         q = np.random.default_rng(case).normal(size=4)
         g = cost.gradient(q)
@@ -89,7 +89,7 @@ def test_criterion_3_gradient_and_normal_equations():
     for case in range(1000):
         rng = trial_rng(3000 + case, 0)
         corrs, truth = generate_scene(SceneConfig(n_correspondences=6), rng)
-        noisy = add_noise(corrs, 0.5, rng=rng)
+        noisy = add_noise(corrs, 0.5, rng)
         elim = build_elimination(noisy)
         R = truth.rotation_matrix()
         alpha, s, t = elim.solve_linear(R)

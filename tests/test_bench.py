@@ -11,7 +11,7 @@ import pytest
 import raypose
 from raypose import (InvalidInputError, Quaternion, SimilarityTransform,
                      add_noise, generate_city, generate_scene, pose_errors,
-                     quat_to_rotation, rows_to_csv, run_noise_sweep,
+                     rows_to_csv, run_noise_sweep,
                      run_scalability, run_stability)
 from raypose.bench import (CSV_HEADER, SceneConfig, _perturb_directions,
                            random_similarity, trial_rng)
@@ -20,16 +20,16 @@ from raypose.geometry import (DistributedCamera, apply_similarity, invert_simila
 
 
 def test_scene_determinism():
-    cfg = SceneConfig(n_correspondences=8, seed=42)
-    a, ta = generate_scene(cfg)
-    b, tb = generate_scene(cfg)
+    cfg = SceneConfig(n_correspondences=8)
+    a, ta = generate_scene(cfg, np.random.default_rng(42))
+    b, tb = generate_scene(cfg, np.random.default_rng(42))
     assert np.array_equal(ta.translation, tb.translation)
     for field in ("origins", "directions", "points"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_scene_satisfies_constraint_exactly():
-    corrs, truth = generate_scene(SceneConfig(n_correspondences=10, seed=1))
+    corrs, truth = generate_scene(SceneConfig(n_correspondences=10), np.random.default_rng(1))
     R = truth.rotation_matrix()
     for c, d, X in zip(corrs.origins, corrs.directions, corrs.points):
         v = R @ X + truth.translation - truth.scale * c
@@ -39,8 +39,8 @@ def test_scene_satisfies_constraint_exactly():
 
 
 def test_scene_geometry_ranges():
-    corrs, _ = generate_scene(SceneConfig(n_correspondences=200, seed=2,
-                                          identity_transform=True))
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=200, identity_transform=True),
+                              np.random.default_rng(2))
     origins, pts = corrs.origins, corrs.points
     assert np.all(np.abs(origins) <= 1.0)
     assert np.all(np.abs(pts[:, :2]) <= 1.0)
@@ -64,15 +64,15 @@ def test_transform_ranges():
 
 
 def test_add_noise_zero_sigma_identity():
-    corrs, _ = generate_scene(SceneConfig(n_correspondences=5, seed=4))
-    same = add_noise(corrs, 0.0, seed=1)
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=5), np.random.default_rng(4))
+    same = add_noise(corrs, 0.0, np.random.default_rng(1))
     assert np.array_equal(corrs.directions, same.directions)
 
 
 def test_add_noise_determinism():
-    corrs, _ = generate_scene(SceneConfig(n_correspondences=5, seed=5))
-    a = add_noise(corrs, 1.0, seed=7)
-    b = add_noise(corrs, 1.0, seed=7)
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=5), np.random.default_rng(5))
+    a = add_noise(corrs, 1.0, np.random.default_rng(7))
+    b = add_noise(corrs, 1.0, np.random.default_rng(7))
     assert np.array_equal(a.directions, b.directions)
 
 
@@ -82,7 +82,7 @@ def test_add_noise_matches_per_row_reference(sigma_px):
     # The loop the vectorized noise replaced: same draws, same bits.  At
     # 0.01 px most perturbed directions are within the 1e-9 unit
     # tolerance and are kept unnormalized.
-    corrs, _ = generate_scene(SceneConfig(n_correspondences=200, seed=9))
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=200), np.random.default_rng(9))
     rng = np.random.default_rng(3)
     expect = []
     for d in corrs.directions:
@@ -94,22 +94,22 @@ def test_add_noise_matches_per_row_reference(sigma_px):
         p = d + e1 * u + e2 * v
         norm = np.linalg.norm(p)
         expect.append(p / norm if abs(norm - 1.0) > 1e-9 else p)
-    noisy = add_noise(corrs, sigma_px, seed=3)
+    noisy = add_noise(corrs, sigma_px, np.random.default_rng(3))
     assert np.array_equal(noisy.directions, expect)
 
 
 def test_add_noise_mean_angle():
     # mean angular perturbation of the stated model is sqrt(pi/2)*sigma/f
-    corrs, _ = generate_scene(SceneConfig(n_correspondences=4, seed=6))
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=4), np.random.default_rng(6))
     big = corrs.subset(np.arange(100_000) % 4)
-    noisy = add_noise(big, 1.0, seed=8)
+    noisy = add_noise(big, 1.0, np.random.default_rng(8))
     angles = np.arccos(np.clip(np.sum(big.directions * noisy.directions, axis=1), -1, 1))
     expect = math.sqrt(math.pi / 2.0) / 800.0
     assert abs(np.mean(angles) - expect) / expect < 0.05
 
 
 def test_error_metrics_identity_pair_zero():
-    T = SimilarityTransform(Quaternion.from_array([0.4, 0.3, -0.2, 0.6]),
+    T = SimilarityTransform(Quaternion(*[0.4, 0.3, -0.2, 0.6]),
                             np.array([1.0, 2.0, 3.0]), 2.5)
     r = pose_errors(T, T)
     assert r.rotation_error_deg == 0.0
@@ -164,6 +164,28 @@ def test_sweeps_reject_nonpositive_trials(trials):
         run_noise_sweep(levels=(0,), trials_per_level=trials)
     with pytest.raises(InvalidInputError):
         run_scalability(n_values=(4,), trials=trials)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: run_stability(2.5), "trials"),
+    (lambda: run_stability(1, seed=-1), "seed"),
+    (lambda: run_noise_sweep(levels=(0,), trials_per_level=1.5), "trials_per_level"),
+    (lambda: run_noise_sweep(levels=(0,), trials_per_level=1, seed=-2), "seed"),
+    (lambda: run_scalability(n_values=(4,), trials=1.5), "trials"),
+    (lambda: run_scalability(n_values=(4,), trials=1, seed=-3), "seed"),
+    (lambda: generate_city(2.0, 2, 0.3, 0.0, seed=0), "n_subsets"),
+    (lambda: generate_city(2, 2.0, 0.3, 0.0, seed=0), "cameras_per_subset"),
+    (lambda: generate_city(2, 2, 0.3, 0.0, seed=-1), "seed"),
+    (lambda: SceneConfig(n_correspondences=4.5), "n_correspondences"),
+    (lambda: SceneConfig(n_correspondences=True), "n_correspondences"),
+], ids=["stability-trials", "stability-seed", "noise-trials", "noise-seed",
+        "scalability-trials", "scalability-seed", "city-subsets", "city-cameras", "city-seed",
+        "scene-float", "scene-bool"])
+def test_counts_and_seeds_must_be_integers(call, name):
+    # Floats died later with TypeError, or were accepted; a negative seed
+    # reached numpy, which raised a bare ValueError.
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an integer >= "):
+        call()
 
 
 def test_generate_city_validation():

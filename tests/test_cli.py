@@ -27,7 +27,7 @@ def _write_city(tmp_path, n=2, cams=3, noise=0.0, seed=1):
 
 
 def test_solve_subcommand(tmp_path, capsys):
-    corrs, truth = generate_scene(SceneConfig(n_correspondences=6, seed=2))
+    corrs, truth = generate_scene(SceneConfig(n_correspondences=6), np.random.default_rng(2))
     path = tmp_path / "c.json"
     save_correspondences(corrs, str(path))
     assert main(["solve", "--input", str(path)]) == 0
@@ -77,6 +77,20 @@ def test_malformed_thread_count(tmp_path, capsys):
     assert main(["merge", *paths, "--threads", "0"]) == 2
     assert "threads must be an integer >= 1" in capsys.readouterr().err
     assert main(["merge", *paths, "--threads", "two"]) == 2
+
+
+def test_group_size_below_two_is_invalid_input(tmp_path, capsys):
+    # Groups of one merged nothing, and the merge exited 1 with every
+    # member "disconnected from the final reconstruction".
+    paths, _ = _write_city(tmp_path)
+    assert main(["merge", *paths, "--max-group-size", "1"]) == 2
+    assert "max_group_size must be an integer >= 2" in capsys.readouterr().err
+
+
+def test_negative_seed_is_invalid_input(capsys):
+    # numpy's own message used to reach the user without naming the seed.
+    assert main(["stability", "--trials", "1", "--seed", "-1"]) == 2
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_merge_block_not_a_list_is_invalid_input(tmp_path, capsys):
@@ -177,7 +191,7 @@ def test_config_rejects_min_inliers_below_one(tmp_path, capsys):
 
 
 def test_config_only_on_robust_commands(tmp_path):
-    corrs, _ = generate_scene(SceneConfig(n_correspondences=6, seed=2))
+    corrs, _ = generate_scene(SceneConfig(n_correspondences=6), np.random.default_rng(2))
     path = tmp_path / "c.json"
     save_correspondences(corrs, str(path))
     override = ["--config", "max_iterations=5"]

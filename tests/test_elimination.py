@@ -5,7 +5,7 @@ from raypose import (Correspondences, InvalidInputError, RankDeficiencyError,
                      build_elimination)
 from raypose.elimination import stack_eliminations
 from raypose.bench import SceneConfig, generate_scene, trial_rng
-from raypose.geometry import quat_to_rotation
+from raypose.geometry import Quaternion
 
 from dense_oracle import dense_solution, rhs, stack_A
 
@@ -17,7 +17,7 @@ def _scene(n=6, seed=0, identity=False):
 
 def _rotations(seed, count=5):
     q = np.random.default_rng(seed).normal(size=(count, 4))
-    return [quat_to_rotation(qi / np.linalg.norm(qi)) for qi in q]
+    return [Quaternion(*(qi / np.linalg.norm(qi))).rotation_matrix() for qi in q]
 
 
 def _assert_matches_dense(elim, R, solution):

@@ -5,12 +5,12 @@ from raypose import (Correspondences, DistributedCamera, InvalidInputError,
                      Quaternion, SimilarityTransform,
                      alignment_from_pose, apply_similarity,
                      compose_similarity, invert_similarity,
-                     merge_distributed_cameras, quat_to_rotation)
+                     merge_distributed_cameras)
 from raypose.geometry import _rotations, _unit_quaternions
 
 
 def random_transform(rng):
-    q = Quaternion.from_array(rng.normal(size=4))
+    q = Quaternion(*rng.normal(size=4))
     return SimilarityTransform(q, rng.normal(size=3), float(rng.uniform(0.2, 5.0)))
 
 
@@ -34,18 +34,18 @@ def test_quaternion_normalized_and_sign_canonical():
     assert stacked[4, 1] < 0.0 and stacked[5, 0] < 0.0 < stacked[5, 1]   # the 0.4 decides: kept
 
 
-def test_stacked_rotations_match_quat_to_rotation_bit_for_bit():
-    quats = [Quaternion.from_array(r) for r in np.random.default_rng(9).normal(size=(200, 4))]
+def test_stacked_rotations_match_rotation_matrix_bit_for_bit():
+    quats = [Quaternion(*r) for r in np.random.default_rng(9).normal(size=(200, 4))]
     R = _rotations(np.array([q.array for q in quats]))
     assert R.shape == (200, 3, 3) and R.flags.c_contiguous
     for q, Ri in zip(quats, R):
-        assert quat_to_rotation(q).tobytes() == Ri.tobytes()
+        assert q.rotation_matrix().tobytes() == Ri.tobytes()
 
 
 def test_quaternion_matrix_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        q = Quaternion.from_array(rng.normal(size=4))
+        q = Quaternion(*rng.normal(size=4))
         R = q.rotation_matrix()
         assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
         assert np.isclose(np.linalg.det(R), 1.0)
@@ -53,9 +53,9 @@ def test_quaternion_matrix_roundtrip():
         assert np.allclose(q.array, q2.array, atol=1e-12)
 
 
-def test_quat_to_rotation_even_in_sign():
+def test_rotation_matrix_even_in_sign():
     a = np.array([0.3, -0.5, 0.2, 0.7])
-    assert np.allclose(quat_to_rotation(a), quat_to_rotation(-a))
+    assert np.allclose(Quaternion(*a).rotation_matrix(), Quaternion(*-a).rotation_matrix())
 
 
 def test_angle_deg_to_resolves_small_turns():
@@ -65,7 +65,7 @@ def test_angle_deg_to_resolves_small_turns():
     assert np.isclose(Quaternion(0.0, 1.0, 0.0, 0.0).angle_deg_to(Quaternion.identity()), 180.0)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        a, b = (Quaternion.from_array(rng.normal(size=4)) for _ in range(2))
+        a, b = (Quaternion(*rng.normal(size=4)) for _ in range(2))
         Rab = a.rotation_matrix() @ b.rotation_matrix().T
         expect = np.degrees(np.arccos(np.clip((np.trace(Rab) - 1.0) / 2.0, -1.0, 1.0)))
         assert np.isclose(a.angle_deg_to(b), expect, atol=1e-6)
@@ -74,8 +74,8 @@ def test_angle_deg_to_resolves_small_turns():
 
 def test_quaternion_product_matches_matrix_product():
     rng = np.random.default_rng(1)
-    q1 = Quaternion.from_array(rng.normal(size=4))
-    q2 = Quaternion.from_array(rng.normal(size=4))
+    q1 = Quaternion(*rng.normal(size=4))
+    q2 = Quaternion(*rng.normal(size=4))
     assert np.allclose((q1 * q2).rotation_matrix(),
                        q1.rotation_matrix() @ q2.rotation_matrix(), atol=1e-12)
 
@@ -239,7 +239,7 @@ def test_merge_keeps_base_coordinates_for_shared_points():
     assert merged.points[merged.point_rows([0])[0]].tolist() == [0.0, 0.0, 3.0]
     assert merged.camera_ids.tolist() == ["a", "b"]
     # other's camera center moved by the similarity
-    assert np.allclose(merged.centers[1], T.apply(np.zeros(3)))
+    assert np.allclose(merged.centers[1], apply_similarity(T, np.zeros(3)))
 
 
 def test_merge_leaves_base_unchanged_and_keeps_row_order():
@@ -260,15 +260,16 @@ def test_merge_leaves_base_unchanged_and_keeps_row_order():
     assert merged.point_ids.tolist() == [10, 11, 12, 13, 14]
     assert np.array_equal(merged.points[:3], base.points)
     # new points, centers and directions round exactly as a per-row loop would
-    assert np.array_equal(merged.points[3:], [T.apply(other.points[0]), T.apply(other.points[2])])
+    assert np.array_equal(merged.points[3:], [apply_similarity(T, other.points[0]),
+                                              apply_similarity(T, other.points[2])])
     assert merged.obs_camera.tolist() == [0, 1, 1, 2, 2, 2, 2]
     assert merged.point_ids[merged.obs_point].tolist() == [12, 10, 11, 13, 11, 14, 11]
     R = T.rotation_matrix()
     assert np.array_equal(merged.directions[:n_base], base.directions)
     assert np.array_equal(merged.directions[n_base:], [R @ d for d in other.directions])
-    assert np.array_equal(merged.centers[2], T.apply(other.centers[0]))
+    assert np.array_equal(merged.centers[2], apply_similarity(T, other.centers[0]))
     assert np.array_equal(merged.orientations[2],
-                          (T.rotation * Quaternion.from_array(other.orientations[0])).array)
+                          (T.rotation * Quaternion(*other.orientations[0])).array)
 
 
 def test_merge_rejects_camera_id_collision():

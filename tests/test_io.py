@@ -53,6 +53,11 @@ def test_parse_error_carries_location():
     assert "points[0]" in str(err.value)
     with pytest.raises(ParseError):
         parse_reconstruction("{not json")
+    # A zero orientation was an IntegrityError with no location.
+    doc = _edited(RECONSTRUCTION, ("cameras", 1, "orientation"), [0, 0, 0, 0])
+    with pytest.raises(ParseError) as err:
+        parse_reconstruction(doc)
+    assert err.value.location == "cameras[1].orientation"
 
 
 @pytest.mark.parametrize("block,field", [("cameras", "id"), ("points", "id"),
@@ -78,8 +83,10 @@ def test_duplicate_id_names_offender(block, extra):
 
 
 def test_version_checked():
-    with pytest.raises(ParseError):
-        parse_reconstruction(json.dumps(dict(MINIMAL, version=2)))
+    # true and 1.0 compare equal to 1 in Python and used to be read as version 1.
+    for version in (2, True, 1.0, "1", None):
+        with pytest.raises(ParseError, match="version"):
+            parse_reconstruction(json.dumps(dict(MINIMAL, version=version)))
 
 
 def test_near_unit_direction_warns_and_renormalizes():
@@ -238,6 +245,8 @@ FAULTS = [
     ("c", ("correspondences", 1, "score"), 1.5), ("c", ("correspondences", 1, "score"), -0.25),
     ("c", ("correspondences", 1, "score"), True), ("c", ("correspondences", 1, "score"), "0.5"),
     ("c", ("correspondences", 1, "score"), math.nan), ("c", ("correspondences", 1, "score"), [0.5]),
+    # a zero orientation
+    ("r", ("cameras", 1, "orientation"), [0, 0, 0.0, 0]),
 ]
 
 
@@ -292,6 +301,9 @@ def test_every_fault_raises_a_raypose_error(kind, path, value):
       (("observations", 0, "direction"), [0, 0, 2.0])], IntegrityError),
     ([(("cameras", 0, "center"), [math.nan, 0, 0]), (("cameras", 1, "center"), [10 ** 400, 0, 0])],
      ParseError),
+    # a zero orientation is checked after the observations
+    ([(("cameras", 0, "orientation"), [0, 0, 0, 0]), (("observations", 1, "camera_id"), "ghost")],
+     IntegrityError),
 ])
 def test_first_fault_in_row_order_is_named(monkeypatch, edits, error):
     doc = RECONSTRUCTION

@@ -116,10 +116,10 @@ def test_select_base():
     cams = [_camera_with_points(range(10), "a"),
             _camera_with_points(range(50), "b"),
             _camera_with_points(range(20), "c")]
-    assert select_base(cams) == 1
+    assert select_base(cams, [0, 1, 2]) == 1
     equal = [_camera_with_points(range(5), c) for c in "abc"]
-    assert select_base(equal) == 0
-    assert select_base(equal, ids=[7, 3, 9]) == 3
+    assert select_base(equal, [0, 1, 2]) == 0
+    assert select_base(equal, [7, 3, 9]) == 3
 
 
 def test_localize_constructed_similarity():
@@ -214,6 +214,30 @@ def test_thread_count_must_be_a_positive_integer():
         with pytest.raises(InvalidInputError, match="threads"):
             hierarchical_merge(cams, threads=threads)
     assert not hierarchical_merge(cams, threads=2).failed_members
+
+
+def test_group_size_below_two_is_invalid_input():
+    # Groups of one merged nothing, and every member was then reported as
+    # disconnected from the final reconstruction.
+    cams, _ = generate_city(2, 3, 0.3, 0.0, seed=1)
+    for size in (1, 0, True, 2.0, "3", None):
+        with pytest.raises(InvalidInputError, match="max_group_size must be an integer >= 2"):
+            hierarchical_merge(cams, max_group_size=size)
+    assert not hierarchical_merge(cams, max_group_size=np.int64(2)).failed_members
+
+
+def test_seed_must_be_a_nonnegative_integer():
+    # A negative seed reached numpy, which raised a bare ValueError.
+    cams, _ = generate_city(2, 3, 0.3, 0.0, seed=1)
+    for seed in (-1, 1.0, True, None):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            localize(cams[0], cams[1], seed=seed)
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            hierarchical_merge(cams, seed=seed)
+    a = hierarchical_merge(cams, seed=np.int64(3))
+    b = hierarchical_merge(cams, seed=3)
+    assert {k: t.translation.tobytes() for k, t in a.transform_log.items()} == \
+        {k: t.translation.tobytes() for k, t in b.transform_log.items()}
 
 
 def test_frame_coherence():

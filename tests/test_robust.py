@@ -47,10 +47,12 @@ def test_config_validation():
         "angular_inlier_threshold", "max_iterations", "min_inliers"]
 
 
-@pytest.mark.parametrize("threshold", [math.inf, 4.0, math.pi, math.nan, -0.1])
+@pytest.mark.parametrize("threshold", [math.inf, 4.0, math.pi, math.nan, -0.1,
+                                       "0.1", True, None, [0.1]])
 def test_config_rejects_thresholds_outside_zero_to_pi(threshold):
     # An angle from arccos never exceeds pi: a larger threshold calls
-    # every correspondence an inlier.
+    # every correspondence an inlier.  A value that is not a number used to
+    # raise TypeError, and True was taken as 1 radian.
     with pytest.raises(InvalidInputError, match="angular_inlier_threshold"):
         RobustConfig(angular_inlier_threshold=threshold)
 
@@ -69,6 +71,17 @@ def test_config_rejects_non_integer_counts(field, value):
     # A float count used to pass, and the loop died later on a TypeError.
     with pytest.raises(InvalidInputError, match=field):
         RobustConfig(**{field: value})
+
+
+def test_ransac_seed_must_be_a_nonnegative_integer():
+    # A negative seed reached numpy, which raised a bare ValueError.
+    (corrs, _), _ = _scene(seed=1)
+    for seed in (-1, 0.5, False):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            ransac_gdls(corrs, RobustConfig(), seed=seed)
+    a = ransac_gdls(corrs, RobustConfig(max_iterations=20), seed=np.uint8(7))
+    b = ransac_gdls(corrs, RobustConfig(max_iterations=20), seed=7)
+    assert a.transform.translation.tobytes() == b.transform.translation.tobytes()
 
 
 @pytest.mark.parametrize("scored", [False, True])
@@ -106,7 +119,7 @@ def test_noise_free_recovers_quickly():
 
 def test_planted_outliers_excluded():
     (corrs, truth), rng = _scene(seed=2)
-    noisy = add_noise(corrs, 0.5, rng=rng)
+    noisy = add_noise(corrs, 0.5, rng)
     planted = _outliers(rng, 12)  # ~30% outliers
     result = ransac_gdls(_concat(noisy, planted), RobustConfig(), seed=3)
     assert result.success
@@ -127,7 +140,7 @@ def test_all_outliers_is_failure_not_exception():
 
 def test_termination_is_logged(caplog):
     (corrs, _), rng = _scene(n=30, seed=21)
-    data = _concat(add_noise(corrs, 0.5, rng=rng), _outliers(rng, 10))
+    data = _concat(add_noise(corrs, 0.5, rng), _outliers(rng, 10))
     junk = _outliers(np.random.default_rng(4), 40)
     for sample in (data, junk):
         caplog.clear()
@@ -147,7 +160,7 @@ def test_termination_is_logged(caplog):
 @pytest.mark.parametrize("refit", ["raises", "loses_inliers"])
 def test_failed_refit_keeps_best_hypothesis(monkeypatch, refit):
     (corrs, truth), rng = _scene(seed=9)
-    noisy = _concat(add_noise(corrs, 0.5, rng=rng), _outliers(rng, 6))
+    noisy = _concat(add_noise(corrs, 0.5, rng), _outliers(rng, 6))
     far = SimilarityTransform(Quaternion.identity(), np.full(3, 50.0), 1.0)
     minimal_solves = []
 
@@ -186,7 +199,7 @@ def test_single_origin_failure_names_rank_deficiency():
 
 def test_angular_residual_zero_on_exact():
     rng = np.random.default_rng(5)
-    T = SimilarityTransform(Quaternion.from_array(rng.normal(size=4)), rng.normal(size=3), 2.5)
+    T = SimilarityTransform(Quaternion(*rng.normal(size=4)), rng.normal(size=3), 2.5)
     X = rng.normal(size=(1, 3))
     c = rng.normal(size=(1, 3))
     v = X @ T.rotation_matrix().T + T.translation - T.scale * c
@@ -209,7 +222,7 @@ def test_too_few_correspondences_raise():
 
 def test_determinism():
     (corrs, _), rng = _scene(seed=6)
-    noisy = _concat(add_noise(corrs, 1.0, rng=rng), _outliers(rng, 8))
+    noisy = _concat(add_noise(corrs, 1.0, rng), _outliers(rng, 8))
     a = ransac_gdls(noisy, RobustConfig(), seed=9)
     b = ransac_gdls(noisy, RobustConfig(), seed=9)
     assert np.array_equal(a.inlier_indices, b.inlier_indices)
@@ -219,7 +232,7 @@ def test_determinism():
 
 def test_inlier_set_consistency():
     (corrs, _), rng = _scene(seed=7)
-    noisy = _concat(add_noise(corrs, 1.0, rng=rng), _outliers(rng, 8))
+    noisy = _concat(add_noise(corrs, 1.0, rng), _outliers(rng, 8))
     config = RobustConfig()
     result = ransac_gdls(noisy, config, seed=1)
     assert result.success
@@ -230,7 +243,7 @@ def test_inlier_set_consistency():
 
 def test_threshold_monotonicity():
     (corrs, _), rng = _scene(seed=8)
-    noisy = add_noise(corrs, 2.0, rng=rng)
+    noisy = add_noise(corrs, 2.0, rng)
     result = ransac_gdls(noisy, RobustConfig(), seed=0)
     angles = angular_residuals(result.transform, noisy.origins, noisy.directions, noisy.points)
     counts = [int(np.sum(angles < th)) for th in (1e-2, 5e-3, 1e-3, 1e-4)]
@@ -263,7 +276,7 @@ def test_prosac_beats_uniform_on_ranked_inliers():
     for seed in range(30):
         rng = trial_rng(300 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=20), rng)
-        noisy = add_noise(corrs, 0.5, rng=rng)
+        noisy = add_noise(corrs, 0.5, rng)
         scores = [float(rng.uniform(0.7, 1.0)) for _ in range(len(noisy))]
         outliers = _outliers(rng, 20)
         scores += [float(rng.uniform(0.0, 0.3)) for _ in range(len(outliers))]
@@ -320,7 +333,7 @@ def test_umeyama_collinear_raises():
 def _ranked_outlier_data(seed):
     rng = trial_rng(600 + seed, 0)
     corrs, _ = generate_scene(SceneConfig(n_correspondences=24), rng)
-    noisy = add_noise(corrs, 0.5, rng=rng)
+    noisy = add_noise(corrs, 0.5, rng)
     scores = np.concatenate([rng.uniform(0.5, 1.0, 24), rng.uniform(0.0, 0.7, 24)])
     return _concat(noisy, _outliers(rng, 24), scores=scores)
 
@@ -352,7 +365,7 @@ def test_batch_slack_is_below_the_cap():
     slacks = []
     for seed in range(6):
         (corrs, _), rng = _scene(n=30, seed=20 + seed)
-        data = _concat(add_noise(corrs, 0.5, rng=rng), _outliers(rng, 10))
+        data = _concat(add_noise(corrs, 0.5, rng), _outliers(rng, 10))
         for config in (RobustConfig(), RobustConfig(max_iterations=7)):
             result = ransac_gdls(data, config, seed=seed)
             slacks.append(result.samples_solved - result.iterations_run)

@@ -6,7 +6,7 @@ import pytest
 
 from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
                      Quaternion, QuarticCost, RankDeficiencyError, apply_similarity,
-                     build_elimination, build_quartic_cost, gdls_solve, quat_to_rotation,
+                     build_elimination, build_quartic_cost, gdls_solve,
                      recover_candidates, solve_stationary)
 from raypose.cost import constraint_cost
 from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
@@ -24,7 +24,7 @@ def test_every_descent_minimum_is_enumerated():
     for seed in range(20):
         rng = trial_rng(600 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
-        cost = build_quartic_cost(build_elimination(add_noise(corrs, 1.0, rng=rng)))
+        cost = build_quartic_cost(build_elimination(add_noise(corrs, 1.0, rng)))
         result, = solve_stationary([cost])
         found = result.q
         costs = cost.evaluate(found)
@@ -88,7 +88,7 @@ def test_noisy_minima_are_distinct_stationary_and_ranked():
     for seed in range(5):
         rng = trial_rng(101 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
-        cost = build_quartic_cost(build_elimination(add_noise(corrs, 1.0, rng=rng)))
+        cost = build_quartic_cost(build_elimination(add_noise(corrs, 1.0, rng)))
         assert len(_distinct_stationary_minima(cost)) >= 1
 
 
@@ -107,7 +107,7 @@ def test_noise_free_recovery():
 def test_candidate_count_and_order():
     rng = trial_rng(100, 0)
     corrs, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
-    noisy = add_noise(corrs, 1.0, rng=rng)
+    noisy = add_noise(corrs, 1.0, rng)
     report = gdls_solve(noisy)
     assert 1 <= len(report.candidates) <= MAX_CANDIDATES
     costs = [c.cost for c in report.candidates if c.cheirality_ok]
@@ -119,7 +119,7 @@ def test_candidate_count_and_order():
 def test_determinism():
     rng = trial_rng(7, 0)
     corrs, _ = generate_scene(SceneConfig(n_correspondences=6), rng)
-    noisy = add_noise(corrs, 0.5, rng=rng)
+    noisy = add_noise(corrs, 0.5, rng)
     a = gdls_solve(noisy)
     b = gdls_solve(noisy)
     assert len(a.candidates) == len(b.candidates)
@@ -217,7 +217,7 @@ def test_multistart_oracle_agreement():
     for seed in range(5):
         rng = trial_rng(200 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=6), rng)
-        noisy = add_noise(corrs, 0.5, rng=rng)
+        noisy = add_noise(corrs, 0.5, rng)
         elim = build_elimination(noisy)
         cost = build_quartic_cost(elim)
         best = min(float(cost.evaluate(q)) for q in solve_stationary([cost])[0].q)
@@ -285,7 +285,7 @@ def _noisy_costs(count, n=4):
     for seed in range(count):
         rng = trial_rng(500 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=n), rng)
-        costs.append(build_quartic_cost(build_elimination(add_noise(corrs, 1.0, rng=rng))))
+        costs.append(build_quartic_cost(build_elimination(add_noise(corrs, 1.0, rng))))
     return costs
 
 
@@ -353,7 +353,7 @@ def test_solve_batch_reports_each_sample():
     for seed in range(16):
         rng = trial_rng(500 + seed, 0)
         scene, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
-        samples.append(add_noise(scene, 1.0, rng=rng))
+        samples.append(add_noise(scene, 1.0, rng))
     stacked = solve_batch(samples)
     assert len({report.n_stationary for report in stacked}) > 1
     assert len({len(report.candidates) for report in stacked}) > 1
@@ -367,7 +367,7 @@ def _recovery_oracle(minima, elim, cost, centroids):
     gradient of the cost, ranked by (cheirality, cost)."""
     out = []
     for q, carried in zip(minima.q, minima.residual):
-        R = quat_to_rotation(q)
+        R = Quaternion(*q).rotation_matrix()
         alpha, s, t = elim.solve_linear(R)
         if s <= 0.0:
             continue
@@ -391,10 +391,10 @@ def test_stacked_recovery_matches_the_per_candidate_formulas():
                                (809, 50, True), (705, 4, False), (706, 4, False), (707, 4, True)):
         rng = trial_rng(seed, 0)
         scene, _ = generate_scene(SceneConfig(n_correspondences=n, scale_range=(1.0, 1.0)), rng)
-        samples.append((add_noise(scene, 1.0, rng=rng), fix_scale))
+        samples.append((add_noise(scene, 1.0, rng), fix_scale))
     rng = trial_rng(0, 0)
     scene, _ = generate_scene(SceneConfig(n_correspondences=50), rng)
-    scene = add_noise(scene, 1.0, rng=rng)
+    scene = add_noise(scene, 1.0, rng)
     samples.insert(4, (Correspondences(-scene.origins, scene.directions, scene.points), False))
     found, elims, costs, centroids = [], [], [], []
     for corrs, fix_scale in samples:
@@ -404,7 +404,8 @@ def test_stacked_recovery_matches_the_per_candidate_formulas():
         costs.append(build_quartic_cost(elims[-1]))
         found.append(solve_stationary([costs[-1]])[0])
         centroids.append(shift)
-    negative = [elims[4].solve_linear(quat_to_rotation(q))[1] <= 0.0 for q in found[4].q]
+    negative = [elims[4].solve_linear(Quaternion(*q).rotation_matrix())[1] <= 0.0
+                for q in found[4].q]
     assert any(negative) and not all(negative)
     found[4] = found[4]._replace(q=found[4].q[negative], residual=found[4].residual[negative])
     assert len({len(m.q) for m in found}) >= 3
@@ -446,7 +447,7 @@ def test_candidate_rotation_is_the_row_its_fields_were_computed_from():
     for seed in range(16):
         rng = trial_rng(900 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=30 if seed % 3 else 4), rng)
-        samples.append(add_noise(corrs, 1.0, rng=rng))
+        samples.append(add_noise(corrs, 1.0, rng))
     checked = 0
     for corrs, report in zip(samples, solve_batch(samples)):
         shift = corrs.origins.mean(axis=0), corrs.points.mean(axis=0)
@@ -473,7 +474,7 @@ def _outlier_sample_costs(count, seed=0):
     costs = []
     while len(costs) < count:
         corrs, _ = generate_scene(SceneConfig(n_correspondences=300), rng)
-        corrs = add_noise(corrs, 0.5, rng=rng)
+        corrs = add_noise(corrs, 0.5, rng)
         points = corrs.points.copy()
         replaced = rng.choice(300, size=150, replace=False)
         points[replaced] = rng.uniform(points.min(axis=0), points.max(axis=0), (150, 3))
