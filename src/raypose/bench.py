@@ -23,6 +23,7 @@ files are byte-reproducible (real timings are returned separately).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -30,8 +31,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (Correspondences, DistributedCamera, Quaternion,
-                       SimilarityTransform, _integer, _row_products, alignment_from_pose,
-                       apply_similarity, invert_similarity, row_norms)
+                       SimilarityTransform, _hamilton, _integer, _row_products,
+                       alignment_from_pose, apply_similarity, invert_similarity, row_norms)
 from .robust import umeyama_align
 from .solver import gdls_solve
 
@@ -80,18 +81,17 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def random_similarity(rng: np.random.Generator, config: SceneConfig) -> SimilarityTransform:
-    angles = np.radians(rng.uniform(-_MAX_ANGLE_DEG, _MAX_ANGLE_DEG, 3))
-    cx, cy, cz = np.cos(angles)
-    sx, sy, sz = np.sin(angles)
-    Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    Ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    R = Rz @ Ry @ Rx
+    """A ground-truth similarity drawn from ``rng``: the rotation Rz Ry Rx
+    of three per-axis angles (drawn x, y, z), each composed as its
+    half-angle quaternion, then the translation and the scale."""
+    half = np.radians(rng.uniform(-_MAX_ANGLE_DEG, _MAX_ANGLE_DEG, 3)) / 2.0
+    qx, qy, qz = np.column_stack([np.cos(half), np.diag(np.sin(half))])
+    q = Quaternion(*_hamilton(_hamilton(qz, qy), qx))
     d = rng.normal(size=3)
     d /= np.linalg.norm(d)
     t = d * rng.uniform(*_TRANSLATION_RANGE)
     s = rng.uniform(*config.scale_range)
-    return SimilarityTransform(Quaternion.from_rotation_matrix(R), t, s)
+    return SimilarityTransform(q, t, s)
 
 
 def generate_scene(config: SceneConfig, rng: np.random.Generator
@@ -136,13 +136,19 @@ def _perturb_directions(d: np.ndarray, sigma: float, rng: np.random.Generator) -
     return d + e[:, :1] * u + e[:, 1:] * v
 
 
+def _noise_level(value, name: str) -> None:
+    """Raise unless value is a finite real number >= 0, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value >= 0.0)):
+        raise InvalidInputError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def add_noise(correspondences: Correspondences, sigma_px: float,
               rng: np.random.Generator) -> Correspondences:
     """Perturb each direction by N(0, (sigma/FOCAL_PX)^2) offsets along two
     tangent directions drawn from ``rng``, then renormalize.  sigma 0
     returns the input and draws nothing."""
-    if sigma_px < 0:
-        raise InvalidInputError("sigma_px must be nonnegative")
+    _noise_level(sigma_px, "sigma_px")
     if sigma_px == 0.0:
         return correspondences
     c = correspondences
@@ -318,6 +324,7 @@ def generate_city(n_subsets: int, cameras_per_subset: int,
     _integer(n_subsets, "n_subsets", 1)
     _integer(cameras_per_subset, "cameras_per_subset", 1)
     _integer(seed, "seed", 0)
+    _noise_level(noise_px, "noise_px")
     if not (0.0 < overlap_fraction < 1.0):
         raise InvalidInputError("overlap_fraction must be in (0, 1)")
     n_shared = int(round(overlap_fraction * _CITY_POINTS))

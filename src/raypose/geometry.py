@@ -66,39 +66,6 @@ class Quaternion:
             object.__setattr__(q, name, v)
         return q
 
-    @staticmethod
-    def from_rotation_matrix(R) -> "Quaternion":
-        """Quaternion of a proper rotation matrix (Shepperd's method)."""
-        R = np.asarray(R, dtype=float)
-        if R.shape != (3, 3):
-            raise InvalidInputError("rotation matrix must be 3x3")
-        tr = np.trace(R)
-        if tr > 0.0:
-            s = math.sqrt(tr + 1.0) * 2.0
-            q = (0.25 * s,
-                 (R[2, 1] - R[1, 2]) / s,
-                 (R[0, 2] - R[2, 0]) / s,
-                 (R[1, 0] - R[0, 1]) / s)
-        elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-            s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-            q = ((R[2, 1] - R[1, 2]) / s,
-                 0.25 * s,
-                 (R[0, 1] + R[1, 0]) / s,
-                 (R[0, 2] + R[2, 0]) / s)
-        elif R[1, 1] >= R[2, 2]:
-            s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-            q = ((R[0, 2] - R[2, 0]) / s,
-                 (R[0, 1] + R[1, 0]) / s,
-                 0.25 * s,
-                 (R[1, 2] + R[2, 1]) / s)
-        else:
-            s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-            q = ((R[1, 0] - R[0, 1]) / s,
-                 (R[0, 2] + R[2, 0]) / s,
-                 (R[1, 2] + R[2, 1]) / s,
-                 0.25 * s)
-        return Quaternion(*q)
-
     @property
     def array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
@@ -219,12 +186,21 @@ def alignment_from_pose(T: SimilarityTransform) -> SimilarityTransform:
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """(n, 1) Euclidean norms of the rows of x.
+    """(n, 1) Euclidean norms of the rows of a finite x.
 
     Row-wise matrix products round like ``np.linalg.norm`` of one row, so
-    vectorized code reproduces per-row loops bit for bit.
+    vectorized code reproduces per-row loops bit for bit.  A row whose
+    squared norm overflows (components beyond about 1e154) is divided by
+    its largest magnitude first; every other row keeps its bits.
     """
-    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    with np.errstate(over="ignore"):
+        n = np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    big = ~np.isfinite(n[:, 0])
+    if big.any():
+        m = np.abs(x[big]).max(axis=1, keepdims=True)
+        y = x[big] / m
+        n[big] = m * np.sqrt(y[:, None, :] @ y[:, :, None])[:, 0]
+    return n
 
 
 def _row_products(x: np.ndarray, A: np.ndarray) -> np.ndarray:

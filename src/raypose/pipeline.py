@@ -222,7 +222,9 @@ def hierarchical_merge(
     disconnected at the fixpoint are failed with a diagnostic.  Groups
     within a level are independent and evaluated by ``threads`` worker
     threads when it is > 1; the result is a pure function of (input, seed)
-    either way.
+    either way.  More threads are not known to be faster: on 2 vCPUs,
+    ``generate_city(64, 20, 0.3, 0.5, seed=0)`` merged in 0.64-0.69 s
+    with 1 thread and 0.63-0.76 s with 2 (3 alternating runs each).
     """
     if not cameras:
         raise InvalidInputError("hierarchical_merge requires at least one camera")

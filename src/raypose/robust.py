@@ -17,7 +17,8 @@ are drawn from progressively growing prefixes of the correspondences
 sorted by score (Chum-Matas progressive sampling); otherwise uniformly.
 
 ``umeyama_align`` is the closed-form least-squares similarity between two
-3D point sets, used as the comparison baseline in the noise experiments.
+3D point sets (Umeyama's estimator, solved in Horn's unit-quaternion
+form), used as the comparison baseline in the noise experiments.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .cost import MR, PAIR_SELECTOR
 from .errors import (EmptySolutionError, InvalidInputError, RankDeficiencyError,
                      RayposeError)
 from .geometry import Correspondences, Quaternion, SimilarityTransform, _integer
@@ -233,12 +235,23 @@ def ransac_gdls(
                         float(angles[inliers].mean()), **counts)
 
 
+def _horn_matrix(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """The symmetric 4x4 N with q^T N q = sum_i db_i . R(q) da_i for unit q:
+    the pairs' cross-covariance on the rotation's monomials (``cost.MR``),
+    spread evenly over q kron q."""
+    return (PAIR_SELECTOR.T @ (MR.T @ (db.T @ da).ravel())).reshape(4, 4)
+
+
 def umeyama_align(points_a: Sequence, points_b: Sequence) -> SimilarityTransform:
     """Closed-form least-squares similarity with ``b ~ s R a + t``.
 
-    Centroid/SVD solution with the determinant-sign correction on the
-    smallest singular direction so the rotation is always proper.
-    Raises ``RankDeficiencyError`` for collinear or degenerate inputs.
+    Horn's form of Umeyama's estimator: with centred sets a', b', the
+    rotation's unit quaternion maximizes q^T N q = sum b'_i . R(q) a'_i,
+    so it is the top eigenvector of the 4x4 symmetric N (``_horn_matrix``,
+    built on the package's one rotation map); a unit quaternion is always
+    a proper rotation.  The scale is sum b' . R a' / sum |a'|^2.
+    Raises ``RankDeficiencyError`` for collinear or degenerate inputs,
+    where the top two eigenvalues meet.
     """
     a = np.asarray(points_a, dtype=float)
     b = np.asarray(points_b, dtype=float)
@@ -250,17 +263,9 @@ def umeyama_align(points_a: Sequence, points_b: Sequence) -> SimilarityTransform
     mu_b = b.mean(axis=0)
     da = a - mu_a
     db = b - mu_b
-    cov = db.T @ da / a.shape[0]
-    U, D, Vt = np.linalg.svd(cov)
-    if D[1] < 1e-12 * max(D[0], 1e-300) or D[0] == 0.0:
+    w, v = np.linalg.eigh(_horn_matrix(da, db))
+    if w[3] - w[2] <= 1e-12 * w[3]:
         raise RankDeficiencyError("point configuration is collinear or degenerate")
-    S = np.eye(3)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
-        S[2, 2] = -1.0
-    R = U @ S @ Vt
-    var_a = float(np.sum(da * da)) / a.shape[0]
-    s = float(np.trace(np.diag(D) @ S)) / var_a
-    if s <= 0:
-        raise RankDeficiencyError("recovered scale is non-positive")
-    t = mu_b - s * (R @ mu_a)
-    return SimilarityTransform(Quaternion.from_rotation_matrix(R), t, s)
+    q = Quaternion(*v[:, 3])
+    s = float(w[3]) / float(np.sum(da * da))
+    return SimilarityTransform(q, mu_b - s * (q.rotation_matrix() @ mu_a), s)

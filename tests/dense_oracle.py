@@ -14,7 +14,9 @@ the oracle for the inverted index in ``raypose.pipeline``.  The null
 space of the full Macaulay matrix from a complete QR gives the 40
 stationary points of a form, the oracle for the pivot-block route in
 ``raypose.solver``, and a pivoted Gram-Schmidt repeats the pick of that
-route's stored rows and pivot columns.
+route's stored rows and pivot columns.  Umeyama's SVD solution with
+its determinant-sign fix is the oracle for the quaternion eigenvector
+route of ``raypose.robust.umeyama_align``.
 """
 
 import functools
@@ -194,3 +196,18 @@ def macaulay_roots_qr(T: np.ndarray) -> np.ndarray:
     Ak = np.linalg.solve(Rh, Qh.T @ Nk)
     _, U = np.linalg.eig(np.tensordot(w, Ak, 1))
     return np.einsum("ia,kai->ik", np.linalg.inv(U), Ak @ U)
+
+
+def umeyama_svd(a: np.ndarray, b: np.ndarray):
+    """(R, t, s) of the least-squares similarity b ~ s R a + t by SVD of
+    the cross-covariance, with the smallest singular direction flipped
+    when that makes R proper."""
+    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
+    da, db = a - mu_a, b - mu_b
+    U, D, Vt = np.linalg.svd(db.T @ da / len(a))
+    S = np.eye(3)
+    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
+        S[2, 2] = -1.0
+    R = U @ S @ Vt
+    s = float(np.trace(np.diag(D) @ S)) / (float(np.sum(da * da)) / len(a))
+    return R, mu_b - s * (R @ mu_a), s

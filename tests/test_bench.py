@@ -63,6 +63,41 @@ def test_transform_ranges():
         assert T.rotation.angle_deg_to(Quaternion.identity()) <= 3 * 30.0 + 1e-9
 
 
+def test_random_similarity_is_rz_ry_rx():
+    # The documented draw, replayed: three angles (x, y, z) for Rz Ry Rx, a
+    # direction and a distance for the translation, then the scale.
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(1000):
+        T = random_similarity(rng, SceneConfig())
+        angles = np.radians(ref.uniform(-30.0, 30.0, 3))
+        cx, cy, cz = np.cos(angles)
+        sx, sy, sz = np.sin(angles)
+        Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+        Ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+        Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+        d = ref.normal(size=3)
+        d /= np.linalg.norm(d)
+        t = d * ref.uniform(0.5, 10.0)
+        assert np.abs(T.rotation_matrix() - Rz @ Ry @ Rx).max() < 1e-15
+        assert T.translation.tobytes() == t.tobytes()
+        assert T.scale == ref.uniform(0.1, 10.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, True])
+def test_city_noise_must_be_finite_and_nonnegative(bad):
+    # -1 and nan used to give noise-free cameras.
+    with pytest.raises(InvalidInputError, match="^noise_px must be a finite number >= 0"):
+        generate_city(2, 2, 0.3, bad, seed=0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, True])
+def test_add_noise_sigma_must_be_finite_and_nonnegative(bad):
+    # nan used to fail with a message about ray directions.
+    corrs, _ = generate_scene(SceneConfig(), np.random.default_rng(0))
+    with pytest.raises(InvalidInputError, match="^sigma_px must be a finite number >= 0"):
+        add_noise(corrs, bad, np.random.default_rng(0))
+
+
 def test_add_noise_zero_sigma_identity():
     corrs, _ = generate_scene(SceneConfig(n_correspondences=5), np.random.default_rng(4))
     same = add_noise(corrs, 0.0, np.random.default_rng(1))

@@ -5,8 +5,8 @@ from raypose import (Correspondences, DistributedCamera, InvalidInputError,
                      Quaternion, SimilarityTransform,
                      alignment_from_pose, apply_similarity,
                      compose_similarity, invert_similarity,
-                     merge_distributed_cameras)
-from raypose.geometry import _rotations, _unit_quaternions
+                     merge_distributed_cameras, umeyama_align)
+from raypose.geometry import _rotations, _unit_quaternions, row_norms
 
 
 def random_transform(rng):
@@ -44,13 +44,33 @@ def test_stacked_rotations_match_rotation_matrix_bit_for_bit():
 
 def test_quaternion_matrix_roundtrip():
     rng = np.random.default_rng(0)
+    simplex = np.vstack([np.zeros(3), np.eye(3)])
     for _ in range(50):
         q = Quaternion(*rng.normal(size=4))
         R = q.rotation_matrix()
         assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
         assert np.isclose(np.linalg.det(R), 1.0)
-        q2 = Quaternion.from_rotation_matrix(R)
-        assert np.allclose(q.array, q2.array, atol=1e-12)
+        # Back to the quaternion through the alignment of a rotated simplex.
+        assert np.allclose(umeyama_align(simplex, simplex @ R.T).rotation.array, q.array,
+                           rtol=0.0, atol=1e-12)
+
+
+def test_huge_quaternion_is_normalized():
+    # Its squared norm overflowed to inf, and q / inf gave the zero quaternion.
+    assert Quaternion(1e200, 0.0, 0.0, 0.0).array.tolist() == [1.0, 0.0, 0.0, 0.0]
+    q = Quaternion(-3e300, 0.0, 4e300, 0.0)
+    assert np.allclose(q.array, [0.6, 0.0, -0.8, 0.0], rtol=0.0, atol=1e-15)
+
+
+def test_huge_direction_is_normalized_and_other_rows_keep_their_bits():
+    rng = np.random.default_rng(4)
+    d = rng.normal(size=(5, 3))
+    d[2] = [1e200, 0.0, 0.0]
+    corrs = Correspondences(np.zeros((5, 3)), d, rng.normal(size=(5, 3)))
+    assert corrs.directions[2].tolist() == [1.0, 0.0, 0.0]
+    keep = [0, 1, 3, 4]
+    assert np.array_equal(row_norms(d)[keep], row_norms(d[keep]))
+    assert np.array_equal(corrs.directions[keep], d[keep] / row_norms(d[keep]))
 
 
 def test_rotation_matrix_even_in_sign():

@@ -89,6 +89,14 @@ def test_version_checked():
             parse_reconstruction(json.dumps(dict(MINIMAL, version=version)))
 
 
+def test_huge_orientation_is_normalized():
+    # Its squared norm overflowed, and the camera parsed with a zero orientation.
+    doc = dict(MINIMAL, cameras=[dict(MINIMAL["cameras"][0], orientation=[1e200, 0, 0, 0])])
+    cam, warnings = parse_reconstruction(json.dumps(doc))
+    assert warnings == []
+    assert cam.orientations.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+
+
 def test_near_unit_direction_warns_and_renormalizes():
     doc = dict(MINIMAL, observations=[{"camera_id": "cam0", "point_id": 0,
                                        "direction": [0.0, 0.0, 1.0 + 5e-8]}])

@@ -12,8 +12,11 @@ from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
                      ransac_gdls, umeyama_align)
 from raypose.bench import (SceneConfig, add_noise, generate_scene,
                            random_similarity, trial_rng)
-from raypose.robust import angular_residuals
+from raypose.geometry import _rotations
+from raypose.robust import _horn_matrix, angular_residuals
 from raypose.solver import SolveReport, gdls_solve, solve_batch
+
+from dense_oracle import umeyama_svd
 
 
 def _scene(n=30, seed=0):
@@ -328,6 +331,64 @@ def test_umeyama_collinear_raises():
         umeyama_align(a, 2.0 * a)
     with pytest.raises(InvalidInputError):
         umeyama_align(a[:2], a[:2])
+
+
+def test_horn_matrix_is_the_rotation_form():
+    # q^T N q is the alignment score under the package's rotation map.
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        da, db = rng.normal(size=(2, n, 3)) * rng.uniform(0.1, 10.0, 2)[:, None, None]
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        N = _horn_matrix(da, db)
+        assert np.array_equal(N, N.T)
+        score = np.sum(db * (da @ _rotations(q).T))
+        assert np.isclose(q @ N @ q, score, rtol=1e-12, atol=1e-12 * np.sum(np.abs(db) @ np.abs(da).T))
+
+
+def _rotation_gap_deg(R1, R2):
+    """Angle of R1 R2^T in degrees, from the chord |R1 - R2|_F = 2 sqrt(2) sin(angle / 2)."""
+    return np.degrees(2.0 * np.arcsin(np.linalg.norm(R1 - R2) / (2.0 * np.sqrt(2.0))))
+
+
+def test_umeyama_matches_svd_oracle():
+    # Exact, noisy, coplanar and reflected sets, 1000 of each kind.
+    rng = np.random.default_rng(15)
+    for i in range(4000):
+        kind = i % 4
+        a = rng.normal(size=(int(rng.integers(4, 40)), 3))
+        if kind == 2:
+            a[:, 2] = 0.0
+        G = random_similarity(rng, SceneConfig())
+        b = apply_similarity(G, a)
+        if kind:
+            b += rng.normal(scale=0.1, size=b.shape)
+        if kind == 3:
+            b[:, 0] *= -1.0
+        R, t, s = umeyama_svd(a, b)
+        T = umeyama_align(a, b)
+        assert _rotation_gap_deg(T.rotation_matrix(), R) < 1e-10
+        assert np.linalg.norm(T.translation - t) < 1e-12 * np.linalg.norm(t)
+        assert abs(T.scale - s) < 1e-12 * s
+
+
+def test_umeyama_near_collinear_within_conditioning():
+    # The roll about a near-collinear set's line is only fixed to about
+    # eps * s1 / (s2 + s3) radians (s: singular values of the
+    # cross-covariance); both routes land within that of each other.
+    rng = np.random.default_rng(16)
+    for i in range(200):
+        line = rng.normal(size=(10, 1)) * 10.0 * rng.normal(size=3)
+        a = line + rng.normal(size=(10, 3)) * 10.0 ** rng.uniform(-3.0, -1.0)
+        if i % 2:
+            a[:, 2] = 0.0
+        b = apply_similarity(random_similarity(rng, SceneConfig()), a)
+        b += rng.normal(scale=1e-3, size=b.shape)
+        sv = np.linalg.svd((b - b.mean(0)).T @ (a - a.mean(0)), compute_uv=False)
+        R, _, _ = umeyama_svd(a, b)
+        bound = np.degrees(np.finfo(float).eps * sv[0] / (sv[1] + sv[2]))
+        assert _rotation_gap_deg(umeyama_align(a, b).rotation_matrix(), R) < 4.0 * bound
 
 
 def _ranked_outlier_data(seed):

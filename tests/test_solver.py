@@ -143,7 +143,7 @@ def test_equivariance_under_world_transform():
     Rg = G.rotation_matrix()
     R_expect = R @ Rg.T
     t_expect = G.scale * truth.translation - R_expect @ G.translation
-    assert est.rotation.angle_deg_to(Quaternion.from_rotation_matrix(R_expect)) < 1e-6
+    assert est.rotation.angle_deg_to(truth.rotation * G.rotation.conjugate()) < 1e-6
     assert np.allclose(est.translation, t_expect, atol=1e-6)
     assert np.isclose(est.scale, G.scale * truth.scale, rtol=1e-8)
 
