@@ -95,7 +95,8 @@ class QuarticCost:
 
     ``T`` is the same form as a fully symmetric 4x4x4x4 tensor, stored as a
     16x16 matrix; every value, gradient and Hessian comes from
-    ``quartic_form(T, q)``.
+    ``quartic_form(T, q)``.  A stack of S costs has an (S, 10, 10) Q and an
+    (S, 16, 16) T, each cost's the same, bit for bit, as when it is alone.
     """
 
     Q: np.ndarray
@@ -103,16 +104,16 @@ class QuarticCost:
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
-        if Q.shape != (10, 10) or not np.all(np.isfinite(Q)):
-            raise InvalidInputError("Q must be a finite 10x10 matrix")
-        Q = 0.5 * (Q + Q.T)
+        if Q.shape[-2:] != (10, 10) or Q.ndim > 3 or not np.all(np.isfinite(Q)):
+            raise InvalidInputError("Q must be a finite 10x10 matrix or a stack of them")
+        Q = 0.5 * (Q + Q.swapaxes(-1, -2))
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
         # (q kron q)^T A (q kron q) = f(q); averaging A over the three ways
         # of pairing four indices makes it fully symmetric.
-        A = (PAIR_SELECTOR.T @ Q @ PAIR_SELECTOR).reshape(4, 4, 4, 4)
-        T = (A + A.transpose(0, 2, 1, 3) + A.transpose(0, 3, 2, 1)) / 3.0
-        T = T.reshape(16, 16)
+        A = (PAIR_SELECTOR.T @ Q @ PAIR_SELECTOR).reshape(Q.shape[:-2] + (4, 4, 4, 4))
+        T = (A + A.swapaxes(-3, -2) + A.swapaxes(-3, -1)) / 3.0
+        T = T.reshape(Q.shape[:-2] + (16, 16))
         T.setflags(write=False)
         object.__setattr__(self, "T", T)
 
@@ -162,27 +163,34 @@ def direct_cost(elim: EliminationMatrices, R: np.ndarray) -> float:
 def build_quartic_cost(elim: EliminationMatrices) -> QuarticCost:
     """Assemble Q so that m(q)^T Q m(q) equals the summed squared errors.
 
-    Rays run along the last axis: ``L[:, :, i]`` is L_i transposed, with
+    Rays run along the last axis: ``L[..., i]`` is L_i transposed, with
     ``L_i m(q) = y_i``, and the (10, k) W gives ``w = W^T m(q)``.  Per ray,
     ``H_i = L_i - B_i W^T`` and ``G_i = (d_i d_i^T - I) H_i``, so
     ``Q = sum_i G_i^T G_i``.  That sum of squared residuals, unlike a
     difference of moment matrices, keeps Q accurate near a zero cost.  H
     overwrites L, and G is the one other buffer.
+
+    A stack of S eliminations (see ``elimination.eliminate``) gives the
+    stack of their S costs in one pass, each the same, bit for bit, as the
+    cost of its elimination alone.
     """
-    n = elim.n
-    zT, cT = np.ascontiguousarray(elim.directions.T), np.ascontiguousarray(elim.origins.T)
+    stack = elim if elim.points.ndim == 3 else elim[None]
+    S, n = stack.points.shape[:2]
+    zT = np.ascontiguousarray(stack.directions.swapaxes(1, 2))         # (S, 3, n)
+    cT = np.ascontiguousarray(stack.origins.swapaxes(1, 2))[:, None]
     # R X_i from the entries of R, less c_i q^T q with a fixed scale.
-    L = (_POINT_MAP @ elim.points.T).reshape(10, 3, n)
-    if elim.fix_scale:
-        L[_SQ_COLUMNS] -= cT
-    u = np.einsum("jai,ai->ji", L, zT)                                # d_i^T L_i
-    W = elim.schur_solve(L, u)
-    L += W[:, -3:, None]                                              # B_i W = c_i W_s - W_t
+    L = (_POINT_MAP @ stack.points.swapaxes(1, 2)).reshape(S, 10, 3, n)
+    if stack.fix_scale:
+        L[:, _SQ_COLUMNS] -= cT
+    u = np.einsum("sjai,sai->sji", L, zT)                             # d_i^T L_i
+    W = stack.schur_solve(L, u)
+    L += W[..., -3:, None]                                            # B_i W = c_i W_s - W_t
     G = np.empty_like(L)
-    if not elim.fix_scale:
-        L -= np.multiply(W[:, :1, None], cT, out=G)
-    np.einsum("jai,ai->ji", L, zT, out=u)                             # d_i^T H_i
-    np.multiply(u[:, None], zT, out=G)
+    if not stack.fix_scale:
+        L -= np.multiply(W[..., :1, None], cT, out=G)
+    np.einsum("sjai,sai->sji", L, zT, out=u)                          # d_i^T H_i
+    np.multiply(u[:, :, None], zT[:, None], out=G)
     G -= L
-    G = G.reshape(10, 3 * n)
-    return QuarticCost(G @ G.T)
+    G = G.reshape(S, 10, 3 * n)
+    Q = G @ G.swapaxes(1, 2)
+    return QuarticCost(Q if elim.points.ndim == 3 else Q[0])

@@ -33,7 +33,7 @@ test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .errors import InvalidInputError, RankDeficiencyError
 from .geometry import Correspondences
 
 _RCOND = 1e-10
+_ARRAYS = ("origins", "directions", "points", "K_inv", "M")
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,10 @@ class EliminationMatrices:
     With y the stacked right-hand side (``y_i = R X_i``, less c_i in
     fix-scale mode): ``w = K^-1 (B^T y - M^T (d . y))`` is ``(s, t)``, or t
     alone in fix-scale mode, and ``alpha_i = d_i . y_i - M_i w``.  The
-    shapes below are one sample's; :func:`stack_eliminations` puts a
-    leading sample axis on every array.  K is kept inverted: every use is
-    a solve, and the one inversion per elimination costs less than a
-    LAPACK call per use on small n.
+    shapes below are one sample's; a stack (from :func:`eliminate` or
+    :func:`stack_eliminations`) has a leading sample axis on every array.
+    K is kept inverted: every use is a solve, and the one inversion per
+    stack costs less than a LAPACK call per use on small n.
     """
 
     origins: np.ndarray    # (n, 3)
@@ -67,6 +68,12 @@ class EliminationMatrices:
     @property
     def n(self) -> int:
         return self.points.shape[-2]
+
+    def __getitem__(self, i) -> "EliminationMatrices":
+        """Sample i of a stack, a sub-stack for an index or mask array, or a
+        stack of one for None: every array indexed on its leading axis."""
+        return EliminationMatrices(fix_scale=self.fix_scale,
+                                   **{name: getattr(self, name)[i] for name in _ARRAYS})
 
     def schur_solve(self, r: np.ndarray, dr: np.ndarray) -> np.ndarray:
         """``K^-1 (B^T r - M^T dr)`` for C right-hand sides laid out
@@ -95,7 +102,7 @@ class EliminationMatrices:
         """
         R = np.asarray(R)
         if R.ndim == 2:
-            alpha, s, t = stack_eliminations([self]).solve_linear(R[None, None])
+            alpha, s, t = self[None].solve_linear(R[None, None])
             return alpha[0, 0], float(s[0, 0]), t[0, 0]
         zT = np.ascontiguousarray(self.directions.swapaxes(1, 2))      # (S, 3, n)
         cT = self.origins.swapaxes(1, 2)[:, None]
@@ -120,50 +127,70 @@ class EliminationMatrices:
 def stack_eliminations(elims: Sequence[EliminationMatrices]) -> EliminationMatrices:
     """The eliminations of one size and scale mode as one, each array with a
     leading axis over them.  A stack of one is a view, with no copy."""
-    names = ("origins", "directions", "points", "K_inv", "M")
     if len(elims) == 1:
-        arrays = {name: getattr(elims[0], name)[None] for name in names}
-    else:
-        arrays = {name: np.stack([getattr(e, name) for e in elims]) for name in names}
-    return EliminationMatrices(fix_scale=elims[0].fix_scale, **arrays)
+        return elims[0][None]
+    return EliminationMatrices(fix_scale=elims[0].fix_scale, **{
+        name: np.stack([getattr(e, name) for e in elims]) for name in _ARRAYS})
+
+
+def eliminate(
+    origins: np.ndarray, directions: np.ndarray, points: np.ndarray, fix_scale: bool = False,
+) -> Tuple[EliminationMatrices, List[Optional[RankDeficiencyError]]]:
+    """The eliminations of S correspondence sets of one size, from their
+    (S, n, 3) rays and points, as one stack.
+
+    K is built from per-ray sums for the whole stack, its rank tested with
+    one SVD of the (S, k, k) stack and inverted with one inverse.  Gives the
+    stack of the full-rank samples, in order, and per sample None or the
+    ``RankDeficiencyError`` (with a fix-scale hint when the scale column is
+    the culprit) its degenerate geometry raises; the other samples are
+    unaffected.  A sample's arrays are the same, bit for bit, alone (a
+    stack of one) or among any others.
+    """
+    S, n = points.shape[:2]
+    if n < 4:
+        raise InvalidInputError(f"at least 4 correspondences required, got {n}")
+    c, z = origins, directions
+    k = 3 if fix_scale else 4
+    K, M = np.empty((S, k, k)), np.empty((S, n, k))
+    K[:, -3:, -3:] = n * np.eye(3) - z.swapaxes(1, 2) @ z
+    M[..., -3:] = -z
+    if not fix_scale:
+        M[..., 0] = np.einsum("sia,sia->si", z, c)
+        pc = (c - M[..., :1] * z).reshape(S, 1, 3 * n)                   # (I - d_i d_i^T) c_i
+        K[:, 0, 0] = (pc @ pc.swapaxes(1, 2))[:, 0, 0]
+        K[:, 0, 1:] = K[:, 1:, 0] = -pc.reshape(S, n, 3).sum(axis=1)
+    svals = np.linalg.svd(K, compute_uv=False)
+    full = svals[:, -1] >= _RCOND * np.maximum(svals[:, 0], 1.0)
+    errors = [None if ok else _rank_deficiency(c[i], K[i], fix_scale) for i, ok in enumerate(full)]
+    if not full.all():
+        c, z, points, K, M = (a[full] for a in (c, z, points, K, M))
+    return EliminationMatrices(c, z, points, fix_scale, np.linalg.inv(K), M), errors
 
 
 def build_elimination(
     correspondences: Correspondences,
     fix_scale: bool = False,
 ) -> EliminationMatrices:
-    """Compute the Schur complement K from per-ray sums, test its rank, and
-    keep its inverse with the coupling rows M.
+    """One correspondence set's elimination: a stack of one through
+    :func:`eliminate`.
 
     Raises ``RankDeficiencyError`` (with a fix-scale hint when the scale
     column is the culprit) for degenerate geometry.
     """
-    n = len(correspondences)
-    if n < 4:
-        raise InvalidInputError(f"at least 4 correspondences required, got {n}")
-    c, z, X = correspondences.origins, correspondences.directions, correspondences.points
-
-    k = 3 if fix_scale else 4
-    K, M = np.empty((k, k)), np.empty((n, k))
-    K[-3:, -3:] = n * np.eye(3) - z.T @ z
-    M[:, -3:] = -z
-    if not fix_scale:
-        M[:, 0] = np.einsum("ia,ia->i", z, c)
-        pc = c - M[:, :1] * z                                           # (I - d_i d_i^T) c_i
-        K[0, 0] = pc.ravel() @ pc.ravel()
-        K[0, 1:] = K[1:, 0] = -pc.sum(axis=0)
-    svals = np.linalg.svd(K, compute_uv=False)
-    if svals[-1] < _RCOND * max(svals[0], 1.0):
-        _raise_rank_deficiency(c, K, fix_scale)
-    return EliminationMatrices(c, z, X, fix_scale, np.linalg.inv(K), M)
+    c = correspondences
+    stack, (error,) = eliminate(c.origins[None], c.directions[None], c.points[None], fix_scale)
+    if error is not None:
+        raise error
+    return stack[0]
 
 
-def _raise_rank_deficiency(c, K, fix_scale):
+def _rank_deficiency(c, K, fix_scale) -> RankDeficiencyError:
     if not fix_scale:
         # If freezing the scale restores full rank, say so.
         spread = np.max(np.linalg.norm(c - c[0], axis=1))
         if spread < 1e-9 * max(1.0, np.max(np.abs(c))):
-            raise RankDeficiencyError(
+            return RankDeficiencyError(
                 "scale column of the constraint matrix is dependent "
                 "(all ray origins coincide); re-pose with fix_scale=True",
                 fix_scale_hint=True,
@@ -171,9 +198,9 @@ def _raise_rank_deficiency(c, K, fix_scale):
         # The translation block of K is K's fix-scale counterpart.
         sv3 = np.linalg.svd(K[1:, 1:], compute_uv=False)
         if sv3[-1] >= _RCOND * max(sv3[0], 1.0):
-            raise RankDeficiencyError(
+            return RankDeficiencyError(
                 "constraint matrix is rank deficient through the scale column; "
                 "re-pose with fix_scale=True",
                 fix_scale_hint=True,
             )
-    raise RankDeficiencyError("constraint matrix is rank deficient for this geometry")
+    return RankDeficiencyError("constraint matrix is rank deficient for this geometry")

@@ -330,12 +330,6 @@ class Correspondences:
         arrays = (getattr(self, f.name) for f in fields(self))
         return Correspondences._unchecked(*(None if a is None else a[rows] for a in arrays))
 
-    def shifted(self, origin_shift: np.ndarray, point_shift: np.ndarray) -> "Correspondences":
-        """Origins less ``origin_shift`` and points less ``point_shift``,
-        with the other arrays shared; nothing is checked again."""
-        return Correspondences._unchecked(self.origins - origin_shift, self.directions,
-                                          self.points - point_shift, self.scores, self.point_ids)
-
 
 @dataclass(frozen=True, eq=False)
 class DistributedCamera:

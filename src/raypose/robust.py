@@ -5,16 +5,19 @@ of 4 correspondences, angular inlier scoring, adaptive termination, and
 a final non-minimal re-estimate on the inlier set.  Minimal samples are
 drawn one at a time but solved in batches of 1, 1, 2, 4, ... (at most
 ``MAX_BATCH``, never past the current adaptive iteration limit) by one
-``solve_batch`` call each, and scored in draw order.  Batching pays
-because a minimal solve is a chain of small-array numpy calls whose fixed
-cost dominates: the solver runs the Newton polish and its tests once over
-the roots of the whole batch, not once per sample, while the result is the
-same as solving each sample alone.  When the loop stops, one debug record
-on the ``raypose`` logger carries ``iterations_run``, the three sample
-counts and the best hypothesis's inlier count (``best_inliers``).  When at
-least half of the correspondences carry a match score, minimal samples
-are drawn from progressively growing prefixes of the correspondences
-sorted by score (Chum-Matas progressive sampling); otherwise uniformly.
+``solve_batch`` call each.  The batch's hypotheses are scored by one
+(S, n) ``angular_residuals`` call and accepted in draw order.  Batching
+pays because a minimal solve is a chain of small-array numpy calls whose
+fixed cost dominates: the solver centers, eliminates and assembles the
+costs of the whole batch as one stack and runs the Newton polish and its
+tests once over the roots of the whole batch, not once per sample, while
+the result is the same as solving each sample alone.  When the loop
+stops, one debug record on the ``raypose`` logger carries
+``iterations_run``, the three sample counts and the best hypothesis's
+inlier count (``best_inliers``).  When at least half of the
+correspondences carry a match score, minimal samples are drawn from
+progressively growing prefixes of the correspondences sorted by score
+(Chum-Matas progressive sampling); otherwise uniformly.
 
 ``umeyama_align`` is the closed-form least-squares similarity between two
 3D point sets (Umeyama's estimator, solved in Horn's unit-quaternion
@@ -27,14 +30,14 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .cost import MR, PAIR_SELECTOR
 from .errors import (EmptySolutionError, InvalidInputError, RankDeficiencyError,
                      RayposeError)
-from .geometry import Correspondences, Quaternion, SimilarityTransform, _integer
+from .geometry import Correspondences, Quaternion, SimilarityTransform, _integer, _rotations
 from .solver import SolveReport, gdls_solve, solve_batch
 
 # Largest number of minimal samples solved together.
@@ -96,16 +99,25 @@ class RobustResult:
     samples_empty: int = 0
 
 
-def angular_residuals(T: SimilarityTransform, origins: np.ndarray,
-                      directions: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Vectorized reprojection angles (radians) for correspondence arrays."""
-    R = T.rotation_matrix()
-    pred = points @ R.T + T.translation - T.scale * origins
-    norms = np.linalg.norm(pred, axis=1)
+def angular_residuals(T: Union[SimilarityTransform, Sequence[SimilarityTransform]],
+                      origins: np.ndarray, directions: np.ndarray,
+                      points: np.ndarray) -> np.ndarray:
+    """Angles (radians) between the observed rays and those each transform
+    predicts: (n,) for one transform, (S, n) for a sequence of S.  A single
+    transform is a stack of one, so a row of a stack is, bit for bit, that
+    transform's call alone."""
+    stack = [T] if isinstance(T, SimilarityTransform) else T
+    R = _rotations(np.array([each.rotation.array for each in stack]))
+    translation = np.array([each.translation for each in stack])
+    scale = np.array([each.scale for each in stack])
+    pred = points @ R.swapaxes(1, 2) + translation[:, None] - scale[:, None, None] * origins
+    norms = np.linalg.norm(pred, axis=2)
     ok = norms > 1e-12
-    cosang = np.full(len(norms), -1.0)
-    cosang[ok] = np.sum(pred[ok] * directions[ok], axis=1) / norms[ok]
-    return np.arccos(np.clip(cosang, -1.0, 1.0))
+    cosang = np.full(norms.shape, -1.0)
+    d = np.broadcast_to(directions, pred.shape)
+    cosang[ok] = np.sum(pred[ok] * d[ok], axis=1) / norms[ok]
+    angles = np.arccos(np.clip(cosang, -1.0, 1.0))
+    return angles[0] if isinstance(T, SimilarityTransform) else angles
 
 
 def prosac_order(correspondences: Correspondences) -> Optional[np.ndarray]:
@@ -180,7 +192,10 @@ def ransac_gdls(
         size = min(max(t, 1), MAX_BATCH, max_iter - t)
         samples = [correspondences.subset(next(draws)) for _ in range(size)]
         solved += size
-        for report in solve_batch(samples):
+        reports = solve_batch(samples)
+        hypotheses = [r.best.transform for r in reports if isinstance(r, SolveReport)]
+        scored = iter(angular_residuals(hypotheses, *arrays) if hypotheses else ())
+        for report in reports:
             if t == max_iter:
                 break
             t += 1
@@ -189,7 +204,7 @@ def ransac_gdls(
                 deficient += isinstance(report, RankDeficiencyError)
                 empty += isinstance(report, EmptySolutionError)
                 continue
-            angles = angular_residuals(report.best.transform, *arrays)
+            angles = next(scored)
             mask = angles < config.angular_inlier_threshold
             count = int(mask.sum())
             mean_err = float(angles[mask].mean()) if count else float("inf")
@@ -251,7 +266,9 @@ def umeyama_align(points_a: Sequence, points_b: Sequence) -> SimilarityTransform
     built on the package's one rotation map); a unit quaternion is always
     a proper rotation.  The scale is sum b' . R a' / sum |a'|^2.
     Raises ``RankDeficiencyError`` for collinear or degenerate inputs,
-    where the top two eigenvalues meet.
+    where the top two eigenvalues meet, and ``InvalidInputError`` for a
+    NaN or infinite coordinate or for coordinates so large (beyond about
+    1e150) that the cross-covariance overflows.
     """
     a = np.asarray(points_a, dtype=float)
     b = np.asarray(points_b, dtype=float)
@@ -259,13 +276,20 @@ def umeyama_align(points_a: Sequence, points_b: Sequence) -> SimilarityTransform
         raise InvalidInputError("point sets must both be (n, 3) with equal n")
     if a.shape[0] < 3:
         raise InvalidInputError("at least 3 point pairs required")
-    mu_a = a.mean(axis=0)
-    mu_b = b.mean(axis=0)
-    da = a - mu_a
-    db = b - mu_b
-    w, v = np.linalg.eigh(_horn_matrix(da, db))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInputError("point coordinates must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_a = a.mean(axis=0)
+        mu_b = b.mean(axis=0)
+        da = a - mu_a
+        db = b - mu_b
+        N, spread = _horn_matrix(da, db), float(np.sum(da * da))
+    if not (np.isfinite(N).all() and np.isfinite(spread)):
+        raise InvalidInputError("point coordinates are too large: their cross-covariance "
+                                "or spread overflows the float range")
+    w, v = np.linalg.eigh(N)
     if w[3] - w[2] <= 1e-12 * w[3]:
         raise RankDeficiencyError("point configuration is collinear or degenerate")
     q = Quaternion(*v[:, 3])
-    s = float(w[3]) / float(np.sum(da * da))
+    s = float(w[3]) / spread
     return SimilarityTransform(q, mu_b - s * (q.rotation_matrix() @ mu_a), s)

@@ -63,13 +63,17 @@ it is 0.57 for the circle of minima below.  A null space whose residual
 is above 1e-8 (1 of those 10,000 minimal costs, at 1.7e-8) is solved
 again in a second fixed frame.  The real roots come out about 1e-13 off;
 one Newton step, kept where it shrinks the tangent gradient, takes them
-to the rounding floor.
+to the rounding floor.  The step solves (H + q q^T) d = g, H the
+Riemannian Hessian, with one batched LU solve; the pseudo-inverse, a
+batched SVD, took about 14 times as long on the 346 real roots of a
+16-sample batch (3.0 ms against 0.22 ms on a 2-vCPU Xeon, one BLAS
+thread), and it is kept only for a row that LAPACK finds singular.
 Those that then meet the stationarity tolerance are the real stationary
 points, and those whose Riemannian Hessian has no negative eigenvalue
-are the local minima.  The step and both tests run once over the real
-roots of every cost in the stack, each root against its own cost's form,
-so a stack of 16 minimal costs pays one pass of small-array calls, not
-16.  The minima are reported per cost ranked by cost, sign-canonicalized
+are the local minima.  The real-root test, the step and both tests run
+once over the real roots of every cost in the stack, each root against
+its own cost's form, so a stack of 16 minimal costs pays one pass of
+small-array calls, not 16.  The minima are reported per cost ranked by cost, sign-canonicalized
 and deduplicated, at most 8 per cost, with the tangent-gradient norm
 each was polished to.  A cost that fails the shift check
 in both frames has a null space that no 40 isolated points span (the
@@ -86,12 +90,16 @@ m(q)'s entries with two entries perturbed), 9 had Macaulay matrices of
 rank below 125; the 6 of rank 119 or 122 failed the check, and the 3 of
 rank 124 passed with residuals of at most 5.2e-13.
 
-``solve_batch`` runs the whole pipeline on a stack of correspondence sets
-(the robust loop's minimal samples); ``gdls_solve`` is a stack of one.
-Both solve about the centroids of the ray origins and of the world
-points, on a shifted copy that is not checked again.  That leaves costs
-and depths unchanged and keeps the elimination's rank test independent
-of where the coordinate origin is.
+``solve_batch`` runs the whole pipeline on a batch of correspondence sets
+(the robust loop's minimal samples); ``gdls_solve`` is a batch of one.
+The sets of one size are one (S, n, 3) stack: they are centered on the
+centroids of their ray origins and of their world points, eliminated
+with one rank test and one inverse, and assembled into one stack of
+costs, each one array pass for the whole stack (``elimination.eliminate``,
+``build_quartic_cost``).  Only ``_roots`` runs cost by cost, because its
+LAPACK calls do not get faster when stacked.  Centering leaves costs and
+depths unchanged and keeps the elimination's rank test independent of
+where the coordinate origin is.
 One ``recover_candidates`` call then turns every minimum of the stack
 into a candidate: samples of one size, scale mode and minimum count are
 stacked, the elimination's ``solve_linear`` and ``constraint_cost`` give
@@ -111,8 +119,8 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .cost import QuarticCost, build_quartic_cost, constraint_cost, quartic_form
-from .elimination import EliminationMatrices, build_elimination, stack_eliminations
-from .errors import EmptySolutionError, InvalidInputError, RankDeficiencyError
+from .elimination import EliminationMatrices, eliminate, stack_eliminations
+from .errors import EmptySolutionError, RankDeficiencyError
 from .geometry import (Correspondences, Quaternion, SimilarityTransform, _rotations,
                        _unit_quaternions)
 
@@ -285,42 +293,48 @@ class Minima(NamedTuple):
 def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySolutionError]]:
     """Sphere-constrained local minima of each cost in a stack.
 
-    Per cost: its ``Minima``, at most 8, sign-canonicalized and
-    deduplicated (none when no root meets the stationarity tolerance); or
-    an ``EmptySolutionError`` when its Macaulay null space fails the shift
+    ``costs`` holds single costs or stacks of them (see ``QuarticCost``);
+    the result has one entry per cost, in order.  Per cost: its
+    ``Minima``, at most 8, sign-canonicalized and deduplicated (none when
+    no root meets the stationarity tolerance); or an
+    ``EmptySolutionError`` when its Macaulay null space fails the shift
     check in both frames, as that of a stationary set that is not isolated
     does (a degenerate cost can also pass; see the module docstring).
     When the 40 stationary points are isolated, every local minimum, and
     so the global one, is in the set up to the cap.
 
-    The roots are found cost by cost.  The Newton step and the
-    stationarity and minimum tests then run once over the real roots of
-    the whole stack, each root against its own cost's form, so a cost's
-    result is the same, bit for bit, alone or in a stack.
+    The roots are found cost by cost.  The scaling of the forms, the
+    real-root test, the Newton step and the stationarity and minimum tests
+    run once over the whole stack, each root against its own cost's form,
+    so a cost's result is the same, bit for bit, alone or in a stack.
     """
-    out: list = [None] * len(costs)
-    solved, forms, roots = [], [], []
-    for c, cost in enumerate(costs):
-        T = cost.T / max(1.0, float(np.linalg.norm(cost.Q)))
+    if not costs:
+        return []
+    Q = np.concatenate([cost.Q.reshape(-1, 1, 100) for cost in costs])
+    forms = np.concatenate([cost.T.reshape(-1, 16, 16) for cost in costs])
+    # Each form scaled by 1 / max(1, |Q|); the matmul is the dot of |Q|^2.
+    forms = forms / np.maximum(1.0, np.sqrt(Q @ Q.swapaxes(1, 2)))
+    out: list = [None] * len(forms)
+    solved, roots = [], []
+    for c, T in enumerate(forms):
         try:
-            x = _roots(T)
+            roots.append(_roots(T))
+            solved.append(c)
         except EmptySolutionError as e:
             out[c] = e.with_traceback(None)
-            continue
-        # Real points: q / q'_0 is complex at the others.
-        x = x[np.linalg.norm(x.imag, axis=1) <= 1e-6 * np.linalg.norm(x.real, axis=1)].real
-        solved.append(c)
-        forms.append(T)
-        roots.append(x / np.linalg.norm(x, axis=1)[:, None])
     if not solved:
         return out
-    counts = [len(x) for x in roots]
-    owner = np.repeat(np.arange(len(solved)), counts)
-    T, q = np.stack(forms)[owner], np.concatenate(roots)
+    x = np.stack(roots)                                                # (C, 40, 4)
+    # Real points: q / q'_0 is complex at the others.
+    real = np.linalg.norm(x.imag, axis=2) <= 1e-6 * np.linalg.norm(x.real, axis=2)
+    q = x.real[real]
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    counts = real.sum(axis=1)
+    T = np.repeat(forms[solved], counts, axis=0)
     f, g, H = _local_terms(T, q)
     # One Newton step from each root, kept where it shrinks the tangent
     # gradient; see the module docstring.
-    step = q - np.einsum("kab,kb->ka", np.linalg.pinv(H + np.einsum("ka,kb->kab", q, q)), g)
+    step = q - _newton_steps(H + np.einsum("ka,kb->kab", q, q), g)
     step /= np.linalg.norm(step, axis=1)[:, None]
     fs, gs, Hs = _local_terms(T, step)
     residual, residual_s = np.linalg.norm(g, axis=1), np.linalg.norm(gs, axis=1)
@@ -329,7 +343,7 @@ def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySo
     residual[better] = residual_s[better]
     stationary = residual <= STATIONARITY_TOL
     minimum = stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
-    bounds = np.cumsum([0] + counts)
+    bounds = np.cumsum(np.concatenate([[0], counts]))
     for c, start, stop in zip(solved, bounds[:-1], bounds[1:]):
         keep = start + np.flatnonzero(minimum[start:stop])
         keep = keep[np.argsort(f[keep], kind="stable")]
@@ -343,6 +357,19 @@ def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySo
                     break
         out[c] = Minima(qb[final], residual[keep[final]], int(stationary[start:stop].sum()))
     return out
+
+
+def _newton_steps(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A_k^-1 g_k for the (k, 4, 4) stack A = H + q q^T, by one batched LU
+    solve.  When LAPACK finds the stack singular, each row is solved alone
+    and a singular row takes the pseudo-inverse, so that a row's step does
+    not depend on the rows beside it."""
+    try:
+        return np.linalg.solve(A, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return (np.linalg.pinv(A) @ g[..., None])[..., 0]
+        return np.concatenate([_newton_steps(a[None], b[None]) for a, b in zip(A, g)])
 
 
 @dataclass(frozen=True)
@@ -427,9 +454,10 @@ class SolveReport:
     ``runtime_seconds`` is the wall time of the call, divided evenly over
     the samples of a batch, and the four stage times are the call's time in
     elimination, cost assembly, stationary search and candidate recovery,
-    divided the same way.  The last two are one call each for the whole
-    batch (``solve_stationary`` and ``recover_candidates``), so a sample's
-    share is not its own time.  ``n_stationary`` counts the local minima
+    divided the same way.  Each stage is one array pass over the batch (per
+    sample size for the first two), apart from the per-cost Macaulay
+    factorizations of the stationary search, so a sample's share is not its
+    own time.  ``n_stationary`` counts the local minima
     the candidates came from, those discarded for a non-positive scale
     included, and ``real_roots`` the real stationary points among the
     cost's 40 algebraic ones (see the module docstring).  A candidate's
@@ -460,9 +488,10 @@ def solve_batch(samples: Sequence[Correspondences],
 
     Entry i is sample i's report, or the ``RankDeficiencyError`` or
     ``EmptySolutionError`` its solve raised; other errors propagate.
+    Samples of one size are one stack: their centering, elimination and
+    cost assembly are one pass each, and a sample's report is the same,
+    bit for bit, alone or in any batch.
     """
-    if any(len(c) < 4 for c in samples):
-        raise InvalidInputError("gdls_solve requires at least 4 correspondences")
     start = mark = time.perf_counter()
     spent = dict.fromkeys(("elimination", "cost", "stationary", "recovery"), 0.0)
 
@@ -473,26 +502,29 @@ def solve_batch(samples: Sequence[Correspondences],
         mark = now
 
     out: list = [None] * len(samples)
-    solved = []
-    for i, corrs in enumerate(samples):
+    solved, elims, shifts, costs = [], [], [], []
+    for n in dict.fromkeys(len(corrs) for corrs in samples):
+        rows = [i for i, corrs in enumerate(samples) if len(corrs) == n]
+        c, z, X = (np.stack([getattr(samples[i], name) for i in rows])
+                   for name in ("origins", "directions", "points"))
         # Solving about the centroids is an exact reparametrization; the
         # translation maps back in recover_candidates.
-        shift = corrs.origins.mean(axis=0), corrs.points.mean(axis=0)
-        try:
-            elim = build_elimination(corrs.shifted(*shift), fix_scale=fix_scale)
-        except RankDeficiencyError as e:
-            # Kept without its traceback, which would tie this frame (and the
-            # batch) into a reference cycle that only the collector frees.
-            out[i] = e.with_traceback(None)
-            continue
-        finally:
-            lap("elimination")
-        solved.append((i, elim, build_quartic_cost(elim), shift))
+        shift_c, shift_X = c.mean(axis=1, keepdims=True), X.mean(axis=1, keepdims=True)
+        stack, errors = eliminate(c - shift_c, z, X - shift_X, fix_scale)
+        lap("elimination")
+        for i, error in zip(rows, errors):
+            out[i] = error
+        ok = [j for j, error in enumerate(errors) if error is None]
+        if ok:
+            solved += [rows[j] for j in ok]
+            shifts += [(shift_c[j, 0], shift_X[j, 0]) for j in ok]
+            elims += [stack[j] for j in range(len(ok))]
+            costs.append(build_quartic_cost(stack))
         lap("cost")
-    found = solve_stationary([cost for _, _, cost, _ in solved])
+    found = solve_stationary(costs)
     lap("stationary")
     kept = []
-    for (i, elim, _, shift), minima in zip(solved, found):
+    for i, elim, shift, minima in zip(solved, elims, shifts, found):
         if isinstance(minima, EmptySolutionError):
             out[i] = minima
         elif not len(minima.q):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -186,6 +188,24 @@ def test_conservation_and_growth_bookkeeping():
     assert len(report.levels) == 2
     assert len(report.levels[0].groups) == 2
     assert len(report.levels[1].groups) == 1
+
+
+def test_merge_levels_are_timed_and_logged(caplog):
+    # One debug record per level on the "raypose" logger, with the level's
+    # counts and its wall time, which the level record holds out of equality.
+    cams, _ = generate_city(4, 3, 0.3, 0.0, seed=3)
+    with caplog.at_level(logging.DEBUG, logger="raypose"):
+        report = hierarchical_merge(cams, RobustConfig(min_inliers=10), max_group_size=2, seed=0)
+    records = [r for r in caplog.records if r.getMessage().startswith("merge level")]
+    assert len(records) == len(report.levels) == 2
+    for index, (record, level) in enumerate(zip(records, report.levels)):
+        placed = sum(r.success for r in level.results.values())
+        assert (record.level, record.groups, record.placed, record.failed) == (
+            index, len(level.groups), placed, len(level.results) - placed)
+        assert record.seconds == level.seconds > 0.0
+        assert dataclasses.replace(level, seconds=level.seconds + 1.0) == level
+    assert [r.placed for r in records] == [2, 1]
+    assert not logging.getLogger("raypose").handlers
 
 
 def test_disconnected_member_fails_with_reason():

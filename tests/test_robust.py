@@ -217,6 +217,21 @@ def test_angular_residual_degenerate_point():
     assert angles[0] == np.pi
 
 
+def test_stacked_residual_rows_are_the_single_calls():
+    # One (S, n) call scores a RANSAC batch: each row is, bit for bit, the
+    # call with that transform alone, a degenerate point included.
+    (corrs, _), rng = _scene(n=40, seed=21)
+    arrays = (corrs.origins, corrs.directions, corrs.points.copy())
+    arrays[2][3] = arrays[0][3]
+    stack = [SimilarityTransform(Quaternion(*rng.normal(size=4)), rng.normal(size=3),
+                                 float(rng.uniform(0.5, 2.0))) for _ in range(15)]
+    stack.insert(4, SimilarityTransform.identity())
+    angles = angular_residuals(stack, *arrays)
+    assert angles.shape == (16, 40) and angles[4, 3] == np.pi
+    for row, T in zip(angles, stack):
+        assert np.array_equal(row, angular_residuals(T, *arrays))
+
+
 def test_too_few_correspondences_raise():
     (corrs, _), _ = _scene(seed=5)
     with pytest.raises(InvalidInputError):
@@ -331,6 +346,27 @@ def test_umeyama_collinear_raises():
         umeyama_align(a, 2.0 * a)
     with pytest.raises(InvalidInputError):
         umeyama_align(a[:2], a[:2])
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "-inf"])
+def test_umeyama_non_finite_point_is_invalid_input(fault):
+    # A NaN reached eigh, which raised a bare LinAlgError; an inf raised
+    # numpy's RuntimeWarning first.
+    a = np.random.default_rng(14).normal(size=(10, 3))
+    bad = a.copy()
+    bad[3, 1] = float(fault)
+    for pair in ((bad, 2.0 * a), (a, 2.0 * bad)):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            umeyama_align(*pair)
+
+
+@pytest.mark.parametrize("scale_a, scale_b", [(1e200, 1e200), (1e200, 1.0), (1e160, 1e160)])
+def test_umeyama_overflow_is_named(scale_a, scale_b):
+    # Points near 1e200 overflowed the cross-covariance with a RuntimeWarning
+    # and then failed as "scale must be positive and finite, got 0.0".
+    a = np.random.default_rng(15).normal(size=(10, 3))
+    with pytest.raises(InvalidInputError, match="overflows"):
+        umeyama_align(scale_a * a, scale_b * a)
 
 
 def test_horn_matrix_is_the_rotation_form():

@@ -9,6 +9,8 @@ from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
                      build_elimination, build_quartic_cost, gdls_solve,
                      recover_candidates, solve_stationary)
 from raypose.cost import constraint_cost
+from raypose.elimination import eliminate
+from raypose.robust import angular_residuals
 from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
                            random_similarity, trial_rng)
 from raypose import solver
@@ -359,6 +361,69 @@ def test_solve_batch_reports_each_sample():
     assert len({len(report.candidates) for report in stacked}) > 1
     for sample, report in zip(samples, stacked):
         _assert_same_candidates(report, gdls_solve(sample))
+
+
+def test_mixed_batch_gives_each_sample_its_result_alone():
+    # Good minimal samples, a coincident-origin sample (the fix-scale hint)
+    # and samples of two other sizes in one batch: each gets, bit for bit,
+    # the elimination, cost, minima, candidates and scores it gets alone.
+    samples = []
+    for seed in range(12):
+        rng = trial_rng(700 + seed, 0)
+        corrs, _ = generate_scene(SceneConfig(n_correspondences=(4, 4, 4, 6, 4, 30)[seed % 6]), rng)
+        samples.append(add_noise(corrs, 1.0, rng))
+    coincident = samples[1]
+    samples[1] = Correspondences(np.zeros((4, 3)), coincident.directions, coincident.points)
+    fours = [i for i, c in enumerate(samples) if len(c) == 4]
+    stack, errors = eliminate(*(np.stack([getattr(samples[i], name) for i in fours])
+                                for name in ("origins", "directions", "points")))
+    assert [e is None for e in errors] == [i != 1 for i in fours]
+    with pytest.raises(RankDeficiencyError) as alone:
+        build_elimination(samples[1])
+    assert str(errors[1]) == str(alone.value) and errors[1].fix_scale_hint
+    costs = build_quartic_cost(stack)
+    minima = solve_stationary([costs])
+    for j, i in enumerate(i for i in fours if i != 1):
+        elim = build_elimination(samples[i])
+        cost = build_quartic_cost(elim)
+        assert np.array_equal(stack.K_inv[j], elim.K_inv) and np.array_equal(stack.M[j], elim.M)
+        assert np.array_equal(costs.Q[j], cost.Q) and np.array_equal(costs.T[j], cost.T)
+        _assert_identical(minima[j], solve_stationary([cost])[0])
+    batch = solve_batch(samples)
+    assert isinstance(batch[1], RankDeficiencyError) and batch[1].fix_scale_hint
+    reports = [r for r in batch if isinstance(r, solver.SolveReport)]
+    assert len(reports) == 11 and {r.n_correspondences for r in reports} == {4, 6, 30}
+    for sample, entry in zip(samples, batch):
+        alone, = solve_batch([sample])
+        assert type(entry) is type(alone)
+        if isinstance(entry, RankDeficiencyError):
+            assert str(entry) == str(alone)
+        else:
+            _assert_same_candidates(entry, alone)
+    corrs = samples[5]
+    arrays = corrs.origins, corrs.directions, corrs.points
+    angles = angular_residuals([r.best.transform for r in reports], *arrays)
+    for row, report in zip(angles, reports):
+        assert np.array_equal(row, angular_residuals(report.best.transform, *arrays))
+
+
+def test_newton_steps_fall_back_row_by_row_on_a_singular_stack():
+    # A singular H + q q^T makes LAPACK refuse the whole stack: every other
+    # row keeps the step it gets alone and the singular one takes the
+    # pseudo-inverse, with no NaN or warning.
+    rng = np.random.default_rng(9)
+    B = rng.normal(size=(6, 4, 4))
+    A = B @ B.swapaxes(1, 2) + np.eye(4)
+    A[2] = np.diag([2.0, 1.0, 0.0, 3.0])
+    g = rng.normal(size=(6, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steps = solver._newton_steps(A, g)
+    for k in range(6):
+        assert np.array_equal(steps[k], solver._newton_steps(A[k:k + 1], g[k:k + 1])[0])
+    assert np.isfinite(steps).all()
+    assert np.allclose(steps[2], np.linalg.pinv(A[2]) @ g[2], rtol=0, atol=1e-15)
+    assert np.array_equal(steps[0], np.linalg.solve(A[0], g[0]))
 
 
 def _recovery_oracle(minima, elim, cost, centroids):
