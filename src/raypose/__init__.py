@@ -16,7 +16,7 @@ from .geometry import (Correspondences, DistributedCamera, Quaternion,
                        invert_similarity, merge_distributed_cameras)
 from .elimination import EliminationMatrices, build_elimination
 from .cost import QuarticCost, build_quartic_cost, direct_cost
-from .solver import (SolveReport, SolverCandidate, gdls_solve, recover_candidates,
+from .solver import (SolveReport, SolverCandidate, gdls_solve, recover_candidates, refine,
                      solve_batch, solve_stationary)
 from .robust import (RobustConfig, RobustResult, prosac_order, ransac_gdls,
                      umeyama_align)

@@ -2,7 +2,16 @@
 
 ``ransac_gdls`` runs a hypothesize-and-verify loop with minimal samples
 of 4 correspondences, angular inlier scoring, adaptive termination, and
-a final non-minimal re-estimate on the inlier set.  Minimal samples are
+a final non-minimal re-estimate on the inlier set.  That refit is local
+(Chum, Matas & Kittler's locally optimized RANSAC): ``solver.refine``
+takes Newton steps on the inliers' cost from the winning hypothesis's
+rotation, with no enumeration of the 40 stationary points, and only when
+it raises does the global ``gdls_solve`` run.  On 36 refits of 857-900
+rays from the benchmark's ``city_merge`` workload (2 vCPUs, one BLAS
+thread) a global refit took a median of 4.1 ms and a polished one 2.0 ms,
+after 3-8 accepted steps; 296 polished refits on two seeds each of its
+``localize_outliers`` and ``city_merge`` workloads matched the global
+ones within 2e-14 relative, with no fallback.  Minimal samples are
 drawn one at a time but solved in batches of 1, 1, 2, 4, ... (at most
 ``MAX_BATCH``, never past the current adaptive iteration limit) by one
 ``solve_batch`` call each.  The batch's hypotheses are scored by one
@@ -38,7 +47,7 @@ from .cost import MR, PAIR_SELECTOR
 from .errors import (EmptySolutionError, InvalidInputError, RankDeficiencyError,
                      RayposeError)
 from .geometry import Correspondences, Quaternion, SimilarityTransform, _integer, _rotations
-from .solver import SolveReport, gdls_solve, solve_batch
+from .solver import SolveReport, gdls_solve, refine, solve_batch
 
 # Largest number of minimal samples solved together.
 MAX_BATCH = 16
@@ -165,9 +174,11 @@ def ransac_gdls(
     """Robust similarity estimation from ray-point correspondences.
 
     Deterministic for a fixed (input, seed).  Models are scored by inlier
-    count with mean angular error as the tie-break; the final model is
-    re-estimated on all inliers with a single non-minimal solve and the
-    returned inlier set is re-scored under that final transform.
+    count with mean angular error as the tie-break.  The final model is
+    re-estimated on all inliers of the best one by ``refine`` from its
+    rotation, or by ``gdls_solve`` when ``refine`` raises; the refit is
+    kept only when it loses no inlier, and the returned inlier set is
+    re-scored under the final transform.
     """
     _integer(seed, "seed", 0)
     n = len(correspondences)
@@ -236,11 +247,14 @@ def ransac_gdls(
     # Non-minimal re-estimate on all inliers, kept only if it loses none;
     # otherwise the best minimal hypothesis stands.
     transform, angles = best_transform, best_angles
-    inliers = np.flatnonzero(best_angles < config.angular_inlier_threshold)
+    inliers = correspondences.subset(np.flatnonzero(best_angles < config.angular_inlier_threshold))
     try:
-        refit = gdls_solve(correspondences.subset(inliers)).best.transform
-    except RayposeError:
-        refit = None
+        refit = refine(inliers, best_transform.rotation).transform
+    except RayposeError:   # the global solve, as on a minimal sample
+        try:
+            refit = gdls_solve(inliers).best.transform
+        except RayposeError:
+            refit = None
     if refit is not None:
         refit_angles = angular_residuals(refit, *arrays)
         if int((refit_angles < config.angular_inlier_threshold).sum()) >= best_count:

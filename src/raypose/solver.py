@@ -106,6 +106,14 @@ stacked, the elimination's ``solve_linear`` and ``constraint_cost`` give
 the depths, scale, translation and cost of every minimum of a stack in
 one call each, and the scale test, the map back from the centroids and
 the ranking are one pass over every candidate.
+
+``refine`` is the local counterpart, for a cost whose global minimum is
+already known to lie near a given rotation (the RANSAC winner's, on its
+inliers): the same centering, elimination and cost, then the same Newton
+polish (``_polish``) from that rotation alone, repeated while each step
+shrinks the tangent gradient, and the same minimum test and recovery.
+It skips the Macaulay factorizations, and it cannot tell whether the
+minimum it reaches is the global one.
 """
 
 from __future__ import annotations
@@ -126,6 +134,8 @@ from .geometry import (Correspondences, Quaternion, SimilarityTransform, _rotati
 
 MAX_CANDIDATES = 8
 STATIONARITY_TOL = 1e-8
+# Most Newton steps ``refine`` takes.
+REFINE_STEPS = 10
 # The degree-8 Macaulay matrix of the six minors is 210 x 165 with rank
 # 125 when the 40 stationary points are isolated.
 _RANK, _ROOTS = 125, 40
@@ -239,35 +249,37 @@ def _macaulay_recipe() -> _Recipe:
 def _roots(T: np.ndarray) -> np.ndarray:
     """The 40 complex stationary points of the form T as (40, 4) rows
     q / q'_0, from the first frame whose null space passes the shift check.
-    Raises ``EmptySolutionError`` when neither does."""
+    Raises ``EmptySolutionError`` when neither does, naming per frame its
+    shift residual, or its singular pivot block where the LU solve fails."""
     recipe = _macaulay_recipe()
-    residuals = []
+    reasons = []
     for R, K in recipe.frames:
         A = np.zeros(_RANK * 165)
         A[recipe.dst] = ((K.T @ T @ K).reshape(256) @ recipe.W)[recipe.src]
         A = A.reshape(_RANK, 165)
         try:
             X = np.linalg.solve(A[:, :_RANK], A[:, _RANK:])
-        except np.linalg.LinAlgError:    # a singular pivot block
-            residuals.append(np.inf)
+        except np.linalg.LinAlgError:
+            reasons.append("its pivot block is singular")
             continue
         N = np.vstack([-X, np.eye(_ROOTS)])
         N0, Nk = N[recipe.shifts[0]], N[recipe.shifts[1:]]   # (120, 40), (3, 120, 40)
         Q0, R0 = np.linalg.qr(N0)
         B = Q0.T @ Nk
         # N_0 A_k - N_k with A_k = N_0^+ N_k, against N_k.
-        residuals.append(float(np.linalg.norm(Q0 @ B - Nk) / np.linalg.norm(Nk)))
-        if residuals[-1] <= _SHIFT_TOL:
+        residual = float(np.linalg.norm(Q0 @ B - Nk) / np.linalg.norm(Nk))
+        if residual <= _SHIFT_TOL:
             # A_k = R0^-1 B_k share the eigenvectors U of their combination,
             # and U^-1 A_k U = (R0 U)^-1 B_k U is diagonal, with q'_k / q'_0.
             _, U = np.linalg.eig(np.linalg.solve(R0, np.tensordot(recipe.w, B, 1)))
             x = np.einsum("ia,kai->ik", np.linalg.inv(R0 @ U), B @ U)
             return np.hstack([np.ones((_ROOTS, 1)), x]) @ R.T
+        reasons.append(f"relative residual {residual:.1e} > {_SHIFT_TOL:.0e}")
     raise EmptySolutionError(
         "the cost's stationary points are not isolated (a zero cost or a curve of "
         "minima): its Macaulay null space fails the shift-invariance check in every "
-        f"frame (relative residuals {', '.join(f'{r:.1e}' for r in residuals)} > "
-        f"{_SHIFT_TOL:.0e}); no finite candidate set describes them")
+        f"frame ({'; '.join(f'frame {i}: {r}' for i, r in enumerate(reasons, 1))}); "
+        "no finite candidate set describes them")
 
 
 def _local_terms(T: np.ndarray, q: np.ndarray):
@@ -310,10 +322,7 @@ def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySo
     """
     if not costs:
         return []
-    Q = np.concatenate([cost.Q.reshape(-1, 1, 100) for cost in costs])
-    forms = np.concatenate([cost.T.reshape(-1, 16, 16) for cost in costs])
-    # Each form scaled by 1 / max(1, |Q|); the matmul is the dot of |Q|^2.
-    forms = forms / np.maximum(1.0, np.sqrt(Q @ Q.swapaxes(1, 2)))
+    forms = _scaled_forms(costs)
     out: list = [None] * len(forms)
     solved, roots = [], []
     for c, T in enumerate(forms):
@@ -330,19 +339,8 @@ def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySo
     q = x.real[real]
     q /= np.linalg.norm(q, axis=1)[:, None]
     counts = real.sum(axis=1)
-    T = np.repeat(forms[solved], counts, axis=0)
-    f, g, H = _local_terms(T, q)
-    # One Newton step from each root, kept where it shrinks the tangent
-    # gradient; see the module docstring.
-    step = q - _newton_steps(H + np.einsum("ka,kb->kab", q, q), g)
-    step /= np.linalg.norm(step, axis=1)[:, None]
-    fs, gs, Hs = _local_terms(T, step)
-    residual, residual_s = np.linalg.norm(g, axis=1), np.linalg.norm(gs, axis=1)
-    better = residual_s < residual
-    q[better], f[better], H[better] = step[better], fs[better], Hs[better]
-    residual[better] = residual_s[better]
-    stationary = residual <= STATIONARITY_TOL
-    minimum = stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
+    # One Newton step from each root; see the module docstring.
+    f, residual, stationary, minimum = _polish(np.repeat(forms[solved], counts, axis=0), q, 1)
     bounds = np.cumsum(np.concatenate([[0], counts]))
     for c, start, stop in zip(solved, bounds[:-1], bounds[1:]):
         keep = start + np.flatnonzero(minimum[start:stop])
@@ -357,6 +355,37 @@ def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySo
                     break
         out[c] = Minima(qb[final], residual[keep[final]], int(stationary[start:stop].sum()))
     return out
+
+
+def _scaled_forms(costs: Sequence[QuarticCost]) -> np.ndarray:
+    """The forms of single costs and cost stacks as one (C, 16, 16) stack,
+    each scaled by 1 / max(1, |Q|)."""
+    Q = np.concatenate([cost.Q.reshape(-1, 1, 100) for cost in costs])
+    forms = np.concatenate([cost.T.reshape(-1, 16, 16) for cost in costs])
+    return forms / np.maximum(1.0, np.sqrt(Q @ Q.swapaxes(1, 2)))   # the matmul is |Q|^2
+
+
+def _polish(T: np.ndarray, q: np.ndarray, steps: int):
+    """Newton steps on the sphere from the unit rows q, each against the
+    form in its row of T, for at most ``steps`` rounds.  A row takes a step
+    only where it shrinks the row's tangent gradient, and the rounds stop
+    early once no row's does.  q is updated in place; gives the rows'
+    values, tangent-gradient norms, and which rows are stationary and
+    which local minima."""
+    f, g, H = _local_terms(T, q)
+    residual = np.linalg.norm(g, axis=1)
+    for _ in range(steps):
+        step = q - _newton_steps(H + np.einsum("ka,kb->kab", q, q), g)
+        step /= np.linalg.norm(step, axis=1)[:, None]
+        fs, gs, Hs = _local_terms(T, step)
+        residual_s = np.linalg.norm(gs, axis=1)
+        better = residual_s < residual
+        if not better.any():
+            break
+        for kept, new in ((q, step), (f, fs), (g, gs), (H, Hs), (residual, residual_s)):
+            kept[better] = new[better]
+    stationary = residual <= STATIONARITY_TOL
+    return f, residual, stationary, stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
 
 
 def _newton_steps(A: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -481,6 +510,20 @@ class SolveReport:
         return self.candidates[0]
 
 
+def _eliminate_centered(samples: Sequence[Correspondences], fix_scale: bool):
+    """The eliminations of correspondence sets of one size as one stack
+    (``elimination.eliminate``), each set centered on the centroids of its
+    ray origins and of its world points: the stack, the per-set errors and
+    each set's (origin centroid, point centroid).  Solving about the
+    centroids is an exact reparametrization; ``recover_candidates`` maps
+    the translation back."""
+    c, z, X = (np.stack([getattr(corrs, name) for corrs in samples])
+               for name in ("origins", "directions", "points"))
+    shift_c, shift_X = c.mean(axis=1), X.mean(axis=1)
+    return (*eliminate(c - shift_c[:, None], z, X - shift_X[:, None], fix_scale),
+            list(zip(shift_c, shift_X)))
+
+
 def solve_batch(samples: Sequence[Correspondences],
                 fix_scale: bool = False) -> List[Union[SolveReport, RankDeficiencyError,
                                                        EmptySolutionError]]:
@@ -505,37 +548,28 @@ def solve_batch(samples: Sequence[Correspondences],
     solved, elims, shifts, costs = [], [], [], []
     for n in dict.fromkeys(len(corrs) for corrs in samples):
         rows = [i for i, corrs in enumerate(samples) if len(corrs) == n]
-        c, z, X = (np.stack([getattr(samples[i], name) for i in rows])
-                   for name in ("origins", "directions", "points"))
-        # Solving about the centroids is an exact reparametrization; the
-        # translation maps back in recover_candidates.
-        shift_c, shift_X = c.mean(axis=1, keepdims=True), X.mean(axis=1, keepdims=True)
-        stack, errors = eliminate(c - shift_c, z, X - shift_X, fix_scale)
+        stack, errors, centroids = _eliminate_centered([samples[i] for i in rows], fix_scale)
         lap("elimination")
         for i, error in zip(rows, errors):
             out[i] = error
         ok = [j for j, error in enumerate(errors) if error is None]
         if ok:
             solved += [rows[j] for j in ok]
-            shifts += [(shift_c[j, 0], shift_X[j, 0]) for j in ok]
+            shifts += [centroids[j] for j in ok]
             elims += [stack[j] for j in range(len(ok))]
             costs.append(build_quartic_cost(stack))
         lap("cost")
     found = solve_stationary(costs)
     lap("stationary")
-    kept = []
-    for i, elim, shift, minima in zip(solved, elims, shifts, found):
-        if isinstance(minima, EmptySolutionError):
-            out[i] = minima
-        elif not len(minima.q):
-            out[i] = EmptySolutionError("no local minimum met the stationarity tolerance")
-        else:
-            kept.append((i, minima, elim, shift))
-    recovered = recover_candidates([m for _, m, _, _ in kept], [e for _, _, e, _ in kept],
-                                   [shift for _, _, _, shift in kept])
-    for (i, minima, _, _), candidates in zip(kept, recovered):
-        out[i] = candidates if isinstance(candidates, EmptySolutionError) else (
-            candidates, len(minima.q), minima.real_roots)
+    for i, minima in zip(solved, found):
+        if isinstance(minima, Minima) and not len(minima.q):
+            minima = EmptySolutionError("no local minimum met the stationarity tolerance")
+        out[i] = minima
+    kept = [j for j, i in enumerate(solved) if isinstance(out[i], Minima)]
+    recovered = recover_candidates(*([seq[j] for j in kept] for seq in (found, elims, shifts)))
+    for j, candidates in zip(kept, recovered):
+        out[solved[j]] = candidates if isinstance(candidates, EmptySolutionError) else (
+            candidates, len(found[j].q), found[j].real_roots)
     lap("recovery")
     per = 1.0 / max(1, len(samples))
     stages = {f"{k}_seconds": v * per for k, v in spent.items()}
@@ -557,3 +591,30 @@ def gdls_solve(correspondences: Correspondences, fix_scale: bool = False) -> Sol
     if not isinstance(report, SolveReport):
         raise report
     return report
+
+
+def refine(correspondences: Correspondences, start: Quaternion) -> SolverCandidate:
+    """The candidate at the local minimum of the correspondences' cost that
+    Newton steps from the rotation ``start`` reach.
+
+    The cost is built as ``solve_batch`` builds it and polished as
+    ``solve_stationary`` polishes a root, for at most ``REFINE_STEPS``
+    steps while each shrinks the tangent gradient, with no stationary-point
+    enumeration.  From a start in the basin of the global minimum, the
+    RANSAC winner's rotation on its inliers, say, this is ``gdls_solve``'s
+    best candidate, with a free scale.  Raises ``RankDeficiencyError`` as
+    ``gdls_solve`` does, and ``EmptySolutionError`` when the point reached
+    is not a local minimum within ``STATIONARITY_TOL`` or its scale is not
+    positive.
+    """
+    stack, (error,), centroids = _eliminate_centered([correspondences], False)
+    if error is not None:
+        raise error
+    q = start.array[None]
+    _, residual, _, minimum = _polish(_scaled_forms([build_quartic_cost(stack)]), q, REFINE_STEPS)
+    if not minimum[0]:
+        raise EmptySolutionError(f"no local minimum near the start (gradient {residual[0]:.1e})")
+    found, = recover_candidates([Minima(_unit_quaternions(q), residual, 0)], [stack[0]], centroids)
+    if isinstance(found, EmptySolutionError):
+        raise found
+    return found[0]

@@ -145,6 +145,22 @@ def test_localize_disjoint_fails_gracefully():
     assert "shared" in result.failure_reason
 
 
+def test_localize_names_too_few_distinct_points():
+    # Six cameras all see the same two base points: every minimal sample
+    # would be degenerate, so none is drawn.
+    base = _camera_with_points(range(20), "a")
+    rng = np.random.default_rng(7)
+    centers = rng.uniform(-1.0, 1.0, (6, 3))
+    pts = np.vstack([base.points[:2], rng.normal(size=(4, 3)) + np.array([0, 0, 5.0])])
+    cam, pt = (a.ravel() for a in np.meshgrid(np.arange(6), np.arange(6), indexing="ij"))
+    other = DistributedCamera(cam, pt, pts[pt] - centers[cam], list("uvwxyz"), centers,
+                              np.tile(Quaternion.identity().array, (6, 1)),
+                              [0, 1, 100, 101, 102, 103], pts)
+    result = localize(base, other, RobustConfig())
+    assert not result.success and result.iterations_run == 0 and result.samples_solved == 0
+    assert result.failure_reason.startswith("only 2 distinct points among 12 shared rays")
+
+
 def test_single_camera_merge_is_identity():
     cam = _camera_with_points(range(10), "a")
     report = hierarchical_merge([cam])

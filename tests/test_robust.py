@@ -14,7 +14,7 @@ from raypose.bench import (SceneConfig, add_noise, generate_scene,
                            random_similarity, trial_rng)
 from raypose.geometry import _rotations
 from raypose.robust import _horn_matrix, angular_residuals
-from raypose.solver import SolveReport, gdls_solve, solve_batch
+from raypose.solver import SolveReport, gdls_solve, refine, solve_batch
 
 from dense_oracle import umeyama_svd
 
@@ -172,20 +172,49 @@ def test_failed_refit_keeps_best_hypothesis(monkeypatch, refit):
         minimal_solves.extend(r.best.transform for r in reports if isinstance(r, SolveReport))
         return reports
 
-    def solve_refit(sample):
+    def refine_refit(sample, start):
         if refit == "raises":
             raise EmptySolutionError("forced refit failure")
-        report = gdls_solve(sample)
-        best = dataclasses.replace(report.best, transform=far)
-        return dataclasses.replace(report, candidates=[best])
+        return dataclasses.replace(refine(sample, start), transform=far)
+
+    def global_refit(sample):
+        # Reached only when the polished refit raises; made to fail as well.
+        assert refit == "raises"
+        raise EmptySolutionError("forced fallback failure")
 
     monkeypatch.setattr(robust, "solve_batch", solve_minimal)
-    monkeypatch.setattr(robust, "gdls_solve", solve_refit)
+    monkeypatch.setattr(robust, "refine", refine_refit)
+    monkeypatch.setattr(robust, "gdls_solve", global_refit)
     result = ransac_gdls(noisy, RobustConfig(), seed=0)
     assert result.success
     assert any(result.transform is T for T in minimal_solves)
     assert result.transform.rotation.angle_deg_to(truth.rotation) < 1.0
     assert len(result.inlier_indices) >= 25
+
+
+def test_refit_falls_back_to_the_global_solve(monkeypatch):
+    (corrs, _), rng = _scene(seed=9)
+    noisy = _concat(add_noise(corrs, 0.5, rng), _outliers(rng, 6))
+    polished = ransac_gdls(noisy, RobustConfig(), seed=0)
+    starts, refits = [], []
+
+    def refine_refit(sample, start):
+        starts.append(start)
+        raise EmptySolutionError("forced refit failure")
+
+    def global_refit(sample):
+        refits.append(gdls_solve(sample))
+        return refits[-1]
+
+    monkeypatch.setattr(robust, "refine", refine_refit)
+    monkeypatch.setattr(robust, "gdls_solve", global_refit)
+    result = ransac_gdls(noisy, RobustConfig(), seed=0)
+    assert len(starts) == len(refits) == 1
+    assert result.transform is refits[0].best.transform
+    # The polished refit lands on the global one's minimum.
+    assert np.array_equal(result.inlier_indices, polished.inlier_indices)
+    assert np.linalg.norm(result.transform.rotation_matrix()
+                          - polished.transform.rotation_matrix()) < 1e-12
 
 
 def test_single_origin_failure_names_rank_deficiency():

@@ -78,6 +78,18 @@ def test_non_isolated_stationary_sets_are_named():
     assert "shift-invariance check in every frame" in str(error)
 
 
+def test_zero_cost_names_its_singular_pivot_blocks():
+    # The LU solve of the zero cost's pivot block fails in both frames, so
+    # no shift residual is computed and none may be quoted.
+    error, = solve_stationary([QuarticCost(np.zeros((10, 10)))])
+    assert isinstance(error, EmptySolutionError) and "not isolated" in str(error)
+    singular = "its pivot block is singular"
+    assert f"frame 1: {singular}; frame 2: {singular}" in str(error)
+    assert "residual" not in str(error)
+    error, = solve_stationary([_circle_cost()])
+    assert "frame 1: relative residual" in str(error) and "frame 2: relative residual" in str(error)
+
+
 def test_near_degenerate_costs_give_distinct_minima_or_a_named_error():
     rng = np.random.default_rng(5)
     for eps in (1e-2, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12):
@@ -250,6 +262,69 @@ def test_noise_free_minimal_solves_are_exact():
         chord = report.best.transform.rotation_matrix() - truth.rotation_matrix()
         assert np.linalg.norm(chord) < 1e-9
         assert 1 <= report.n_stationary <= report.real_roots <= 40
+
+
+def _half_turn(rng):
+    axis = rng.normal(size=3)
+    return Quaternion(0.0, *axis)
+
+
+def _near_half_turn(rng):
+    axis = rng.normal(size=3)
+    half = np.radians(179.99) / 2.0
+    return Quaternion(np.cos(half), *(np.sin(half) * axis / np.linalg.norm(axis)))
+
+
+@pytest.mark.parametrize("draw", [_half_turn, _near_half_turn,
+                                  lambda rng: Quaternion(*rng.normal(size=4))],
+                         ids=["half_turn", "near_half_turn", "uniform"])
+def test_no_rotation_is_singular(draw):
+    # The cost is over m(q), not a Cayley or angle-axis chart, so half
+    # turns (q0 = 0) solve as exactly as any rotation; the criteria draw
+    # rotations within 30 degrees per axis only.
+    rng = np.random.default_rng(1180)
+    for _ in range(50):
+        corrs, _ = generate_scene(SceneConfig(n_correspondences=4, identity_transform=True), rng)
+        q, s, t = draw(rng), rng.uniform(0.1, 10.0), rng.normal(size=3)
+        R = q.rotation_matrix()
+        # s c_i + alpha_i d_i = R X_i + t with X_i = R^T (s P_i - t), P_i the local point.
+        world = (s * corrs.points - t) @ R
+        best = gdls_solve(Correspondences(corrs.origins, corrs.directions, world)).best
+        assert np.linalg.norm(best.transform.rotation_matrix() - R) < 1e-9
+        assert abs(best.transform.scale - s) < 1e-9 * s
+
+
+def _noisy_inliers(n, seed):
+    rng = trial_rng(seed, 0)
+    corrs, truth = generate_scene(SceneConfig(n_correspondences=n), rng)
+    return add_noise(corrs, 0.5, rng), truth
+
+
+@pytest.mark.parametrize("n", [30, 300])
+def test_refine_is_the_global_best(n):
+    for seed in range(5):
+        corrs, truth = _noisy_inliers(n, 9100 + seed)
+        # A start a few degrees off, as a minimal sample's pose is.
+        start = Quaternion(*(truth.rotation.array + 0.03 * trial_rng(seed, 1).normal(size=4)))
+        got, want = solver.refine(corrs, start), gdls_solve(corrs).best
+        assert np.linalg.norm(got.transform.rotation.array - want.transform.rotation.array) < 1e-12
+        assert (np.linalg.norm(got.transform.translation - want.transform.translation)
+                < 1e-12 * np.linalg.norm(want.transform.translation))
+        assert abs(got.transform.scale - want.transform.scale) < 1e-12 * want.transform.scale
+        assert abs(got.cost - want.cost) < 1e-12 * want.cost
+        assert got.stationarity_residual <= STATIONARITY_TOL and got.cheirality_ok
+
+
+def test_refine_from_a_maximum_raises():
+    # Newton steps seek any stationary point; from the top of the cost they
+    # stay there, and the minimum test refuses it.
+    corrs, _ = _noisy_inliers(30, 9200)
+    cost = build_quartic_cost(build_elimination(corrs))
+    q = np.random.default_rng(0).normal(size=(20000, 4))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    top = Quaternion(*q[np.argmax(cost.evaluate(q))])
+    with pytest.raises(EmptySolutionError, match="no local minimum near the start"):
+        solver.refine(corrs, top)
 
 
 def test_an_ill_conditioned_minimum_is_read_to_the_rounding_floor():
@@ -615,7 +690,8 @@ def test_a_cost_the_first_frame_refuses_is_solved_in_the_second(monkeypatch):
     identity = (np.eye(4), np.eye(16))
     monkeypatch.setattr(solver, "_macaulay_recipe", lambda: recipe._replace(frames=(identity,)))
     refused, = solve_stationary([cost])
-    assert isinstance(refused, EmptySolutionError) and "residuals inf " in str(refused)
+    assert isinstance(refused, EmptySolutionError)
+    assert "(frame 1: its pivot block is singular)" in str(refused)
     monkeypatch.setattr(solver, "_macaulay_recipe",
                         lambda: recipe._replace(frames=(identity, recipe.frames[1])))
     found, = solve_stationary([cost])
