@@ -1,32 +1,53 @@
 """Robust estimation wrappers and the closed-form absolute-orientation baseline.
 
 ``ransac_gdls`` runs a hypothesize-and-verify loop with minimal samples
-of 4 correspondences, angular inlier scoring, adaptive termination, and
-a final non-minimal re-estimate on the inlier set.  That refit is local
-(Chum, Matas & Kittler's locally optimized RANSAC): ``solver.refine``
-takes Newton steps on the inliers' cost from the winning hypothesis's
-rotation, with no enumeration of the 40 stationary points, and only when
-it raises does the global ``gdls_solve`` run.  On 36 refits of 857-900
-rays from the benchmark's ``city_merge`` workload (2 vCPUs, one BLAS
-thread) a global refit took a median of 4.1 ms and a polished one 2.0 ms,
-after 3-8 accepted steps; 296 polished refits on two seeds each of its
-``localize_outliers`` and ``city_merge`` workloads matched the global
-ones within 2e-14 relative, with no fallback.  Minimal samples are
-drawn one at a time but solved in batches of 1, 1, 2, 4, ... (at most
-``MAX_BATCH``, never past the current adaptive iteration limit) by one
-``solve_batch`` call each.  The batch's hypotheses are scored by one
-(S, n) ``angular_residuals`` call and accepted in draw order.  Batching
-pays because a minimal solve is a chain of small-array numpy calls whose
-fixed cost dominates: the solver centers, eliminates and assembles the
-costs of the whole batch as one stack and runs the Newton polish and its
-tests once over the roots of the whole batch, not once per sample, while
-the result is the same as solving each sample alone.  When the loop
-stops, one debug record on the ``raypose`` logger carries
-``iterations_run``, the three sample counts and the best hypothesis's
-inlier count (``best_inliers``).  When at least half of the
+of 4 correspondences, angular inlier scoring and adaptive termination,
+locally optimized (Chum, Matas & Kittler, DAGM 2003): each hypothesis
+that becomes the best with at least ``min_inliers`` inliers is
+re-estimated at once on its inlier set, the refit takes its place when
+it loses no inlier, and the adaptive stop reads the refit's inlier
+count (the stopping rule of Lebeda, Matas & Chum, BMVC 2012).  After
+the loop the best is refitted once more only when its inlier set is not
+the one it was fitted on: a refit that gained rays was fitted without
+them, and without this second refit the placed-and-accurate subsets of
+96 ``city_merge`` instances fell from 865 to 806 of 960.  A refit is
+local: ``solver.refine`` takes Newton steps on the inliers' cost from
+the hypothesis's rotation, with no enumeration of the 40 stationary
+points, and only when it raises does the global ``gdls_solve`` run.  On
+36 refits of 857-900 rays from the benchmark's ``city_merge`` workload
+(2 vCPUs, one BLAS thread) a global refit took a median of 4.1 ms and a
+polished one 2.0 ms.
+
+Each minimal sample lies on 4 distinct points whenever the set holds 4.
+Rays of many cameras repeat a point: a ``city_merge`` member's 900
+shared rays are 50 cameras' rays to 18 points, so 30% of uniform 4-ray
+samples repeat one, and a sample on 2 or 3 points is degenerate or
+weak.  A drawn sample that repeats a point keeps the first ray of each
+of its points and is completed among the rays of the points it lacks,
+so every draw is bounded work; a set whose rays all have their own
+points draws exactly numpy's ``choice`` sequence.  On 96 ``city_merge``
+instances (9 localizations each) the two changes took the mean minimal
+samples solved per localization from 1.57 to 1.007, for 1.29 refits
+where there was 1.
+
+Minimal samples are drawn one at a time but solved in batches of 1, 1,
+2, 4, ... (at most ``MAX_BATCH``, never past the current adaptive
+iteration limit) by one ``solve_batch`` call each.  The batch's
+hypotheses are scored by one (S, n) ``angular_residuals`` call and
+accepted, and refitted, in draw order.  Batching pays because a minimal
+solve is a chain of small-array numpy calls whose fixed cost dominates:
+the solver centers, eliminates and assembles the costs of the whole
+batch as one stack and runs the Newton polish and its tests once over
+the roots of the whole batch, not once per sample, while the result is
+the same as solving each sample alone.  When the loop stops, one debug
+record on the ``raypose`` logger carries ``iterations_run``, the sample
+and refit counts of ``RobustResult`` and the best inlier count after
+the in-loop refits (``best_inliers``).  When at least half of the
 correspondences carry a match score, minimal samples are drawn from
 progressively growing prefixes of the correspondences sorted by score
-(Chum-Matas progressive sampling); otherwise uniformly.
+(Chum-Matas progressive sampling); otherwise uniformly.  A progressive
+sample that repeats a point is completed among all rays, not only the
+prefix.
 
 ``umeyama_align`` is the closed-form least-squares similarity between two
 3D point sets (Umeyama's estimator, solved in Horn's unit-quaternion
@@ -39,7 +60,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +115,11 @@ class RobustResult:
     ``MAX_BATCH - 1``); ``samples_rank_deficient`` and ``samples_empty``
     count, among the first ``iterations_run`` samples, those whose solve
     raised ``RankDeficiencyError`` or ``EmptySolutionError``.
+    ``samples_redrawn`` counts, among the samples solved, those completed
+    on distinct points because a drawn ray repeated a point, and
+    ``refits`` the non-minimal re-estimates run: one per new best
+    hypothesis with at least ``min_inliers`` inliers, and one after the
+    loop when the best's inlier set is not the one it was refitted on.
     """
 
     success: bool
@@ -106,6 +132,8 @@ class RobustResult:
     samples_solved: int = 0
     samples_rank_deficient: int = 0
     samples_empty: int = 0
+    samples_redrawn: int = 0
+    refits: int = 0
 
 
 def angular_residuals(T: Union[SimilarityTransform, Sequence[SimilarityTransform]],
@@ -166,6 +194,57 @@ def _prosac_samples(order: np.ndarray, max_iterations: int,
             yield order[rng.choice(n_star, size=m, replace=False)]
 
 
+def _on_distinct_points(draws: Iterator[np.ndarray], points: np.ndarray,
+                        rng: np.random.Generator) -> Iterator[Tuple[np.ndarray, bool]]:
+    """Each sample of ``draws`` as (rows, completed).  A sample whose rays
+    repeat a point keeps the first ray of each of its points and is
+    completed, one ray at a time, by a ray drawn uniformly among those on
+    points it does not hold yet; ``completed`` marks it.  Samples on 4
+    distinct points pass unchanged, and so does every sample when the set
+    has fewer than 4 distinct points.  Each ray's point key is built on the
+    first repeat, from the point's bytes: rays of one point share them.
+    That takes about 90 us on 900 rays, where ``np.unique(points, axis=0)``
+    takes 520."""
+    keys = None
+    for rows in draws:
+        repeat = len(set(map(tuple, points[rows].tolist()))) < SAMPLE_SIZE
+        if repeat and keys is None:   # a row's 3 float64 coordinates as one 24-byte key
+            rays = np.ascontiguousarray(points).view("V24").ravel()
+            keys = np.unique(rays, return_inverse=True)[1]
+        completed = repeat and keys.max() >= SAMPLE_SIZE - 1
+        if completed:
+            rows = rows[np.sort(np.unique(keys[rows], return_index=True)[1])]
+            while len(rows) < SAMPLE_SIZE:
+                unused = np.flatnonzero(~np.isin(keys, keys[rows]))
+                rows = np.append(rows, unused[rng.integers(len(unused))])
+        yield rows, completed
+
+
+def _support(angles: np.ndarray, threshold: float) -> Tuple[int, float]:
+    """Inlier count and mean inlier angle (inf with no inlier)."""
+    inlier = angles[angles < threshold]
+    return len(inlier), float(inlier.mean()) if len(inlier) else math.inf
+
+
+def _refit(corrs: Correspondences, transform: SimilarityTransform,
+           angles: np.ndarray, threshold: float) -> Tuple[SimilarityTransform, np.ndarray]:
+    """(transform, angles) after the non-minimal re-estimate on the inliers
+    of ``angles``: ``refine`` from ``transform``'s rotation, or
+    ``gdls_solve`` when that raises.  The refit replaces ``transform`` only
+    when it loses no inlier, and not at all when both raise."""
+    inliers = corrs.subset(np.flatnonzero(angles < threshold))
+    try:
+        refit = refine(inliers, transform.rotation).transform
+    except RayposeError:   # the global solve, as on a minimal sample
+        try:
+            refit = gdls_solve(inliers).best.transform
+        except RayposeError:
+            return transform, angles
+    refit_angles = angular_residuals(refit, corrs.origins, corrs.directions, corrs.points)
+    kept = np.count_nonzero(refit_angles < threshold) >= len(inliers)
+    return (refit, refit_angles) if kept else (transform, angles)
+
+
 def ransac_gdls(
     correspondences: Correspondences,
     config: RobustConfig = RobustConfig(),
@@ -174,10 +253,15 @@ def ransac_gdls(
     """Robust similarity estimation from ray-point correspondences.
 
     Deterministic for a fixed (input, seed).  Models are scored by inlier
-    count with mean angular error as the tie-break.  The final model is
-    re-estimated on all inliers of the best one by ``refine`` from its
-    rotation, or by ``gdls_solve`` when ``refine`` raises; the refit is
-    kept only when it loses no inlier, and the returned inlier set is
+    count with mean angular error as the tie-break.  Each minimal sample
+    lies on 4 distinct points when the set holds 4 (points are told apart
+    by their coordinates).  A hypothesis that becomes the best with at
+    least ``min_inliers`` inliers is re-estimated on them by ``refine``
+    from its rotation, or by ``gdls_solve`` when ``refine`` raises, and
+    the refit replaces it when it loses no inlier; the adaptive stop
+    reads the count of the model kept.  After the loop the best is
+    refitted again, by the same rule, only when its inlier set differs
+    from the one it was refitted on, and the returned inlier set is
     re-scored under the final transform.
     """
     _integer(seed, "seed", 0)
@@ -191,19 +275,22 @@ def ransac_gdls(
         draws = (rng.choice(n, size=SAMPLE_SIZE, replace=False) for _ in itertools.count())
     else:
         draws = _prosac_samples(order, config.max_iterations, rng)
+    draws = _on_distinct_points(draws, correspondences.points, rng)
 
-    best_count = 0
-    best_mean = float("inf")
+    threshold = config.angular_inlier_threshold
+    best_count, best_mean = 0, math.inf
     best_transform: Optional[SimilarityTransform] = None
-    best_angles: Optional[np.ndarray] = None
-    solved, deficient, empty, last_error = 0, 0, 0, None
+    # The best's angles, and the inlier mask it was last refitted on.
+    best_angles = fitted = None
+    solved, deficient, empty, redrawn, refits, last_error = 0, 0, 0, 0, 0, None
     max_iter = config.max_iterations
     t = 0
     while t < max_iter:
         size = min(max(t, 1), MAX_BATCH, max_iter - t)
-        samples = [correspondences.subset(next(draws)) for _ in range(size)]
+        drawn = [next(draws) for _ in range(size)]
+        redrawn += sum(completed for _, completed in drawn)
         solved += size
-        reports = solve_batch(samples)
+        reports = solve_batch([correspondences.subset(rows) for rows, _ in drawn])
         hypotheses = [r.best.transform for r in reports if isinstance(r, SolveReport)]
         scored = iter(angular_residuals(hypotheses, *arrays) if hypotheses else ())
         for report in reports:
@@ -216,52 +303,41 @@ def ransac_gdls(
                 empty += isinstance(report, EmptySolutionError)
                 continue
             angles = next(scored)
-            mask = angles < config.angular_inlier_threshold
-            count = int(mask.sum())
-            mean_err = float(angles[mask].mean()) if count else float("inf")
+            count, mean_err = _support(angles, threshold)
             if count > best_count or (count == best_count and mean_err < best_mean):
-                best_count = count
-                best_mean = mean_err
                 best_transform, best_angles = report.best.transform, angles
-                # Adaptive termination from the inlier ratio, which is > 0:
-                # a better hypothesis has at least one inlier.
-                p_good = (count / n) ** SAMPLE_SIZE
-                if p_good >= 1.0:
-                    needed = 1
-                else:
-                    needed = math.log(1.0 - CONFIDENCE) / math.log(1.0 - p_good)
-                max_iter = min(config.max_iterations, max(t, int(math.ceil(needed))))
-    counts = dict(samples_solved=solved, samples_rank_deficient=deficient, samples_empty=empty)
-    _log.debug("ransac_gdls stopped after %d samples (%d solved, %d rank deficient, %d empty); "
-               "best hypothesis had %d inliers", t, solved, deficient, empty, best_count,
-               extra=dict(iterations_run=t, best_inliers=best_count, **counts))
+                if count >= config.min_inliers:   # locally optimized: refit the new best
+                    refits, fitted = refits + 1, angles < threshold
+                    best_transform, best_angles = _refit(correspondences, best_transform, angles,
+                                                         threshold)
+                best_count, best_mean = _support(best_angles, threshold)
+                # Adaptive termination from the refitted inlier ratio, which
+                # is > 0: a better hypothesis has at least one inlier.
+                p_good = (best_count / n) ** SAMPLE_SIZE
+                needed = 1.0 if p_good >= 1.0 else math.log(1 - CONFIDENCE) / math.log(1 - p_good)
+                max_iter = min(config.max_iterations, max(t, math.ceil(needed)))
 
-    if best_transform is None or best_count < config.min_inliers:
+    success = best_count >= config.min_inliers
+    # A refit that gained rays was fitted without them: fit once more.
+    if success and not np.array_equal(best_angles < threshold, fitted):
+        refits += 1
+        best_transform, best_angles = _refit(correspondences, best_transform, best_angles, threshold)
+    counts = dict(samples_solved=solved, samples_rank_deficient=deficient, samples_empty=empty,
+                  samples_redrawn=redrawn, refits=refits)
+    _log.debug("ransac_gdls stopped after %d samples (%d solved, %d rank deficient, %d empty, "
+               "%d redrawn, %d refits); best hypothesis had %d inliers", t, *counts.values(),
+               best_count, extra=dict(iterations_run=t, best_inliers=best_count, **counts))
+
+    if not success:
         reason = f"best model had {best_count} inliers (< min_inliers={config.min_inliers})"
         if deficient + empty == t:   # no hypothesis was scored
             what = "were rank deficient" if deficient == t else f"raised ({deficient} rank deficient)"
             reason = f"all {t} minimal samples {what}; last: {last_error}"
         return RobustResult(False, None, np.array([], dtype=int), t, 0.0,
                             failure_reason=reason, **counts)
-
-    # Non-minimal re-estimate on all inliers, kept only if it loses none;
-    # otherwise the best minimal hypothesis stands.
-    transform, angles = best_transform, best_angles
-    inliers = correspondences.subset(np.flatnonzero(best_angles < config.angular_inlier_threshold))
-    try:
-        refit = refine(inliers, best_transform.rotation).transform
-    except RayposeError:   # the global solve, as on a minimal sample
-        try:
-            refit = gdls_solve(inliers).best.transform
-        except RayposeError:
-            refit = None
-    if refit is not None:
-        refit_angles = angular_residuals(refit, *arrays)
-        if int((refit_angles < config.angular_inlier_threshold).sum()) >= best_count:
-            transform, angles = refit, refit_angles
-    inliers = np.flatnonzero(angles < config.angular_inlier_threshold)
-    return RobustResult(True, transform, inliers, t, len(inliers) / n,
-                        float(angles[inliers].mean()), **counts)
+    inliers = np.flatnonzero(best_angles < threshold)
+    return RobustResult(True, best_transform, inliers, t, len(inliers) / n,
+                        float(best_angles[inliers].mean()), **counts)
 
 
 def _horn_matrix(da: np.ndarray, db: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from raypose.errors import InvalidInputError
 from raypose.geometry import SimilarityTransform, alignment_from_pose
 
 from dense_oracle import match_weights
+from grid_city import generate_grid_city
 
 
 def _camera_with_points(pids, cam_id="a"):
@@ -242,6 +243,21 @@ def test_threads_do_not_change_result():
     for mid in a.transform_log:
         assert np.array_equal(a.transform_log[mid].translation,
                               b.transform_log[mid].translation)
+
+
+def test_grid_city_merges_completely_with_one_or_two_threads():
+    # Members share points with up to eight lattice neighbours, not two as
+    # on generate_city's line.
+    cams, truths = generate_grid_city(4, 4)
+    one = hierarchical_merge(cams, RobustConfig(), seed=0, threads=1)
+    two = hierarchical_merge(cams, RobustConfig(), seed=0, threads=2)
+    assert one.failed_members == {} and len(one.transform_log) == 16
+    assert np.median(_city_position_errors(cams, truths, one)) < 1e-2
+    assert two.failed_members == {}
+    assert {k: (t.rotation.array.tobytes(), t.translation.tobytes(), t.scale)
+            for k, t in one.transform_log.items()} == {
+        k: (t.rotation.array.tobytes(), t.translation.tobytes(), t.scale)
+        for k, t in two.transform_log.items()}
 
 
 def test_thread_count_must_be_a_positive_integer():

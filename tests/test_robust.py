@@ -10,9 +10,10 @@ from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
                      Quaternion, RankDeficiencyError, RobustConfig,
                      SimilarityTransform, apply_similarity, prosac_order,
                      ransac_gdls, umeyama_align)
-from raypose.bench import (SceneConfig, add_noise, generate_scene,
+from raypose.bench import (SceneConfig, add_noise, generate_city, generate_scene,
                            random_similarity, trial_rng)
 from raypose.geometry import _rotations
+from raypose.pipeline import shared_correspondences
 from raypose.robust import _horn_matrix, angular_residuals
 from raypose.solver import SolveReport, gdls_solve, refine, solve_batch
 
@@ -151,9 +152,9 @@ def test_termination_is_logged(caplog):
             result = ransac_gdls(sample, RobustConfig(), seed=0)
         record, = caplog.records
         assert record.name == "raypose" and record.levelno == logging.DEBUG
-        assert ((record.iterations_run, record.samples_solved, record.samples_rank_deficient,
-                 record.samples_empty) == (result.iterations_run, result.samples_solved,
-                                           result.samples_rank_deficient, result.samples_empty))
+        fields = ("iterations_run", "samples_solved", "samples_rank_deficient", "samples_empty",
+                  "samples_redrawn", "refits")
+        assert [getattr(record, f) for f in fields] == [getattr(result, f) for f in fields]
         # The refit is kept only when it loses no inlier of the best hypothesis.
         assert record.best_inliers <= len(result.inlier_indices) or not result.success
     assert result.failure_reason.startswith(f"best model had {record.best_inliers} inliers")
@@ -209,8 +210,9 @@ def test_refit_falls_back_to_the_global_solve(monkeypatch):
     monkeypatch.setattr(robust, "refine", refine_refit)
     monkeypatch.setattr(robust, "gdls_solve", global_refit)
     result = ransac_gdls(noisy, RobustConfig(), seed=0)
-    assert len(starts) == len(refits) == 1
-    assert result.transform is refits[0].best.transform
+    # One global solve per failed polish, and every refit is counted.
+    assert len(starts) == len(refits) == result.refits == polished.refits >= 1
+    assert any(result.transform is refit.best.transform for refit in refits)
     # The polished refit lands on the global one's minimum.
     assert np.array_equal(result.inlier_indices, polished.inlier_indices)
     assert np.linalg.norm(result.transform.rotation_matrix()
@@ -507,3 +509,102 @@ def test_one_hypothesis_run_solves_one_sample():
     result = ransac_gdls(corrs, RobustConfig(), seed=0)
     assert result.iterations_run == 1
     assert result.samples_solved == 1
+    # Every ray has its own point, so no sample is completed; the one refit
+    # keeps every ray, so none follows the loop.
+    assert (result.samples_redrawn, result.refits) == (0, 1)
+
+
+def _rays_through(point_of_ray, seed=0):
+    """Noise-free rays from random origins, ray i through local point
+    ``point_of_ray[i]``, and the pose that maps the world points onto them."""
+    rng = np.random.default_rng(seed)
+    k = int(np.max(point_of_ray)) + 1
+    local = np.column_stack([*rng.uniform(-1.0, 1.0, (2, k)), rng.uniform(3.0, 5.0, k)])
+    local = local[point_of_ray]
+    origins = rng.uniform(-1.0, 1.0, (len(local), 3))
+    truth = random_similarity(rng, SceneConfig())
+    world = (truth.scale * local - truth.translation) @ truth.rotation_matrix()
+    return Correspondences(origins, local - origins, world), truth
+
+
+def _merge_rays(cameras, overlap, seed):
+    """The shared rays of a two-subset city at 0.5 px: each of its
+    ``round(60 * overlap)`` shared points is seen by all ``cameras``."""
+    cams, _ = generate_city(2, cameras, overlap, 0.5, seed=seed)
+    return shared_correspondences(cams[0], cams[1])
+
+
+def _capture_samples(monkeypatch):
+    """Minimal samples solved by ``ransac_gdls`` from now on, in draw order."""
+    samples = []
+
+    def solve_minimal(batch):
+        samples.extend(batch)
+        return solve_batch(batch)
+
+    monkeypatch.setattr(robust, "solve_batch", solve_minimal)
+    return samples
+
+
+def test_samples_span_four_distinct_points(monkeypatch):
+    # 8 cameras see 6 points: 48 rays, 8 on each point.  A uniform draw of
+    # 4 rays repeats a point 68% of the time, and such a sample on 2 or 3
+    # points is degenerate or weak.
+    data = _merge_rays(8, 0.1, seed=0)
+    assert len(data) == 48 and len(np.unique(data.points, axis=0)) == 6
+    data = _concat(data, _outliers(np.random.default_rng(1), 16))
+    samples = _capture_samples(monkeypatch)
+    result = ransac_gdls(data, RobustConfig(), seed=0)
+    assert result.success and len(samples) == result.samples_solved > 10
+    assert all(len(np.unique(s.points, axis=0)) == 4 for s in samples)
+    assert 0 < result.samples_redrawn < len(samples) and result.refits >= 1
+
+
+@pytest.mark.parametrize("point_of_ray", [np.arange(24) % 3, np.r_[np.zeros(897, int), 1, 2, 3]],
+                         ids=["three_points", "skewed"])
+def test_sets_with_few_or_skewed_points_terminate_and_localize(point_of_ray):
+    # Three points cannot give 4 distinct ones: draws are uniform, as on
+    # unrepeated rays.  On the skewed set a distinct sample must hold the
+    # three single rays, which uniform draws almost never do.
+    data, truth = _rays_through(point_of_ray, seed=3)
+    result = ransac_gdls(data, RobustConfig(), seed=0)
+    assert result.success and result.inlier_ratio == 1.0
+    assert result.transform.rotation.angle_deg_to(truth.rotation) < 1e-6
+    assert result.iterations_run <= 20
+    assert (result.samples_redrawn > 0) == (len(np.unique(point_of_ray)) == 4)
+
+
+def test_unrepeated_points_draw_as_uniform_choice(monkeypatch):
+    # Every ray on its own point: the rows drawn are numpy's choice
+    # sequence, with no extra draw from the stream.
+    data = _unscored(_ranked_outlier_data(0))
+    samples = _capture_samples(monkeypatch)
+    result = ransac_gdls(data, RobustConfig(), seed=5)
+    assert result.samples_solved == len(samples) > robust.MAX_BATCH and result.samples_redrawn == 0
+    rng = np.random.default_rng(5)
+    for sample in samples:
+        rows = rng.choice(len(data), size=4, replace=False)
+        assert np.array_equal(sample.points, data.points[rows])
+
+
+def test_refitted_first_hypothesis_ends_a_merge_localization(monkeypatch):
+    # 50 cameras see 18 shared points.  The first hypothesis misses 61 of
+    # the 900 rays, so its own inlier ratio asks for a second sample; its
+    # refit keeps all 900 and ends the loop.  Without the refit after the
+    # loop the model returned is 2e-5 from the fit on its inliers.
+    data = _merge_rays(50, 0.3, seed=0)
+    assert len(data) == 900
+    samples = _capture_samples(monkeypatch)
+    result = ransac_gdls(data, RobustConfig(), seed=0)
+    first = solve_batch(samples[:1])[0].best.transform
+    missed = int(np.sum(angular_residuals(first, data.origins, data.directions, data.points)
+                        >= RobustConfig().angular_inlier_threshold))
+    assert 0 < missed < 90
+    assert result.iterations_run == result.samples_solved == 1
+    assert len(result.inlier_indices) == 900
+    # The refit was fitted on the 839 rays the hypothesis kept; the model
+    # returned is refitted on all 900, so a refit on them moves it no more.
+    assert result.refits == 2
+    again = refine(data.subset(result.inlier_indices), result.transform.rotation).transform
+    assert np.abs(again.rotation.array - result.transform.rotation.array).max() < 1e-9
+    assert np.allclose(again.translation, result.transform.translation, rtol=1e-9, atol=0.0)
