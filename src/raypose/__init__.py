@@ -3,7 +3,7 @@
 A distributed camera bundles observed rays from many physical cameras
 into one generalized camera.  This package provides the exact geometric
 types, a least-squares pose-and-scale solver over ray-point
-correspondences, robust (RANSAC/PROSAC) wrappers, a hierarchical
+correspondences, robust (RANSAC) wrappers, a hierarchical
 reconstruction-merging pipeline, a synthetic benchmark harness, and JSON
 serialization with a CLI front end.
 """
@@ -18,8 +18,7 @@ from .elimination import EliminationMatrices, build_elimination
 from .cost import QuarticCost, build_quartic_cost, direct_cost
 from .solver import (SolveReport, SolverCandidate, gdls_solve, recover_candidates, refine,
                      solve_batch, solve_stationary)
-from .robust import (RobustConfig, RobustResult, prosac_order, ransac_gdls,
-                     umeyama_align)
+from .robust import RobustConfig, RobustResult, ransac_gdls, umeyama_align
 from .pipeline import (MergeReport, build_match_graph, hierarchical_merge,
                        localize, partition, select_base)
 from .io import (load_correspondences, load_reconstruction,

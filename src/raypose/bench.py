@@ -154,7 +154,7 @@ def add_noise(correspondences: Correspondences, sigma_px: float,
     c = correspondences
     dirs = _perturb_directions(c.directions, sigma_px / FOCAL_PX, rng)
     # The constructor renormalizes the directions.
-    return Correspondences(c.origins, dirs, c.points, c.scores, c.point_ids)
+    return Correspondences(c.origins, dirs, c.points)
 
 
 def pose_errors(estimate: SimilarityTransform, truth: SimilarityTransform) -> TrialResult:

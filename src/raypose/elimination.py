@@ -33,7 +33,7 @@ test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +52,8 @@ class EliminationMatrices:
     With y the stacked right-hand side (``y_i = R X_i``, less c_i in
     fix-scale mode): ``w = K^-1 (B^T y - M^T (d . y))`` is ``(s, t)``, or t
     alone in fix-scale mode, and ``alpha_i = d_i . y_i - M_i w``.  The
-    shapes below are one sample's; a stack (from :func:`eliminate` or
-    :func:`stack_eliminations`) has a leading sample axis on every array.
+    shapes below are one sample's; a stack (from :func:`eliminate`, or a
+    mask or index into one) has a leading sample axis on every array.
     K is kept inverted: every use is a solve, and the one inversion per
     stack costs less than a LAPACK call per use on small n.
     """
@@ -92,7 +92,7 @@ class EliminationMatrices:
         """Depths, scale, and translation for a given rotation matrix.
 
         A (3, 3) R gives (n,) depths, a float scale and a (3,) translation.
-        On a stack of S eliminations (see :func:`stack_eliminations`), an
+        On a stack of S eliminations (see :func:`eliminate`), an
         (S, C, 3, 3) R holds C rotations per sample and gives (S, C, n)
         depths, (S, C) scales and (S, C, 3) translations; a sample's
         numbers are the same, bit for bit, alone or among any other
@@ -122,15 +122,6 @@ class EliminationMatrices:
         alpha -= g_alpha - d_w @ Mt
         w -= d_w
         return alpha, (np.ones(R.shape[:2]) if self.fix_scale else w[..., 0]), w[..., -3:]
-
-
-def stack_eliminations(elims: Sequence[EliminationMatrices]) -> EliminationMatrices:
-    """The eliminations of one size and scale mode as one, each array with a
-    leading axis over them.  A stack of one is a view, with no copy."""
-    if len(elims) == 1:
-        return elims[0][None]
-    return EliminationMatrices(fix_scale=elims[0].fix_scale, **{
-        name: np.stack([getattr(e, name) for e in elims]) for name in _ARRAYS})
 
 
 def eliminate(

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -276,10 +275,9 @@ def _rows(a, count: int, what: str) -> np.ndarray:
 
 def _freeze(obj, *arrays):
     """obj holding fresh arrays that pass every check, as its fields in
-    order, made read-only; None stays None."""
+    order, made read-only."""
     for f, a in zip(fields(obj), arrays):
-        if a is not None:
-            a.setflags(write=False)
+        a.setflags(write=False)
         object.__setattr__(obj, f.name, a)
     return obj
 
@@ -288,47 +286,34 @@ def _freeze(obj, *arrays):
 class Correspondences:
     """Rays paired with known 3D world points, as read-only arrays.
 
-    ``origins``, unit ``directions`` and ``points`` are (n, 3).  Optional:
-    match ``scores`` (n,) in [0, 1], NaN for a row without one, and
-    ``point_ids`` (n,), an object array holding an id or None per row.
-    The constructor copies and checks it all once; directions off unit
-    length by over 1e-9 are renormalized.
+    ``origins``, unit ``directions`` and ``points`` are (n, 3).  The
+    constructor copies and checks them once; directions off unit length by
+    over 1e-9 are renormalized.
     """
 
     origins: np.ndarray
     directions: np.ndarray
     points: np.ndarray
-    scores: Optional[np.ndarray] = None
-    point_ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = (np.shape(self.points) or (0,))[0]
-        scores, point_ids = self.scores, self.point_ids
-        if scores is not None:
-            scores = np.array(scores, dtype=float)
-            if scores.shape != (n,) or np.any((scores < 0.0) | (scores > 1.0)):
-                raise InvalidInputError(f"scores must be in [0, 1] (NaN for none) with shape ({n},)")
-        if point_ids is not None:
-            point_ids = _id_array(point_ids)
-            if len(point_ids) != n:
-                raise InvalidInputError(f"point_ids must have shape ({n},), got ({len(point_ids)},)")
         _freeze(self, _block(self.origins, (n, 3), "ray origins"),
                 _unit_rows(_block(self.directions, (n, 3), "ray directions"), "ray direction"),
-                _block(self.points, (n, 3), "world points"), scores, point_ids)
+                _block(self.points, (n, 3), "world points"))
 
     def __len__(self) -> int:
         return len(self.points)
 
     @classmethod
-    def _unchecked(cls, origins, directions, points, scores=None, point_ids=None) -> "Correspondences":
+    def _unchecked(cls, origins, directions, points) -> "Correspondences":
         """A set of fresh arrays that already pass every check, taken as
         they are."""
-        return _freeze(object.__new__(cls), origins, directions, points, scores, point_ids)
+        return _freeze(object.__new__(cls), origins, directions, points)
 
     def subset(self, rows) -> "Correspondences":
         """The given rows, in that order; nothing is checked again."""
-        arrays = (getattr(self, f.name) for f in fields(self))
-        return Correspondences._unchecked(*(None if a is None else a[rows] for a in arrays))
+        return Correspondences._unchecked(self.origins[rows], self.directions[rows],
+                                          self.points[rows])
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,10 +13,10 @@ Directions must be unit within 1e-9; vectors off by up to 1e-6 are
 renormalized with a collected warning, beyond that loading fails.  All
 floats are written with 17 significant digits so save/load round-trips
 exactly.  A correspondence file is ``{"correspondences": [{"origin":
-[...], "direction": [...], "point": [...], "score"?: ..., "point_id"?:
-...}, ...]}``; a score is a number in [0, 1] and a point id a JSON
-scalar, and either may be absent or null.  Its directions follow the
-same 1e-6 rule, renormalized without a warning.
+[...], "direction": [...], "point": [...]}, ...]}``.  Its directions
+follow the same 1e-6 rule, renormalized without a warning.  Keys a
+document does not need are read and ignored, in every block: a row's
+``score`` or ``point_id``, which earlier versions wrote, among them.
 """
 
 from __future__ import annotations
@@ -221,31 +221,16 @@ def parse_correspondences(text: str) -> Correspondences:
     if not isinstance(doc, dict) or "correspondences" not in doc:
         raise ParseError("missing 'correspondences' array", location="root")
     rows = _block(doc, "correspondences")
-    columns = _columns(rows, (), (("origin", 3), ("direction", 3), ("point", 3)))
-    if columns is not None:
-        origins, directions, points = columns
-        scores = [c.get("score") for c in rows]
-        point_ids = [c.get("point_id") for c in rows]
-        numbers = [s for s in scores if s is not None]
-    if (columns is None or not {*map(type, numbers)} <= {float, int}
-            or not all(0.0 <= s <= 1.0 for s in numbers) or not _scalars(point_ids)):
-        origins, directions, points, scores, point_ids = [], [], [], [], []
+    keys = ("origin", "direction", "point")
+    columns = _columns(rows, (), tuple((key, 3) for key in keys))
+    if columns is None:
+        columns = [], [], []
         for i, c in enumerate(rows):
             loc = f"correspondences[{i}]"
-            origins.append(_vec(_require(c, "origin", loc), 3, loc + ".origin"))
-            directions.append(_vec(_require(c, "direction", loc), 3, loc + ".direction"))
-            points.append(_vec(_require(c, "point", loc), 3, loc + ".point"))
-            score = c.get("score")
-            if score is not None and not (type(score) in (float, int) and 0.0 <= score <= 1.0):
-                raise ParseError("expected a number in [0, 1]", location=loc + ".score")
-            scores.append(math.nan if score is None else score)
-            point_ids.append(_require(c, "point_id", loc, scalar=True) if "point_id" in c else None)
-    else:
-        scores = [math.nan if s is None else s for s in scores]
-    return Correspondences(
-        origins, _directions(directions, "correspondences")[0], points,
-        None if all(map(math.isnan, scores)) else scores,
-        None if all(pid is None for pid in point_ids) else point_ids)
+            for key, column in zip(keys, columns):
+                column.append(_vec(_require(c, key, loc), 3, f"{loc}.{key}"))
+    origins, directions, points = columns
+    return Correspondences(origins, _directions(directions, "correspondences")[0], points)
 
 
 def load_correspondences(path: str) -> Correspondences:
@@ -257,10 +242,6 @@ def correspondences_to_json(correspondences: Correspondences) -> str:
     c = correspondences
     rows = [{"origin": o, "direction": d, "point": p}
             for o, d, p in zip(c.origins.tolist(), c.directions.tolist(), c.points.tolist())]
-    for key, values in (("score", c.scores), ("point_id", c.point_ids)):
-        for row, v in zip(rows, [] if values is None else values.tolist()):
-            if v is not None and v == v:   # a NaN score or a None id is absent
-                row[key] = v
     return json.dumps({"correspondences": rows}, indent=1, sort_keys=True) + "\n"
 
 

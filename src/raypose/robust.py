@@ -42,12 +42,7 @@ the roots of the whole batch, not once per sample, while the result is
 the same as solving each sample alone.  When the loop stops, one debug
 record on the ``raypose`` logger carries ``iterations_run``, the sample
 and refit counts of ``RobustResult`` and the best inlier count after
-the in-loop refits (``best_inliers``).  When at least half of the
-correspondences carry a match score, minimal samples are drawn from
-progressively growing prefixes of the correspondences sorted by score
-(Chum-Matas progressive sampling); otherwise uniformly.  A progressive
-sample that repeats a point is completed among all rays, not only the
-prefix.
+the in-loop refits (``best_inliers``).
 
 ``umeyama_align`` is the closed-form least-squares similarity between two
 3D point sets (Umeyama's estimator, solved in Horn's unit-quaternion
@@ -86,7 +81,7 @@ class RobustConfig:
     not protocol constants; the 0.5 degree angular threshold corresponds
     to roughly 2 px at an 800 px focal length.  The sample size and the
     stopping confidence are the module constants ``SAMPLE_SIZE`` and
-    ``CONFIDENCE``, and the sampler follows the data (see ``prosac_order``)."""
+    ``CONFIDENCE``."""
 
     angular_inlier_threshold: float = 8.7e-3   # radians
     max_iterations: int = 1000
@@ -155,43 +150,6 @@ def angular_residuals(T: Union[SimilarityTransform, Sequence[SimilarityTransform
     cosang[ok] = np.sum(pred[ok] * d[ok], axis=1) / norms[ok]
     angles = np.arccos(np.clip(cosang, -1.0, 1.0))
     return angles[0] if isinstance(T, SimilarityTransform) else angles
-
-
-def prosac_order(correspondences: Correspondences) -> Optional[np.ndarray]:
-    """Stable descending sort by match score, a missing score ranking last;
-    None when fewer than half of the correspondences carry a score."""
-    n, scores = len(correspondences), correspondences.scores
-    if scores is None or np.count_nonzero(~np.isnan(scores)) < (n + 1) // 2:
-        return None
-    return np.argsort(-np.where(np.isnan(scores), -1.0, scores), kind="stable")
-
-
-def _prosac_samples(order: np.ndarray, max_iterations: int,
-                    rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Minimal samples of progressive sampling over the ranked rows ``order``.
-
-    Draw t takes the n_t-th ranked row plus SAMPLE_SIZE - 1 rows drawn from
-    the n_t - 1 ranked above it (the whole prefix while n_t = SAMPLE_SIZE),
-    with n_t from the standard growth function.  Nothing is held per draw.
-    """
-    n, m = len(order), SAMPLE_SIZE
-    t_n = float(max_iterations)
-    for i in range(m):
-        t_n *= (m - i) / (n - i)
-    n_star = m
-    t_prime = 1.0
-    t_full = t_n
-    for t in itertools.count():
-        while t + 1 > t_prime and n_star < n:
-            t_next = t_full * (n_star + 1) / (n_star + 1 - m)
-            t_prime += math.ceil(t_next - t_full)
-            t_full = t_next
-            n_star += 1
-        if n_star > m:
-            idx = rng.choice(n_star - 1, size=m - 1, replace=False)
-            yield order[np.concatenate([idx, [n_star - 1]])]
-        else:
-            yield order[rng.choice(n_star, size=m, replace=False)]
 
 
 def _on_distinct_points(draws: Iterator[np.ndarray], points: np.ndarray,
@@ -270,12 +228,8 @@ def ransac_gdls(
         raise InvalidInputError(f"need at least {SAMPLE_SIZE} correspondences, got {n}")
     arrays = correspondences.origins, correspondences.directions, correspondences.points
     rng = np.random.default_rng(seed)
-    order = prosac_order(correspondences)
-    if order is None:
-        draws = (rng.choice(n, size=SAMPLE_SIZE, replace=False) for _ in itertools.count())
-    else:
-        draws = _prosac_samples(order, config.max_iterations, rng)
-    draws = _on_distinct_points(draws, correspondences.points, rng)
+    draws = _on_distinct_points((rng.choice(n, size=SAMPLE_SIZE, replace=False)
+                                 for _ in itertools.count()), correspondences.points, rng)
 
     threshold = config.angular_inlier_threshold
     best_count, best_mean = 0, math.inf
@@ -312,9 +266,12 @@ def ransac_gdls(
                                                          threshold)
                 best_count, best_mean = _support(best_angles, threshold)
                 # Adaptive termination from the refitted inlier ratio, which
-                # is > 0: a better hypothesis has at least one inlier.
+                # is > 0: a better hypothesis has at least one inlier.  Below
+                # half an ulp of 1, p_good leaves 1 - p_good at 1, a zero log:
+                # no stop before max_iterations.
                 p_good = (best_count / n) ** SAMPLE_SIZE
-                needed = 1.0 if p_good >= 1.0 else math.log(1 - CONFIDENCE) / math.log(1 - p_good)
+                needed = (1.0 if p_good >= 1.0 else config.max_iterations if 1 - p_good == 1.0
+                          else math.log(1 - CONFIDENCE) / math.log(1 - p_good))
                 max_iter = min(config.max_iterations, max(t, math.ceil(needed)))
 
     success = best_count >= config.min_inliers

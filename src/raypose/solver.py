@@ -100,12 +100,13 @@ costs, each one array pass for the whole stack (``elimination.eliminate``,
 LAPACK calls do not get faster when stacked.  Centering leaves costs and
 depths unchanged and keeps the elimination's rank test independent of
 where the coordinate origin is.
-One ``recover_candidates`` call then turns every minimum of the stack
-into a candidate: samples of one size, scale mode and minimum count are
-stacked, the elimination's ``solve_linear`` and ``constraint_cost`` give
-the depths, scale, translation and cost of every minimum of a stack in
-one call each, and the scale test, the map back from the centroids and
-the ranking are one pass over every candidate.
+One ``recover_candidates`` call per size then turns every minimum of
+that size's stack into a candidate: the samples of one minimum count
+are a sub-stack of it, the elimination's ``solve_linear`` and
+``constraint_cost`` give the depths, scale, translation and cost of
+every minimum of a sub-stack in one call each, and the scale test, the
+map back from the centroids and the ranking are one pass over every
+candidate.
 
 ``refine`` is the local counterpart, for a cost whose global minimum is
 already known to lie near a given rotation (the RANSAC winner's, on its
@@ -127,7 +128,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .cost import QuarticCost, build_quartic_cost, constraint_cost, quartic_form
-from .elimination import EliminationMatrices, eliminate, stack_eliminations
+from .elimination import EliminationMatrices, eliminate
 from .errors import EmptySolutionError, RankDeficiencyError
 from .geometry import (Correspondences, Quaternion, SimilarityTransform, _rotations,
                        _unit_quaternions)
@@ -413,56 +414,48 @@ class SolverCandidate:
 
 
 def recover_candidates(
-    minima: Sequence[Minima],
-    elims: Sequence[EliminationMatrices],
-    centroids: Sequence[Tuple[np.ndarray, np.ndarray]],
+    minima: Sequence[Minima], stack: EliminationMatrices, centroids: np.ndarray,
 ) -> List[Union[List[SolverCandidate], EmptySolutionError]]:
     """Full similarity candidates from the minima of a stack of samples.
 
-    Sample i's minima were found on the cost of ``elims[i]``, whose
+    Sample i's minima were found on the cost of ``stack[i]``, whose
     correspondences were centered on the origin and point centroids
-    ``centroids[i]``; its candidates are mapped back to the input frame
-    with t = t' - R X0 + s c0.  Per sample: candidates with non-positive
-    scale are discarded, and those with any non-positive depth are kept
-    but flagged and ranked after the others, by cost within each class;
-    a sample whose every candidate is discarded gets an
+    ``centroids[:, i]`` (a (2, S, 3) array); its candidates are mapped back
+    to the input frame with t = t' - R X0 + s c0.  Per sample: candidates
+    with non-positive scale are discarded, and those with any non-positive
+    depth are kept but flagged and ranked after the others, by cost within
+    each class; a sample whose every candidate is discarded gets an
     ``EmptySolutionError``.
 
-    Samples of one size, scale mode and minimum count are one stack (see
-    ``stack_eliminations``), and one call each of ``solve_linear`` and
-    ``constraint_cost`` on its (S, C, 3, 3) rotations gives the depths,
-    scale, translation and cost of all its minima.  A sample's numbers are
-    the same, bit for bit, alone or in any stack.  The scale test, the
-    uncentering and the ranking are one pass over the candidates of every
-    sample, and objects are built only for those that are returned.  A
-    candidate's rotation is its minimum's unit row as is, not normalized
-    again, so it is the rotation every other field was computed from.
+    The samples of one minimum count are one sub-stack, taken by a mask,
+    and one call each of ``solve_linear`` and ``constraint_cost`` on its
+    (S, C, 3, 3) rotations gives the depths, scale, translation and cost of
+    all its minima.  A sample's numbers are the same, bit for bit, alone or
+    in any stack.  The scale test, the uncentering and the ranking are one
+    pass over the candidates of every sample, and objects are built only
+    for those that are returned.  A candidate's rotation is its minimum's
+    unit row as is, not normalized again, so it is the rotation every
+    other field was computed from.
     """
-    if not minima:
-        return []
-    counts = [len(m.q) for m in minima]
+    counts = np.array([len(m.q) for m in minima])
     owner = np.repeat(np.arange(len(minima)), counts)
     q = np.concatenate([m.q for m in minima]).reshape(-1, 4)
     R = _rotations(q)                                                  # (J, 3, 3)
     J = len(q)
     scale, t, cost, cheirality, depths = (np.empty(J), np.empty((J, 3)), np.empty(J),
                                           np.empty(J, dtype=bool), [None] * J)
-    bounds = np.cumsum([0] + counts)
-    groups: dict = {}
-    for i, elim in enumerate(elims):
-        if counts[i]:
-            groups.setdefault((elim.n, elim.fix_scale, counts[i]), []).append(i)
-    for (_, _, C), group in groups.items():
-        idx = bounds[group][:, None] + np.arange(C)                    # (S, C) candidates
-        stack, Rs = stack_eliminations([elims[i] for i in group]), R[idx]
-        alpha, s, tg = stack.solve_linear(Rs)
+    first = np.cumsum(counts) - counts                                 # each sample's first row
+    for C in dict.fromkeys(counts[counts > 0].tolist()):
+        group = counts == C
+        idx = first[group][:, None] + np.arange(C)                     # (S, C) candidates
+        sub, Rs = stack[group], R[idx]
+        alpha, s, tg = sub.solve_linear(Rs)
         scale[idx], t[idx] = s, tg
-        cost[idx] = constraint_cost(stack.origins, stack.directions, stack.points, Rs, s, tg)
+        cost[idx] = constraint_cost(sub.origins, sub.directions, sub.points, Rs, s, tg)
         cheirality[idx] = (alpha > 0.0).all(axis=2)
         for j, a in zip(idx.ravel(), alpha.reshape(-1, stack.n)):
             depths[j] = a
-    shift_c, shift_X = (np.array([shift[j] for shift in centroids]).reshape(-1, 3)[owner]
-                        for j in (0, 1))
+    shift_c, shift_X = centroids[:, owner]
     t = t - (R @ shift_X[:, :, None])[:, :, 0] + scale[:, None] * shift_c
     residual = np.concatenate([m.residual for m in minima])
     valid = scale > 0.0
@@ -514,14 +507,14 @@ def _eliminate_centered(samples: Sequence[Correspondences], fix_scale: bool):
     """The eliminations of correspondence sets of one size as one stack
     (``elimination.eliminate``), each set centered on the centroids of its
     ray origins and of its world points: the stack, the per-set errors and
-    each set's (origin centroid, point centroid).  Solving about the
-    centroids is an exact reparametrization; ``recover_candidates`` maps
-    the translation back."""
+    the (2, S, 3) origin and point centroids.  Solving about the centroids
+    is an exact reparametrization; ``recover_candidates`` maps the
+    translation back."""
     c, z, X = (np.stack([getattr(corrs, name) for corrs in samples])
                for name in ("origins", "directions", "points"))
     shift_c, shift_X = c.mean(axis=1), X.mean(axis=1)
     return (*eliminate(c - shift_c[:, None], z, X - shift_X[:, None], fix_scale),
-            list(zip(shift_c, shift_X)))
+            np.stack([shift_c, shift_X]))
 
 
 def solve_batch(samples: Sequence[Correspondences],
@@ -545,31 +538,33 @@ def solve_batch(samples: Sequence[Correspondences],
         mark = now
 
     out: list = [None] * len(samples)
-    solved, elims, shifts, costs = [], [], [], []
+    groups, costs = [], []   # per size: the solved rows, their stack and centroids
     for n in dict.fromkeys(len(corrs) for corrs in samples):
-        rows = [i for i, corrs in enumerate(samples) if len(corrs) == n]
+        rows = np.array([i for i, corrs in enumerate(samples) if len(corrs) == n])
         stack, errors, centroids = _eliminate_centered([samples[i] for i in rows], fix_scale)
         lap("elimination")
         for i, error in zip(rows, errors):
             out[i] = error
-        ok = [j for j, error in enumerate(errors) if error is None]
-        if ok:
-            solved += [rows[j] for j in ok]
-            shifts += [centroids[j] for j in ok]
-            elims += [stack[j] for j in range(len(ok))]
+        ok = np.array([error is None for error in errors])
+        if ok.any():
+            groups.append((rows[ok], stack, centroids[:, ok]))
             costs.append(build_quartic_cost(stack))
         lap("cost")
-    found = solve_stationary(costs)
+    found = iter(solve_stationary(costs))
     lap("stationary")
-    for i, minima in zip(solved, found):
-        if isinstance(minima, Minima) and not len(minima.q):
-            minima = EmptySolutionError("no local minimum met the stationarity tolerance")
-        out[i] = minima
-    kept = [j for j, i in enumerate(solved) if isinstance(out[i], Minima)]
-    recovered = recover_candidates(*([seq[j] for j in kept] for seq in (found, elims, shifts)))
-    for j, candidates in zip(kept, recovered):
-        out[solved[j]] = candidates if isinstance(candidates, EmptySolutionError) else (
-            candidates, len(found[j].q), found[j].real_roots)
+    for rows, stack, centroids in groups:
+        for i in rows:
+            minima = next(found)
+            if isinstance(minima, Minima) and not len(minima.q):
+                minima = EmptySolutionError("no local minimum met the stationarity tolerance")
+            out[i] = minima
+        kept = np.array([isinstance(out[i], Minima) for i in rows])
+        if kept.any():
+            recovered = recover_candidates([out[i] for i in rows[kept]], stack[kept],
+                                           centroids[:, kept])
+            for i, candidates in zip(rows[kept], recovered):
+                out[i] = candidates if isinstance(candidates, EmptySolutionError) else (
+                    candidates, len(out[i].q), out[i].real_roots)
     lap("recovery")
     per = 1.0 / max(1, len(samples))
     stages = {f"{k}_seconds": v * per for k, v in spent.items()}
@@ -614,7 +609,7 @@ def refine(correspondences: Correspondences, start: Quaternion) -> SolverCandida
     _, residual, _, minimum = _polish(_scaled_forms([build_quartic_cost(stack)]), q, REFINE_STEPS)
     if not minimum[0]:
         raise EmptySolutionError(f"no local minimum near the start (gradient {residual[0]:.1e})")
-    found, = recover_candidates([Minima(_unit_quaternions(q), residual, 0)], [stack[0]], centroids)
+    found, = recover_candidates([Minima(_unit_quaternions(q), residual, 0)], stack, centroids)
     if isinstance(found, EmptySolutionError):
         raise found
     return found[0]

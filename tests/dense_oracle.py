@@ -24,6 +24,7 @@ import functools
 import numpy as np
 
 from raypose.cost import MONOMIAL_PAIRS
+from raypose.elimination import eliminate
 from raypose.errors import EmptySolutionError
 from raypose.solver import _macaulay_layout
 
@@ -83,6 +84,16 @@ def rhs(elim, R: np.ndarray) -> np.ndarray:
     if elim.fix_scale:
         y = y - elim.origins.reshape(-1)
     return y
+
+
+def stacked(elims):
+    """Eliminations of one size and scale mode as one stack, rebuilt by
+    ``eliminate`` from their rays and points."""
+    stack, errors = eliminate(*(np.stack([getattr(e, name) for e in elims])
+                                for name in ("origins", "directions", "points")),
+                              elims[0].fix_scale)
+    assert errors == [None] * len(elims)
+    return stack
 
 
 def dense_solution(elim, R: np.ndarray):

@@ -165,8 +165,8 @@ def test_config_overrides(tmp_path, capsys):
                  "--config", "min_inliers=8",
                  "--config", "angular_inlier_threshold=0.01"]) == 0
     capsys.readouterr()
-    # The sample size and the confidence are constants, and the scores
-    # choose the sampler: none of them is a setting.
+    # The sample size and the confidence are constants, and there is one
+    # sampler: none of them is a setting.
     for override in ("bogus_key=1", "use_prosac=true", "sample_size=4", "confidence=0.99"):
         assert main(["align", paths[0], paths[1], "--config", override]) == 2
         assert f"unknown config key {override.split('=')[0]!r}" in capsys.readouterr().err

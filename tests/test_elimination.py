@@ -3,11 +3,10 @@ import pytest
 
 from raypose import (Correspondences, InvalidInputError, RankDeficiencyError,
                      build_elimination)
-from raypose.elimination import stack_eliminations
 from raypose.bench import SceneConfig, generate_scene, trial_rng
 from raypose.geometry import Quaternion
 
-from dense_oracle import dense_solution, rhs, stack_A
+from dense_oracle import dense_solution, rhs, stack_A, stacked
 
 
 def _scene(n=6, seed=0, identity=False):
@@ -32,7 +31,7 @@ def _assert_matches_dense(elim, R, solution):
 def _assert_all_match_dense(elims, rotations):
     """Every (sample, rotation) pair against the dense solution, solved
     alone and as one entry of a stacked (S, C, 3, 3) call."""
-    alpha, s, t = stack_eliminations(elims).solve_linear(np.array(rotations))
+    alpha, s, t = stacked(elims).solve_linear(np.array(rotations))
     S, C = len(elims), len(rotations[0])
     assert (alpha.shape, s.shape, t.shape) == ((S, C, elims[0].n), (S, C), (S, C, 3))
     for i, elim in enumerate(elims):

@@ -144,22 +144,17 @@ def test_alignment_maps_local_points_to_world():
     assert np.allclose(apply_similarity(align, P), X, atol=1e-10)
 
 
-_TWO = (np.zeros((2, 3)), [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]], np.ones((2, 3)), [0.5, np.nan], [7, None])
+_TWO = (np.zeros((2, 3)), [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]], np.ones((2, 3)))
 
 
 _BAD_CORRESPONDENCES = {
     "row_count": (0, np.zeros((3, 3))),
     "direction_shape": (1, [[0.0, 1.0], [1.0, 0.0]]),
     "1D_points": (2, np.ones(3)),
-    "score_count": (3, [0.5]),
-    "point_id_count": (4, [7]),
     "nonfinite_origin": (0, [[0.0, np.inf, 0.0], [0.0, 0.0, 0.0]]),
     "nonfinite_direction": (1, [[0.0, 0.0, np.nan], [0.0, 0.0, 1.0]]),
     "nonfinite_point": (2, [[1.0, 1.0, np.nan], [1.0, 1.0, 1.0]]),
     "zero_direction": (1, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
-    "score_above_1": (3, [1.5, 0.5]),
-    "score_below_0": (3, [-0.1, np.nan]),
-    "infinite_score": (3, [np.inf, 0.5]),
 }
 
 
@@ -176,18 +171,14 @@ def test_correspondences_normalize_once_and_are_read_only():
     # directions off unit length by more than 1e-9 are renormalized, the
     # others kept bit for bit, as for the camera
     d = np.array([[0.0, 0.0, 5.0], [0.6, 0.0, 0.8], [0.0, 0.0, 1.0 + 5e-10], [0.0, 0.0, 1.0 + 2e-9]])
-    c = Correspondences(np.zeros((4, 3)), d, np.ones((4, 3)), [0.5, np.nan, 1.0, 0.0])
+    c = Correspondences(np.zeros((4, 3)), d, np.ones((4, 3)))
     assert len(c) == 4
     assert c.directions.tolist() == [[0.0, 0.0, 1.0], d[1].tolist(), d[2].tolist(),
                                      (d[3] / np.linalg.norm(d[3])).tolist()]
     assert d[0].tolist() == [0.0, 0.0, 5.0]   # the input is copied
-    assert c.point_ids is None
-    for a in (c.origins, c.directions, c.points, c.scores):
+    for a in (c.origins, c.directions, c.points):
         with pytest.raises(ValueError):
             a[0] = a[0]
-    one = Correspondences(*_TWO)
-    assert one.point_ids.tolist() == [7, None] and one.point_ids.dtype == object
-    assert one.scores[0] == 0.5 and np.isnan(one.scores[1])
 
 
 def test_correspondences_subset_does_not_check_again(monkeypatch):
@@ -200,8 +191,7 @@ def test_correspondences_subset_does_not_check_again(monkeypatch):
     sub = c.subset(np.array([1, 0, 1]))
     assert len(sub) == 3
     assert sub.directions.tolist() == [[0.6, 0.0, 0.8], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]
-    assert sub.point_ids.tolist() == [None, 7, None]
-    assert np.array_equal(sub.scores, [np.nan, 0.5, np.nan], equal_nan=True)
+    assert sub.origins.shape == sub.points.shape == (3, 3)
     with pytest.raises(ValueError):
         sub.points[0] = 0.0
 

@@ -129,22 +129,32 @@ def test_roundtrip_city_subset(tmp_path):
 def test_correspondence_roundtrip(tmp_path):
     corrs = Correspondences([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]],
                             [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
-                            [[1.0, 2.0, 3.0], [-1.0, 0.5, 2.0]], [0.25, np.nan], [7, None])
+                            [[1.0, 2.0, 3.0], [-1.0, 0.5, 2.0]])
     text = correspondences_to_json(corrs)
-    assert "score" not in json.loads(text)["correspondences"][1]
     back = parse_correspondences(text)
     assert len(back) == 2
-    assert back.scores[0] == 0.25 and back.point_ids.tolist() == [7, None]
-    assert np.isnan(back.scores[1])
     for field in ("origins", "directions", "points"):
         assert np.array_equal(getattr(back, field), getattr(corrs, field))
     path = tmp_path / "c.json"
     path.write_text(text)
     assert len(load_correspondences(str(path))) == 2
-    # a file without scores or ids reads back without them
-    plain = parse_correspondences(correspondences_to_json(Correspondences(
-        corrs.origins, corrs.directions, corrs.points)))
-    assert plain.scores is None and plain.point_ids is None
+
+
+def test_correspondence_score_and_point_id_are_read_and_ignored():
+    # A row's score and point_id, valid or not, are read and ignored: the
+    # file parses as the same file without them.
+    rows = [{"origin": [0, 0, 0], "direction": [0, 0, 1], "point": [1, 2, 3]},
+            {"origin": [0.5, 0, 0], "direction": [0, 1, 0], "point": [-1, 0.5, 2]},
+            {"origin": [0, 0, 1], "direction": [0.6, 0, 0.8], "point": [0, 0, 2]},
+            {"origin": [1, 1, 0], "direction": [1, 0, 0], "point": [4, 1, 0]}]
+    extras = [{"score": 0.9, "point_id": "p0"}, {"score": "x", "point_id": [1]},
+              {"score": None, "point_id": None}, {}]
+    plain = parse_correspondences(json.dumps({"correspondences": rows}))
+    keyed = parse_correspondences(json.dumps(
+        {"correspondences": [dict(row, **extra) for row, extra in zip(rows, extras)]}))
+    assert [f.name for f in dataclasses.fields(keyed)] == ["origins", "directions", "points"]
+    for a, b in zip(dataclasses.astuple(plain), dataclasses.astuple(keyed)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _corr_doc(**fields):
@@ -161,8 +171,8 @@ def test_correspondence_parse_errors():
 
 
 @pytest.mark.parametrize("field,bad", [
-    ("score", "x"), ("score", "0.5"), ("score", True), ("score", 1.5), ("score", -0.5),
-    ("score", [0.5]), ("point_id", [1]), ("point_id", {"id": 1}),
+    ("origin", "x"), ("origin", True), ("origin", 1.5), ("origin", [0, 0]),
+    ("point", "0.5"), ("point", -0.5), ("point", [0, 0, "3"]), ("point", {"id": 1}),
     ("direction", [0, 0, 5]), ("direction", [0, 0, 1 + 2e-6]), ("direction", [0.6, 0.0, 0.79]),
 ])
 def test_correspondence_field_is_checked(field, bad):
@@ -172,10 +182,8 @@ def test_correspondence_field_is_checked(field, bad):
 
 
 def test_correspondence_direction_within_tolerance_is_renormalized():
-    corrs = parse_correspondences(_corr_doc(direction=[0, 0, 1 + 5e-7], score=1, point_id="p"))
+    corrs = parse_correspondences(_corr_doc(direction=[0, 0, 1 + 5e-7]))
     assert corrs.directions[1].tolist() == [0.0, 0.0, 1.0]
-    assert np.isnan(corrs.scores[0]) and corrs.scores[1] == 1.0
-    assert corrs.point_ids.tolist() == [None, "p"]
 
 
 # Column and row paths.  Each block is checked as whole columns, and its row
@@ -241,18 +249,20 @@ FAULTS = [
     # a list or object id
     ("r", ("cameras", 0, "id"), ["c0"]), ("r", ("points", 1, "id"), {"p": 1}),
     ("r", ("observations", 1, "point_id"), ["p"]), ("r", ("observations", 0, "camera_id"), {}),
-    ("c", ("correspondences", 2, "point_id"), [1]),
-    ("c", ("correspondences", 0, "point_id"), {"q": 1}),
+    # a short vector, or an object for one
+    ("c", ("correspondences", 2, "point"), [1]),
+    ("c", ("correspondences", 0, "origin"), {"q": 1}),
     # a duplicate id, or an unknown one
     ("r", ("cameras", 1, "id"), "c0"), ("r", ("points", 2, "id"), 0),
     ("r", ("points", 1, "id"), 0.0),
     ("r", ("observations", 1, "camera_id"), "ghost"), ("r", ("observations", 2, "point_id"), 99),
-    # a direction norm off by more than 1e-6, a score outside [0, 1] or not a number
+    # a direction norm off by more than 1e-6
     ("r", ("observations", 1, "direction"), [0, 1 + 2e-6, 0]),
     ("c", ("correspondences", 0, "direction"), [0, 0, 1.1]),
-    ("c", ("correspondences", 1, "score"), 1.5), ("c", ("correspondences", 1, "score"), -0.25),
-    ("c", ("correspondences", 1, "score"), True), ("c", ("correspondences", 1, "score"), "0.5"),
-    ("c", ("correspondences", 1, "score"), math.nan), ("c", ("correspondences", 1, "score"), [0.5]),
+    # a number, a string or a short list where a vector belongs
+    ("c", ("correspondences", 1, "direction"), 1.5), ("c", ("correspondences", 1, "origin"), -0.25),
+    ("c", ("correspondences", 1, "point"), True), ("c", ("correspondences", 1, "direction"), "0.5"),
+    ("c", ("correspondences", 1, "origin"), math.nan), ("c", ("correspondences", 1, "point"), [0.5]),
     # a zero orientation
     ("r", ("cameras", 1, "orientation"), [0, 0, 0.0, 0]),
 ]
@@ -342,7 +352,6 @@ def test_city_and_scene_documents_parse_as_row_loop(monkeypatch):
         columns, rows = _both_paths(monkeypatch, "r", text)
         assert isinstance(columns[0], list) and columns == rows
     cam = cams[0]
-    corrs = Correspondences(cam.centers[cam.obs_camera], cam.directions, cam.points[cam.obs_point],
-                            np.linspace(0, 1, len(cam.directions)), cam.obs_point.tolist())
+    corrs = Correspondences(cam.centers[cam.obs_camera], cam.directions, cam.points[cam.obs_point])
     columns, rows = _both_paths(monkeypatch, "c", correspondences_to_json(corrs))
     assert columns == rows

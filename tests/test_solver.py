@@ -16,7 +16,7 @@ from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
 from raypose import solver
 from raypose.solver import MAX_CANDIDATES, STATIONARITY_TOL, solve_batch
 
-from dense_oracle import descent_minima, greedy_rows, macaulay_roots_qr
+from dense_oracle import descent_minima, greedy_rows, macaulay_roots_qr, stacked
 
 
 def test_every_descent_minimum_is_enumerated():
@@ -520,12 +520,12 @@ def _recovery_oracle(minima, elim, cost, centroids):
 
 
 def test_stacked_recovery_matches_the_per_candidate_formulas():
-    # One mixed stack: free and fixed scale, n = 4 and n = 50, samples with
-    # different minimum counts, one (703) whose cheap minimum fails
-    # cheirality and so ranks after a dearer one, one (809) whose
-    # refinement step moves w by 1e-10 relative, and in the middle a
-    # sample left with only minima of negative scale (origins negated,
-    # which negates the scale).
+    # Mixed samples, one stack per size and scale mode: free and fixed
+    # scale, n = 4 and n = 50, samples of different minimum counts in one
+    # stack, one (703) whose cheap minimum fails cheirality and so ranks
+    # after a dearer one, one (809) whose refinement step moves w by 1e-10
+    # relative, and in the middle a sample left with only minima of
+    # negative scale (origins negated, which negates the scale).
     samples = []
     for seed, n, fix_scale in ((809, 50, False), (701, 4, True), (702, 4, False), (703, 4, True),
                                (809, 50, True), (705, 4, False), (706, 4, False), (707, 4, True)):
@@ -549,7 +549,15 @@ def test_stacked_recovery_matches_the_per_candidate_formulas():
     assert any(negative) and not all(negative)
     found[4] = found[4]._replace(q=found[4].q[negative], residual=found[4].residual[negative])
     assert len({len(m.q) for m in found}) >= 3
-    recovered = recover_candidates(found, elims, centroids)
+    recovered, mixed = [None] * len(samples), False
+    for key in dict.fromkeys((e.n, e.fix_scale) for e in elims):
+        group = [i for i, e in enumerate(elims) if (e.n, e.fix_scale) == key]
+        mixed |= len({len(found[i].q) for i in group}) > 1
+        shifts = np.array([centroids[i] for i in group]).swapaxes(0, 1)
+        for i, out in zip(group, recover_candidates([found[i] for i in group],
+                                                    stacked([elims[i] for i in group]), shifts)):
+            recovered[i] = out
+    assert mixed
     assert str(recovered[4]) == "all candidates were discarded (non-positive scale)"
     assert isinstance(recovered[4], EmptySolutionError)
 
