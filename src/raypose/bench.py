@@ -272,6 +272,10 @@ def run_noise_sweep(levels: Sequence[float] = tuple(range(11)),
     """
     _integer(trials_per_level, "trials_per_level", 1)
     _integer(seed, "seed", 0)
+    if not levels:
+        raise InvalidInputError("levels must hold at least one noise level")
+    for level in levels:
+        _noise_level(level, "noise level")
     rows = []
     runtimes = []
     config = SceneConfig(n_correspondences=_NOISE_SWEEP_N)
@@ -285,7 +289,7 @@ def run_noise_sweep(levels: Sequence[float] = tuple(range(11)),
             sums[1] += _errors(_umeyama_estimate(rng, scene, noisy, truth, level), truth)
         for method, mean in zip(("gdls", "umeyama"), sums / trials_per_level):
             rows.append(_row("noise", method, _NOISE_SWEEP_N, float(level), *mean, seed))
-    return rows, {"gdls": float(np.mean(runtimes)) if runtimes else 0.0, "umeyama": 0.0}
+    return rows, {"gdls": float(np.mean(runtimes)), "umeyama": 0.0}
 
 
 def run_scalability(n_values: Sequence[int] = (4, 10, 50, 100, 500, 1000),

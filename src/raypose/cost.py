@@ -83,7 +83,7 @@ def quartic_form(T: np.ndarray, q: np.ndarray) -> np.ndarray:
     is 4 M q and the Hessian is 12 M.
     """
     q = np.asarray(q, dtype=float)
-    qq = np.einsum("...a,...b->...ab", q, q).reshape(q.shape[:-1] + (16,))
+    qq = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,))
     if T.ndim == 3:
         qq = qq[:, None, :]
     return (qq @ T).reshape(q.shape[:-1] + (4, 4))

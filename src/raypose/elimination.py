@@ -80,7 +80,7 @@ class EliminationMatrices:
         ray-last: r is (C, 3, n) and dr (C, n), the products ``d_i . r_i``;
         gives (C, k).  On a stack of S eliminations every array has a
         leading sample axis."""
-        rhs = -r.sum(axis=-1)                                           # -sum_i r_i
+        rhs = -np.add.reduce(r, axis=-1)                                # -sum_i r_i
         if not self.fix_scale:
             cT = self.origins.swapaxes(-1, -2)
             cr = r.reshape(r.shape[:-2] + (-1,)) @ cT.reshape(cT.shape[:-2] + (-1, 1))
@@ -150,7 +150,7 @@ def eliminate(
         M[..., 0] = np.einsum("sia,sia->si", z, c)
         pc = (c - M[..., :1] * z).reshape(S, 1, 3 * n)                   # (I - d_i d_i^T) c_i
         K[:, 0, 0] = (pc @ pc.swapaxes(1, 2))[:, 0, 0]
-        K[:, 0, 1:] = K[:, 1:, 0] = -pc.reshape(S, n, 3).sum(axis=1)
+        K[:, 0, 1:] = K[:, 1:, 0] = -np.add.reduce(pc.reshape(S, n, 3), axis=1)
     svals = np.linalg.svd(K, compute_uv=False)
     full = svals[:, -1] >= _RCOND * np.maximum(svals[:, 0], 1.0)
     errors = [None if ok else _rank_deficiency(c[i], K[i], fix_scale) for i, ok in enumerate(full)]

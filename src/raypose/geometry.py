@@ -137,6 +137,14 @@ class SimilarityTransform:
         object.__setattr__(self, "scale", s)
 
     @staticmethod
+    def _unchecked(rotation, translation, scale) -> "SimilarityTransform":
+        """A transform of fields that already pass every check, the
+        translation read-only, taken as they are."""
+        T = object.__new__(SimilarityTransform)
+        vars(T).update(rotation=rotation, translation=translation, scale=scale)
+        return T
+
+    @staticmethod
     def identity() -> "SimilarityTransform":
         return SimilarityTransform(Quaternion.identity(), np.zeros(3), 1.0)
 

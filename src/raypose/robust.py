@@ -15,8 +15,8 @@ local: ``solver.refine`` takes Newton steps on the inliers' cost from
 the hypothesis's rotation, with no enumeration of the 40 stationary
 points, and only when it raises does the global ``gdls_solve`` run.  On
 36 refits of 857-900 rays from the benchmark's ``city_merge`` workload
-(2 vCPUs, one BLAS thread) a global refit took a median of 4.1 ms and a
-polished one 2.0 ms.
+(2 vCPUs, one BLAS thread) a global refit took a median of 2.3-2.4 ms and
+a polished one 0.8-0.9 ms, in two runs.
 
 Each minimal sample lies on 4 distinct points whenever the set holds 4.
 Rays of many cameras repeat a point: a ``city_merge`` member's 900
@@ -143,12 +143,11 @@ def angular_residuals(T: Union[SimilarityTransform, Sequence[SimilarityTransform
     translation = np.array([each.translation for each in stack])
     scale = np.array([each.scale for each in stack])
     pred = points @ R.swapaxes(1, 2) + translation[:, None] - scale[:, None, None] * origins
-    norms = np.linalg.norm(pred, axis=2)
-    ok = norms > 1e-12
-    cosang = np.full(norms.shape, -1.0)
-    d = np.broadcast_to(directions, pred.shape)
-    cosang[ok] = np.sum(pred[ok] * d[ok], axis=1) / norms[ok]
-    angles = np.arccos(np.clip(cosang, -1.0, 1.0))
+    # cos = pred . d / |pred|, and -1 (an angle of pi) where |pred| <= 1e-12.
+    norms = np.sqrt(np.add.reduce(pred * pred, axis=2))
+    cosang = np.divide(np.add.reduce(pred * directions, axis=2), norms,
+                       out=np.full(norms.shape, -1.0), where=norms > 1e-12)
+    angles = np.arccos(np.clip(cosang, -1.0, 1.0, out=cosang), out=cosang)
     return angles[0] if isinstance(T, SimilarityTransform) else angles
 
 

@@ -65,9 +65,12 @@ again in a second fixed frame.  The real roots come out about 1e-13 off;
 one Newton step, kept where it shrinks the tangent gradient, takes them
 to the rounding floor.  The step solves (H + q q^T) d = g, H the
 Riemannian Hessian, with one batched LU solve; the pseudo-inverse, a
-batched SVD, took about 14 times as long on the 346 real roots of a
-16-sample batch (3.0 ms against 0.22 ms on a 2-vCPU Xeon, one BLAS
+batched SVD, took about 12 times as long on the 342 real roots of a
+16-sample batch (1.34 ms against 0.10-0.12 ms on a 2-vCPU Xeon, one BLAS
 thread), and it is kept only for a row that LAPACK finds singular.
+Each evaluation forms q q^T once, for the projector and for H + q q^T,
+and a round in which every row's step is kept takes the new arrays
+whole rather than copying them row by row.
 Those that then meet the stationarity tolerance are the real stationary
 points, and those whose Riemannian Hessian has no negative eigenvalue
 are the local minima.  The real-root test, the step and both tests run
@@ -142,6 +145,8 @@ REFINE_STEPS = 10
 _RANK, _ROOTS = 125, 40
 # Largest relative shift-invariance residual of a null space that is kept.
 _SHIFT_TOL = 1e-8
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 
 
 def _exponents(degree: int) -> np.ndarray:
@@ -284,15 +289,21 @@ def _roots(T: np.ndarray) -> np.ndarray:
 
 
 def _local_terms(T: np.ndarray, q: np.ndarray):
-    """Value, tangent gradient and Riemannian Hessian at unit rows q, each
-    of the form in the same row of the (k, 16, 16) stack T.  With
+    """Value, tangent gradient, Riemannian Hessian and q q^T at unit rows
+    q, each of the form in the same row of the (k, 16, 16) stack T.  With
     f = q^T M q and P = I - q q^T, the Hessian is P (12 M - 4 f I) P; its
-    eigenvalue along q is 0."""
+    eigenvalue along q is 0.  q q^T is formed once, for P and the Newton step."""
     M = quartic_form(T, q)
+    qq = q[:, :, None] * q[:, None, :]
     Mq = np.einsum("kab,kb->ka", M, q)
     f = np.einsum("ka,ka->k", q, Mq)
-    P = np.eye(4) - np.einsum("ka,kb->kab", q, q)
-    return f, 4.0 * (Mq - f[:, None] * q), P @ (12.0 * M - 4.0 * f[:, None, None] * np.eye(4)) @ P
+    P = _EYE4 - qq
+    return f, 4.0 * (Mq - f[:, None] * q), P @ (12.0 * M - 4.0 * f[:, None, None] * _EYE4) @ P, qq
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, as ``np.linalg.norm`` rounds them."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 class Minima(NamedTuple):
@@ -336,25 +347,28 @@ def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySo
         return out
     x = np.stack(roots)                                                # (C, 40, 4)
     # Real points: q / q'_0 is complex at the others.
-    real = np.linalg.norm(x.imag, axis=2) <= 1e-6 * np.linalg.norm(x.real, axis=2)
+    real = _norms(x.imag) <= 1e-6 * _norms(x.real)
     q = x.real[real]
-    q /= np.linalg.norm(q, axis=1)[:, None]
-    counts = real.sum(axis=1)
+    q /= _norms(q)[:, None]
+    counts = np.count_nonzero(real, axis=1)
+    owner = np.repeat(np.arange(len(solved)), counts)
     # One Newton step from each root; see the module docstring.
-    f, residual, stationary, minimum = _polish(np.repeat(forms[solved], counts, axis=0), q, 1)
-    bounds = np.cumsum(np.concatenate([[0], counts]))
-    for c, start, stop in zip(solved, bounds[:-1], bounds[1:]):
-        keep = start + np.flatnonzero(minimum[start:stop])
-        keep = keep[np.argsort(f[keep], kind="stable")]
-        qb = _unit_quaternions(q[keep])
-        close = np.linalg.norm(qb[:, None, :] - qb[None, :, :], axis=2) < 1e-6
+    q, f, residual, stationary, minimum = _polish(np.repeat(forms[solved], counts, axis=0), q, 1)
+    # Every cost's minima, by cost and then by value, each made a unit row.
+    keep = np.flatnonzero(minimum)
+    keep = keep[np.lexsort((f[keep], owner[keep]))]
+    qb = _unit_quaternions(q[keep])
+    bounds = np.searchsorted(owner[keep], np.arange(len(solved) + 1))
+    real_roots = np.bincount(owner[stationary], minlength=len(solved)).tolist()
+    for c, start, stop, n_real in zip(solved, bounds[:-1], bounds[1:], real_roots):
+        close = _norms(qb[start:stop, None] - qb[None, start:stop]) < 1e-6
         final: List[int] = []
-        for i in range(len(qb)):
+        for i in range(stop - start):
             if not close[i, final].any():
                 final.append(i)
                 if len(final) == MAX_CANDIDATES:
                     break
-        out[c] = Minima(qb[final], residual[keep[final]], int(stationary[start:stop].sum()))
+        out[c] = Minima(qb[start:stop][final], residual[keep[start:stop][final]], n_real)
     return out
 
 
@@ -370,23 +384,26 @@ def _polish(T: np.ndarray, q: np.ndarray, steps: int):
     """Newton steps on the sphere from the unit rows q, each against the
     form in its row of T, for at most ``steps`` rounds.  A row takes a step
     only where it shrinks the row's tangent gradient, and the rounds stop
-    early once no row's does.  q is updated in place; gives the rows'
-    values, tangent-gradient norms, and which rows are stationary and
-    which local minima."""
-    f, g, H = _local_terms(T, q)
-    residual = np.linalg.norm(g, axis=1)
+    early once no row's does.  Gives the polished rows and their values,
+    tangent-gradient norms, and which rows are stationary and which local
+    minima; q may be overwritten."""
+    f, g, H, qq = _local_terms(T, q)
+    residual = _norms(g)
     for _ in range(steps):
-        step = q - _newton_steps(H + np.einsum("ka,kb->kab", q, q), g)
-        step /= np.linalg.norm(step, axis=1)[:, None]
-        fs, gs, Hs = _local_terms(T, step)
-        residual_s = np.linalg.norm(gs, axis=1)
+        step = q - _newton_steps(H + qq, g)
+        step /= _norms(step)[:, None]
+        new = (step, *_local_terms(T, step))
+        residual_s = _norms(new[2])
         better = residual_s < residual
+        if better.all():   # every row moved: take the new arrays whole
+            q, f, g, H, qq, residual = *new, residual_s
+            continue
         if not better.any():
             break
-        for kept, new in ((q, step), (f, fs), (g, gs), (H, Hs), (residual, residual_s)):
-            kept[better] = new[better]
+        for kept, moved in zip((q, f, g, H, qq, residual), (*new, residual_s)):
+            kept[better] = moved[better]
     stationary = residual <= STATIONARITY_TOL
-    return f, residual, stationary, stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
+    return q, f, residual, stationary, stationary & (np.linalg.eigvalsh(H)[:, 0] >= -STATIONARITY_TOL)
 
 
 def _newton_steps(A: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -433,7 +450,8 @@ def recover_candidates(
     all its minima.  A sample's numbers are the same, bit for bit, alone or
     in any stack.  The scale test, the uncentering and the ranking are one
     pass over the candidates of every sample, and objects are built only
-    for those that are returned.  A candidate's rotation is its minimum's
+    for those that are returned, with the transform constructor's checks
+    run once over their arrays.  A candidate's rotation is its minimum's
     unit row as is, not normalized again, so it is the rotation every
     other field was computed from.
     """
@@ -443,28 +461,30 @@ def recover_candidates(
     R = _rotations(q)                                                  # (J, 3, 3)
     J = len(q)
     scale, t, cost, cheirality, depths = (np.empty(J), np.empty((J, 3)), np.empty(J),
-                                          np.empty(J, dtype=bool), [None] * J)
+                                          np.empty(J, dtype=bool), np.empty((J, stack.n)))
     first = np.cumsum(counts) - counts                                 # each sample's first row
     for C in dict.fromkeys(counts[counts > 0].tolist()):
         group = counts == C
         idx = first[group][:, None] + np.arange(C)                     # (S, C) candidates
-        sub, Rs = stack[group], R[idx]
+        sub, Rs = stack if group.all() else stack[group], R[idx]
         alpha, s, tg = sub.solve_linear(Rs)
         scale[idx], t[idx] = s, tg
         cost[idx] = constraint_cost(sub.origins, sub.directions, sub.points, Rs, s, tg)
-        cheirality[idx] = (alpha > 0.0).all(axis=2)
-        for j, a in zip(idx.ravel(), alpha.reshape(-1, stack.n)):
-            depths[j] = a
+        cheirality[idx], depths[idx] = (alpha > 0.0).all(axis=2), alpha
     shift_c, shift_X = centroids[:, owner]
     t = t - (R @ shift_X[:, :, None])[:, :, 0] + scale[:, None] * shift_c
+    t.setflags(write=False)
     residual = np.concatenate([m.residual for m in minima])
-    valid = scale > 0.0
+    order = np.lexsort((cost, ~cheirality, owner))
+    order = order[scale[order] > 0.0]
+    # The constructor's own error, for the first candidate it would reject.
+    for j in order[~(np.isfinite(t[order]).all(axis=1) & np.isfinite(scale[order]))][:1]:
+        SimilarityTransform(Quaternion._of_unit_row(q[j]), t[j], scale[j])
     out: list = [[] for _ in minima]
-    for j in np.lexsort((cost, ~cheirality, owner)):
-        if valid[j]:
-            out[owner[j]].append(SolverCandidate(
-                SimilarityTransform(Quaternion._of_unit_row(q[j]), t[j], scale[j]),
-                float(cost[j]), depths[j], float(residual[j]), bool(cheirality[j])))
+    for j in order.tolist():
+        out[owner[j]].append(SolverCandidate(
+            SimilarityTransform._unchecked(Quaternion._of_unit_row(q[j]), t[j], float(scale[j])),
+            float(cost[j]), depths[j], float(residual[j]), bool(cheirality[j])))
     return [found or EmptySolutionError("all candidates were discarded (non-positive scale)")
             for found in out]
 
@@ -512,7 +532,7 @@ def _eliminate_centered(samples: Sequence[Correspondences], fix_scale: bool):
     translation back."""
     c, z, X = (np.stack([getattr(corrs, name) for corrs in samples])
                for name in ("origins", "directions", "points"))
-    shift_c, shift_X = c.mean(axis=1), X.mean(axis=1)
+    shift_c, shift_X = (np.add.reduce(a, axis=1) / a.shape[1] for a in (c, X))   # the means
     return (*eliminate(c - shift_c[:, None], z, X - shift_X[:, None], fix_scale),
             np.stack([shift_c, shift_X]))
 
@@ -547,7 +567,7 @@ def solve_batch(samples: Sequence[Correspondences],
             out[i] = error
         ok = np.array([error is None for error in errors])
         if ok.any():
-            groups.append((rows[ok], stack, centroids[:, ok]))
+            groups.append((rows[ok], stack, centroids if ok.all() else centroids[:, ok]))
             costs.append(build_quartic_cost(stack))
         lap("cost")
     found = iter(solve_stationary(costs))
@@ -560,8 +580,9 @@ def solve_batch(samples: Sequence[Correspondences],
             out[i] = minima
         kept = np.array([isinstance(out[i], Minima) for i in rows])
         if kept.any():
-            recovered = recover_candidates([out[i] for i in rows[kept]], stack[kept],
-                                           centroids[:, kept])
+            recovered = recover_candidates([out[i] for i in rows[kept]],
+                                           stack if kept.all() else stack[kept],
+                                           centroids if kept.all() else centroids[:, kept])
             for i, candidates in zip(rows[kept], recovered):
                 out[i] = candidates if isinstance(candidates, EmptySolutionError) else (
                     candidates, len(out[i].q), out[i].real_roots)
@@ -605,8 +626,8 @@ def refine(correspondences: Correspondences, start: Quaternion) -> SolverCandida
     stack, (error,), centroids = _eliminate_centered([correspondences], False)
     if error is not None:
         raise error
-    q = start.array[None]
-    _, residual, _, minimum = _polish(_scaled_forms([build_quartic_cost(stack)]), q, REFINE_STEPS)
+    q, _, residual, _, minimum = _polish(_scaled_forms([build_quartic_cost(stack)]),
+                                         start.array[None], REFINE_STEPS)
     if not minimum[0]:
         raise EmptySolutionError(f"no local minimum near the start (gradient {residual[0]:.1e})")
     found, = recover_candidates([Minima(_unit_quaternions(q), residual, 0)], stack, centroids)

@@ -201,6 +201,20 @@ def test_sweeps_reject_nonpositive_trials(trials):
         run_scalability(n_values=(4,), trials=trials)
 
 
+@pytest.mark.parametrize("levels,match", [
+    ((), "^levels must hold at least one noise level"),
+    ((-1,), r"^noise level must be a finite number >= 0, got -1$"),
+    ((0, float("nan")), r"^noise level must be a finite number >= 0, got nan$"),
+    ((float("inf"),), r"^noise level must be a finite number >= 0, got inf$"),
+    ((True,), r"^noise level must be a finite number >= 0, got True$"),
+], ids=["empty", "negative", "nan", "inf", "bool"])
+def test_noise_sweep_levels_must_be_finite_and_nonnegative(levels, match):
+    # No level gave a CSV of only a header and a mean runtime of 0; a
+    # negative or NaN level reached numpy, which raised a bare ValueError.
+    with pytest.raises(InvalidInputError, match=match):
+        run_noise_sweep(levels=levels, trials_per_level=1)
+
+
 @pytest.mark.parametrize("call,name", [
     (lambda: run_stability(2.5), "trials"),
     (lambda: run_stability(1, seed=-1), "seed"),

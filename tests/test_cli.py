@@ -150,6 +150,8 @@ def test_invalid_inputs_exit_two(tmp_path):
     assert main(["bench", "--experiment", "noise", "--bogus-flag"]) == 2
     for experiment in ("noise", "scalability"):
         assert main(["bench", "--experiment", experiment, "--trials", "0"]) == 2
+    # A negative maximum left no noise level: the CSV was only a header.
+    assert main(["bench", "--experiment", "noise", "--trials", "1", "--max-noise-px", "-1"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve", "--input", str(bad)]) == 2

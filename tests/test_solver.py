@@ -14,7 +14,8 @@ from raypose.robust import angular_residuals
 from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
                            random_similarity, trial_rng)
 from raypose import solver
-from raypose.solver import MAX_CANDIDATES, STATIONARITY_TOL, solve_batch
+from raypose.elimination import EliminationMatrices
+from raypose.solver import MAX_CANDIDATES, REFINE_STEPS, STATIONARITY_TOL, solve_batch
 
 from dense_oracle import descent_minima, greedy_rows, macaulay_roots_qr, stacked
 
@@ -499,6 +500,70 @@ def test_newton_steps_fall_back_row_by_row_on_a_singular_stack():
     assert np.isfinite(steps).all()
     assert np.allclose(steps[2], np.linalg.pinv(A[2]) @ g[2], rtol=0, atol=1e-15)
     assert np.array_equal(steps[0], np.linalg.solve(A[0], g[0]))
+
+
+def test_polish_gives_each_row_of_a_stack_what_it_gives_alone():
+    # Starts from 0.3 rad off a cost's minimum down to one already polished
+    # to the rounding floor take different numbers of Newton steps: a row
+    # whose step is refused keeps its values while the others go on, and
+    # the polished row never moves.  Each row of a stack gets, bit for bit,
+    # what it gets alone, with every row moving in a round or not.
+    rng = np.random.default_rng(0)
+    forms, starts = [], []
+    for seed in range(6):
+        corrs, _ = _noisy_inliers(30, 9300 + seed)
+        stack, _, _ = solver._eliminate_centered([corrs], False)
+        T = solver._scaled_forms([build_quartic_cost(stack)])
+        best = gdls_solve(corrs).best.transform.rotation.array
+        for eps in (0.3, 0.1, 1e-2, 1e-4, 1e-7):
+            q = best + eps * rng.normal(size=4)
+            forms.append(T[0])
+            starts.append(q / np.linalg.norm(q))
+        forms.append(T[0])
+        starts.append(solver._polish(T, best[None], REFINE_STEPS)[0][0])
+    forms, starts = np.array(forms), np.array(starts)
+
+    def polish(rows, steps=REFINE_STEPS):
+        return solver._polish(forms[rows], starts[rows], steps)
+
+    alone = [polish([i]) for i in range(len(forms))]
+    # Steps each row takes alone: rounds after which its row has moved.
+    taken = [sum(not np.array_equal(polish([i], s)[0], polish([i], s - 1)[0])
+                 for s in range(1, REFINE_STEPS + 1)) for i in range(len(forms))]
+    assert 0 in taken
+    assert any(0 < k < max(taken) for k in taken) and len(set(taken)) >= 4
+    for rows in (np.arange(len(forms)), np.flatnonzero(np.array(taken) >= 3)):
+        together = polish(rows)
+        for k, i in enumerate(rows):
+            for a, b in zip(together, alone[i]):
+                assert np.array_equal(a[k], b[0])
+
+
+def test_candidate_translations_are_read_only():
+    corrs, _ = _noisy_inliers(30, 9400)
+    for cand in gdls_solve(corrs).candidates:
+        assert not cand.transform.translation.flags.writeable
+        with pytest.raises(ValueError):
+            cand.transform.translation[0] = 1.0
+
+
+@pytest.mark.parametrize("field,value", [(2, np.nan), (1, np.inf)], ids=["translation", "scale"])
+def test_a_non_finite_candidate_raises_the_constructor_error(monkeypatch, field, value):
+    # Candidates are built without the transform constructor's checks,
+    # which run once over the arrays and raise its own error.  An infinite
+    # scale makes the uncentered translation non-finite, which it names.
+    solve_linear = EliminationMatrices.solve_linear
+
+    def broken(self, R):
+        out = list(solve_linear(self, R))
+        out[field] = np.full_like(out[field], value)
+        return tuple(out)
+
+    monkeypatch.setattr(EliminationMatrices, "solve_linear", broken)
+    corrs, _ = _noisy_inliers(30, 9400)
+    message = r"^translation must be finite with shape \(3,\), got shape \(3,\)$"
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidInputError, match=message):
+        gdls_solve(corrs)
 
 
 def _recovery_oracle(minima, elim, cost, centroids):
