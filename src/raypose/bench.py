@@ -329,8 +329,10 @@ def generate_city(n_subsets: int, cameras_per_subset: int,
     _integer(cameras_per_subset, "cameras_per_subset", 1)
     _integer(seed, "seed", 0)
     _noise_level(noise_px, "noise_px")
-    if not (0.0 < overlap_fraction < 1.0):
-        raise InvalidInputError("overlap_fraction must be in (0, 1)")
+    if (isinstance(overlap_fraction, bool) or not isinstance(overlap_fraction, numbers.Real)
+            or not 0.0 < overlap_fraction < 1.0):
+        raise InvalidInputError("overlap_fraction must be a number in (0, 1), "
+                                f"got {overlap_fraction!r}")
     n_shared = int(round(overlap_fraction * _CITY_POINTS))
     if n_shared < 4:
         raise InvalidInputError(

@@ -20,9 +20,12 @@ nothing 3n long is kept past the call.
 The quaternion convention is written once, in ``raypose.geometry``: MR is
 read off its rotation map, and only the monomial order is this module's.
 
-``QuarticCost`` also keeps the form as a fully symmetric 16x16 matrix T
-over ``q kron q``: the one evaluator ``quartic_form`` turns it into the
-4x4 matrix M(q) that gives the value, gradient and Hessian at once.
+Every layer works on stacks of samples: ``build_quartic_cost`` takes a
+stack of eliminations and gives a ``QuarticCost`` holding the stack of
+their forms, one set being a stack of one.  ``QuarticCost`` also keeps
+each form as a fully symmetric 16x16 matrix T over ``q kron q``: the one
+evaluator ``quartic_form`` turns it into the 4x4 matrix M(q) that gives
+the value, gradient and Hessian at once.
 """
 
 from __future__ import annotations
@@ -76,27 +79,28 @@ PAIR_SELECTOR = _pair_selector()
 
 
 def quartic_form(T: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """M(q) = reshape((q kron q) @ T) for a (16, 16) form T; q is (4,) or (k, 4).
-    A (k, 16, 16) stack T holds one form per row of q.
+    """M(q) = reshape((q kron q) @ T) for a (k, 16, 16) stack of forms T and
+    (k, 4) rows q, one form per row; a stack of one form serves every row
+    of q, which may also be a single (4,) quaternion.
 
     For the fully symmetric T of a quartic f, f(q) = q^T M q, the gradient
     is 4 M q and the Hessian is 12 M.
     """
-    q = np.asarray(q, dtype=float)
-    qq = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,))
-    if T.ndim == 3:
-        qq = qq[:, None, :]
+    qq = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (1, 16))
     return (qq @ T).reshape(q.shape[:-1] + (4, 4))
 
 
 @dataclass(frozen=True)
 class QuarticCost:
-    """Quartic form C'(q) = m(q)^T Q m(q) with Q symmetric 10x10 PSD on m's range.
+    """A stack of S quartic forms C'(q) = m(q)^T Q m(q), each Q symmetric
+    10x10 PSD on m's range: an (S, 10, 10) Q.
 
-    ``T`` is the same form as a fully symmetric 4x4x4x4 tensor, stored as a
-    16x16 matrix; every value, gradient and Hessian comes from
-    ``quartic_form(T, q)``.  A stack of S costs has an (S, 10, 10) Q and an
-    (S, 16, 16) T, each cost's the same, bit for bit, as when it is alone.
+    ``T`` is the same stack of forms as fully symmetric 4x4x4x4 tensors,
+    stored as an (S, 16, 16) array; every value, gradient and Hessian comes
+    from ``quartic_form(T, q)``, so ``evaluate``, ``gradient`` and
+    ``hessian`` take one row of q per form, or any (k, 4) or (4,) q on a
+    stack of one.  Each cost is the same, bit for bit, in a stack of one or
+    among any others.
     """
 
     Q: np.ndarray
@@ -104,16 +108,16 @@ class QuarticCost:
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
-        if Q.shape[-2:] != (10, 10) or Q.ndim > 3 or not np.all(np.isfinite(Q)):
-            raise InvalidInputError("Q must be a finite 10x10 matrix or a stack of them")
+        if Q.ndim != 3 or Q.shape[1:] != (10, 10) or not np.all(np.isfinite(Q)):
+            raise InvalidInputError("Q must be a finite (S, 10, 10) stack of matrices")
         Q = 0.5 * (Q + Q.swapaxes(-1, -2))
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
         # (q kron q)^T A (q kron q) = f(q); averaging A over the three ways
         # of pairing four indices makes it fully symmetric.
-        A = (PAIR_SELECTOR.T @ Q @ PAIR_SELECTOR).reshape(Q.shape[:-2] + (4, 4, 4, 4))
+        A = (PAIR_SELECTOR.T @ Q @ PAIR_SELECTOR).reshape(len(Q), 4, 4, 4, 4)
         T = (A + A.swapaxes(-3, -2) + A.swapaxes(-3, -1)) / 3.0
-        T = T.reshape(Q.shape[:-2] + (16, 16))
+        T = T.reshape(len(Q), 16, 16)
         T.setflags(write=False)
         object.__setattr__(self, "T", T)
 
@@ -126,33 +130,28 @@ class QuarticCost:
         return 4.0 * np.einsum("...ab,...b->...a", quartic_form(self.T, q), q)
 
     def hessian(self, q: np.ndarray) -> np.ndarray:
-        return 12.0 * quartic_form(self.T, q)
+        return 12.0 * quartic_form(self.T, np.asarray(q, dtype=float))
 
 
 def constraint_cost(origins: np.ndarray, directions: np.ndarray, points: np.ndarray,
-                    R: np.ndarray, s: float | np.ndarray, t: np.ndarray) -> float | np.ndarray:
-    """Summed squared constraint errors of the pose (R, s, t).
+                    R: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Summed squared constraint errors of the poses (R, s, t).
 
     ``eta_i = (z_i z_i^T - I)(R X_i - s c_i + t)`` is the part of the ray
-    constraint's residual orthogonal to the observed direction z_i.  One
-    pose, with (n, 3) rays and points, R (3, 3), a float s and a (3,) t,
-    gives a float.  Stacks, with (S, n, 3) rays and points of S samples
-    and C poses each, R (S, C, 3, 3), s (S, C) and t (S, C, 3), give an
-    (S, C) array.
+    constraint's residual orthogonal to the observed direction z_i.  The
+    (S, n, 3) rays and points of S samples with C poses each, R
+    (S, C, 3, 3), s (S, C) and t (S, C, 3), give an (S, C) array.
     """
-    R = np.asarray(R)
-    if R.ndim == 2:
-        return float(constraint_cost(origins[None], directions[None], points[None], R[None, None],
-                                     np.full((1, 1), s), np.asarray(t)[None, None])[0, 0])
     inner = (points[:, None] @ R.transpose(0, 1, 3, 2) - s[..., None, None] * origins[:, None]
              + t[:, :, None])
     eta = np.einsum("scia,sia->sci", inner, directions)[..., None] * directions[:, None] - inner
     return (eta * eta).sum(axis=(2, 3))
 
 
-def direct_cost(elim: EliminationMatrices, R: np.ndarray) -> float:
+def direct_cost(elim: EliminationMatrices, R: np.ndarray) -> np.ndarray:
     """Term-by-term evaluation of the summed squared constraint errors at
-    the eliminated scale and translation for rotation R.
+    the eliminated scale and translation, (S, C) for the (S, C, 3, 3)
+    rotations R of a stack of S eliminations.
 
     Independent of the 10x10 representation; used as its oracle.
     """
@@ -170,27 +169,26 @@ def build_quartic_cost(elim: EliminationMatrices) -> QuarticCost:
     difference of moment matrices, keeps Q accurate near a zero cost.  H
     overwrites L, and G is the one other buffer.
 
-    A stack of S eliminations (see ``elimination.eliminate``) gives the
-    stack of their S costs in one pass, each the same, bit for bit, as the
-    cost of its elimination alone.
+    The S eliminations of a stack (see ``elimination.eliminate``) give
+    the stack of their S costs in one pass, each the same, bit for bit, as
+    in a stack of one.
     """
-    stack = elim if elim.points.ndim == 3 else elim[None]
-    S, n = stack.points.shape[:2]
-    zT = np.ascontiguousarray(stack.directions.swapaxes(1, 2))         # (S, 3, n)
-    cT = np.ascontiguousarray(stack.origins.swapaxes(1, 2))[:, None]
+    S, n = elim.points.shape[:2]
+    zT = np.ascontiguousarray(elim.directions.swapaxes(1, 2))         # (S, 3, n)
+    cT = np.ascontiguousarray(elim.origins.swapaxes(1, 2))[:, None]
     # R X_i from the entries of R, less c_i q^T q with a fixed scale.
-    L = (_POINT_MAP @ stack.points.swapaxes(1, 2)).reshape(S, 10, 3, n)
-    if stack.fix_scale:
+    L = (_POINT_MAP @ elim.points.swapaxes(1, 2)).reshape(S, 10, 3, n)
+    if elim.fix_scale:
         L[:, _SQ_COLUMNS] -= cT
     u = np.einsum("sjai,sai->sji", L, zT)                             # d_i^T L_i
-    W = stack.schur_solve(L, u)
+    W = elim.schur_solve(L, u)
     L += W[..., -3:, None]                                            # B_i W = c_i W_s - W_t
     G = np.empty_like(L)
-    if not stack.fix_scale:
+    if not elim.fix_scale:
         L -= np.multiply(W[..., :1, None], cT, out=G)
     np.einsum("sjai,sai->sji", L, zT, out=u)                          # d_i^T H_i
     np.multiply(u[:, :, None], zT[:, None], out=G)
     G -= L
     G = G.reshape(S, 10, 3 * n)
     Q = G @ G.swapaxes(1, 2)
-    return QuarticCost(Q if elim.points.ndim == 3 else Q[0])
+    return QuarticCost(Q)

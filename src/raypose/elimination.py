@@ -46,40 +46,39 @@ _ARRAYS = ("origins", "directions", "points", "K_inv", "M")
 
 @dataclass(frozen=True)
 class EliminationMatrices:
-    """The rays and the inverse Schur complement that express (alpha, s, t)
-    as functions of the rotation.
+    """The rays and the inverse Schur complements that express (alpha, s, t)
+    as functions of the rotation, for a stack of S samples of one size.
 
     With y the stacked right-hand side (``y_i = R X_i``, less c_i in
     fix-scale mode): ``w = K^-1 (B^T y - M^T (d . y))`` is ``(s, t)``, or t
-    alone in fix-scale mode, and ``alpha_i = d_i . y_i - M_i w``.  The
-    shapes below are one sample's; a stack (from :func:`eliminate`, or a
-    mask or index into one) has a leading sample axis on every array.
-    K is kept inverted: every use is a solve, and the one inversion per
-    stack costs less than a LAPACK call per use on small n.
+    alone in fix-scale mode, and ``alpha_i = d_i . y_i - M_i w``.  A stack
+    comes from :func:`eliminate` (one set is a stack of one) or a mask or
+    index array into one.  K is kept inverted: every use is a solve, and
+    the one inversion per stack costs less than a LAPACK call per use on
+    small n.
     """
 
-    origins: np.ndarray    # (n, 3)
-    directions: np.ndarray  # (n, 3)
-    points: np.ndarray     # (n, 3)
+    origins: np.ndarray    # (S, n, 3)
+    directions: np.ndarray  # (S, n, 3)
+    points: np.ndarray     # (S, n, 3)
     fix_scale: bool
-    K_inv: np.ndarray      # (k, k) inverse of the Schur complement of A^T A onto w
-    M: np.ndarray          # (n, k) coupling rows d_i^T B_i
+    K_inv: np.ndarray      # (S, k, k) inverses of the Schur complements of A^T A onto w
+    M: np.ndarray          # (S, n, k) coupling rows d_i^T B_i
 
     @property
     def n(self) -> int:
-        return self.points.shape[-2]
+        return self.points.shape[1]
 
     def __getitem__(self, i) -> "EliminationMatrices":
-        """Sample i of a stack, a sub-stack for an index or mask array, or a
-        stack of one for None: every array indexed on its leading axis."""
+        """The sub-stack of an index or mask array: every array indexed on
+        its leading axis."""
         return EliminationMatrices(fix_scale=self.fix_scale,
                                    **{name: getattr(self, name)[i] for name in _ARRAYS})
 
     def schur_solve(self, r: np.ndarray, dr: np.ndarray) -> np.ndarray:
-        """``K^-1 (B^T r - M^T dr)`` for C right-hand sides laid out
-        ray-last: r is (C, 3, n) and dr (C, n), the products ``d_i . r_i``;
-        gives (C, k).  On a stack of S eliminations every array has a
-        leading sample axis."""
+        """``K^-1 (B^T r - M^T dr)`` for C right-hand sides per sample laid
+        out ray-last: r is (S, C, 3, n) and dr (S, C, n), the products
+        ``d_i . r_i``; gives (S, C, k)."""
         rhs = -np.add.reduce(r, axis=-1)                                # -sum_i r_i
         if not self.fix_scale:
             cT = self.origins.swapaxes(-1, -2)
@@ -88,22 +87,16 @@ class EliminationMatrices:
         rhs -= dr @ self.M
         return rhs @ self.K_inv
 
-    def solve_linear(self, R: np.ndarray) -> Tuple[np.ndarray, float | np.ndarray, np.ndarray]:
-        """Depths, scale, and translation for a given rotation matrix.
+    def solve_linear(self, R: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Depths, scales and translations for given rotation matrices.
 
-        A (3, 3) R gives (n,) depths, a float scale and a (3,) translation.
-        On a stack of S eliminations (see :func:`eliminate`), an
-        (S, C, 3, 3) R holds C rotations per sample and gives (S, C, n)
-        depths, (S, C) scales and (S, C, 3) translations; a sample's
-        numbers are the same, bit for bit, alone or among any other
-        samples.  One iterative-refinement step against the normal
-        equations, through the same K^-1 and coupling rows, removes most
-        of the rounding of the first solve.
+        On a stack of S eliminations an (S, C, 3, 3) R holds C rotations
+        per sample and gives (S, C, n) depths, (S, C) scales and
+        (S, C, 3) translations; a sample's numbers are the same, bit for
+        bit, alone or among any other samples.  One iterative-refinement
+        step against the normal equations, through the same K^-1 and
+        coupling rows, removes most of the rounding of the first solve.
         """
-        R = np.asarray(R)
-        if R.ndim == 2:
-            alpha, s, t = self[None].solve_linear(R[None, None])
-            return alpha[0, 0], float(s[0, 0]), t[0, 0]
         zT = np.ascontiguousarray(self.directions.swapaxes(1, 2))      # (S, 3, n)
         cT = self.origins.swapaxes(1, 2)[:, None]
         Mt = self.M.swapaxes(1, 2)
@@ -163,8 +156,8 @@ def build_elimination(
     correspondences: Correspondences,
     fix_scale: bool = False,
 ) -> EliminationMatrices:
-    """One correspondence set's elimination: a stack of one through
-    :func:`eliminate`.
+    """One correspondence set's elimination, as the stack of one that
+    :func:`eliminate` gives.
 
     Raises ``RankDeficiencyError`` (with a fix-scale hint when the scale
     column is the culprit) for degenerate geometry.
@@ -173,7 +166,7 @@ def build_elimination(
     stack, (error,) = eliminate(c.origins[None], c.directions[None], c.points[None], fix_scale)
     if error is not None:
         raise error
-    return stack[0]
+    return stack
 
 
 def _rank_deficiency(c, K, fix_scale) -> RankDeficiencyError:

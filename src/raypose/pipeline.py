@@ -131,8 +131,7 @@ def partition(W: np.ndarray, max_size: int) -> List[List[int]]:
     direction of its sub-matrix.  Groups are sorted vertex lists, in
     component order and then depth-first, first side first.
     """
-    if max_size < 1:
-        raise InvalidInputError("max_size must be positive")
+    _integer(max_size, "max_size", 1)
     out: List[List[int]] = []
 
     def recurse(vs: np.ndarray):

@@ -54,8 +54,9 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +82,8 @@ class RobustConfig:
     not protocol constants; the 0.5 degree angular threshold corresponds
     to roughly 2 px at an 800 px focal length.  The sample size and the
     stopping confidence are the module constants ``SAMPLE_SIZE`` and
-    ``CONFIDENCE``."""
+    ``CONFIDENCE``.  The threshold may be any real number in (0, pi), a
+    NumPy scalar included but not a bool, and is stored as a float."""
 
     angular_inlier_threshold: float = 8.7e-3   # radians
     max_iterations: int = 1000
@@ -91,10 +93,11 @@ class RobustConfig:
         # An angle from arccos lies in [0, pi], so a threshold of pi or more
         # (or inf) would call every correspondence an inlier.
         threshold = self.angular_inlier_threshold
-        if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+        if (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
                 or not 0.0 < threshold < math.pi):
             raise InvalidInputError("angular_inlier_threshold must be a number in (0, pi) "
                                     f"radians, got {threshold!r}")
+        object.__setattr__(self, "angular_inlier_threshold", float(threshold))
         _integer(self.max_iterations, "max_iterations", 1)
         _integer(self.min_inliers, "min_inliers", 1)
 
@@ -131,24 +134,20 @@ class RobustResult:
     refits: int = 0
 
 
-def angular_residuals(T: Union[SimilarityTransform, Sequence[SimilarityTransform]],
-                      origins: np.ndarray, directions: np.ndarray,
-                      points: np.ndarray) -> np.ndarray:
-    """Angles (radians) between the observed rays and those each transform
-    predicts: (n,) for one transform, (S, n) for a sequence of S.  A single
-    transform is a stack of one, so a row of a stack is, bit for bit, that
-    transform's call alone."""
-    stack = [T] if isinstance(T, SimilarityTransform) else T
-    R = _rotations(np.array([each.rotation.array for each in stack]))
-    translation = np.array([each.translation for each in stack])
-    scale = np.array([each.scale for each in stack])
+def angular_residuals(transforms: Sequence[SimilarityTransform], origins: np.ndarray,
+                      directions: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Angles (radians) between the observed rays and those each of S
+    transforms predicts, as an (S, n) array.  A row is, bit for bit, that
+    transform's row in a sequence of one."""
+    R = _rotations(np.array([each.rotation.array for each in transforms]))
+    translation = np.array([each.translation for each in transforms])
+    scale = np.array([each.scale for each in transforms])
     pred = points @ R.swapaxes(1, 2) + translation[:, None] - scale[:, None, None] * origins
     # cos = pred . d / |pred|, and -1 (an angle of pi) where |pred| <= 1e-12.
     norms = np.sqrt(np.add.reduce(pred * pred, axis=2))
     cosang = np.divide(np.add.reduce(pred * directions, axis=2), norms,
                        out=np.full(norms.shape, -1.0), where=norms > 1e-12)
-    angles = np.arccos(np.clip(cosang, -1.0, 1.0, out=cosang), out=cosang)
-    return angles[0] if isinstance(T, SimilarityTransform) else angles
+    return np.arccos(np.clip(cosang, -1.0, 1.0, out=cosang), out=cosang)
 
 
 def _on_distinct_points(draws: Iterator[np.ndarray], points: np.ndarray,
@@ -197,7 +196,7 @@ def _refit(corrs: Correspondences, transform: SimilarityTransform,
             refit = gdls_solve(inliers).best.transform
         except RayposeError:
             return transform, angles
-    refit_angles = angular_residuals(refit, corrs.origins, corrs.directions, corrs.points)
+    refit_angles, = angular_residuals([refit], corrs.origins, corrs.directions, corrs.points)
     kept = np.count_nonzero(refit_angles < threshold) >= len(inliers)
     return (refit, refit_angles) if kept else (transform, angles)
 

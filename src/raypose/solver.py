@@ -95,21 +95,22 @@ rank 124 passed with residuals of at most 5.2e-13.
 
 ``solve_batch`` runs the whole pipeline on a batch of correspondence sets
 (the robust loop's minimal samples); ``gdls_solve`` is a batch of one.
-The sets of one size are one (S, n, 3) stack: they are centered on the
-centroids of their ray origins and of their world points, eliminated
-with one rank test and one inverse, and assembled into one stack of
-costs, each one array pass for the whole stack (``elimination.eliminate``,
-``build_quartic_cost``).  Only ``_roots`` runs cost by cost, because its
-LAPACK calls do not get faster when stacked.  Centering leaves costs and
-depths unchanged and keeps the elimination's rank test independent of
-where the coordinate origin is.
-One ``recover_candidates`` call per size then turns every minimum of
-that size's stack into a candidate: the samples of one minimum count
-are a sub-stack of it, the elimination's ``solve_linear`` and
-``constraint_cost`` give the depths, scale, translation and cost of
-every minimum of a sub-stack in one call each, and the scale test, the
-map back from the centroids and the ranking are one pass over every
-candidate.
+Every layer takes and gives stacks, and the batch runs through them in
+one loop, one sample size at a time.  The sets of one size are one
+(S, n, 3) stack: they are centered on the centroids of their ray origins
+and of their world points, eliminated with one rank test and one
+inverse, and assembled into one stack of costs, each one array pass for
+the whole stack (``elimination.eliminate``, ``build_quartic_cost``).
+``solve_stationary`` then finds the minima of that stack of costs; only
+``_roots`` runs cost by cost, because its LAPACK calls do not get faster
+when stacked.  Centering leaves costs and depths unchanged and keeps the
+elimination's rank test independent of where the coordinate origin is.
+One ``recover_candidates`` call then turns every minimum of the stack
+into a candidate: the samples of one minimum count are a sub-stack of
+it, the elimination's ``solve_linear`` and ``constraint_cost`` give the
+depths, scale, translation and cost of every minimum of a sub-stack in
+one call each, and the scale test, the map back from the centroids and
+the ranking are one pass over every candidate.
 
 ``refine`` is the local counterpart, for a cost whose global minimum is
 already known to lie near a given rotation (the RANSAC winner's, on its
@@ -314,11 +315,10 @@ class Minima(NamedTuple):
     real_roots: int         # real stationary points among the 40 algebraic ones
 
 
-def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySolutionError]]:
+def solve_stationary(costs: QuarticCost) -> List[Union[Minima, EmptySolutionError]]:
     """Sphere-constrained local minima of each cost in a stack.
 
-    ``costs`` holds single costs or stacks of them (see ``QuarticCost``);
-    the result has one entry per cost, in order.  Per cost: its
+    The result has one entry per cost of the stack, in order.  Per cost: its
     ``Minima``, at most 8, sign-canonicalized and deduplicated (none when
     no root meets the stationarity tolerance); or an
     ``EmptySolutionError`` when its Macaulay null space fails the shift
@@ -332,8 +332,6 @@ def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySo
     run once over the whole stack, each root against its own cost's form,
     so a cost's result is the same, bit for bit, alone or in a stack.
     """
-    if not costs:
-        return []
     forms = _scaled_forms(costs)
     out: list = [None] * len(forms)
     solved, roots = [], []
@@ -372,12 +370,11 @@ def solve_stationary(costs: Sequence[QuarticCost]) -> List[Union[Minima, EmptySo
     return out
 
 
-def _scaled_forms(costs: Sequence[QuarticCost]) -> np.ndarray:
-    """The forms of single costs and cost stacks as one (C, 16, 16) stack,
-    each scaled by 1 / max(1, |Q|)."""
-    Q = np.concatenate([cost.Q.reshape(-1, 1, 100) for cost in costs])
-    forms = np.concatenate([cost.T.reshape(-1, 16, 16) for cost in costs])
-    return forms / np.maximum(1.0, np.sqrt(Q @ Q.swapaxes(1, 2)))   # the matmul is |Q|^2
+def _scaled_forms(costs: QuarticCost) -> np.ndarray:
+    """The (C, 16, 16) forms of a stack of C costs, each scaled by
+    1 / max(1, |Q|)."""
+    Q = costs.Q.reshape(-1, 1, 100)
+    return costs.T / np.maximum(1.0, np.sqrt(Q @ Q.swapaxes(1, 2)))   # the matmul is |Q|^2
 
 
 def _polish(T: np.ndarray, q: np.ndarray, steps: int):
@@ -496,13 +493,12 @@ class SolveReport:
     ``runtime_seconds`` is the wall time of the call, divided evenly over
     the samples of a batch, and the four stage times are the call's time in
     elimination, cost assembly, stationary search and candidate recovery,
-    divided the same way.  Each stage is one array pass over the batch (per
-    sample size for the first two), apart from the per-cost Macaulay
-    factorizations of the stationary search, so a sample's share is not its
-    own time.  ``n_stationary`` counts the local minima
-    the candidates came from, those discarded for a non-positive scale
-    included, and ``real_roots`` the real stationary points among the
-    cost's 40 algebraic ones (see the module docstring).  A candidate's
+    divided the same way.  Each stage is one array pass per sample size,
+    apart from the per-cost Macaulay factorizations of the stationary
+    search, so a sample's share is not its own time.  ``n_stationary``
+    counts the local minima the candidates came from, those discarded for
+    a non-positive scale included, and ``real_roots`` the real stationary
+    points among the cost's 40 algebraic ones (see the module docstring).  A candidate's
     ``stationarity_residual`` is the tangent-gradient norm its minimum was
     polished to, of the cost scaled by 1 / max(1, |Q|).
     """
@@ -544,9 +540,10 @@ def solve_batch(samples: Sequence[Correspondences],
 
     Entry i is sample i's report, or the ``RankDeficiencyError`` or
     ``EmptySolutionError`` its solve raised; other errors propagate.
-    Samples of one size are one stack: their centering, elimination and
-    cost assembly are one pass each, and a sample's report is the same,
-    bit for bit, alone or in any batch.
+    Samples of one size are one stack that runs through the four stages
+    before the next size's: centering, elimination and cost assembly are
+    one pass each, and a sample's report is the same, bit for bit, alone
+    or in any batch.
     """
     start = mark = time.perf_counter()
     spent = dict.fromkeys(("elimination", "cost", "stationary", "recovery"), 0.0)
@@ -558,7 +555,6 @@ def solve_batch(samples: Sequence[Correspondences],
         mark = now
 
     out: list = [None] * len(samples)
-    groups, costs = [], []   # per size: the solved rows, their stack and centroids
     for n in dict.fromkeys(len(corrs) for corrs in samples):
         rows = np.array([i for i, corrs in enumerate(samples) if len(corrs) == n])
         stack, errors, centroids = _eliminate_centered([samples[i] for i in rows], fix_scale)
@@ -566,18 +562,16 @@ def solve_batch(samples: Sequence[Correspondences],
         for i, error in zip(rows, errors):
             out[i] = error
         ok = np.array([error is None for error in errors])
-        if ok.any():
-            groups.append((rows[ok], stack, centroids if ok.all() else centroids[:, ok]))
-            costs.append(build_quartic_cost(stack))
+        if not ok.any():
+            continue
+        rows, centroids = rows[ok], centroids if ok.all() else centroids[:, ok]
+        costs = build_quartic_cost(stack)
         lap("cost")
-    found = iter(solve_stationary(costs))
-    lap("stationary")
-    for rows, stack, centroids in groups:
-        for i in rows:
-            minima = next(found)
+        for i, minima in zip(rows, solve_stationary(costs)):
             if isinstance(minima, Minima) and not len(minima.q):
                 minima = EmptySolutionError("no local minimum met the stationarity tolerance")
             out[i] = minima
+        lap("stationary")
         kept = np.array([isinstance(out[i], Minima) for i in rows])
         if kept.any():
             recovered = recover_candidates([out[i] for i in rows[kept]],
@@ -586,7 +580,7 @@ def solve_batch(samples: Sequence[Correspondences],
             for i, candidates in zip(rows[kept], recovered):
                 out[i] = candidates if isinstance(candidates, EmptySolutionError) else (
                     candidates, len(out[i].q), out[i].real_roots)
-    lap("recovery")
+        lap("recovery")
     per = 1.0 / max(1, len(samples))
     stages = {f"{k}_seconds": v * per for k, v in spent.items()}
     for i, entry in enumerate(out):
@@ -626,7 +620,7 @@ def refine(correspondences: Correspondences, start: Quaternion) -> SolverCandida
     stack, (error,), centroids = _eliminate_centered([correspondences], False)
     if error is not None:
         raise error
-    q, _, residual, _, minimum = _polish(_scaled_forms([build_quartic_cost(stack)]),
+    q, _, residual, _, minimum = _polish(_scaled_forms(build_quartic_cost(stack)),
                                          start.array[None], REFINE_STEPS)
     if not minimum[0]:
         raise EmptySolutionError(f"no local minimum near the start (gradient {residual[0]:.1e})")

@@ -2,7 +2,9 @@
 
 Stacks the full 3n x (n + 4) constraint matrix A and solves its normal
 equations through the pseudo-inverse.  Quadratic in n, so it lives in
-the tests as the oracle for the Schur route in ``raypose.elimination``.
+the tests as the oracle for the Schur route in ``raypose.elimination``,
+whose eliminations are stacks: ``solve_one`` gives one set's depths,
+scale and translation at one rotation from its stack of one.
 The quartic cost is evaluated as m(q)^T Q m(q) over the 10 monomials,
 the oracle for the tensor evaluator in ``raypose.cost``, and the 9x10
 rotation table is typed out, the oracle for the ``MR`` that
@@ -24,7 +26,6 @@ import functools
 import numpy as np
 
 from raypose.cost import MONOMIAL_PAIRS
-from raypose.elimination import eliminate
 from raypose.errors import EmptySolutionError
 from raypose.solver import _macaulay_layout
 
@@ -79,26 +80,25 @@ def stack_A(c: np.ndarray, z: np.ndarray, fix_scale: bool) -> np.ndarray:
 
 
 def rhs(elim, R: np.ndarray) -> np.ndarray:
-    """Stacked right-hand side y for rotation R: R X_i, less c_i in fix-scale mode."""
-    y = (elim.points @ np.asarray(R).T).reshape(-1)
+    """Stacked right-hand side y of a stack of one for rotation R: R X_i,
+    less c_i in fix-scale mode."""
+    y = (elim.points[0] @ np.asarray(R).T).reshape(-1)
     if elim.fix_scale:
-        y = y - elim.origins.reshape(-1)
+        y = y - elim.origins[0].reshape(-1)
     return y
 
 
-def stacked(elims):
-    """Eliminations of one size and scale mode as one stack, rebuilt by
-    ``eliminate`` from their rays and points."""
-    stack, errors = eliminate(*(np.stack([getattr(e, name) for e in elims])
-                                for name in ("origins", "directions", "points")),
-                              elims[0].fix_scale)
-    assert errors == [None] * len(elims)
-    return stack
+def solve_one(elim, R: np.ndarray):
+    """(alpha, s, t) of the one set of the stack ``elim`` at one (3, 3)
+    rotation R: its (1, 1, 3, 3) ``solve_linear`` call, unwrapped to (n,)
+    depths, a float scale and a (3,) translation."""
+    alpha, s, t = elim.solve_linear(np.asarray(R)[None, None])
+    return alpha[0, 0], float(s[0, 0]), t[0, 0]
 
 
 def dense_solution(elim, R: np.ndarray):
-    """(alpha, s, t) = pinv(A) @ rhs for rotation R."""
-    A = stack_A(elim.origins, elim.directions, elim.fix_scale)
+    """(alpha, s, t) = pinv(A) @ rhs for rotation R on a stack of one."""
+    A = stack_A(elim.origins[0], elim.directions[0], elim.fix_scale)
     x = np.linalg.pinv(A, rcond=1e-10) @ rhs(elim, R)
     n = elim.n
     if elim.fix_scale:

@@ -16,7 +16,7 @@ from raypose import (RobustConfig, apply_similarity, build_elimination,
 from raypose.bench import SceneConfig, add_noise, random_similarity, trial_rng
 from raypose.geometry import Correspondences
 
-from dense_oracle import stack_A
+from dense_oracle import solve_one, stack_A
 
 
 def _report(num, ok, detail):
@@ -59,7 +59,7 @@ def test_criterion_2_oracle_equivalence():
         noisy = add_noise(corrs, 0.5, rng)
         elim = build_elimination(noisy)
         cost = build_quartic_cost(elim)
-        best = min(float(cost.evaluate(q)) for q in solve_stationary([cost])[0].q)
+        best = min(float(cost.evaluate(q)) for q in solve_stationary(cost)[0].q)
         oracle = _oracle_descent(cost, 512, np.random.default_rng(seed))
         worst = max(worst, abs(best - oracle))
     _report(2, worst <= 1e-8,
@@ -92,10 +92,10 @@ def test_criterion_3_gradient_and_normal_equations():
         noisy = add_noise(corrs, 0.5, rng)
         elim = build_elimination(noisy)
         R = truth.rotation_matrix()
-        alpha, s, t = elim.solve_linear(R)
-        A = stack_A(elim.origins, elim.directions, False)
+        alpha, s, t = solve_one(elim, R)
+        A = stack_A(elim.origins[0], elim.directions[0], False)
         x = np.concatenate([alpha, [s], t])
-        rhs = (elim.points @ R.T).reshape(-1)
+        rhs = (elim.points[0] @ R.T).reshape(-1)
         ne_worst = max(ne_worst, float(np.linalg.norm(A.T @ (A @ x - rhs))))
 
     ok = grad_worst <= 1e-5 and ne_worst <= 1e-8

@@ -244,6 +244,19 @@ def test_generate_city_validation():
         generate_city(2, 2, 0.02, 0.0, seed=0)  # < 4 shared points
 
 
+@pytest.mark.parametrize("overlap", ["0.3", None, True, [0.3], math.nan, math.inf, 1.0])
+def test_generate_city_names_a_bad_overlap_fraction(overlap):
+    # A string or None used to raise a bare TypeError from the comparison.
+    with pytest.raises(InvalidInputError, match="^overlap_fraction must be a number in \\(0, 1\\)"):
+        generate_city(3, 5, overlap, 0.0, seed=0)
+
+
+def test_generate_city_takes_a_numpy_overlap_fraction():
+    cams, _ = generate_city(3, 2, np.float32(0.3), 0.0, seed=0)
+    expect, _ = generate_city(3, 2, 0.3, 0.0, seed=0)
+    assert [c.point_ids.tolist() for c in cams] == [c.point_ids.tolist() for c in expect]
+
+
 def test_generate_city_overlap_stats():
     cams, truths = generate_city(10, 5, 0.3, 0.0, seed=1)
     assert len(cams) == len(truths) == 10

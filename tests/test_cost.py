@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from raypose import build_elimination, build_quartic_cost, direct_cost
+from raypose import InvalidInputError, build_elimination, build_quartic_cost, direct_cost
 from raypose.bench import SceneConfig, add_noise, generate_scene, trial_rng
 from raypose.cost import _SQ_COLUMNS, MONOMIAL_PAIRS, MR, QuarticCost
 from raypose.geometry import Correspondences, Quaternion
@@ -47,7 +47,7 @@ def test_tensor_evaluator_matches_monomial_oracle():
     eps = 1e-6
     for _ in range(10):
         q = rng.normal(size=4)
-        f = float(monomial_cost(cost.Q, q))
+        f = float(monomial_cost(cost.Q[0], q))
         assert np.isclose(float(cost.evaluate(q)), f, rtol=1e-12, atol=1e-15)
         g, H = cost.gradient(q), cost.hessian(q)
         assert np.allclose(H, H.T, rtol=0, atol=1e-12 * np.abs(H).max())
@@ -57,12 +57,12 @@ def test_tensor_evaluator_matches_monomial_oracle():
         for k in range(4):
             dq = np.zeros(4)
             dq[k] = eps
-            fd = (monomial_cost(cost.Q, q + dq) - monomial_cost(cost.Q, q - dq)) / (2 * eps)
+            fd = (monomial_cost(cost.Q[0], q + dq) - monomial_cost(cost.Q[0], q - dq)) / (2 * eps)
             assert np.isclose(g[k], fd, rtol=1e-6, atol=1e-10)
             fd_g = (cost.gradient(q + dq) - cost.gradient(q - dq)) / (2 * eps)
             assert np.allclose(H[:, k], fd_g, rtol=1e-5, atol=1e-8)
     qs = rng.normal(size=(7, 4))
-    assert np.allclose(cost.evaluate(qs), monomial_cost(cost.Q, qs), rtol=1e-12, atol=1e-15)
+    assert np.allclose(cost.evaluate(qs), monomial_cost(cost.Q[0], qs), rtol=1e-12, atol=1e-15)
     T = cost.T.reshape(4, 4, 4, 4)
     for axes in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
         assert np.allclose(T, T.transpose(axes), rtol=0, atol=1e-15 * np.abs(T).max())
@@ -77,7 +77,7 @@ def test_quartic_matches_direct_cost():
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
             quartic = float(cost.evaluate(q))
-            direct = direct_cost(elim, Quaternion(*q).rotation_matrix())
+            direct = direct_cost(elim, Quaternion(*q).rotation_matrix()[None, None])[0, 0]
             assert np.isclose(quartic, direct, rtol=1e-10, atol=1e-14)
 
 
@@ -104,7 +104,7 @@ def test_fix_scale_quartic_matches_direct_cost():
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
             assert np.isclose(float(cost.evaluate(q)),
-                              direct_cost(elim, Quaternion(*q).rotation_matrix()),
+                              direct_cost(elim, Quaternion(*q).rotation_matrix()[None, None])[0, 0],
                               rtol=1e-9, atol=1e-14)
 
 
@@ -127,7 +127,8 @@ def test_far_origins_at_large_n_quartic_matches_direct_cost(fix_scale):
     for q in [truth.rotation.array, *rng.normal(size=(5, 4))]:
         q = q / np.linalg.norm(q)
         R = Quaternion(*q).rotation_matrix()
-        assert np.isclose(float(cost.evaluate(q)), direct_cost(elim, R), rtol=1e-10, atol=0.0)
+        assert np.isclose(float(cost.evaluate(q)), direct_cost(elim, R[None, None])[0, 0],
+                          rtol=1e-10, atol=0.0)
 
 
 def test_gradient_finite_difference():
@@ -180,3 +181,7 @@ def test_batched_evaluation_matches_scalar():
 def test_quartic_cost_validates_shape():
     with pytest.raises(Exception):
         QuarticCost(np.zeros((3, 3)))
+    # A cost is a stack: one 10x10 Q is a stack of one.
+    with pytest.raises(InvalidInputError, match=r"\(S, 10, 10\)"):
+        QuarticCost(np.zeros((10, 10)))
+    assert QuarticCost(np.zeros((1, 10, 10))).T.shape == (1, 16, 16)

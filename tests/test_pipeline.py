@@ -89,6 +89,15 @@ def test_partition_respects_max_size_and_covers():
     assert sorted(v for grp in groups for v in grp) == list(range(n))
 
 
+@pytest.mark.parametrize("max_size", ["2", 2.5, True, 0, None])
+def test_partition_requires_an_integer_max_size(max_size):
+    # "2" used to raise TypeError, and 2.5 was taken.
+    W = _weights(4, [(0, 1, 5), (2, 3, 5)])
+    with pytest.raises(InvalidInputError, match="^max_size must be an integer >= 1"):
+        partition(W, max_size)
+    assert partition(W, np.int64(1)) == [[0], [1], [2], [3]]
+
+
 def _cut_weight(edges, side_a):
     side_a = set(side_a)
     return sum(w for a, b, w in edges if (a in side_a) != (b in side_a))

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import logging
 import math
 
@@ -54,6 +55,15 @@ def test_config_rejects_thresholds_outside_zero_to_pi(threshold):
     # raise TypeError, and True was taken as 1 radian.
     with pytest.raises(InvalidInputError, match="angular_inlier_threshold"):
         RobustConfig(angular_inlier_threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [np.float32(0.01), np.float64(0.01), 0.01, 1,
+                                       fractions.Fraction(1, 100)])
+def test_config_takes_any_real_threshold_as_a_float(threshold):
+    # A numpy real used to be rejected as "must be a number in (0, pi)".
+    config = RobustConfig(angular_inlier_threshold=threshold)
+    assert type(config.angular_inlier_threshold) is float
+    assert config.angular_inlier_threshold == float(threshold)
 
 
 @pytest.mark.parametrize("max_iterations", [0, -3])
@@ -239,19 +249,20 @@ def test_angular_residual_zero_on_exact():
     c = rng.normal(size=(1, 3))
     v = X @ T.rotation_matrix().T + T.translation - T.scale * c
     d = v / np.linalg.norm(v)
-    assert angular_residuals(T, c, d, X)[0] < 1e-9
+    assert angular_residuals([T], c, d, X)[0, 0] < 1e-9
 
 
 def test_angular_residual_degenerate_point():
     # the point coincides with the scaled ray origin: reported as pi, no raise
     T = SimilarityTransform.identity()
-    angles = angular_residuals(T, np.ones((1, 3)), np.array([[1.0, 0.0, 0.0]]), np.ones((1, 3)))
-    assert angles[0] == np.pi
+    angles = angular_residuals([T], np.ones((1, 3)), np.array([[1.0, 0.0, 0.0]]), np.ones((1, 3)))
+    assert angles[0, 0] == np.pi
 
 
 def test_stacked_residual_rows_are_the_single_calls():
     # One (S, n) call scores a RANSAC batch: each row is, bit for bit, the
-    # call with that transform alone, a degenerate point included.
+    # call with that transform alone (a sequence of one), a degenerate
+    # point included.
     (corrs, _), rng = _scene(n=40, seed=21)
     arrays = (corrs.origins, corrs.directions, corrs.points.copy())
     arrays[2][3] = arrays[0][3]
@@ -261,7 +272,7 @@ def test_stacked_residual_rows_are_the_single_calls():
     angles = angular_residuals(stack, *arrays)
     assert angles.shape == (16, 40) and angles[4, 3] == np.pi
     for row, T in zip(angles, stack):
-        assert np.array_equal(row, angular_residuals(T, *arrays))
+        assert np.array_equal(row, angular_residuals([T], *arrays)[0])
 
 
 def test_too_few_correspondences_raise():
@@ -286,7 +297,7 @@ def test_inlier_set_consistency():
     config = RobustConfig()
     result = ransac_gdls(noisy, config, seed=1)
     assert result.success
-    angles = angular_residuals(result.transform, noisy.origins, noisy.directions, noisy.points)
+    angles, = angular_residuals([result.transform], noisy.origins, noisy.directions, noisy.points)
     rescored = np.flatnonzero(angles < config.angular_inlier_threshold)
     assert np.array_equal(rescored, result.inlier_indices)
 
@@ -295,7 +306,7 @@ def test_threshold_monotonicity():
     (corrs, _), rng = _scene(seed=8)
     noisy = add_noise(corrs, 2.0, rng)
     result = ransac_gdls(noisy, RobustConfig(), seed=0)
-    angles = angular_residuals(result.transform, noisy.origins, noisy.directions, noisy.points)
+    angles, = angular_residuals([result.transform], noisy.origins, noisy.directions, noisy.points)
     counts = [int(np.sum(angles < th)) for th in (1e-2, 5e-3, 1e-3, 1e-4)]
     assert counts == sorted(counts, reverse=True)
 
@@ -557,7 +568,7 @@ def test_refitted_first_hypothesis_ends_a_merge_localization(monkeypatch):
     samples = _capture_samples(monkeypatch)
     result = ransac_gdls(data, RobustConfig(), seed=0)
     first = solve_batch(samples[:1])[0].best.transform
-    missed = int(np.sum(angular_residuals(first, data.origins, data.directions, data.points)
+    missed = int(np.sum(angular_residuals([first], data.origins, data.directions, data.points)
                         >= RobustConfig().angular_inlier_threshold))
     assert 0 < missed < 90
     assert result.iterations_run == result.samples_solved == 1

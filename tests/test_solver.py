@@ -8,7 +8,7 @@ from raypose import (Correspondences, EmptySolutionError, InvalidInputError,
                      Quaternion, QuarticCost, RankDeficiencyError, apply_similarity,
                      build_elimination, build_quartic_cost, gdls_solve,
                      recover_candidates, solve_stationary)
-from raypose.cost import constraint_cost
+from raypose.cost import direct_cost
 from raypose.elimination import eliminate
 from raypose.robust import angular_residuals
 from raypose.bench import (SceneConfig, add_noise, generate_scene, pose_errors,
@@ -17,7 +17,7 @@ from raypose import solver
 from raypose.elimination import EliminationMatrices
 from raypose.solver import MAX_CANDIDATES, REFINE_STEPS, STATIONARITY_TOL, solve_batch
 
-from dense_oracle import descent_minima, greedy_rows, macaulay_roots_qr, stacked
+from dense_oracle import descent_minima, greedy_rows, macaulay_roots_qr, solve_one
 
 
 def test_every_descent_minimum_is_enumerated():
@@ -28,7 +28,7 @@ def test_every_descent_minimum_is_enumerated():
         rng = trial_rng(600 + seed, 0)
         corrs, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
         cost = build_quartic_cost(build_elimination(add_noise(corrs, 1.0, rng)))
-        result, = solve_stationary([cost])
+        result, = solve_stationary(cost)
         found = result.q
         costs = cost.evaluate(found)
         assert len(found) <= result.real_roots <= 40
@@ -46,7 +46,7 @@ def _distinct_stationary_minima(cost):
     be raised on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result, = solve_stationary([cost])
+        result, = solve_stationary(cost)
     if isinstance(result, EmptySolutionError):
         assert "not isolated" in str(result)
         return None
@@ -67,27 +67,27 @@ def _circle_cost(perturbation=None):
     # m(q)[9] = q3^2.
     Q = np.zeros((10, 10))
     Q[np.ix_([7, 9], [7, 9])] = 1.0
-    return QuarticCost(Q if perturbation is None else Q + perturbation)
+    return QuarticCost((Q if perturbation is None else Q + perturbation)[None])
 
 
 def test_non_isolated_stationary_sets_are_named():
     # Neither the circle cost nor the zero cost (stationary everywhere)
     # has a finite candidate set.
     assert _distinct_stationary_minima(_circle_cost()) is None
-    assert _distinct_stationary_minima(QuarticCost(np.zeros((10, 10)))) is None
-    error, = solve_stationary([_circle_cost()])
+    assert _distinct_stationary_minima(QuarticCost(np.zeros((1, 10, 10)))) is None
+    error, = solve_stationary(_circle_cost())
     assert "shift-invariance check in every frame" in str(error)
 
 
 def test_zero_cost_names_its_singular_pivot_blocks():
     # The LU solve of the zero cost's pivot block fails in both frames, so
     # no shift residual is computed and none may be quoted.
-    error, = solve_stationary([QuarticCost(np.zeros((10, 10)))])
+    error, = solve_stationary(QuarticCost(np.zeros((1, 10, 10))))
     assert isinstance(error, EmptySolutionError) and "not isolated" in str(error)
     singular = "its pivot block is singular"
     assert f"frame 1: {singular}; frame 2: {singular}" in str(error)
     assert "residual" not in str(error)
-    error, = solve_stationary([_circle_cost()])
+    error, = solve_stationary(_circle_cost())
     assert "frame 1: relative residual" in str(error) and "frame 2: relative residual" in str(error)
 
 
@@ -235,7 +235,7 @@ def test_multistart_oracle_agreement():
         noisy = add_noise(corrs, 0.5, rng)
         elim = build_elimination(noisy)
         cost = build_quartic_cost(elim)
-        best = min(float(cost.evaluate(q)) for q in solve_stationary([cost])[0].q)
+        best = min(float(cost.evaluate(q)) for q in solve_stationary(cost)[0].q)
         oracle = _oracle_descent(cost, 512, np.random.default_rng(seed))
         assert best <= oracle + 1e-8
 
@@ -381,18 +381,18 @@ def test_stack_of_costs_matches_costs_alone(monkeypatch):
     # the circle cost (an error in the middle of the stack) and a
     # diagonal-Q cost, which needs the second frame when the first is the
     # input frame.  Every entry is bit for bit that of the cost alone.
-    assert solve_stationary([]) == []
+    assert solve_stationary(QuarticCost(np.zeros((0, 10, 10)))) == []
     costs = _noisy_costs(14)
     costs.insert(7, _circle_cost())
-    costs.append(QuarticCost(np.diag(np.random.default_rng(4).uniform(0.1, 2.0, 10))))
+    costs.append(QuarticCost(np.diag(np.random.default_rng(4).uniform(0.1, 2.0, 10))[None]))
     recipe = solver._macaulay_recipe()
     identity = (np.eye(4), np.eye(16))
     for frames in (recipe.frames, (identity, recipe.frames[1])):
         monkeypatch.setattr(solver, "_macaulay_recipe",
                             functools.partial(recipe._replace, frames=frames))
-        stacked = solve_stationary(costs)
+        stacked = solve_stationary(QuarticCost(np.concatenate([cost.Q for cost in costs])))
         for cost, entry in zip(costs, stacked):
-            _assert_identical(entry, solve_stationary([cost])[0])
+            _assert_identical(entry, solve_stationary(cost)[0])
         solved = [e for e in stacked if not isinstance(e, EmptySolutionError)]
         assert [i for i, e in enumerate(stacked) if isinstance(e, EmptySolutionError)] == [7]
         assert all(len(m.q) >= 1 for m in solved)
@@ -458,13 +458,14 @@ def test_mixed_batch_gives_each_sample_its_result_alone():
         build_elimination(samples[1])
     assert str(errors[1]) == str(alone.value) and errors[1].fix_scale_hint
     costs = build_quartic_cost(stack)
-    minima = solve_stationary([costs])
+    minima = solve_stationary(costs)
     for j, i in enumerate(i for i in fours if i != 1):
         elim = build_elimination(samples[i])
         cost = build_quartic_cost(elim)
-        assert np.array_equal(stack.K_inv[j], elim.K_inv) and np.array_equal(stack.M[j], elim.M)
-        assert np.array_equal(costs.Q[j], cost.Q) and np.array_equal(costs.T[j], cost.T)
-        _assert_identical(minima[j], solve_stationary([cost])[0])
+        assert np.array_equal(stack.K_inv[j], elim.K_inv[0])
+        assert np.array_equal(stack.M[j], elim.M[0])
+        assert np.array_equal(costs.Q[j], cost.Q[0]) and np.array_equal(costs.T[j], cost.T[0])
+        _assert_identical(minima[j], solve_stationary(cost)[0])
     batch = solve_batch(samples)
     assert isinstance(batch[1], RankDeficiencyError) and batch[1].fix_scale_hint
     reports = [r for r in batch if isinstance(r, solver.SolveReport)]
@@ -480,7 +481,7 @@ def test_mixed_batch_gives_each_sample_its_result_alone():
     arrays = corrs.origins, corrs.directions, corrs.points
     angles = angular_residuals([r.best.transform for r in reports], *arrays)
     for row, report in zip(angles, reports):
-        assert np.array_equal(row, angular_residuals(report.best.transform, *arrays))
+        assert np.array_equal(row, angular_residuals([report.best.transform], *arrays)[0])
 
 
 def test_newton_steps_fall_back_row_by_row_on_a_singular_stack():
@@ -513,7 +514,7 @@ def test_polish_gives_each_row_of_a_stack_what_it_gives_alone():
     for seed in range(6):
         corrs, _ = _noisy_inliers(30, 9300 + seed)
         stack, _, _ = solver._eliminate_centered([corrs], False)
-        T = solver._scaled_forms([build_quartic_cost(stack)])
+        T = solver._scaled_forms(build_quartic_cost(stack))
         best = gdls_solve(corrs).best.transform.rotation.array
         for eps in (0.3, 0.1, 1e-2, 1e-4, 1e-7):
             q = best + eps * rng.normal(size=4)
@@ -568,18 +569,18 @@ def test_a_non_finite_candidate_raises_the_constructor_error(monkeypatch, field,
 
 def _recovery_oracle(minima, elim, cost, centroids):
     """``recover_candidates`` for one sample, candidate by candidate: the
-    elimination's ``solve_linear``, ``constraint_cost`` and the tangent
+    elimination's ``solve_linear``, ``direct_cost`` and the tangent
     gradient of the cost, ranked by (cheirality, cost)."""
     out = []
     for q, carried in zip(minima.q, minima.residual):
         R = Quaternion(*q).rotation_matrix()
-        alpha, s, t = elim.solve_linear(R)
+        alpha, s, t = solve_one(elim, R)
         if s <= 0.0:
             continue
         g = cost.gradient(q)
         residual = np.linalg.norm(g - np.dot(g, q) * q) / max(1.0, np.linalg.norm(cost.Q))
         out.append((q, alpha, s, t - R @ centroids[1] + s * centroids[0],
-                    constraint_cost(elim.origins, elim.directions, elim.points, R, s, t),
+                    float(direct_cost(elim, R[None, None])[0, 0]),
                     residual, carried, bool(np.all(alpha > 0.0))))
     return sorted(out, key=lambda c: (not c[-1], c[4]))
 
@@ -607,9 +608,9 @@ def test_stacked_recovery_matches_the_per_candidate_formulas():
         elims.append(build_elimination(Correspondences(
             corrs.origins - shift[0], corrs.directions, corrs.points - shift[1]), fix_scale))
         costs.append(build_quartic_cost(elims[-1]))
-        found.append(solve_stationary([costs[-1]])[0])
+        found.append(solve_stationary(costs[-1])[0])
         centroids.append(shift)
-    negative = [elims[4].solve_linear(Quaternion(*q).rotation_matrix())[1] <= 0.0
+    negative = [solve_one(elims[4], Quaternion(*q).rotation_matrix())[1] <= 0.0
                 for q in found[4].q]
     assert any(negative) and not all(negative)
     found[4] = found[4]._replace(q=found[4].q[negative], residual=found[4].residual[negative])
@@ -619,8 +620,9 @@ def test_stacked_recovery_matches_the_per_candidate_formulas():
         group = [i for i, e in enumerate(elims) if (e.n, e.fix_scale) == key]
         mixed |= len({len(found[i].q) for i in group}) > 1
         shifts = np.array([centroids[i] for i in group]).swapaxes(0, 1)
-        for i, out in zip(group, recover_candidates([found[i] for i in group],
-                                                    stacked([elims[i] for i in group]), shifts)):
+        stack, _ = eliminate(*(np.concatenate([getattr(elims[i], name) for i in group])
+                               for name in ("origins", "directions", "points")), key[1])
+        for i, out in zip(group, recover_candidates([found[i] for i in group], stack, shifts)):
             recovered[i] = out
     assert mixed
     assert str(recovered[4]) == "all candidates were discarded (non-positive scale)"
@@ -665,7 +667,7 @@ def test_candidate_rotation_is_the_row_its_fields_were_computed_from():
     for corrs, report in zip(samples, solve_batch(samples)):
         shift = corrs.origins.mean(axis=0), corrs.points.mean(axis=0)
         centered = Correspondences(corrs.origins - shift[0], corrs.directions, corrs.points - shift[1])
-        minima, = solve_stationary([build_quartic_cost(build_elimination(centered))])
+        minima, = solve_stationary(build_quartic_cost(build_elimination(centered)))
         rows = {row.tobytes() for row in minima.q}
         for cand in report.candidates:
             assert cand.transform.rotation.array.tobytes() in rows
@@ -704,12 +706,12 @@ def _structured_costs():
     """Diagonal and sparse positive definite Q, and two criterion-1 trials
     (the minimal identity-pose scenes of ``run_stability``, seed 0)."""
     rng = np.random.default_rng(3)
-    costs = [QuarticCost(np.diag(rng.uniform(0.1, 2.0, 10))) for _ in range(10)]
+    costs = [QuarticCost(np.diag(rng.uniform(0.1, 2.0, 10))[None]) for _ in range(10)]
     for _ in range(10):
         Q = np.diag(rng.uniform(1.0, 2.0, 10))
         for i, j in rng.choice(10, (4, 2), replace=False):
             Q[i, j] = Q[j, i] = rng.uniform(-0.4, 0.4)
-        costs.append(QuarticCost(Q))
+        costs.append(QuarticCost(Q[None]))
     for trial in (3276, 9448):
         corrs, _ = generate_scene(SceneConfig(n_correspondences=4, identity_transform=True),
                                   trial_rng(0, trial))
@@ -732,10 +734,10 @@ def _assert_same_stationary_sets(a, b):
 
 def test_pivot_block_route_matches_the_qr_oracle(monkeypatch):
     costs = _structured_costs() + _outlier_sample_costs(200)
-    found = solve_stationary(costs)
+    found = solve_stationary(QuarticCost(np.concatenate([cost.Q for cost in costs])))
     monkeypatch.setattr(solver, "_roots", macaulay_roots_qr)
     for cost, result in zip(costs, found):
-        oracle, = solve_stationary([cost])
+        oracle, = solve_stationary(cost)
         assert not isinstance(oracle, EmptySolutionError)
         _assert_same_stationary_sets(result, oracle)
 
@@ -746,7 +748,7 @@ def test_stored_rows_and_pivots_are_the_greedy_pick():
     W, dst, src, _ = solver._macaulay_layout()
     B = np.random.default_rng(2012).standard_normal((10, 10))
     A = np.zeros(210 * 165)
-    A[dst] = (QuarticCost(B + B.T).T.reshape(256) @ W)[src]
+    A[dst] = (QuarticCost((B + B.T)[None]).T.reshape(256) @ W)[src]
     A = A.reshape(210, 165)
     rows = greedy_rows(A, 125)
     assert np.array_equal(rows, solver._ROWS)
@@ -756,18 +758,18 @@ def test_stored_rows_and_pivots_are_the_greedy_pick():
 def test_a_cost_the_first_frame_refuses_is_solved_in_the_second(monkeypatch):
     # In the input frame the fixed pivot block of a diagonal-Q cost is
     # singular; with that as the first frame the second one solves it.
-    cost = QuarticCost(np.diag(np.random.default_rng(4).uniform(0.1, 2.0, 10)))
-    expect, = solve_stationary([cost])
+    cost = QuarticCost(np.diag(np.random.default_rng(4).uniform(0.1, 2.0, 10))[None])
+    expect, = solve_stationary(cost)
     assert len(expect.q) >= 1
     recipe = solver._macaulay_recipe()
     identity = (np.eye(4), np.eye(16))
     monkeypatch.setattr(solver, "_macaulay_recipe", lambda: recipe._replace(frames=(identity,)))
-    refused, = solve_stationary([cost])
+    refused, = solve_stationary(cost)
     assert isinstance(refused, EmptySolutionError)
     assert "(frame 1: its pivot block is singular)" in str(refused)
     monkeypatch.setattr(solver, "_macaulay_recipe",
                         lambda: recipe._replace(frames=(identity, recipe.frames[1])))
-    found, = solve_stationary([cost])
+    found, = solve_stationary(cost)
     _assert_same_stationary_sets(found, expect)
 
 
