@@ -3,10 +3,13 @@
 Each level partitions the surviving distributed cameras into small groups
 (normalized-cut spectral bisection of the shared-point match graph),
 picks the camera with the most points in each group as the base,
-localizes every other member against the base with the robust solver,
-and merges the successes into the base.  Levels repeat until a single
-camera remains or no further merge is possible.  No bundle adjustment or
-other refinement is run, between levels or after the last one.
+localizes every other member against the base, and merges the successes
+into the base.  A localization starts from the closed-form similarity
+between the two frames' coordinates of their shared points, polished on
+the rays' angular cost, and runs RANSAC only when that start is refused.
+Levels repeat until a single camera remains or no further merge is
+possible.  No bundle adjustment or other refinement is run, between
+levels or after the last one.
 """
 
 from __future__ import annotations
@@ -15,20 +18,23 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, RayposeError
 from .geometry import (Correspondences, DistributedCamera,
                        SimilarityTransform, _integer, alignment_from_pose,
                        compose_similarity, merge_distributed_cameras)
-from .robust import SAMPLE_SIZE, RobustConfig, RobustResult, ransac_gdls
+from .robust import (SAMPLE_SIZE, RobustConfig, RobustResult, ransac_gdls, refit_start,
+                     umeyama_align)
 
 DEFAULT_GROUP_SIZE = 8
 # Rays through fewer distinct points leave a rotation about the line
 # through them free, so every minimal sample is degenerate.
 MIN_DISTINCT_POINTS = 3
+# Share of the shared rays a localization must hold as inliers.
+MIN_INLIER_RATIO = 0.3
 
 _log = logging.getLogger("raypose")
 
@@ -156,11 +162,16 @@ def select_base(group: Sequence[DistributedCamera], ids: Sequence[int]) -> int:
     return best[1]
 
 
-def shared_correspondences(base: DistributedCamera, other: DistributedCamera) -> Correspondences:
+def shared_correspondences(base: DistributedCamera, other: DistributedCamera,
+                           rows: Optional[np.ndarray] = None) -> Correspondences:
     """Rays of ``other`` observing points whose 3D coordinates ``base`` knows,
-    in other's observation order.  Both cameras' arrays passed their
-    checks already, so the rows taken are not checked again."""
-    rows = base.point_rows(other.point_ids)[other.obs_point]
+    in other's observation order.  ``rows`` is
+    ``base.point_rows(other.point_ids)``, computed here when not given.
+    Both cameras' arrays passed their checks already, so the rows taken
+    are not checked again."""
+    if rows is None:
+        rows = base.point_rows(other.point_ids)
+    rows = rows[other.obs_point]
     keep = np.flatnonzero(rows >= 0)
     return Correspondences._unchecked(other.centers[other.obs_camera[keep]],
                                       other.directions[keep], base.points[rows[keep]])
@@ -180,9 +191,23 @@ def localize(
     Success additionally requires inlier_ratio ≥ 0.3.  Fewer than 4 shared
     rays, or rays on fewer than 3 distinct base points, fail at once with
     a reason naming the count, and no RANSAC runs.
+
+    Both frames hold coordinates of every shared point, so the start is
+    ``umeyama_align`` of other's coordinates onto base's, made a pose by
+    ``alignment_from_pose`` (the map is its own inverse).  ``refit_start``
+    scores it on the rays and refits it as RANSAC refits its best, and
+    its result is returned when it passes the same two gates, with
+    ``samples_solved`` 0.  When the alignment raises (collinear points)
+    or the start is refused, ``ransac_gdls`` runs on the shared rays with
+    ``seed``, under the same gates, as if there had been no start.  On
+    the 96 instances of the benchmark's ``city_merge`` workload at seeds
+    1-8 the start placed every member, and every subset's error matched
+    the sampled path's to 2e-11 relative: both paths reach the same
+    minimum of the ray cost.
     """
     _integer(seed, "seed", 0)
-    corrs = shared_correspondences(base, other)
+    rows = base.point_rows(other.point_ids)
+    corrs = shared_correspondences(base, other, rows)
     # Distinct x coordinates bound the distinct points from below at about a
     # thirtieth of the cost (15 against 510 us on 900 rays); the exact count
     # runs only when that bound is below 3.
@@ -193,11 +218,18 @@ def localize(
         return RobustResult(False, None, np.array([], dtype=int), 0, 0.0, failure_reason=(
             f"only {points} distinct points among {len(corrs)} shared rays (need "
             f"{SAMPLE_SIZE} rays on {MIN_DISTINCT_POINTS} points)"))
-    result = ransac_gdls(corrs, config, seed=seed)
-    if result.success and result.inlier_ratio < 0.3:
+    shared = np.flatnonzero(rows >= 0)
+    try:
+        start = alignment_from_pose(umeyama_align(other.points[shared], base.points[rows[shared]]))
+    except RayposeError:
+        start = None
+    result = None if start is None else refit_start(corrs, start, config)
+    if result is None or not result.success or result.inlier_ratio < MIN_INLIER_RATIO:
+        result = ransac_gdls(corrs, config, seed=seed)
+    if result.success and result.inlier_ratio < MIN_INLIER_RATIO:
         return replace(
             result, success=False, transform=None, mean_angular_error=float("nan"),
-            failure_reason=f"inlier ratio {result.inlier_ratio:.3f} < 0.3")
+            failure_reason=f"inlier ratio {result.inlier_ratio:.3f} < {MIN_INLIER_RATIO}")
     return result
 
 
@@ -239,16 +271,20 @@ def hierarchical_merge(
     disconnected at the fixpoint are failed with a diagnostic.  Groups
     within a level are independent and evaluated by ``threads`` worker
     threads when it is > 1; the result is a pure function of (input, seed)
-    either way.  More threads are not known to be faster: on 2 vCPUs,
-    ``generate_city(64, 20, 0.3, 0.5, seed=0)`` merged in 0.64-0.69 s
-    with 1 thread and 0.63-0.76 s with 2 (3 alternating runs each), and
-    the 16 x 10 grid city of the tests' ``grid_city.generate_grid_city``
-    (160 members, 126 minimal samples at level 0) in 0.88-1.42 s with 1
-    and 0.89-1.10 s with 2 (5 alternating runs each).
+    either way.  More threads are not known to be faster: on 2 vCPUs with
+    one BLAS thread, in 3 alternating pairs each,
+    ``generate_city(64, 20, 0.3, 0.5, seed=0)`` merged in 0.13-0.17 s
+    with 1 thread and 0.16-0.17 s with 2; the grid cities of the tests'
+    ``grid_city.generate_grid_city``, each member placed at level 0 from
+    the closed-form start, merged at 16 x 10 in 0.36-0.48 s with 1 and
+    0.37-0.47 s with 2, and at 32 x 32 in 3.82-4.45 s with 1 and
+    4.30-5.61 s with 2 (two sessions).
     Each level ends with one debug record on the ``raypose`` logger
     carrying ``level``, ``groups``, ``placed`` and ``failed`` (the members
-    whose localization at that level succeeded or failed) and ``seconds``,
-    the level's wall time, as in its ``LevelRecord``.
+    whose localization at that level succeeded or failed), ``closed_form``
+    (the placed members whose result has ``samples_solved`` 0, placed from
+    the closed-form start with no RANSAC) and ``seconds``, the level's
+    wall time, as in its ``LevelRecord``.
     """
     if not cameras:
         raise InvalidInputError("hierarchical_merge requires at least one camera")
@@ -304,12 +340,14 @@ def hierarchical_merge(
         for f in failures:
             failed.update(f)
         placed = sum(r.success for r in results.values())
-        stats = dict(level=len(levels), groups=len(groups), placed=placed,
+        closed_form = sum(r.success and r.samples_solved == 0 for r in results.values())
+        stats = dict(level=len(levels), groups=len(groups), placed=placed, closed_form=closed_form,
                      failed=len(results) - placed, seconds=time.perf_counter() - start)
         levels.append(LevelRecord(tuple(tuple(entries[k].rep for k in g) for g in groups),
                                   base_ids, results, stats["seconds"]))
-        _log.debug("merge level %(level)d: %(groups)d groups, %(placed)d members placed, "
-                   "%(failed)d failed, %(seconds).3f s", stats, extra=stats)
+        _log.debug("merge level %(level)d: %(groups)d groups, %(placed)d members placed "
+                   "(%(closed_form)d from the closed-form start), %(failed)d failed, "
+                   "%(seconds).3f s", stats, extra=stats)
         entries = [e for c in carried for e in c]
         if not placed:
             break

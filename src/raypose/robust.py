@@ -44,9 +44,13 @@ record on the ``raypose`` logger carries ``iterations_run``, the sample
 and refit counts of ``RobustResult`` and the best inlier count after
 the in-loop refits (``best_inliers``).
 
-``umeyama_align`` is the closed-form least-squares similarity between two
-3D point sets (Umeyama's estimator, solved in Horn's unit-quaternion
-form), used as the comparison baseline in the noise experiments.
+``refit_start`` applies the same refits and the same acceptance to one
+given hypothesis, with no sampling.  ``umeyama_align`` is the closed-form
+least-squares similarity between two 3D point sets (Umeyama's estimator,
+solved in Horn's unit-quaternion form).  It is the comparison baseline
+of the noise experiments, and ``pipeline.localize`` takes it, on the
+points both frames of a merge hold, as the hypothesis ``refit_start``
+polishes on the ray cost before any RANSAC runs.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import itertools
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,6 +122,11 @@ class RobustResult:
     ``refits`` the non-minimal re-estimates run: one per new best
     hypothesis with at least ``min_inliers`` inliers, and one after the
     loop when the best's inlier set is not the one it was refitted on.
+    A successful result with ``samples_solved`` 0 (and ``iterations_run``
+    0) comes from ``refit_start``, which solves no minimal sample: in a
+    merge, the member was placed from the shared points' closed-form
+    alignment, and ``refits`` counts that start's refits.  Every other
+    successful result comes from ``ransac_gdls``.
     """
 
     success: bool
@@ -272,27 +281,62 @@ def ransac_gdls(
                           else math.log(1 - CONFIDENCE) / math.log(1 - p_good))
                 max_iter = min(config.max_iterations, max(t, math.ceil(needed)))
 
-    success = best_count >= config.min_inliers
-    # A refit that gained rays was fitted without them: fit once more.
-    if success and not np.array_equal(best_angles < threshold, fitted):
-        refits += 1
-        best_transform, best_angles = _refit(correspondences, best_transform, best_angles, threshold)
-    counts = dict(samples_solved=solved, samples_rank_deficient=deficient, samples_empty=empty,
-                  samples_redrawn=redrawn, refits=refits)
+    samples = dict(samples_solved=solved, samples_rank_deficient=deficient, samples_empty=empty,
+                   samples_redrawn=redrawn)
+    result = _conclude(correspondences, config, best_transform, best_angles, fitted, t, refits,
+                       **samples)
+    counts = dict(samples, refits=result.refits)
     _log.debug("ransac_gdls stopped after %d samples (%d solved, %d rank deficient, %d empty, "
                "%d redrawn, %d refits); best hypothesis had %d inliers", t, *counts.values(),
                best_count, extra=dict(iterations_run=t, best_inliers=best_count, **counts))
+    if deficient + empty == t:   # no hypothesis was scored
+        what = "were rank deficient" if deficient == t else f"raised ({deficient} rank deficient)"
+        result = replace(result, failure_reason=f"all {t} minimal samples {what}; last: {last_error}")
+    return result
 
-    if not success:
-        reason = f"best model had {best_count} inliers (< min_inliers={config.min_inliers})"
-        if deficient + empty == t:   # no hypothesis was scored
-            what = "were rank deficient" if deficient == t else f"raised ({deficient} rank deficient)"
-            reason = f"all {t} minimal samples {what}; last: {last_error}"
-        return RobustResult(False, None, np.array([], dtype=int), t, 0.0,
-                            failure_reason=reason, **counts)
-    inliers = np.flatnonzero(best_angles < threshold)
-    return RobustResult(True, best_transform, inliers, t, len(inliers) / n,
-                        float(best_angles[inliers].mean()), **counts)
+
+def refit_start(correspondences: Correspondences, start: SimilarityTransform,
+                config: RobustConfig = RobustConfig()) -> RobustResult:
+    """Locally optimized estimate from one hypothesis, with no sampling.
+
+    ``start`` is scored and, with at least ``min_inliers`` inliers, refitted
+    by the rules ``ransac_gdls`` applies to its best hypothesis: once on
+    its inliers, and once more only when the refit changed the inlier set.
+    The result has ``iterations_run`` and ``samples_solved`` 0 and counts
+    its refits; below ``min_inliers`` it fails as ``ransac_gdls`` does.
+    """
+    threshold = config.angular_inlier_threshold
+    angles, = angular_residuals([start], correspondences.origins, correspondences.directions,
+                                correspondences.points)
+    fitted, refits = angles < threshold, 0
+    if np.count_nonzero(fitted) >= config.min_inliers:
+        refits, (start, angles) = 1, _refit(correspondences, start, angles, threshold)
+    return _conclude(correspondences, config, start, angles, fitted, 0, refits)
+
+
+def _conclude(corrs: Correspondences, config: RobustConfig,
+              transform: Optional[SimilarityTransform], angles: Optional[np.ndarray],
+              fitted: Optional[np.ndarray], iterations: int, refits: int,
+              **samples) -> RobustResult:
+    """The result of a best hypothesis ``transform`` with ``angles`` (both
+    None when none was scored), last refitted on the inlier mask
+    ``fitted``.  It fails below ``min_inliers`` inliers.  Otherwise a
+    refit that gained rays was fitted without them, so the best is
+    refitted once more when its inlier set is not ``fitted``, and the
+    returned inlier set is re-scored under the final transform.
+    ``refits`` and ``samples`` are the run's counts so far."""
+    threshold = config.angular_inlier_threshold
+    count = 0 if angles is None else np.count_nonzero(angles < threshold)
+    if count < config.min_inliers:
+        return RobustResult(False, None, np.array([], dtype=int), iterations, 0.0, failure_reason=(
+            f"best model had {count} inliers (< min_inliers={config.min_inliers})"),
+            refits=refits, **samples)
+    if not np.array_equal(angles < threshold, fitted):
+        refits += 1
+        transform, angles = _refit(corrs, transform, angles, threshold)
+    inliers = np.flatnonzero(angles < threshold)
+    return RobustResult(True, transform, inliers, iterations, len(inliers) / len(corrs),
+                        float(angles[inliers].mean()), refits=refits, **samples)
 
 
 def _horn_matrix(da: np.ndarray, db: np.ndarray) -> np.ndarray:

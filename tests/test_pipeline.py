@@ -5,11 +5,13 @@ import logging
 import numpy as np
 import pytest
 
-from raypose import (DistributedCamera, Quaternion, RobustConfig,
+from raypose import (DistributedCamera, Quaternion, RobustConfig, RobustResult,
                      apply_similarity, build_match_graph, generate_city,
-                     hierarchical_merge, localize, partition, select_base)
-from raypose.errors import InvalidInputError
+                     hierarchical_merge, localize, partition, ransac_gdls,
+                     select_base, umeyama_align)
+from raypose.errors import InvalidInputError, RankDeficiencyError
 from raypose.geometry import SimilarityTransform, alignment_from_pose
+from raypose.pipeline import shared_correspondences
 
 from dense_oracle import match_weights
 from grid_city import generate_grid_city
@@ -171,6 +173,74 @@ def test_localize_names_too_few_distinct_points():
     assert result.failure_reason.startswith("only 2 distinct points among 12 shared rays")
 
 
+def test_members_are_placed_from_the_closed_form_start():
+    # Both frames hold every shared point, so Umeyama's alignment of them,
+    # polished on the ray cost, places each member with no minimal sample,
+    # at the minimum RANSAC's refits reach.
+    cams, _ = generate_city(4, 5, 0.3, 0.5, seed=0)
+    config = RobustConfig()
+    results = hierarchical_merge(cams, config, seed=0).levels[0].results
+    assert len(results) == 3
+    assert all(r.success and r.samples_solved == r.iterations_run == 0 and r.refits >= 1
+               for r in results.values())
+    for base, other in zip(cams, cams[1:]):
+        result = localize(base, other, config, seed=0)
+        sampled = ransac_gdls(shared_correspondences(base, other), config, seed=0)
+        assert result.samples_solved == 0 and sampled.samples_solved >= 1
+        T, U = result.transform, sampled.transform
+        assert np.linalg.norm(T.rotation_matrix() - U.rotation_matrix()) < 1e-9
+        assert np.linalg.norm(T.translation - U.translation) < 1e-9 * np.linalg.norm(U.translation)
+        assert abs(T.scale - U.scale) < 1e-9 * U.scale
+
+
+def _assert_same_result(a, b):
+    """Field for field equality of two RobustResults, arrays bit for bit."""
+    for f in dataclasses.fields(RobustResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, SimilarityTransform):
+            assert np.array_equal(x.rotation.array, y.rotation.array), f.name
+            assert np.array_equal(x.translation, y.translation) and x.scale == y.scale, f.name
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        elif isinstance(x, float) and np.isnan(x):
+            assert np.isnan(y), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_a_refused_start_falls_back_to_ransac_exactly():
+    # Other's points permuted among its ids, its rays untouched: the shared
+    # points' alignment is wrong, the rays still match base's points.
+    cams, _ = generate_city(2, 5, 0.3, 0.5, seed=0)
+    base, other = cams
+    perm = np.random.default_rng(0).permutation(other.n_points)
+    other = DistributedCamera(other.obs_camera, other.obs_point, other.directions,
+                              other.camera_ids, other.centers, other.orientations,
+                              other.point_ids, other.points[perm])
+    config = RobustConfig()
+    result = localize(base, other, config, seed=3)
+    assert result.success and result.samples_solved >= 1
+    _assert_same_result(result, ransac_gdls(shared_correspondences(base, other), config, seed=3))
+
+
+def test_collinear_shared_points_fall_back_to_ransac_exactly():
+    # Umeyama's alignment of collinear points leaves a rotation free.
+    line = np.linspace(-2.0, 2.0, 8)[:, None] * np.array([1.0, 0.5, 0.2]) + np.array([0, 0, 5.0])
+    rows = np.arange(len(line))
+    base = DistributedCamera(np.zeros_like(rows), rows, line, ["a"], np.zeros((1, 3)),
+                             [Quaternion.identity().array], range(8), line)
+    centers = np.random.default_rng(2).uniform(-1.0, 1.0, (6, 3))
+    cam, pt = (a.ravel() for a in np.meshgrid(np.arange(6), rows, indexing="ij"))
+    other = DistributedCamera(cam, pt, line[pt] - centers[cam], list("uvwxyz"), centers,
+                              np.tile(Quaternion.identity().array, (6, 1)), range(8), line)
+    with pytest.raises(RankDeficiencyError):
+        umeyama_align(other.points, base.points)
+    config = RobustConfig()
+    result = localize(base, other, config, seed=5)
+    assert result.samples_solved >= 1
+    _assert_same_result(result, ransac_gdls(shared_correspondences(base, other), config, seed=5))
+
+
 def test_single_camera_merge_is_identity():
     cam = _camera_with_points(range(10), "a")
     report = hierarchical_merge([cam])
@@ -218,7 +288,8 @@ def test_conservation_and_growth_bookkeeping():
 
 def test_merge_levels_are_timed_and_logged(caplog):
     # One debug record per level on the "raypose" logger, with the level's
-    # counts and its wall time, which the level record holds out of equality.
+    # counts, the members placed from the closed-form start among them, and
+    # its wall time, which the level record holds out of equality.
     cams, _ = generate_city(4, 3, 0.3, 0.0, seed=3)
     with caplog.at_level(logging.DEBUG, logger="raypose"):
         report = hierarchical_merge(cams, RobustConfig(min_inliers=10), max_group_size=2, seed=0)
@@ -226,11 +297,12 @@ def test_merge_levels_are_timed_and_logged(caplog):
     assert len(records) == len(report.levels) == 2
     for index, (record, level) in enumerate(zip(records, report.levels)):
         placed = sum(r.success for r in level.results.values())
-        assert (record.level, record.groups, record.placed, record.failed) == (
-            index, len(level.groups), placed, len(level.results) - placed)
+        closed_form = sum(r.success and r.samples_solved == 0 for r in level.results.values())
+        assert (record.level, record.groups, record.placed, record.closed_form, record.failed) == (
+            index, len(level.groups), placed, closed_form, len(level.results) - placed)
         assert record.seconds == level.seconds > 0.0
         assert dataclasses.replace(level, seconds=level.seconds + 1.0) == level
-    assert [r.placed for r in records] == [2, 1]
+    assert [r.placed for r in records] == [r.closed_form for r in records] == [2, 1]
     assert not logging.getLogger("raypose").handlers
 
 
