@@ -140,11 +140,14 @@ def constraint_cost(origins: np.ndarray, directions: np.ndarray, points: np.ndar
     ``eta_i = (z_i z_i^T - I)(R X_i - s c_i + t)`` is the part of the ray
     constraint's residual orthogonal to the observed direction z_i.  The
     (S, n, 3) rays and points of S samples with C poses each, R
-    (S, C, 3, 3), s (S, C) and t (S, C, 3), give an (S, C) array.
+    (S, C, 3, 3), s (S, C) and t (S, C, 3), give an (S, C) array.  The
+    einsum reads the directions row-major, since its rounding depends on
+    the layout (an elimination stores them ray-last).
     """
     inner = (points[:, None] @ R.transpose(0, 1, 3, 2) - s[..., None, None] * origins[:, None]
              + t[:, :, None])
-    eta = np.einsum("scia,sia->sci", inner, directions)[..., None] * directions[:, None] - inner
+    z = np.ascontiguousarray(directions)
+    eta = np.einsum("scia,sia->sci", inner, z)[..., None] * z[:, None] - inner
     return (eta * eta).sum(axis=(2, 3))
 
 

@@ -55,7 +55,9 @@ class EliminationMatrices:
     comes from :func:`eliminate` (one set is a stack of one) or a mask or
     index array into one.  K is kept inverted: every use is a solve, and
     the one inversion per stack costs less than a LAPACK call per use on
-    small n.
+    small n.  :func:`eliminate` lays the origins and directions out
+    ray-last in memory, so the (S, 3, n) transposes that the cost assembly
+    and the linear solves read are views, not copies made again per call.
     """
 
     origins: np.ndarray    # (S, n, 3)
@@ -149,6 +151,7 @@ def eliminate(
     errors = [None if ok else _rank_deficiency(c[i], K[i], fix_scale) for i, ok in enumerate(full)]
     if not full.all():
         c, z, points, K, M = (a[full] for a in (c, z, points, K, M))
+    c, z = (np.ascontiguousarray(a.swapaxes(1, 2)).swapaxes(1, 2) for a in (c, z))   # ray-last
     return EliminationMatrices(c, z, points, fix_scale, np.linalg.inv(K), M), errors
 
 

@@ -48,12 +48,11 @@ class Quaternion:
 
     def __post_init__(self):
         a = _unit_quaternions(_block([self.w, self.x, self.y, self.z], (4,), "quaternion")[None])
-        for name, v in zip("wxyz", a[0].tolist()):
-            object.__setattr__(self, name, v)
+        vars(self).update(zip("wxyz", a[0].tolist()))
 
     @staticmethod
     def identity() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
+        return Quaternion._of_unit_row(np.array([1.0, 0.0, 0.0, 0.0]))
 
     @staticmethod
     def _of_unit_row(a: np.ndarray) -> "Quaternion":
@@ -61,8 +60,7 @@ class Quaternion:
         unit and sign-canonical, kept bit for bit: normalizing it again
         would move about a third of such rows by an ulp."""
         q = object.__new__(Quaternion)
-        for name, v in zip("wxyz", a.tolist()):
-            object.__setattr__(q, name, v)
+        vars(q).update(zip("wxyz", a.tolist()))
         return q
 
     @property
@@ -70,14 +68,14 @@ class Quaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _quaternion(np.array([self.w, -self.x, -self.y, -self.z]))
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*_hamilton((self.w, self.x, self.y, self.z),
-                                     (other.w, other.x, other.y, other.z)))
+        return _quaternion(np.array(_hamilton((self.w, self.x, self.y, self.z),
+                                              (other.w, other.x, other.y, other.z))))
 
     def rotation_matrix(self) -> np.ndarray:
-        return _rotations(self.array)
+        return np.array(_rotation_entries(self.w, self.x, self.y, self.z)).reshape(3, 3)
 
     def angle_deg_to(self, other: "Quaternion") -> float:
         """Geodesic rotation angle between the two rotations, in degrees.
@@ -103,19 +101,25 @@ def _hamilton(a, b):
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
-def _rotations(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (k, 3, 3) of unit quaternion rows (k, 4), or the
-    (3, 3) matrix of one (4,) quaternion.
+def _rotation_entries(w, x, y, z):
+    """The nine entries, row-major, of the rotation matrix of the unit
+    quaternion (w, x, y, z), whose components are scalars or arrays.
 
     Each entry is written out as the quadratic form in q, with no matrix
-    product, so a row rounds the same alone or in a stack.
+    product, so a quaternion rounds the same alone, as Python floats, or
+    in a stack.
     """
-    w, x, y, z = q.T
     ww, xx, yy, zz, xy, wz, xz, wy, yz, wx = (w * w, x * x, y * y, z * z,
                                               x * y, w * z, x * z, w * y, y * z, w * x)
-    R = np.array([ww + xx - yy - zz, 2 * (xy - wz), 2 * (xz + wy),
-                  2 * (xy + wz), ww - xx + yy - zz, 2 * (yz - wx),
-                  2 * (xz - wy), 2 * (yz + wx), ww - xx - yy + zz])
+    return (ww + xx - yy - zz, 2 * (xy - wz), 2 * (xz + wy),
+            2 * (xy + wz), ww - xx + yy - zz, 2 * (yz - wx),
+            2 * (xz - wy), 2 * (yz + wx), ww - xx - yy + zz)
+
+
+def _rotations(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices (k, 3, 3) of unit quaternion rows (k, 4), or the
+    (3, 3) matrix of one (4,) quaternion (``_rotation_entries``)."""
+    R = np.array(_rotation_entries(*q.T))
     return np.ascontiguousarray(R.T).reshape(q.shape[:-1] + (3, 3))
 
 
@@ -238,6 +242,22 @@ def _unit_quaternions(q: np.ndarray) -> np.ndarray:
     # three in the weights (8, 4, 2, 1).
     flip = np.copysign(np.abs(q) > _SIGN_EPS, q) @ _LEAD_WEIGHTS < 0.0
     return np.negative(q, out=q, where=flip[:, None])
+
+
+def _quaternion(a: np.ndarray) -> Quaternion:
+    """``Quaternion(*a)`` for a fresh contiguous (4,) row that is finite and
+    far from overflow (a conjugate or product of unit quaternions, a unit
+    eigenvector).  It is the arithmetic of ``_unit_quaternions`` on that one
+    row, bit for bit, the sign rule included, without the constructor's
+    copy and checks or the stack rule's array calls.  ``a`` is
+    overwritten."""
+    n = math.sqrt(a @ a)     # the dot product ``row_norms`` takes of one row
+    if n < _SIGN_EPS:
+        raise InvalidInputError("all-zero quaternion")
+    a /= n
+    if next(v for v in a.tolist() if abs(v) > _SIGN_EPS) < 0.0:
+        np.negative(a, out=a)
+    return Quaternion._of_unit_row(a)
 
 
 def _id_array(ids) -> np.ndarray:
@@ -393,7 +413,7 @@ def merge_distributed_cameras(
     return _freeze(object.__new__(DistributedCamera),   # valid by construction
         np.concatenate([base.obs_camera, other.obs_camera + len(base.camera_ids)]),
         np.concatenate([base.obs_point, rows[other.obs_point]]),
-        np.concatenate([base.directions, _row_products(other.directions, T.rotation_matrix().T)]),
+        np.concatenate([base.directions, other.directions @ T.rotation_matrix().T]),
         np.concatenate([base.camera_ids, other.camera_ids]),
         np.concatenate([base.centers, apply_similarity(T, other.centers)]),
         np.concatenate([base.orientations, _unit_quaternions(orientations)]),

@@ -273,12 +273,12 @@ def hierarchical_merge(
     threads when it is > 1; the result is a pure function of (input, seed)
     either way.  More threads are not known to be faster: on 2 vCPUs with
     one BLAS thread, in 3 alternating pairs each,
-    ``generate_city(64, 20, 0.3, 0.5, seed=0)`` merged in 0.13-0.17 s
-    with 1 thread and 0.16-0.17 s with 2; the grid cities of the tests'
+    ``generate_city(64, 20, 0.3, 0.5, seed=0)`` merged in 0.105-0.106 s
+    with 1 thread and 0.109-0.114 s with 2; the grid cities of the tests'
     ``grid_city.generate_grid_city``, each member placed at level 0 from
-    the closed-form start, merged at 16 x 10 in 0.36-0.48 s with 1 and
-    0.37-0.47 s with 2, and at 32 x 32 in 3.82-4.45 s with 1 and
-    4.30-5.61 s with 2 (two sessions).
+    the closed-form start, merged at 16 x 10 in 0.30-0.44 s with 1 and
+    0.31-0.42 s with 2, and at 32 x 32 in 3.60-3.84 s with 1 and
+    3.86-4.42 s with 2.
     Each level ends with one debug record on the ``raypose`` logger
     carrying ``level``, ``groups``, ``placed`` and ``failed`` (the members
     whose localization at that level succeeded or failed), ``closed_form``

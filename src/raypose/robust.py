@@ -67,7 +67,7 @@ import numpy as np
 from .cost import MR, PAIR_SELECTOR
 from .errors import (EmptySolutionError, InvalidInputError, RankDeficiencyError,
                      RayposeError)
-from .geometry import Correspondences, Quaternion, SimilarityTransform, _integer, _rotations
+from .geometry import Correspondences, SimilarityTransform, _integer, _quaternion
 from .solver import SolveReport, gdls_solve, refine, solve_batch
 
 # Largest number of minimal samples solved together.
@@ -148,7 +148,7 @@ def angular_residuals(transforms: Sequence[SimilarityTransform], origins: np.nda
     """Angles (radians) between the observed rays and those each of S
     transforms predicts, as an (S, n) array.  A row is, bit for bit, that
     transform's row in a sequence of one."""
-    R = _rotations(np.array([each.rotation.array for each in transforms]))
+    R = np.array([each.rotation_matrix() for each in transforms])
     translation = np.array([each.translation for each in transforms])
     scale = np.array([each.scale for each in transforms])
     pred = points @ R.swapaxes(1, 2) + translation[:, None] - scale[:, None, None] * origins
@@ -197,7 +197,8 @@ def _refit(corrs: Correspondences, transform: SimilarityTransform,
     of ``angles``: ``refine`` from ``transform``'s rotation, or
     ``gdls_solve`` when that raises.  The refit replaces ``transform`` only
     when it loses no inlier, and not at all when both raise."""
-    inliers = corrs.subset(np.flatnonzero(angles < threshold))
+    inlier = angles < threshold
+    inliers = corrs if inlier.all() else corrs.subset(np.flatnonzero(inlier))
     try:
         refit = refine(inliers, transform.rotation).transform
     except RayposeError:   # the global solve, as on a minimal sample
@@ -379,6 +380,6 @@ def umeyama_align(points_a: Sequence, points_b: Sequence) -> SimilarityTransform
     w, v = np.linalg.eigh(N)
     if w[3] - w[2] <= 1e-12 * w[3]:
         raise RankDeficiencyError("point configuration is collinear or degenerate")
-    q = Quaternion(*v[:, 3])
+    q = _quaternion(v[:, 3].copy())
     s = float(w[3]) / spread
     return SimilarityTransform(q, mu_b - s * (q.rotation_matrix() @ mu_a), s)

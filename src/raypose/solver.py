@@ -103,7 +103,11 @@ inverse, and assembled into one stack of costs, each one array pass for
 the whole stack (``elimination.eliminate``, ``build_quartic_cost``).
 ``solve_stationary`` then finds the minima of that stack of costs; only
 ``_roots`` runs cost by cost, because its LAPACK calls do not get faster
-when stacked.  Centering leaves costs and depths unchanged and keeps the
+when stacked.  A probe that stacked the whole Macaulay pipeline over each
+RANSAC batch gave bit-identical outputs on 20 instances, but the
+benchmark's ``localize_outliers`` went from 182.7/181.7/180.8 to
+199.4/199.5/205.8 ms per op, and its peak RSS from 81 to 92.7 MB (2 vCPUs,
+one BLAS thread).  Centering leaves costs and depths unchanged and keeps the
 elimination's rank test independent of where the coordinate origin is.
 One ``recover_candidates`` call then turns every minimum of the stack
 into a candidate: the samples of one minimum count are a sub-stack of
@@ -526,7 +530,8 @@ def _eliminate_centered(samples: Sequence[Correspondences], fix_scale: bool):
     the (2, S, 3) origin and point centroids.  Solving about the centroids
     is an exact reparametrization; ``recover_candidates`` maps the
     translation back."""
-    c, z, X = (np.stack([getattr(corrs, name) for corrs in samples])
+    c, z, X = ((getattr(samples[0], name)[None] if len(samples) == 1 else
+                np.stack([getattr(corrs, name) for corrs in samples]))    # one set: a view
                for name in ("origins", "directions", "points"))
     shift_c, shift_X = (np.add.reduce(a, axis=1) / a.shape[1] for a in (c, X))   # the means
     return (*eliminate(c - shift_c[:, None], z, X - shift_X[:, None], fix_scale),

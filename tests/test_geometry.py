@@ -6,7 +6,7 @@ from raypose import (Correspondences, DistributedCamera, InvalidInputError,
                      alignment_from_pose, apply_similarity,
                      compose_similarity, invert_similarity,
                      merge_distributed_cameras, umeyama_align)
-from raypose.geometry import _rotations, _unit_quaternions, row_norms
+from raypose.geometry import _hamilton, _rotations, _unit_quaternions, row_norms
 
 
 def random_transform(rng):
@@ -32,6 +32,35 @@ def test_quaternion_normalized_and_sign_canonical():
         assert expect[np.abs(expect) > 1e-12][0] > 0.0
     assert stacked[2, 0] < 0.0 and stacked[2, 1] > 0.0   # flipped by the -1.0, not by 1e-13
     assert stacked[4, 1] < 0.0 and stacked[5, 0] < 0.0 < stacked[5, 1]   # the 0.4 decides: kept
+
+
+def test_derived_quaternions_keep_the_sign_rule_bit_for_bit():
+    # Conjugates, products, alignments and compositions are normalized and
+    # signed as _unit_quaternions does their raw rows, also where the first
+    # component is 0 or at most 1e-12 and the sign is decided further on.
+    def unit(row):
+        return _unit_quaternions(np.array([row], dtype=float))[0].tobytes()
+
+    raws = [(0.0, -1.0, 0.0, 0.0), (1e-13, 0.0, -1.0, 0.0), (-1e-13, 0.0, 0.0, 1.0),
+            (0.0, 1e-13, -1.0, 0.5), (0.0, 0.0, 0.0, -2.0), (-0.5, 1e-13, 0.2, -0.1),
+            *np.random.default_rng(12).normal(size=(20, 4))]
+    quats = [Quaternion(*raw) for raw in raws]
+    for raw, q in zip(raws, quats):
+        assert q.array.tobytes() == unit(raw)
+        conjugate = (q.w, -q.x, -q.y, -q.z)
+        assert q.conjugate().array.tobytes() == unit(conjugate)
+        T = SimilarityTransform(q, [0.5, -1.0, 2.0], 1.5)
+        assert alignment_from_pose(T).rotation.array.tobytes() == unit(conjugate)
+        for p in quats[:8]:
+            product = _hamilton(q.array, p.array)
+            assert (q * p).array.tobytes() == unit(product)
+            composed = compose_similarity(T, SimilarityTransform(p, [1.0, 0.0, -1.0], 0.5))
+            assert composed.rotation.array.tobytes() == unit(product)
+    # The first component of magnitude over 1e-12 decides the sign, so a
+    # half turn is its own conjugate, and a w of 1e-13 follows the y.
+    assert quats[0].x > 0.0 and quats[0].conjugate().x > 0.0
+    assert quats[1].array.tolist() == [-1e-13, 0.0, 1.0, 0.0]
+    assert quats[1].conjugate().array.tolist() == [1e-13, 0.0, 1.0, 0.0]
 
 
 def test_stacked_rotations_match_rotation_matrix_bit_for_bit():
@@ -269,17 +298,50 @@ def test_merge_leaves_base_unchanged_and_keeps_row_order():
     assert merged.camera_ids.tolist() == ["a", "b", "c"]
     assert merged.point_ids.tolist() == [10, 11, 12, 13, 14]
     assert np.array_equal(merged.points[:3], base.points)
-    # new points, centers and directions round exactly as a per-row loop would
+    # new points and centers round exactly as a per-row loop would
     assert np.array_equal(merged.points[3:], [apply_similarity(T, other.points[0]),
                                               apply_similarity(T, other.points[2])])
     assert merged.obs_camera.tolist() == [0, 1, 1, 2, 2, 2, 2]
     assert merged.point_ids[merged.obs_point].tolist() == [12, 10, 11, 13, 11, 14, 11]
     R = T.rotation_matrix()
     assert np.array_equal(merged.directions[:n_base], base.directions)
-    assert np.array_equal(merged.directions[n_base:], [R @ d for d in other.directions])
+    # other's directions are rotated in one (n, 3) @ (3, 3) product
+    assert np.array_equal(merged.directions[n_base:], other.directions @ R.T)
     assert np.array_equal(merged.centers[2], apply_similarity(T, other.centers[0]))
     assert np.array_equal(merged.orientations[2],
                           (T.rotation * Quaternion(*other.orientations[0])).array)
+
+
+def test_merge_rotates_directions_in_one_product_and_maps_points_per_row():
+    # Other's directions are its rows times R^T in one product; base's rows
+    # keep their bits, and other's new points and centers round as if each
+    # were mapped alone.
+    rng = np.random.default_rng(21)
+    n_cams, n_points = 30, 400
+    obs = np.arange(n_cams * n_points)
+
+    def camera(prefix, point_ids):
+        return DistributedCamera(obs // n_points, obs % n_points, rng.normal(size=(len(obs), 3)),
+                                 [f"{prefix}{k}" for k in range(n_cams)],
+                                 rng.normal(size=(n_cams, 3)), rng.normal(size=(n_cams, 4)),
+                                 point_ids, rng.normal(size=(n_points, 3)))
+
+    base = camera("b", np.arange(n_points))
+    other = camera("o", np.arange(n_points) + n_points // 4)   # 300 shared points
+    assert len(other.directions) >= 10_000
+    T = random_transform(rng)
+    merged = merge_distributed_cameras(base, other, T)
+    R = T.rotation_matrix()
+    for name in ("obs_camera", "obs_point", "directions", "camera_ids", "centers",
+                 "orientations", "point_ids", "points"):
+        b = getattr(base, name)
+        assert getattr(merged, name)[:len(b)].tobytes() == b.tobytes(), name
+    rotated = merged.directions[len(base.directions):]
+    assert rotated.tobytes() == (other.directions @ R.T).tobytes()
+    assert merged.points[n_points:].tobytes() == np.array(
+        [apply_similarity(T, p) for p in other.points[-(n_points // 4):]]).tobytes()
+    assert merged.centers[n_cams:].tobytes() == np.array(
+        [apply_similarity(T, c) for c in other.centers]).tobytes()
 
 
 def test_merge_rejects_camera_id_collision():
