@@ -97,10 +97,9 @@ class QuarticCost:
 
     ``T`` is the same stack of forms as fully symmetric 4x4x4x4 tensors,
     stored as an (S, 16, 16) array; every value, gradient and Hessian comes
-    from ``quartic_form(T, q)``, so ``evaluate``, ``gradient`` and
-    ``hessian`` take one row of q per form, or any (k, 4) or (4,) q on a
-    stack of one.  Each cost is the same, bit for bit, in a stack of one or
-    among any others.
+    from ``quartic_form(T, q)``, so ``evaluate`` takes one row of q per
+    form, or any (k, 4) or (4,) q on a stack of one.  Each cost is the
+    same, bit for bit, in a stack of one or among any others.
     """
 
     Q: np.ndarray
@@ -124,13 +123,6 @@ class QuarticCost:
     def evaluate(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         return np.einsum("...a,...ab,...b->...", q, quartic_form(self.T, q), q)
-
-    def gradient(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        return 4.0 * np.einsum("...ab,...b->...a", quartic_form(self.T, q), q)
-
-    def hessian(self, q: np.ndarray) -> np.ndarray:
-        return 12.0 * quartic_form(self.T, np.asarray(q, dtype=float))
 
 
 def constraint_cost(origins: np.ndarray, directions: np.ndarray, points: np.ndarray,

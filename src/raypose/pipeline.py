@@ -18,7 +18,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -163,14 +163,11 @@ def select_base(group: Sequence[DistributedCamera], ids: Sequence[int]) -> int:
 
 
 def shared_correspondences(base: DistributedCamera, other: DistributedCamera,
-                           rows: Optional[np.ndarray] = None) -> Correspondences:
+                           rows: np.ndarray) -> Correspondences:
     """Rays of ``other`` observing points whose 3D coordinates ``base`` knows,
     in other's observation order.  ``rows`` is
-    ``base.point_rows(other.point_ids)``, computed here when not given.
-    Both cameras' arrays passed their checks already, so the rows taken
-    are not checked again."""
-    if rows is None:
-        rows = base.point_rows(other.point_ids)
+    ``base.point_rows(other.point_ids)``.  Both cameras' arrays passed
+    their checks already, so the rows taken are not checked again."""
     rows = rows[other.obs_point]
     keep = np.flatnonzero(rows >= 0)
     return Correspondences._unchecked(other.centers[other.obs_camera[keep]],
@@ -190,7 +187,9 @@ def localize(
     ``alignment_from_pose`` to map other's local frame into base's frame.
     Success additionally requires inlier_ratio ≥ 0.3.  Fewer than 4 shared
     rays, or rays on fewer than 3 distinct base points, fail at once with
-    a reason naming the count, and no RANSAC runs.
+    a reason naming the count, and no RANSAC runs.  The count is exact and
+    tells points apart by id, as the union and the match graph do: two
+    ids with bitwise-equal coordinates count as two.
 
     Both frames hold coordinates of every shared point, so the start is
     ``umeyama_align`` of other's coordinates onto base's, made a pose by
@@ -208,17 +207,12 @@ def localize(
     _integer(seed, "seed", 0)
     rows = base.point_rows(other.point_ids)
     corrs = shared_correspondences(base, other, rows)
-    # Distinct x coordinates bound the distinct points from below at about a
-    # thirtieth of the cost (15 against 510 us on 900 rays); the exact count
-    # runs only when that bound is below 3.
-    points = len(np.unique(corrs.points[:, 0]))
-    if points < MIN_DISTINCT_POINTS:
-        points = len(np.unique(corrs.points, axis=0))
+    shared = np.flatnonzero(rows >= 0)
+    points = np.count_nonzero(np.bincount(other.obs_point, minlength=other.n_points)[shared])
     if len(corrs) < SAMPLE_SIZE or points < MIN_DISTINCT_POINTS:
         return RobustResult(False, None, np.array([], dtype=int), 0, 0.0, failure_reason=(
             f"only {points} distinct points among {len(corrs)} shared rays (need "
             f"{SAMPLE_SIZE} rays on {MIN_DISTINCT_POINTS} points)"))
-    shared = np.flatnonzero(rows >= 0)
     try:
         start = alignment_from_pose(umeyama_align(other.points[shared], base.points[rows[shared]]))
     except RayposeError:

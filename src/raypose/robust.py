@@ -32,10 +32,12 @@ where there was 1.
 
 Minimal samples are drawn one at a time but solved in batches of 1, 1,
 2, 4, ... (at most ``MAX_BATCH``, never past the current adaptive
-iteration limit) by one ``solve_batch`` call each.  The batch's
-hypotheses are scored by one (S, n) ``angular_residuals`` call and
-accepted, and refitted, in draw order.  Batching pays because a minimal
-solve is a chain of small-array numpy calls whose fixed cost dominates:
+iteration limit) by one ``solve_batch`` call each, on the (S, 4, 3)
+stacks that one (S, 4) index of the rows drawn gathers from the set's
+three arrays.  The batch's hypotheses are scored by one (S, n)
+``angular_residuals`` call and accepted, and refitted, in draw order.
+Batching pays because a minimal solve is a chain of small-array numpy
+calls whose fixed cost dominates:
 the solver centers, eliminates and assembles the costs of the whole
 batch as one stack and runs the Newton polish and its tests once over
 the roots of the whole batch, not once per sample, while the result is
@@ -252,7 +254,8 @@ def ransac_gdls(
         drawn = [next(draws) for _ in range(size)]
         redrawn += sum(completed for _, completed in drawn)
         solved += size
-        reports = solve_batch([correspondences.subset(rows) for rows, _ in drawn])
+        idx = np.array([rows for rows, _ in drawn])   # (S, 4)
+        reports = solve_batch(*(a[idx] for a in arrays))
         hypotheses = [r.best.transform for r in reports if isinstance(r, SolveReport)]
         scored = iter(angular_residuals(hypotheses, *arrays) if hypotheses else ())
         for report in reports:

@@ -94,10 +94,10 @@ rank below 125; the 6 of rank 119 or 122 failed the check, and the 3 of
 rank 124 passed with residuals of at most 5.2e-13.
 
 ``solve_batch`` runs the whole pipeline on a batch of correspondence sets
-(the robust loop's minimal samples); ``gdls_solve`` is a batch of one.
-Every layer takes and gives stacks, and the batch runs through them in
-one loop, one sample size at a time.  The sets of one size are one
-(S, n, 3) stack: they are centered on the centroids of their ray origins
+of one size (the robust loop's minimal samples), given as the (S, n, 3)
+stacks of their origins, directions and points; ``gdls_solve`` is a batch
+of one.  Every layer takes and gives stacks, and the batch runs through
+them once: the sets are centered on the centroids of their ray origins
 and of their world points, eliminated with one rank test and one
 inverse, and assembled into one stack of costs, each one array pass for
 the whole stack (``elimination.eliminate``, ``build_quartic_cost``).
@@ -497,7 +497,7 @@ class SolveReport:
     ``runtime_seconds`` is the wall time of the call, divided evenly over
     the samples of a batch, and the four stage times are the call's time in
     elimination, cost assembly, stationary search and candidate recovery,
-    divided the same way.  Each stage is one array pass per sample size,
+    divided the same way.  Each stage is one array pass over the batch,
     apart from the per-cost Macaulay factorizations of the stationary
     search, so a sample's share is not its own time.  ``n_stationary``
     counts the local minima the candidates came from, those discarded for
@@ -523,32 +523,33 @@ class SolveReport:
         return self.candidates[0]
 
 
-def _eliminate_centered(samples: Sequence[Correspondences], fix_scale: bool):
-    """The eliminations of correspondence sets of one size as one stack
+def _eliminate_centered(c: np.ndarray, z: np.ndarray, X: np.ndarray, fix_scale: bool):
+    """The eliminations of correspondence sets of one size, given as (S, n, 3)
+    stacks of ray origins, directions and points, as one stack
     (``elimination.eliminate``), each set centered on the centroids of its
     ray origins and of its world points: the stack, the per-set errors and
     the (2, S, 3) origin and point centroids.  Solving about the centroids
     is an exact reparametrization; ``recover_candidates`` maps the
     translation back."""
-    c, z, X = ((getattr(samples[0], name)[None] if len(samples) == 1 else
-                np.stack([getattr(corrs, name) for corrs in samples]))    # one set: a view
-               for name in ("origins", "directions", "points"))
     shift_c, shift_X = (np.add.reduce(a, axis=1) / a.shape[1] for a in (c, X))   # the means
     return (*eliminate(c - shift_c[:, None], z, X - shift_X[:, None], fix_scale),
             np.stack([shift_c, shift_X]))
 
 
-def solve_batch(samples: Sequence[Correspondences],
+def solve_batch(origins: np.ndarray, directions: np.ndarray, points: np.ndarray,
                 fix_scale: bool = False) -> List[Union[SolveReport, RankDeficiencyError,
                                                        EmptySolutionError]]:
-    """``gdls_solve`` on each correspondence set.
+    """``gdls_solve`` on each of S correspondence sets of one size, given as
+    the (S, n, 3) stacks of their ray origins, unit directions and world
+    points.  The stacks are not checked: they must hold rows of checked
+    ``Correspondences``, as ``ransac_gdls``'s do; a non-finite entry can
+    raise numpy's ``LinAlgError`` rather than a ``RayposeError``.
 
     Entry i is sample i's report, or the ``RankDeficiencyError`` or
-    ``EmptySolutionError`` its solve raised; other errors propagate.
-    Samples of one size are one stack that runs through the four stages
-    before the next size's: centering, elimination and cost assembly are
-    one pass each, and a sample's report is the same, bit for bit, alone
-    or in any batch.
+    ``EmptySolutionError`` its solve raised; other errors propagate.  The
+    stack runs through the four stages once: centering, elimination and
+    cost assembly are one pass each, and a sample's report is the same,
+    bit for bit, alone or in any batch.
     """
     start = mark = time.perf_counter()
     spent = dict.fromkeys(("elimination", "cost", "stationary", "recovery"), 0.0)
@@ -559,17 +560,11 @@ def solve_batch(samples: Sequence[Correspondences],
         spent[stage] += now - mark
         mark = now
 
-    out: list = [None] * len(samples)
-    for n in dict.fromkeys(len(corrs) for corrs in samples):
-        rows = np.array([i for i, corrs in enumerate(samples) if len(corrs) == n])
-        stack, errors, centroids = _eliminate_centered([samples[i] for i in rows], fix_scale)
-        lap("elimination")
-        for i, error in zip(rows, errors):
-            out[i] = error
-        ok = np.array([error is None for error in errors])
-        if not ok.any():
-            continue
-        rows, centroids = rows[ok], centroids if ok.all() else centroids[:, ok]
+    stack, out, centroids = _eliminate_centered(origins, directions, points, fix_scale)
+    lap("elimination")
+    ok = np.array([error is None for error in out])
+    if ok.any():
+        rows, centroids = np.flatnonzero(ok), centroids if ok.all() else centroids[:, ok]
         costs = build_quartic_cost(stack)
         lap("cost")
         for i, minima in zip(rows, solve_stationary(costs)):
@@ -586,11 +581,11 @@ def solve_batch(samples: Sequence[Correspondences],
                 out[i] = candidates if isinstance(candidates, EmptySolutionError) else (
                     candidates, len(out[i].q), out[i].real_roots)
         lap("recovery")
-    per = 1.0 / max(1, len(samples))
+    per = 1.0 / max(1, len(out))
     stages = {f"{k}_seconds": v * per for k, v in spent.items()}
     for i, entry in enumerate(out):
         if isinstance(entry, tuple):
-            out[i] = SolveReport(entry[0], (mark - start) * per, len(samples[i]), fix_scale,
+            out[i] = SolveReport(entry[0], (mark - start) * per, points.shape[1], fix_scale,
                                  *entry[1:], **stages)
     return out
 
@@ -602,7 +597,8 @@ def gdls_solve(correspondences: Correspondences, fix_scale: bool = False) -> Sol
     cost assembly, sphere-constrained stationarity solve, and candidate
     recovery.  Propagates rank-deficiency and empty-solution errors.
     """
-    report, = solve_batch([correspondences], fix_scale)
+    arrays = correspondences.origins, correspondences.directions, correspondences.points
+    report, = solve_batch(*(a[None] for a in arrays), fix_scale)   # a stack of one: views
     if not isinstance(report, SolveReport):
         raise report
     return report
@@ -622,7 +618,8 @@ def refine(correspondences: Correspondences, start: Quaternion) -> SolverCandida
     is not a local minimum within ``STATIONARITY_TOL`` or its scale is not
     positive.
     """
-    stack, (error,), centroids = _eliminate_centered([correspondences], False)
+    arrays = correspondences.origins, correspondences.directions, correspondences.points
+    stack, (error,), centroids = _eliminate_centered(*(a[None] for a in arrays), False)
     if error is not None:
         raise error
     q, _, residual, _, minimum = _polish(_scaled_forms(build_quartic_cost(stack)),

@@ -4,9 +4,11 @@ Stacks the full 3n x (n + 4) constraint matrix A and solves its normal
 equations through the pseudo-inverse.  Quadratic in n, so it lives in
 the tests as the oracle for the Schur route in ``raypose.elimination``,
 whose eliminations are stacks: ``solve_one`` gives one set's depths,
-scale and translation at one rotation from its stack of one.
+scale and translation at one rotation from its stack of one, and
+``stacks`` stacks sets of one size for ``raypose.solver.solve_batch``.
 The quartic cost is evaluated as m(q)^T Q m(q) over the 10 monomials,
-the oracle for the tensor evaluator in ``raypose.cost``, and the 9x10
+the oracle for the tensor evaluator in ``raypose.cost``; its gradient and
+Hessian come from that evaluator's M(q), for the tests only, and the 9x10
 rotation table is typed out, the oracle for the ``MR`` that
 ``raypose.cost`` derives from the rotation map.  A many-start
 projected descent finds the local minima of a cost on the unit sphere,
@@ -25,7 +27,7 @@ import functools
 
 import numpy as np
 
-from raypose.cost import MONOMIAL_PAIRS
+from raypose.cost import MONOMIAL_PAIRS, quartic_form
 from raypose.errors import EmptySolutionError
 from raypose.solver import _macaulay_layout
 
@@ -40,6 +42,18 @@ def monomial_cost(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     """m(q)^T Q m(q)."""
     m = monomials(q)
     return np.sum((m @ Q) * m, axis=-1)
+
+
+def gradient(cost, q: np.ndarray) -> np.ndarray:
+    """4 M(q) q, the Euclidean gradient of a ``QuarticCost`` at q, which
+    it takes as ``QuarticCost.evaluate`` does."""
+    q = np.asarray(q, dtype=float)
+    return 4.0 * np.einsum("...ab,...b->...a", quartic_form(cost.T, q), q)
+
+
+def hessian(cost, q: np.ndarray) -> np.ndarray:
+    """12 M(q), the Euclidean Hessian of a ``QuarticCost`` at q."""
+    return 12.0 * quartic_form(cost.T, np.asarray(q, dtype=float))
 
 
 def rotation_coefficients() -> np.ndarray:
@@ -106,6 +120,13 @@ def dense_solution(elim, R: np.ndarray):
     return x[:n], float(x[n]), x[n + 1:]
 
 
+def stacks(samples):
+    """The (S, n, 3) stacks of the origins, directions and points of S
+    correspondence sets of one size: the arguments of ``solve_batch``."""
+    return tuple(np.stack([getattr(corrs, name) for corrs in samples])
+                 for name in ("origins", "directions", "points"))
+
+
 def descent_minima(cost, n_starts: int = 500, iters: int = 500, seed: int = 0):
     """Local minima of the cost on the unit sphere that projected gradient
     descent reaches from random starts, clustered up to sign.
@@ -122,7 +143,7 @@ def descent_minima(cost, n_starts: int = 500, iters: int = 500, seed: int = 0):
     step = np.full(n_starts, 0.1)
     f = cost.evaluate(q)
     for _ in range(iters):
-        g = cost.gradient(q)
+        g = gradient(cost, q)
         g -= np.sum(g * q, axis=1, keepdims=True) * q
         cand = q - step[:, None] * g
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
@@ -130,10 +151,10 @@ def descent_minima(cost, n_starts: int = 500, iters: int = 500, seed: int = 0):
         better = fc < f
         q[better], f[better] = cand[better], fc[better]
         step = np.clip(np.where(better, step * 1.2, step * 0.5), 1e-16, 1.0)
-    g = cost.gradient(q)
+    g = gradient(cost, q)
     qg = np.sum(g * q, axis=1)
     P = np.eye(4) - q[:, :, None] * q[:, None, :]
-    H = P @ (cost.hessian(q) - qg[:, None, None] * np.eye(4)) @ P
+    H = P @ (hessian(cost, q) - qg[:, None, None] * np.eye(4)) @ P
     scale = max(1.0, float(np.linalg.norm(cost.Q)))
     ok = ((np.linalg.norm(g - qg[:, None] * q, axis=1) < 1e-7 * scale)
           & (np.linalg.eigvalsh(H)[:, 0] > -1e-7 * scale))

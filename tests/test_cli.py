@@ -45,6 +45,7 @@ def test_solve_fix_scale_degenerate(tmp_path, capsys):
     path = tmp_path / "c.json"
     save_correspondences(corrs, str(path))
     assert main(["solve", "--input", str(path)]) == 1
+    assert "--fix-scale" in capsys.readouterr().err   # the flag, not the keyword
     assert main(["solve", "--input", str(path), "--fix-scale"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["best"]["scale"] == 1.0

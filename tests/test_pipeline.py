@@ -173,6 +173,21 @@ def test_localize_names_too_few_distinct_points():
     assert result.failure_reason.startswith("only 2 distinct points among 12 shared rays")
 
 
+def test_localize_counts_only_the_shared_points_rays_observe():
+    # Base knows all six of other's points, but other's rays observe two of
+    # them: the count is of the points among the shared rays, not of the
+    # shared ids.
+    base = _camera_with_points(range(20), "a")
+    centers = np.random.default_rng(8).uniform(-1.0, 1.0, (6, 3))
+    cam, pt = (a.ravel() for a in np.meshgrid(np.arange(6), np.arange(2), indexing="ij"))
+    other = DistributedCamera(cam, pt, base.points[pt] - centers[cam], list("uvwxyz"), centers,
+                              np.tile(Quaternion.identity().array, (6, 1)), range(6),
+                              base.points[:6])
+    result = localize(base, other, RobustConfig())
+    assert not result.success and result.iterations_run == 0 and result.samples_solved == 0
+    assert result.failure_reason.startswith("only 2 distinct points among 12 shared rays")
+
+
 def test_members_are_placed_from_the_closed_form_start():
     # Both frames hold every shared point, so Umeyama's alignment of them,
     # polished on the ray cost, places each member with no minimal sample,
@@ -185,7 +200,8 @@ def test_members_are_placed_from_the_closed_form_start():
                for r in results.values())
     for base, other in zip(cams, cams[1:]):
         result = localize(base, other, config, seed=0)
-        sampled = ransac_gdls(shared_correspondences(base, other), config, seed=0)
+        shared = shared_correspondences(base, other, base.point_rows(other.point_ids))
+        sampled = ransac_gdls(shared, config, seed=0)
         assert result.samples_solved == 0 and sampled.samples_solved >= 1
         T, U = result.transform, sampled.transform
         assert np.linalg.norm(T.rotation_matrix() - U.rotation_matrix()) < 1e-9
@@ -220,7 +236,8 @@ def test_a_refused_start_falls_back_to_ransac_exactly():
     config = RobustConfig()
     result = localize(base, other, config, seed=3)
     assert result.success and result.samples_solved >= 1
-    _assert_same_result(result, ransac_gdls(shared_correspondences(base, other), config, seed=3))
+    shared = shared_correspondences(base, other, base.point_rows(other.point_ids))
+    _assert_same_result(result, ransac_gdls(shared, config, seed=3))
 
 
 def test_collinear_shared_points_fall_back_to_ransac_exactly():
@@ -238,7 +255,8 @@ def test_collinear_shared_points_fall_back_to_ransac_exactly():
     config = RobustConfig()
     result = localize(base, other, config, seed=5)
     assert result.samples_solved >= 1
-    _assert_same_result(result, ransac_gdls(shared_correspondences(base, other), config, seed=5))
+    shared = shared_correspondences(base, other, base.point_rows(other.point_ids))
+    _assert_same_result(result, ransac_gdls(shared, config, seed=5))
 
 
 def test_single_camera_merge_is_identity():

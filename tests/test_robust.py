@@ -179,8 +179,8 @@ def test_failed_refit_keeps_best_hypothesis(monkeypatch, refit):
     far = SimilarityTransform(Quaternion.identity(), np.full(3, 50.0), 1.0)
     minimal_solves = []
 
-    def solve_minimal(samples):
-        reports = solve_batch(samples)
+    def solve_minimal(origins, directions, points):
+        reports = solve_batch(origins, directions, points)
         minimal_solves.extend(r.best.transform for r in reports if isinstance(r, SolveReport))
         return reports
 
@@ -502,16 +502,16 @@ def _merge_rays(cameras, overlap, seed):
     """The shared rays of a two-subset city at 0.5 px: each of its
     ``round(60 * overlap)`` shared points is seen by all ``cameras``."""
     cams, _ = generate_city(2, cameras, overlap, 0.5, seed=seed)
-    return shared_correspondences(cams[0], cams[1])
+    return shared_correspondences(cams[0], cams[1], cams[0].point_rows(cams[1].point_ids))
 
 
 def _capture_samples(monkeypatch):
     """Minimal samples solved by ``ransac_gdls`` from now on, in draw order."""
     samples = []
 
-    def solve_minimal(batch):
-        samples.extend(batch)
-        return solve_batch(batch)
+    def solve_minimal(origins, directions, points):
+        samples.extend(map(Correspondences, origins, directions, points))
+        return solve_batch(origins, directions, points)
 
     monkeypatch.setattr(robust, "solve_batch", solve_minimal)
     return samples
@@ -567,7 +567,7 @@ def test_refitted_first_hypothesis_ends_a_merge_localization(monkeypatch):
     assert len(data) == 900
     samples = _capture_samples(monkeypatch)
     result = ransac_gdls(data, RobustConfig(), seed=0)
-    first = solve_batch(samples[:1])[0].best.transform
+    first = gdls_solve(samples[0]).best.transform
     missed = int(np.sum(angular_residuals([first], data.origins, data.directions, data.points)
                         >= RobustConfig().angular_inlier_threshold))
     assert 0 < missed < 90

@@ -17,7 +17,8 @@ from raypose import solver
 from raypose.elimination import EliminationMatrices
 from raypose.solver import MAX_CANDIDATES, REFINE_STEPS, STATIONARITY_TOL, solve_batch
 
-from dense_oracle import descent_minima, greedy_rows, macaulay_roots_qr, solve_one
+from dense_oracle import (descent_minima, gradient, greedy_rows, macaulay_roots_qr, solve_one,
+                          stacks)
 
 
 def test_every_descent_minimum_is_enumerated():
@@ -52,7 +53,7 @@ def _distinct_stationary_minima(cost):
         return None
     q = result.q
     assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
-    g = cost.gradient(q)
+    g = gradient(cost, q)
     tangent = g - np.sum(g * q, axis=1, keepdims=True) * q
     assert np.all(np.linalg.norm(tangent, axis=1) <= STATIONARITY_TOL * max(1.0, np.linalg.norm(cost.Q)))
     chord = np.minimum(np.linalg.norm(q[:, None] - q[None], axis=2),
@@ -213,7 +214,7 @@ def _oracle_descent(cost, n_starts, rng, iters=400):
     step = np.full(n_starts, 0.1)
     f = cost.evaluate(q)
     for _ in range(iters):
-        g = cost.gradient(q)
+        g = gradient(cost, q)
         g = g - np.sum(g * q, axis=1, keepdims=True) * q
         cand = q - step[:, None] * g
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
@@ -417,14 +418,13 @@ def test_solve_batch_reports_each_sample():
     corrs, _ = generate_scene(SceneConfig(n_correspondences=6), rng)
     # one origin for every ray leaves the scale unobservable
     single = Correspondences(np.zeros((4, 3)), corrs.points[:4] + 1.0, corrs.points[:4])
-    good, bad, again = solve_batch([corrs, single, corrs])
-    assert isinstance(bad, RankDeficiencyError)
-    assert [type(e) for e in solve_batch([single])] == [RankDeficiencyError]
+    good, again = solve_batch(*stacks([corrs, corrs]))
+    assert [type(e) for e in solve_batch(*stacks([single]))] == [RankDeficiencyError]
     expect = gdls_solve(corrs)
     for report in (good, again):
         _assert_same_candidates(report, expect)
     with pytest.raises(InvalidInputError):
-        solve_batch([corrs, corrs.subset(np.arange(3))])
+        solve_batch(*stacks([corrs.subset(np.arange(3))]))
     # A stack of 16 noisy minimal samples with different minimum counts:
     # every sample's candidate list is the one it gets alone.
     samples = []
@@ -432,17 +432,27 @@ def test_solve_batch_reports_each_sample():
         rng = trial_rng(500 + seed, 0)
         scene, _ = generate_scene(SceneConfig(n_correspondences=4), rng)
         samples.append(add_noise(scene, 1.0, rng))
-    stacked = solve_batch(samples)
+    stacked = solve_batch(*stacks(samples))
     assert len({report.n_stationary for report in stacked}) > 1
     assert len({len(report.candidates) for report in stacked}) > 1
     for sample, report in zip(samples, stacked):
         _assert_same_candidates(report, gdls_solve(sample))
 
 
+def _solve_by_size(samples):
+    """``solve_batch``'s entry for each sample, with one batch per size."""
+    out = [None] * len(samples)
+    for n in dict.fromkeys(map(len, samples)):
+        rows = [i for i, corrs in enumerate(samples) if len(corrs) == n]
+        for i, entry in zip(rows, solve_batch(*stacks([samples[i] for i in rows]))):
+            out[i] = entry
+    return out
+
+
 def test_mixed_batch_gives_each_sample_its_result_alone():
     # Good minimal samples, a coincident-origin sample (the fix-scale hint)
-    # and samples of two other sizes in one batch: each gets, bit for bit,
-    # the elimination, cost, minima, candidates and scores it gets alone.
+    # and samples of two other sizes, one batch per size: each gets, bit for
+    # bit, the elimination, cost, minima, candidates and scores it gets alone.
     samples = []
     for seed in range(12):
         rng = trial_rng(700 + seed, 0)
@@ -451,8 +461,7 @@ def test_mixed_batch_gives_each_sample_its_result_alone():
     coincident = samples[1]
     samples[1] = Correspondences(np.zeros((4, 3)), coincident.directions, coincident.points)
     fours = [i for i, c in enumerate(samples) if len(c) == 4]
-    stack, errors = eliminate(*(np.stack([getattr(samples[i], name) for i in fours])
-                                for name in ("origins", "directions", "points")))
+    stack, errors = eliminate(*stacks([samples[i] for i in fours]))
     assert [e is None for e in errors] == [i != 1 for i in fours]
     with pytest.raises(RankDeficiencyError) as alone:
         build_elimination(samples[1])
@@ -466,12 +475,12 @@ def test_mixed_batch_gives_each_sample_its_result_alone():
         assert np.array_equal(stack.M[j], elim.M[0])
         assert np.array_equal(costs.Q[j], cost.Q[0]) and np.array_equal(costs.T[j], cost.T[0])
         _assert_identical(minima[j], solve_stationary(cost)[0])
-    batch = solve_batch(samples)
+    batch = _solve_by_size(samples)
     assert isinstance(batch[1], RankDeficiencyError) and batch[1].fix_scale_hint
     reports = [r for r in batch if isinstance(r, solver.SolveReport)]
     assert len(reports) == 11 and {r.n_correspondences for r in reports} == {4, 6, 30}
     for sample, entry in zip(samples, batch):
-        alone, = solve_batch([sample])
+        alone, = solve_batch(*stacks([sample]))
         assert type(entry) is type(alone)
         if isinstance(entry, RankDeficiencyError):
             assert str(entry) == str(alone)
@@ -513,7 +522,7 @@ def test_polish_gives_each_row_of_a_stack_what_it_gives_alone():
     forms, starts = [], []
     for seed in range(6):
         corrs, _ = _noisy_inliers(30, 9300 + seed)
-        stack, _, _ = solver._eliminate_centered([corrs], False)
+        stack, _, _ = solver._eliminate_centered(*stacks([corrs]), False)
         T = solver._scaled_forms(build_quartic_cost(stack))
         best = gdls_solve(corrs).best.transform.rotation.array
         for eps in (0.3, 0.1, 1e-2, 1e-4, 1e-7):
@@ -577,7 +586,7 @@ def _recovery_oracle(minima, elim, cost, centroids):
         alpha, s, t = solve_one(elim, R)
         if s <= 0.0:
             continue
-        g = cost.gradient(q)
+        g = gradient(cost, q)
         residual = np.linalg.norm(g - np.dot(g, q) * q) / max(1.0, np.linalg.norm(cost.Q))
         out.append((q, alpha, s, t - R @ centroids[1] + s * centroids[0],
                     float(direct_cost(elim, R[None, None])[0, 0]),
@@ -664,7 +673,7 @@ def test_candidate_rotation_is_the_row_its_fields_were_computed_from():
         corrs, _ = generate_scene(SceneConfig(n_correspondences=30 if seed % 3 else 4), rng)
         samples.append(add_noise(corrs, 1.0, rng))
     checked = 0
-    for corrs, report in zip(samples, solve_batch(samples)):
+    for corrs, report in zip(samples, _solve_by_size(samples)):
         shift = corrs.origins.mean(axis=0), corrs.points.mean(axis=0)
         centered = Correspondences(corrs.origins - shift[0], corrs.directions, corrs.points - shift[1])
         minima, = solve_stationary(build_quartic_cost(build_elimination(centered)))
@@ -776,7 +785,7 @@ def test_a_cost_the_first_frame_refuses_is_solved_in_the_second(monkeypatch):
 def test_solve_report_stage_times_add_up():
     rng = trial_rng(14, 0)
     corrs, _ = generate_scene(SceneConfig(n_correspondences=6), rng)
-    reports = solve_batch([corrs, corrs])
+    reports = solve_batch(*stacks([corrs, corrs]))
     for report in reports:
         stages = (report.elimination_seconds, report.cost_seconds,
                   report.stationary_seconds, report.recovery_seconds)
